@@ -8,7 +8,6 @@ strictly before the predicted month.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -36,7 +35,6 @@ class BacktestConfig:
     selector_params: dict = field(default_factory=dict)
     reselect_every: int = 1
     seed: int = 0
-    selector_timeout: float | None = None  # seconds; None disables
 
     def __post_init__(self):
         if self.window <= self.p + 2:
@@ -52,7 +50,6 @@ class BacktestConfig:
             "selector_params": dict(self.selector_params),
             "reselect_every": self.reselect_every,
             "seed": self.seed,
-            "selector_timeout": self.selector_timeout,
         }
 
 
@@ -116,28 +113,15 @@ def fit_forecast_model(
     return fit, np.array(regressors)
 
 
-def _run_with_timeout(fn, timeout, *args):
-    if timeout is None:
-        return fn(*args)
-    # wait=False so the timed-out worker cannot stall the loop; it finishes
-    # in the background and its result is discarded
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-    try:
-        future = pool.submit(fn, *args)
-        return future.result(timeout=timeout)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_backtest(
     panel: AlignedPanel, calendar: RegimeCalendar, config: BacktestConfig
 ) -> BacktestLedger:
     """Produce one out-of-sample record per month after the initial window.
 
-    Selector failures (or timeouts, when configured) fall back to the
-    previous FeatureSet -- or to no features at the start -- with a logged
-    warning; an empty selection degrades the model to intercept plus target
-    lag. Hard data errors propagate.
+    Selector failures fall back to the previous FeatureSet -- or to no
+    features at the start -- with a logged warning; an empty selection
+    degrades the model to intercept plus target lag. Hard data errors
+    propagate.
     """
     T = len(panel)
     w = config.window
@@ -151,20 +135,7 @@ def run_backtest(
         due = last_fs is None or (j - w) % config.reselect_every == 0
         if due:
             try:
-                fs = _run_with_timeout(
-                    selector,
-                    config.selector_timeout,
-                    window,
-                    config.p,
-                    step_seed(config.seed, j),
-                    calendar,
-                )
-            except concurrent.futures.TimeoutError:
-                log.warning(
-                    "%s timed out at %s; reusing previous selection",
-                    config.selector_id, panel.dates[j],
-                )
-                fs = last_fs
+                fs = selector(window, config.p, step_seed(config.seed, j), calendar)
             except Exception as exc:  # noqa: BLE001 -- fallback is the contract
                 log.warning(
                     "%s failed at %s (%s); falling back",

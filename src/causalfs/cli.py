@@ -22,7 +22,7 @@ from .backtest import (
     run_backtest,
     run_manifest,
 )
-from .config import ConfigError, RunConfig, load_config_file, load_run_config
+from .config import ConfigError, RunConfig, check_selectors, load_config_file, load_run_config
 from .errors import BacktestAborted, CausalfsError, GenerationFailed
 from .ingest import (
     STOCK_MARKET_GROUP,
@@ -38,7 +38,6 @@ from .ingest import (
 )
 from .panel import align_and_shift
 from .selectors import make_selector
-from .selectors.base import SELECTOR_IDS
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +102,6 @@ def cmd_backtest(cfg: RunConfig) -> int:
             selector_params=cfg.selector_params.get(sid, {}),
             reselect_every=cfg.reselect_every,
             seed=cfg.seed,
-            selector_timeout=cfg.selector_timeout,
         )
         ledger_path = out / f"ledger_{sid}.csv"
         try:
@@ -230,12 +228,12 @@ def cmd_validate(spec_path: Path, out_dir: Path | None, seed_override) -> int:
     out = out_dir or Path(raw.pop("output_dir", "out"))
     if not out.is_absolute():
         out = spec_path.resolve().parent / out
-    out.mkdir(parents=True, exist_ok=True)
     selectors = raw.pop("selectors", ["granger"])
     if isinstance(selectors, str):
         selectors = [selectors]
     n_seeds = int(raw.pop("n_seeds", 20))
     selector_params = raw.pop("selector", {})
+    check_selectors(selectors, selector_params)
     base_seed = int(seed_override if seed_override is not None else raw.pop("seed", 0))
     raw.pop("seed", None)
     shift_rows = raw.pop("environment_shifts", [])
@@ -271,11 +269,8 @@ def cmd_validate(spec_path: Path, out_dir: Path | None, seed_override) -> int:
         )
         for row in shift_rows
     )
-    for sid in selectors:
-        if sid not in SELECTOR_IDS:
-            print(f"unknown selector id {sid!r}", file=sys.stderr)
-            return EXIT_CONFIG
     p = spec_kwargs["p"]
+    out.mkdir(parents=True, exist_ok=True)
     for sid in selectors:
         runner = make_selector(sid, selector_params.get(sid, {}))
         rows = []
@@ -346,9 +341,7 @@ def main(argv=None) -> int:
             cfg.output_dir = args.out
         if args.selectors is not None:
             cfg.selectors = [s.strip() for s in args.selectors.split(",") if s.strip()]
-            for sid in cfg.selectors:
-                if sid not in SELECTOR_IDS:
-                    raise ConfigError(f"unknown selector id {sid!r}")
+            check_selectors(cfg.selectors, {})
         handler = {"ingest": cmd_ingest, "backtest": cmd_backtest, "report": cmd_report}
         return handler[args.command](cfg)
     except ConfigError as exc:

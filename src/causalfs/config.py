@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
-from .selectors.base import SELECTOR_IDS
+from .errors import BadName, ConfigError
+from .selectors import selector_params
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_\-]+)\s*=\s*(.+)$")
@@ -129,7 +129,6 @@ class RunConfig:
     selectors: list[str] = field(default_factory=lambda: ["granger"])
     selector_params: dict = field(default_factory=dict)
     reselect_every: int = 1
-    selector_timeout: float | None = None
     combine: list[str] = field(default_factory=list)
     combine_weight: float = 0.5
     base_dir: Path = field(default_factory=Path)
@@ -146,32 +145,41 @@ class RunConfig:
         return p if p.is_absolute() else self.base_dir / p
 
 
+def check_selectors(selectors, params: dict) -> None:
+    """Raise ConfigError unless every id in ``selectors`` is known and every
+    ``[selector.<id>]`` table in ``params`` passes the registry's checks."""
+    if not isinstance(params, dict):
+        raise ConfigError("[selector.*] sections must form a table")
+    try:
+        for sid in selectors:
+            selector_params(sid)
+        for sid, table in params.items():
+            if not isinstance(table, dict):
+                raise ConfigError(f"[selector.{sid}] must be a table")
+            selector_params(sid, table)
+    except BadName as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def load_run_config(path, require_inputs: bool = False) -> RunConfig:
-    """Load and validate a run config; selector ids must be known and, when
-    ``require_inputs`` is set, every referenced input file must exist."""
+    """Load and validate a run config; selector ids and params must pass
+    ``check_selectors`` and, when ``require_inputs`` is set, every
+    referenced input file must exist."""
     raw = load_config_file(path)
     base = Path(path).resolve().parent
-    selector_params = raw.pop("selector", {})
-    if not isinstance(selector_params, dict):
-        raise ConfigError("[selector.*] sections must form a table")
+    tables = raw.pop("selector", {})
     known = {
         "fredmd_csv", "prices_csv", "groups_csv", "calendar", "output_dir",
         "window", "p", "metric_window", "shift_months", "seed", "target_name",
-        "selectors", "reselect_every", "selector_timeout", "combine",
-        "combine_weight",
+        "selectors", "reselect_every", "combine", "combine_weight",
     }
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(base_dir=base, selector_params=selector_params, **raw)
+    cfg = RunConfig(base_dir=base, selector_params=tables, **raw)
     if isinstance(cfg.selectors, str):
         cfg.selectors = [cfg.selectors]
-    for sid in [*cfg.selectors, *cfg.combine]:
-        if sid not in SELECTOR_IDS:
-            raise ConfigError(f"unknown selector id {sid!r}")
-    for sid in selector_params:
-        if sid not in SELECTOR_IDS:
-            raise ConfigError(f"[selector.{sid}] does not name a known selector")
+    check_selectors([*cfg.selectors, *cfg.combine], tables)
     if cfg.combine and len(cfg.combine) != 2:
         raise ConfigError("combine must list exactly two selector ids")
     if require_inputs:

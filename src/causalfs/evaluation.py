@@ -104,8 +104,8 @@ def _rolling(ledger, h, fn):
 def regime_metrics(ledger: BacktestLedger, calendar: RegimeCalendar) -> MetricsReport:
     """MAE/RMSE split by regime, with the crisis-over-normal MAE increase.
 
-    The increase is (crisis_mae / normal_mae - 1) * 100 and is flagged None
-    when either regime has no records.
+    The increase is ``mae_increase_pct`` and is flagged None when either
+    regime has no records or the normal MAE is 0.
     """
     if len(ledger) == 0:
         raise Insufficient("empty ledger")
@@ -126,7 +126,7 @@ def regime_metrics(ledger: BacktestLedger, calendar: RegimeCalendar) -> MetricsR
     if normal is None or crisis is None or normal.mae == 0.0:
         increase = None
     else:
-        increase = (crisis.mae / normal.mae - 1.0) * 100.0
+        increase = mae_increase_pct(normal.mae, crisis.mae)
     return MetricsReport(per_regime, increase)
 
 

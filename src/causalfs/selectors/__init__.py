@@ -1,12 +1,10 @@
 """Feature selectors behind one contract: panel (or design) in, FeatureSet out."""
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import BadName
-from ..ingest import Regime, RegimeCalendar
+from ..ingest import Regime
 from ..panel import AlignedPanel, build_design
-from .base import SELECTOR_IDS, DynamicGraph, Environment, FeatureSet
+from .base import DynamicGraph, Environment, FeatureSet
 from .dynotears import dynotears_fit, dynotears_select
 from .granger import granger_select
 from .pcmci import pcmci_select
@@ -15,6 +13,7 @@ from .sfs import cv_mse, sfs_select
 from .varlingam import VarLingamResult, cluster_prefilter, varlingam_fit, varlingam_select
 
 __all__ = [
+    "SELECTORS",
     "SELECTOR_IDS",
     "DynamicGraph",
     "Environment",
@@ -29,6 +28,7 @@ __all__ = [
     "make_selector",
     "pcmci_select",
     "residual_invariance_p",
+    "selector_params",
     "seqicp_select",
     "sfs_select",
     "varlingam_fit",
@@ -36,13 +36,89 @@ __all__ = [
 ]
 
 
-def _calendar_environments(design, calendar: RegimeCalendar) -> list[Environment]:
-    normal = [i for i, d in enumerate(design.dates) if calendar.classify(d) is Regime.NORMAL]
-    crisis = [i for i, d in enumerate(design.dates) if calendar.classify(d) is Regime.CRISIS]
-    return [
-        Environment("normal", np.array(normal, dtype=int)),
-        Environment("crisis", np.array(crisis, dtype=int)),
-    ]
+# Adapters to the uniform ``(panel, p, seed, calendar, **params)`` form. They
+# pass on only the params a config sets, so each default lives in one place:
+# the selector function's signature.
+
+def _granger(panel, p, seed, calendar, **kw):
+    return granger_select(build_design(panel, p), **kw)
+
+
+def _seqicp(panel, p, seed, calendar, environments="halves", **kw):
+    design = build_design(panel, p)
+    envs = None  # seqicp_select's default: the window's two halves
+    if environments == "calendar" and calendar is not None:
+        regimes = [calendar.classify(d) for d in design.dates]
+        envs = [
+            Environment(str(regime), [i for i, r in enumerate(regimes) if r is regime])
+            for regime in Regime
+        ]
+        if not all(len(e) for e in envs):
+            envs = None  # a single-regime window cannot test invariance
+    return seqicp_select(design, envs, **kw)
+
+
+def _varlingam(panel, p, seed, calendar, **kw):
+    return varlingam_select(panel, p=p, seed=seed, **kw)
+
+
+def _dynotears(panel, p, seed, calendar, **kw):
+    return dynotears_select(dynotears_fit(panel, p=p, **kw), panel.target_name)
+
+
+def _pcmci(panel, p, seed, calendar, **kw):
+    return pcmci_select(panel, p=p, **kw)
+
+
+def _sfs(panel, p, seed, calendar, **kw):
+    return sfs_select(build_design(panel, p), seed=seed, **kw)
+
+
+def _choice(*options):
+    def check(value):
+        if value not in options:
+            raise ValueError(f"{value!r} is not one of {options}")
+        return value
+
+    return check
+
+
+# id -> (adapter, {param: coercion}); the keys are every param a config may set
+SELECTORS = {
+    "granger": (_granger, {"alpha": float}),
+    "seqicp": (_seqicp, {"alpha": float, "max_subset_size": int,
+                         "environments": _choice("halves", "calendar")}),
+    "varlingam": (_varlingam, {"k_clusters": int, "edge_threshold": float,
+                               "use_instantaneous": bool, "use_lagged": bool}),
+    "dynotears": (_dynotears, {"lambda_w": float, "lambda_s": float,
+                               "h_tol": float, "w_threshold": float}),
+    "pcmci": (_pcmci, {"alpha": float, "max_cond_dim": int, "max_parents_stage1": int}),
+    "sfs": (_sfs, {"direction": _choice("forward", "backward"), "tol": float,
+                   "max_features": int, "folds": int}),
+}
+SELECTOR_IDS = tuple(SELECTORS)
+
+
+def selector_params(selector_id: str, params: dict | None = None) -> dict:
+    """Check a selector's params against the registry and coerce each value.
+
+    Raises BadName for an unknown selector id, an unknown param, or a value
+    that fails its coercion or choice check.
+    """
+    if selector_id not in SELECTOR_IDS:
+        raise BadName(f"unknown selector {selector_id!r}; known: {SELECTOR_IDS}")
+    params = params or {}
+    coercions = SELECTORS[selector_id][1]
+    unknown = set(params) - set(coercions)
+    if unknown:
+        raise BadName(f"unknown parameters for {selector_id}: {sorted(unknown)}")
+    checked = {}
+    for key, value in params.items():
+        try:
+            checked[key] = coercions[key](value)
+        except (TypeError, ValueError) as exc:
+            raise BadName(f"bad value for {selector_id}.{key}: {exc}") from None
+    return checked
 
 
 def make_selector(selector_id: str, params: dict | None = None):
@@ -51,80 +127,10 @@ def make_selector(selector_id: str, params: dict | None = None):
     The callable signature is ``(panel, p, seed, calendar=None) -> FeatureSet``;
     design-based selectors build their lag design internally.
     """
-    params = dict(params or {})
-    if selector_id not in SELECTOR_IDS:
-        raise BadName(f"unknown selector {selector_id!r}; known: {SELECTOR_IDS}")
+    kwargs = selector_params(selector_id, params)
+    adapter = SELECTORS[selector_id][0]
 
-    if selector_id == "granger":
-        alpha = float(params.pop("alpha", 0.05))
+    def run(panel: AlignedPanel, p: int, seed: int, calendar=None) -> FeatureSet:
+        return adapter(panel, p, seed, calendar, **kwargs)
 
-        def run(panel: AlignedPanel, p: int, seed: int, calendar=None) -> FeatureSet:
-            return granger_select(build_design(panel, p), alpha=alpha)
-
-    elif selector_id == "sfs":
-        kwargs = {
-            "direction": params.pop("direction", "forward"),
-            "tol": float(params.pop("tol", 1e-8)),
-            "folds": int(params.pop("folds", 5)),
-        }
-        if "max_features" in params:
-            kwargs["max_features"] = int(params.pop("max_features"))
-
-        def run(panel, p, seed, calendar=None):
-            return sfs_select(build_design(panel, p), seed=seed, **kwargs)
-
-    elif selector_id == "seqicp":
-        alpha = float(params.pop("alpha", 0.05))
-        max_subset_size = int(params.pop("max_subset_size", 2))
-        env_mode = params.pop("environments", "halves")
-
-        def run(panel, p, seed, calendar=None):
-            design = build_design(panel, p)
-            if env_mode == "calendar" and calendar is not None:
-                envs = _calendar_environments(design, calendar)
-                envs = [e for e in envs if len(e) > 0]
-                if len(envs) < 2:
-                    envs = halves_environments(design.n)
-            else:
-                envs = halves_environments(design.n)
-            return seqicp_select(
-                design, envs, alpha=alpha, max_subset_size=max_subset_size
-            )
-
-    elif selector_id == "varlingam":
-        kwargs = {
-            "edge_threshold": float(params.pop("edge_threshold", 0.05)),
-            "use_instantaneous": bool(params.pop("use_instantaneous", True)),
-            "use_lagged": bool(params.pop("use_lagged", True)),
-        }
-        if "k_clusters" in params:
-            kwargs["k_clusters"] = int(params.pop("k_clusters"))
-
-        def run(panel, p, seed, calendar=None):
-            return varlingam_select(panel, p=p, seed=seed, **kwargs)
-
-    elif selector_id == "dynotears":
-        fit_kwargs = {
-            "lambda_w": float(params.pop("lambda_w", 0.1)),
-            "lambda_s": float(params.pop("lambda_s", 0.1)),
-            "h_tol": float(params.pop("h_tol", 1e-8)),
-            "w_threshold": float(params.pop("w_threshold", 0.05)),
-        }
-
-        def run(panel, p, seed, calendar=None):
-            graph = dynotears_fit(panel, p=p, **fit_kwargs)
-            return dynotears_select(graph, panel.target_name)
-
-    else:  # pcmci
-        kwargs = {
-            "alpha": float(params.pop("alpha", 0.05)),
-            "max_cond_dim": int(params.pop("max_cond_dim", 3)),
-            "max_parents_stage1": int(params.pop("max_parents_stage1", 10)),
-        }
-
-        def run(panel, p, seed, calendar=None):
-            return pcmci_select(panel, p=p, **kwargs)
-
-    if params:
-        raise BadName(f"unknown parameters for {selector_id}: {sorted(params)}")
     return run

@@ -1,4 +1,4 @@
-"""Shared selector output types and the selector registry."""
+"""Shared selector output types."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -105,5 +105,3 @@ class DynamicGraph:
                 parents.add(src)
         return frozenset(parents)
 
-
-SELECTOR_IDS = ("granger", "seqicp", "varlingam", "dynotears", "pcmci", "sfs")

@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ..errors import TooManyCovariates
+from ..errors import DegenerateInput, TooManyCovariates
 from ..numerics import fastica, kmeans, ols_fit, pearson
 from ..panel import AlignedPanel
 from .base import FeatureSet
@@ -50,7 +50,7 @@ def cluster_prefilter(
     for j, name in enumerate(panel.feature_names):
         try:
             corr[name] = pearson(X[:, j], panel.target)
-        except Exception:
+        except DegenerateInput:
             corr[name] = 0.0
     if k_clusters >= panel.n_features:
         return panel.feature_names, corr

@@ -218,6 +218,19 @@ def true_parents(truth: DynamicGraph, target: str = TARGET_NAME) -> frozenset[st
     return truth.parents_of(target)
 
 
+def _prf(hits: int, n_est: int, n_true: int) -> RecoveryScore:
+    """Precision/recall/F1 from counts; an empty estimate has vacuous
+    precision 1 and an empty truth vacuous recall 1."""
+    precision = hits / n_est if n_est else 1.0
+    recall = hits / n_true if n_true else 1.0
+    f1 = (
+        2.0 * precision * recall / (precision + recall)
+        if precision + recall > 0
+        else 0.0
+    )
+    return RecoveryScore(precision, recall, f1)
+
+
 def score_recovery(
     selected: FeatureSet, truth: DynamicGraph, target: str = TARGET_NAME
 ) -> RecoveryScore:
@@ -227,16 +240,7 @@ def score_recovery(
     vacuous recall 1.
     """
     truth_set = true_parents(truth, target)
-    sel = set(selected.selected)
-    hits = len(sel & truth_set)
-    precision = hits / len(sel) if sel else 1.0
-    recall = hits / len(truth_set) if truth_set else 1.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return RecoveryScore(precision, recall, f1)
+    return _prf(len(selected.selected & truth_set), len(selected.selected), len(truth_set))
 
 
 def _edge_set(graph: DynamicGraph) -> set[tuple[int, int, int]]:
@@ -258,15 +262,7 @@ def score_graph_edges(estimate: DynamicGraph, truth: DynamicGraph) -> RecoverySc
         raise ValueError("graphs must share variable names and order")
     est = _edge_set(estimate)
     tru = _edge_set(truth)
-    hits = len(est & tru)
-    precision = hits / len(est) if est else 1.0
-    recall = hits / len(tru) if tru else 1.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return RecoveryScore(precision, recall, f1)
+    return _prf(len(est & tru), len(est), len(tru))
 
 
 def export_fredmd(

@@ -14,11 +14,22 @@ from causalfs.backtest import (
     run_manifest,
     step_seed,
 )
-from causalfs.errors import ShapeError
+from causalfs.errors import BadName, ShapeError
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
 from causalfs.panel import build_design
-from causalfs.selectors import make_selector
+from causalfs.selectors import (
+    SELECTOR_IDS,
+    Environment,
+    dynotears_fit,
+    dynotears_select,
+    granger_select,
+    make_selector,
+    pcmci_select,
+    seqicp_select,
+    sfs_select,
+    varlingam_select,
+)
 from causalfs.synthlab import SvarSpec, generate_svar
 
 from conftest import make_panel
@@ -244,3 +255,65 @@ class TestConfigValidation:
     def test_reselect_every_positive(self):
         with pytest.raises(ValueError):
             BacktestConfig(window=10, reselect_every=0)
+
+
+# each selector called directly, with every default left to its signature
+DIRECT = {
+    "granger": lambda panel, seed: granger_select(build_design(panel, 1)),
+    "seqicp": lambda panel, seed: seqicp_select(build_design(panel, 1)),
+    "varlingam": lambda panel, seed: varlingam_select(panel, p=1, seed=seed),
+    "dynotears": lambda panel, seed: dynotears_select(
+        dynotears_fit(panel, p=1), panel.target_name),
+    "pcmci": lambda panel, seed: pcmci_select(panel, p=1),
+    "sfs": lambda panel, seed: sfs_select(build_design(panel, 1), seed=seed),
+}
+
+
+class TestSelectorRegistry:
+    @pytest.fixture(scope="class")
+    def panel(self):
+        panel, _ = generate_svar(
+            SvarSpec(d=4, p=1, n=80, edge_density=0.3, seed=4,
+                     instantaneous=False, noise="laplace")
+        )
+        return panel
+
+    def test_registry_covers_every_selector(self):
+        assert set(SELECTOR_IDS) == set(DIRECT)
+
+    @pytest.mark.parametrize("sid", sorted(DIRECT))
+    def test_empty_params_use_signature_defaults(self, panel, sid):
+        got = make_selector(sid, {})(panel, 1, 9, EMPTY_CAL)
+        np.testing.assert_equal(vars(got), vars(DIRECT[sid](panel, 9)))
+
+    @pytest.mark.parametrize("sid, params", [
+        pytest.param("nope", {}, id="unknown-selector"),
+        pytest.param("pcmci", {"alpah": 0.1}, id="unknown-key"),
+        pytest.param("granger", {"alpha": "high"}, id="ill-typed"),
+        pytest.param("seqicp", {"environments": "calender"}, id="bad-environments"),
+        pytest.param("sfs", {"direction": "sideways"}, id="bad-direction"),
+    ])
+    def test_bad_params_rejected_before_any_call(self, sid, params):
+        with pytest.raises(BadName):
+            make_selector(sid, params)
+
+    def test_seqicp_calendar_environments(self, panel):
+        design = build_design(panel, 1)
+        crisis = design.dates[30:55]
+        cal = load_calendar(f"{crisis[0]}..{crisis[-1]}\n")
+        rows = np.arange(design.n)
+        expected = seqicp_select(design, [
+            Environment("normal", np.setdiff1d(rows, rows[30:55])),
+            Environment("crisis", rows[30:55]),
+        ])
+        selector = make_selector("seqicp", {"environments": "calendar"})
+        got = selector(panel, 1, 0, cal)
+        np.testing.assert_equal(vars(got), vars(expected))
+        halves = seqicp_select(design)
+        assert got.diagnostics != halves.diagnostics
+
+    def test_seqicp_single_regime_calendar_falls_back_to_halves(self, panel):
+        design = build_design(panel, 1)
+        selector = make_selector("seqicp", {"environments": "calendar"})
+        for cal in (EMPTY_CAL, load_calendar(f"{design.dates[0]}..{design.dates[-1]}\n")):
+            np.testing.assert_equal(vars(selector(panel, 1, 0, cal)), vars(seqicp_select(design)))

@@ -82,6 +82,34 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("[selector.pcmci]\nalpah = 0.1\n", id="unknown-key"),
+        pytest.param('[selector.granger]\nalpha = "high"\n', id="ill-typed"),
+        pytest.param("[selector.sfs]\nmax_features = [1, 2]\n", id="ill-typed-list"),
+        pytest.param('[selector.seqicp]\nenvironments = "calender"\n', id="bad-environments"),
+        pytest.param('[selector.sfs]\ndirection = "sideways"\n', id="bad-direction"),
+        pytest.param("[selector.bogus]\nalpha = 0.1\n", id="unknown-selector"),
+        pytest.param("selector_timeout = 5.0\n", id="removed-timeout"),
+    ])
+    def test_bad_selector_config_rejected_at_load(self, tmp_path, text):
+        path = tmp_path / "bad.toml"
+        path.write_text('selectors = ["granger"]\n' + text)
+        with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    def test_selector_params_kept_as_written(self, tmp_path):
+        path = tmp_path / "ok.toml"
+        path.write_text(
+            'selectors = ["seqicp", "sfs"]\n[selector.seqicp]\n'
+            'environments = "calendar"\nmax_subset_size = 1\n'
+            '[selector.sfs]\ndirection = "backward"\ntol = 1\n'
+        )
+        cfg = load_run_config(path)
+        assert cfg.selector_params == {
+            "seqicp": {"environments": "calendar", "max_subset_size": 1},
+            "sfs": {"direction": "backward", "tol": 1},
+        }
+
 
 class TestIngest:
     def test_toy_run_exits_zero(self, workspace):
@@ -156,6 +184,13 @@ class TestBacktest:
         assert run_cli(
             "backtest", "--config", workspace / "run.toml", "--selectors", "zzz"
         ) == 2
+
+    def test_bad_selector_param_exit_2_before_any_ledger(self, workspace):
+        run_cli("ingest", "--config", workspace / "run.toml")
+        config = workspace / "run.toml"
+        config.write_text(config.read_text() + "alpah = 0.1\n")  # into [selector.sfs]
+        assert run_cli("backtest", "--config", config) == 2
+        assert not list((workspace / "out").glob("ledger_*"))
 
 
 class TestReport:
@@ -241,6 +276,12 @@ alpha = 0.05
         path = tmp_path / "lab.toml"
         path.write_text('d = 4\nselectors = ["bogus"]\n')
         assert run_cli("validate", "--config", path) == 2
+
+    def test_unknown_selector_section_exit_2(self, tmp_path):
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 4\nselectors = ["granger"]\n[selector.bogus]\nalpha = 0.1\n')
+        assert run_cli("validate", "--config", path) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_density_zero_selection_rate_near_alpha(self, tmp_path):
         spec = (

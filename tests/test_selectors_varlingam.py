@@ -55,6 +55,19 @@ def test_prefilter_keeps_strongest_per_cluster(rng):
     assert "X2" in kept  # strongest within the base cluster
 
 
+def test_constant_feature_scores_zero_and_is_never_kept(rng):
+    # the constant column comes first, so a tie with it would keep it
+    n = 200
+    target = rng.uniform(-1, 1, size=n)
+    weak = 0.1 * target + rng.uniform(-1, 1, size=n)
+    panel = make_panel(target, np.column_stack([np.full(n, 3.0), weak]))
+    kept, corr = cluster_prefilter(panel, k_clusters=1, seed=0)
+    assert corr["X1"] == 0.0
+    assert kept == ("X2",)
+    fs = varlingam_select(panel, p=1, k_clusters=1, seed=0)
+    assert "X1" not in fs.selected
+
+
 def test_no_dependence_mostly_empty():
     empty = 0
     for seed in range(50):
