@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BacktestAborted
+from .errors import BacktestAborted, CausalfsError
 from .ingest import Regime, RegimeCalendar
 from .numerics import OlsFit, ols_fit
 from .panel import AlignedPanel, MonthStamp, build_design
@@ -118,10 +118,12 @@ def run_backtest(
 ) -> BacktestLedger:
     """Produce one out-of-sample record per month after the initial window.
 
-    Selector failures fall back to the previous FeatureSet -- or to no
-    features at the start -- with a logged warning; an empty selection
-    degrades the model to intercept plus target lag. Hard data errors
-    propagate.
+    A selector that raises ``CausalfsError`` or ``numpy.linalg.LinAlgError``
+    falls back to the previous FeatureSet -- or to no features at the
+    start -- with a logged warning naming the error class; an empty
+    selection degrades the model to intercept plus target lag. Any other
+    exception from a selector is a programming error and propagates; a
+    failed forecast fit aborts with the partial ledger.
     """
     T = len(panel)
     w = config.window
@@ -136,10 +138,10 @@ def run_backtest(
         if due:
             try:
                 fs = selector(window, config.p, step_seed(config.seed, j), calendar)
-            except Exception as exc:  # noqa: BLE001 -- fallback is the contract
+            except (CausalfsError, np.linalg.LinAlgError) as exc:
                 log.warning(
-                    "%s failed at %s (%s); falling back",
-                    config.selector_id, panel.dates[j], exc,
+                    "%s failed at %s (%s: %s); falling back",
+                    config.selector_id, panel.dates[j], type(exc).__name__, exc,
                 )
                 fs = last_fs
             if fs is None:

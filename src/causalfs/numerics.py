@@ -96,6 +96,51 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True) -> OlsFit:
     )
 
 
+def nested_rss(
+    X: np.ndarray, y: np.ndarray, blocks
+) -> tuple[float, np.ndarray]:
+    """RSS of y on [1, X], and the RSS with each column block of X dropped.
+
+    ``blocks`` holds lists of column indices into X. For a full-rank design
+    every restricted RSS comes from one SVD A = U S V' of A = [1, X] in
+    Wald form: dropping block B adds beta_B' (C_BB)^-1 beta_B to the full
+    RSS, where C = (A'A)^-1 = W W' with W = V S^-1. Since beta = W U'y,
+    that gap is the squared norm of U'y projected onto the row space of
+    W_B, which a QR of W_B' gives without squaring its condition number.
+    Full rank uses lstsq's own cutoff, s_min > eps * max(n, k) * s_max.
+    Below it the full and restricted models are refit one by one with
+    ``ols_fit``, the only path valid for a rank-deficient design, which
+    warns RankDeficientWarning.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("rows(X) must equal len(y)")
+    A = np.column_stack([np.ones(len(y)), X])
+    n, k = A.shape
+    if n <= k:
+        raise Underdetermined(f"{n} rows for {k} regressors")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s[-1] <= np.finfo(float).eps * max(n, k) * s[0]:
+        rss_full = ols_fit(X, y).rss
+        restricted = [ols_fit(np.delete(X, b, axis=1), y).rss for b in blocks]
+        return rss_full, np.array(restricted)
+    W = Vt.T / s
+    c = U.T @ y
+    residuals = y - A @ (W @ c)
+    rss_full = float(residuals @ residuals)
+    gaps = np.empty(len(blocks))
+    for i, block in enumerate(blocks):
+        rows = np.asarray(block, dtype=int) + 1  # column 0 of A is the intercept
+        if len(rows) == 1:
+            w = W[rows[0]]
+            gaps[i] = (w @ c) ** 2 / (w @ w)
+        else:
+            q = np.linalg.qr(W[rows].T)[0].T @ c
+            gaps[i] = q @ q
+    return rss_full, rss_full + gaps
+
+
 def f_sf(x: float, df1: int, df2: int) -> float:
     """Upper tail of the F(df1, df2) distribution via the regularized
     incomplete beta function."""

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..errors import Underdetermined
-from ..numerics import f_test_nested, ols_fit
+from ..numerics import f_test_nested, nested_rss
 from ..panel import DesignMatrix
 from .base import FeatureSet
 
@@ -12,26 +12,25 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
 
     For each feature the full model (target lag plus all feature lags) is
     compared against the model with that feature's p lags removed; the
-    feature is kept when the F test rejects at level alpha. Diagnostics
-    carry every (F, p) pair.
+    feature is kept when the F test rejects at level alpha. All restricted
+    fits come from one factorization of the full design (``nested_rss``).
+    Diagnostics carry every (F, p) pair.
     """
-    names = design.feature_names
     n, k_cols = design.X.shape
     k_full = k_cols + 1  # intercept counted
     if n <= k_full:
         raise Underdetermined(
             f"{n} design rows for {k_full} regressors; pre-filter the features"
         )
-    full = ols_fit(design.X, design.y, intercept=True)
+    blocks = {name: [] for name in design.feature_names}
+    for col, (name, _) in enumerate(design.columns):
+        if name in blocks:
+            blocks[name].append(col)
+    rss_full, rss_restricted = nested_rss(design.X, design.y, list(blocks.values()))
     diagnostics = {}
     selected = set()
-    for name in names:
-        drop = set(design.feature_column_indices([name]))
-        keep = [i for i in range(k_cols) if i not in drop]
-        restricted = ols_fit(design.X[:, keep], design.y, intercept=True)
-        test = f_test_nested(
-            restricted.rss, full.rss, q=len(drop), n=n, k_full=k_full
-        )
+    for (name, block), rss in zip(blocks.items(), rss_restricted):
+        test = f_test_nested(float(rss), rss_full, q=len(block), n=n, k_full=k_full)
         diagnostics[name] = (test.statistic, test.p_value)
         if test.p_value < alpha:
             selected.add(name)

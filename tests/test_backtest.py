@@ -152,6 +152,32 @@ class TestRunBacktest:
         assert len(ledger) == T - 12
         assert all(rec.selected == () for rec in ledger.records)
 
+    def test_fallback_log_names_error_class(self, rng, caplog):
+        # 12-row windows cannot hold granger's 32 regressors
+        T = 14
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 30)))
+        with caplog.at_level("WARNING", logger="causalfs.backtest"):
+            run_backtest(panel, EMPTY_CAL, _config(window=12))
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert all("(Underdetermined: " in m and "falling back" in m
+                   for m in messages)
+
+    def test_programming_error_in_selector_propagates(self, rng, caplog,
+                                                      monkeypatch):
+        import causalfs.backtest as bt
+
+        def broken(panel_w, p, seed, calendar=None):
+            raise TypeError("bug inside a selector")
+
+        T = 30
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 2)))
+        monkeypatch.setattr(bt, "make_selector", lambda sid, params: broken)
+        with caplog.at_level("WARNING", logger="causalfs.backtest"):
+            with pytest.raises(TypeError, match="bug inside a selector"):
+                run_backtest(panel, EMPTY_CAL, _config(window=20))
+        assert not any("falling back" in r.getMessage() for r in caplog.records)
+
     def test_reselect_cadence(self, rng):
         T = 30
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 2)))

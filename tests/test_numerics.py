@@ -17,6 +17,7 @@ from causalfs.numerics import (
     f_test_nested,
     fastica,
     kmeans,
+    nested_rss,
     ols_fit,
     partial_correlation,
     pearson,
@@ -76,6 +77,52 @@ class TestOls:
         fitted = y - fit.residuals
         refit = ols_fit(X, fitted, intercept=True)
         np.testing.assert_allclose(refit.beta, fit.beta, atol=1e-10)
+
+
+def _lstsq_rss(A, y):
+    beta = np.linalg.lstsq(A, y, rcond=None)[0]
+    resid = y - A @ beta
+    return float(resid @ resid)
+
+
+class TestNestedRss:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("collinear", [False, True], ids=["random", "cond1e6"])
+    def test_matches_per_block_lstsq_oracle(self, rng, p, collinear):
+        n, n_blocks = 90, 6
+        X = rng.normal(size=(n, 1 + p * n_blocks))
+        if collinear:  # the last column nearly copies the one before
+            X[:, -1] = X[:, -2] + 2e-6 * rng.normal(size=n)
+        y = X[:, :3] @ np.array([0.5, -1.0, 0.3]) + rng.normal(size=n)
+        blocks = [list(range(1 + b * p, 1 + (b + 1) * p)) for b in range(n_blocks)]
+        A = np.column_stack([np.ones(n), X])
+        if collinear:
+            assert 1e5 < np.linalg.cond(A) < 1e7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficientWarning)
+            rss_full, restricted = nested_rss(X, y, blocks)
+        assert rss_full == pytest.approx(_lstsq_rss(A, y), rel=1e-9)
+        oracle = [_lstsq_rss(np.delete(A, [1 + c for c in b], axis=1), y)
+                  for b in blocks]
+        np.testing.assert_allclose(restricted, oracle, rtol=1e-9)
+
+    def test_rank_deficient_design_refits_each_block(self, rng):
+        n = 60
+        X = rng.normal(size=(n, 4))
+        X[:, 3] = X[:, 2]  # exact copy
+        y = X[:, 0] + rng.normal(size=n)
+        blocks = [[0], [1], [2], [3]]
+        with pytest.warns(RankDeficientWarning):
+            rss_full, restricted = nested_rss(X, y, blocks)
+        with pytest.warns(RankDeficientWarning):
+            oracle = [ols_fit(X[:, [i for i in range(4) if i not in block]], y).rss
+                      for block in blocks]
+            assert rss_full == ols_fit(X, y).rss
+        assert restricted.tolist() == oracle
+
+    def test_underdetermined(self, rng):
+        with pytest.raises(Underdetermined):
+            nested_rss(rng.normal(size=(5, 4)), rng.normal(size=5), [[0]])
 
 
 class TestFTest:

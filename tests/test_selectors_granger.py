@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from causalfs.errors import RankDeficientWarning
+from causalfs.numerics import f_sf, f_test_nested, ols_fit
 from causalfs.panel import build_design
 from causalfs.selectors import granger_select
 from causalfs.synthlab import SvarSpec, generate_svar
@@ -87,3 +90,81 @@ def test_joint_lag_block_q_equals_p(rng):
     panel = make_panel(y, x)
     fs = granger_select(build_design(panel, 2), alpha=0.01)
     assert "X1" in fs.selected
+
+
+def _refit_diagnostics(design, fit_rss):
+    """(F, p) per feature from refitting the model without its lag block."""
+    n, k_cols = design.X.shape
+    full = fit_rss(design.X, design.y)
+    out = {}
+    for name in design.feature_names:
+        drop = design.feature_column_indices([name])
+        keep = [i for i in range(k_cols) if i not in drop]
+        test = f_test_nested(fit_rss(design.X[:, keep], design.y), full,
+                             q=len(drop), n=n, k_full=k_cols + 1)
+        out[name] = (test.statistic, test.p_value)
+    return out
+
+
+def _lstsq_rss(X, y):
+    A = np.column_stack([np.ones(len(y)), X])
+    resid = y - A @ np.linalg.lstsq(A, y, rcond=None)[0]
+    return float(resid @ resid)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_matches_per_feature_lstsq_refits(rng, p):
+    n, d = 150, 8
+    feats = rng.normal(size=(n, d))
+    y = np.empty(n)
+    y[:p] = 0.0
+    y[p:] = 0.3 * feats[:-p, 0] - 0.25 * feats[:-p, 1] + rng.normal(size=n - p)
+    design = build_design(make_panel(y, feats), p)
+    oracle = _refit_diagnostics(design, _lstsq_rss)
+    fs = granger_select(design, alpha=0.05)
+    for name, (stat, pval) in oracle.items():
+        assert fs.diagnostics[name][0] == pytest.approx(stat, rel=1e-9)
+        assert fs.diagnostics[name][1] == pytest.approx(pval, rel=1e-9)
+    assert fs.selected == {name for name, (_, pv) in oracle.items() if pv < 0.05}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_near_collinear_full_rank_design_matches_refits(rng, p):
+    n, d = 150, 8
+    feats = rng.normal(size=(n, d))
+    feats[:, -1] = feats[:, -2] + 2e-6 * rng.normal(size=n)  # X8 nearly X7
+    y = np.empty(n)
+    y[:p] = 0.0
+    y[p:] = 0.3 * feats[:-p, 0] - 0.25 * feats[:-p, 1] + rng.normal(size=n - p)
+    design = build_design(make_panel(y, feats), p)
+    assert 1e5 < np.linalg.cond(np.column_stack([np.ones(design.n), design.X])) < 1e7
+    oracle = _refit_diagnostics(design, _lstsq_rss)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankDeficientWarning)
+        fs = granger_select(design, alpha=0.05)
+    # F is a difference of two RSS values, which a float64 refit holds only
+    # to ~1e-9 of the RSS at cond 1e6 (it drifts ~6e-9 from the exact F on
+    # the smallest statistics here). So the refit is matched to 1e-9 of the
+    # restricted RSS: F to 1e-9 * (F + df2 / q), p within the matching band.
+    df2 = design.n - design.X.shape[1] - 1
+    for name, (stat, _) in oracle.items():
+        tol = 1e-9 * (stat + df2 / p)
+        got_stat, got_p = fs.diagnostics[name]
+        assert abs(got_stat - stat) <= tol
+        assert f_sf(stat + tol, p, df2) <= got_p <= f_sf(stat - tol, p, df2)
+    assert fs.selected == {name for name, (_, pv) in oracle.items() if pv < 0.05}
+
+
+def test_exactly_collinear_design_refits_bit_for_bit(rng):
+    n = 200
+    feats = rng.normal(size=(n, 3))
+    feats[:, 2] = feats[:, 1]
+    y = np.empty(n)
+    y[0] = 0.0
+    y[1:] = 0.5 * feats[:-1, 0] + rng.normal(size=n - 1)
+    design = build_design(make_panel(y, feats), 2)
+    with pytest.warns(RankDeficientWarning):
+        fs = granger_select(design, alpha=0.05)
+    with pytest.warns(RankDeficientWarning):
+        oracle = _refit_diagnostics(design, lambda X, y: ols_fit(X, y).rss)
+    assert fs.diagnostics == oracle
