@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BacktestAborted, CausalfsError
+from .errors import BacktestAborted, CausalfsError, InsufficientHistory
 from .ingest import Regime, RegimeCalendar
 from .numerics import OlsFit, ols_fit
-from .panel import AlignedPanel, MonthStamp, build_design
+from .panel import AlignedPanel, MonthStamp
 from .selectors import make_selector
 from .selectors.base import FeatureSet
 
@@ -100,16 +100,23 @@ def step_seed(seed: int, step: int) -> int:
 def fit_forecast_model(
     panel: AlignedPanel, p: int, selected: tuple[str, ...]
 ) -> tuple[OlsFit, np.ndarray]:
-    """Fit the forecasting OLS on the window and build the next-step
-    regressor vector from the window's final rows."""
-    design = build_design(panel, p)
-    cols = [0] + design.feature_column_indices(selected)
-    fit = ols_fit(design.X[:, cols], design.y, intercept=True)
+    """Fit the forecasting OLS of y_t on [Y_{t-1}, lags 1..p of each
+    selected feature] on the window, columns in ``selected`` order, and
+    build the next-step regressor vector from the window's final rows."""
     T = len(panel)
+    if T <= p + 1:
+        raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
+    X = np.empty((T - p, 1 + p * len(selected)))
+    X[:, 0] = panel.target[p - 1 : T - 1]
     regressors = [panel.target[T - 1]]
+    k = 1
     for name in selected:
-        j = panel.feature_names.index(name)
-        regressors.extend(panel.features[T - lag, j] for lag in range(1, p + 1))
+        x = panel.column(name)
+        for lag in range(1, p + 1):
+            X[:, k] = x[p - lag : T - lag]
+            regressors.append(x[T - lag])
+            k += 1
+    fit = ols_fit(X, panel.target[p:T], intercept=True)
     return fit, np.array(regressors)
 
 

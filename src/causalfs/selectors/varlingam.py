@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -30,8 +31,12 @@ class VarLingamResult:
     corr_with_target: dict[str, float]
     instantaneous: np.ndarray  # A0, row = effect, col = cause
     lagged: tuple[np.ndarray, ...]  # A_tau in the same orientation
-    causal_order: tuple[str, ...]
     ica_converged: bool
+
+    @cached_property
+    def causal_order(self) -> tuple[str, ...]:
+        """Reporting only, so the order search runs on first access."""
+        return tuple(self.variable_names[i] for i in _causal_order(self.instantaneous))
 
 
 def cluster_prefilter(
@@ -112,7 +117,10 @@ def varlingam_fit(
     """Estimate instantaneous and lagged effect matrices on [target, features].
 
     Requires more observations than covariates after the pre-filter (pass
-    ``k_clusters`` to shrink a wide panel first).
+    ``k_clusters`` to shrink a wide panel first). Selection reads only row 0
+    of ``instantaneous`` and of each lag matrix; the ICA causal order is
+    reporting-only and is computed on first access of
+    ``VarLingamResult.causal_order``.
     """
     if k_clusters is not None:
         kept, corr = cluster_prefilter(panel, k_clusters, seed=seed)
@@ -148,7 +156,6 @@ def varlingam_fit(
     W_tilde = _permute_unit_diagonal(ica.unmixing)
     A0 = np.eye(m) - W_tilde
     np.fill_diagonal(A0, 0.0)
-    order_idx = _causal_order(A0)
     # step 4: lagged causal matrices, instantaneous effects removed
     lagged = tuple((np.eye(m) - A0) @ B[tau].T for tau in range(p))
     return VarLingamResult(
@@ -157,7 +164,6 @@ def varlingam_fit(
         corr_with_target=corr,
         instantaneous=A0,
         lagged=lagged,
-        causal_order=tuple(names[i] for i in order_idx),
         ica_converged=ica.converged,
     )
 

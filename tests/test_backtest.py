@@ -14,7 +14,7 @@ from causalfs.backtest import (
     run_manifest,
     step_seed,
 )
-from causalfs.errors import BadName, ShapeError
+from causalfs.errors import BadName, InsufficientHistory, ShapeError
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
 from causalfs.panel import build_design
@@ -61,6 +61,31 @@ class TestForecastNext:
         fit = ols_fit(rng.normal(size=(10, 2)), rng.normal(size=10), intercept=True)
         with pytest.raises(ShapeError):
             forecast_next(fit, np.ones(3))
+
+
+class TestFitForecastModel:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_shuffled_selection_matches_lstsq(self, rng, p):
+        T = 40
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 4)))
+        selected = ("X3", "X1", "X4")
+        fit, regressors = fit_forecast_model(panel, p, selected)
+
+        # independent fit on [1, y_{t-1}, lags 1..p of each selected feature]
+        cols = [np.ones(T - p), panel.target[p - 1 : T - 1]]
+        x_new = [1.0, panel.target[T - 1]]
+        for name in selected:
+            x = panel.column(name)
+            cols.extend(x[p - lag : T - lag] for lag in range(1, p + 1))
+            x_new.extend(x[T - lag] for lag in range(1, p + 1))
+        beta = np.linalg.lstsq(np.column_stack(cols), panel.target[p:], rcond=None)[0]
+        oracle = float(beta @ np.array(x_new))
+        assert forecast_next(fit, regressors) == pytest.approx(oracle, rel=1e-12)
+
+    def test_insufficient_history(self, rng):
+        panel = make_panel(rng.normal(size=3), rng.normal(size=(3, 2)))
+        with pytest.raises(InsufficientHistory):
+            fit_forecast_model(panel, 2, ("X1",))
 
 
 def _config(**kw):

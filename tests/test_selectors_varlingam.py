@@ -1,8 +1,18 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from causalfs.backtest import BacktestConfig, run_backtest
 from causalfs.errors import TooManyCovariates
-from causalfs.selectors import cluster_prefilter, varlingam_fit, varlingam_select
+from causalfs.ingest import RegimeCalendar
+from causalfs.selectors import (
+    cluster_prefilter,
+    make_selector,
+    varlingam_fit,
+    varlingam_select,
+)
+from causalfs.selectors import varlingam as varlingam_mod
 from causalfs.synthlab import SvarSpec, generate_svar, simulate_svar
 
 from conftest import make_panel
@@ -118,3 +128,73 @@ def test_instantaneous_and_lagged_switches():
                                     use_instantaneous=True, use_lagged=False)
     assert "X1" in lagged_only.selected
     assert "X1" not in instant_only.selected
+
+
+def laplace_panel(d, n, seed):
+    panel, _ = generate_svar(
+        SvarSpec(d=d, p=1, n=n, edge_density=0.3, seed=seed, noise="laplace")
+    )
+    return panel
+
+
+def test_causal_order_never_computed_during_selection(monkeypatch):
+    panel = laplace_panel(8, 300, seed=3)  # m = 8: the exhaustive branch
+    cal = RegimeCalendar(())
+    cfg = BacktestConfig(window=290, selector_id="varlingam", seed=2)
+    direct = varlingam_select(panel, p=1, seed=7)
+    registry = make_selector("varlingam", {})(panel, 1, 7, cal)
+    ledger = run_backtest(panel, cal, cfg)
+
+    def boom(B0):
+        raise AssertionError("causal order computed during selection")
+
+    monkeypatch.setattr(varlingam_mod, "_causal_order", boom)
+    for got, want in [
+        (varlingam_select(panel, p=1, seed=7), direct),
+        (make_selector("varlingam", {})(panel, 1, 7, cal), registry),
+    ]:
+        assert got.selected == want.selected
+        assert got.diagnostics == want.diagnostics
+    assert run_backtest(panel, cal, cfg).records == ledger.records
+
+
+def brute_force_order(B0):
+    """Lexicographically first permutation with the least upper-triangle mass."""
+    m = B0.shape[0]
+    perms = np.array(list(permutations(range(m))))
+    a, b = np.triu_indices(m, k=1)
+    scores = (B0[perms[:, a], perms[:, b]] ** 2).sum(axis=1)
+    return tuple(int(i) for i in perms[np.argmin(scores)])
+
+
+@pytest.mark.parametrize("sparse_dag", [False, True])
+def test_exhaustive_order_matches_brute_force(rng, sparse_dag):
+    A0 = rng.normal(size=(8, 8))
+    if sparse_dag:
+        # a relabelled sparse DAG: many orders score exactly 0, a tie to break
+        A0 = np.tril(A0 * (rng.uniform(size=(8, 8)) < 0.3), -1)
+        relabel = rng.permutation(8)
+        A0 = A0[np.ix_(relabel, relabel)]
+    np.fill_diagonal(A0, 0.0)
+    assert varlingam_mod._causal_order(A0) == brute_force_order(A0)
+
+
+def test_greedy_order_names_every_variable_once():
+    res = varlingam_fit(laplace_panel(9, 300, seed=5), p=1, seed=0)  # m = 9
+    assert len(res.variable_names) == 9
+    assert sorted(res.causal_order) == sorted(res.variable_names)
+
+
+def test_causal_order_is_cached(monkeypatch):
+    res = varlingam_fit(chain_panel(1, n=400)[0], p=1, seed=1)
+    calls = []
+    original = varlingam_mod._causal_order
+
+    def counting(B0):
+        calls.append(1)
+        return original(B0)
+
+    monkeypatch.setattr(varlingam_mod, "_causal_order", counting)
+    first = res.causal_order
+    assert res.causal_order is first
+    assert len(calls) == 1
