@@ -37,6 +37,8 @@ class BacktestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("lag order p must be >= 1")
         if self.window <= self.p + 2:
             raise ValueError("window must exceed p + 2")
         if self.reselect_every < 1:

@@ -163,8 +163,10 @@ def check_selectors(selectors, params: dict) -> None:
 
 def load_run_config(path, require_inputs: bool = False) -> RunConfig:
     """Load and validate a run config; selector ids and params must pass
-    ``check_selectors`` and, when ``require_inputs`` is set, every
-    referenced input file must exist."""
+    ``check_selectors``, the lag order ``p``, ``window`` and
+    ``reselect_every`` must be integers that a backtest can run with
+    (p >= 1, window > p + 2, reselect_every >= 1) and, when
+    ``require_inputs`` is set, every referenced input file must exist."""
     raw = load_config_file(path)
     base = Path(path).resolve().parent
     tables = raw.pop("selector", {})
@@ -180,6 +182,16 @@ def load_run_config(path, require_inputs: bool = False) -> RunConfig:
     if isinstance(cfg.selectors, str):
         cfg.selectors = [cfg.selectors]
     check_selectors([*cfg.selectors, *cfg.combine], tables)
+    for key in ("window", "p", "reselect_every"):
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if cfg.p < 1:
+        raise ConfigError(f"lag order p must be >= 1, got {cfg.p}")
+    if cfg.window <= cfg.p + 2:
+        raise ConfigError(f"window must exceed p + 2 = {cfg.p + 2}, got {cfg.window}")
+    if cfg.reselect_every < 1:
+        raise ConfigError(f"reselect_every must be >= 1, got {cfg.reselect_every}")
     if cfg.combine and len(cfg.combine) != 2:
         raise ConfigError("combine must list exactly two selector ids")
     if require_inputs:

@@ -83,6 +83,16 @@ def _choice(*options):
     return check
 
 
+def _int_at_least(low):
+    def check(value):
+        value = int(value)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+
+    return check
+
+
 # id -> (adapter, {param: coercion}); the keys are every param a config may set
 SELECTORS = {
     "granger": (_granger, {"alpha": float}),
@@ -94,7 +104,7 @@ SELECTORS = {
                                "h_tol": float, "w_threshold": float}),
     "pcmci": (_pcmci, {"alpha": float, "max_cond_dim": int, "max_parents_stage1": int}),
     "sfs": (_sfs, {"direction": _choice("forward", "backward"), "tol": float,
-                   "max_features": int, "folds": int}),
+                   "max_features": int, "folds": _int_at_least(2)}),
 }
 SELECTOR_IDS = tuple(SELECTORS)
 

@@ -6,14 +6,17 @@ import math
 import numpy as np
 
 from ..errors import Underdetermined
-from ..numerics import ols_fit
+from ..numerics import CvFolds, cv_folds, cv_mse_sets
 from ..panel import DesignMatrix
 from .base import FeatureSet
 
 
-def _block_folds(n: int, folds: int) -> list[np.ndarray]:
-    """Contiguous, time-respecting validation blocks."""
-    return [b for b in np.array_split(np.arange(n), folds) if len(b)]
+def _cv_folds(design: DesignMatrix, folds: int) -> CvFolds:
+    """Fold statistics for contiguous, time-respecting validation blocks."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    blocks = [b for b in np.array_split(np.arange(design.n), folds) if len(b)]
+    return cv_folds(design.X, design.y, blocks)
 
 
 def cv_mse(design: DesignMatrix, feature_names, folds: int) -> float:
@@ -23,19 +26,7 @@ def cv_mse(design: DesignMatrix, feature_names, folds: int) -> float:
     candidate features add their lag columns on top.
     """
     cols = [0] + design.feature_column_indices(feature_names)
-    X = design.X[:, cols]
-    y = design.y
-    losses = []
-    for block in _block_folds(len(y), folds):
-        train = np.setdiff1d(np.arange(len(y)), block)
-        try:
-            fit = ols_fit(X[train], y[train], intercept=True)
-        except Underdetermined:
-            return math.inf
-        Xv = np.column_stack([np.ones(len(block)), X[block]])
-        pred = Xv @ fit.beta
-        losses.append(float(((y[block] - pred) ** 2).mean()))
-    return float(np.mean(losses))
+    return float(cv_mse_sets(_cv_folds(design, folds), [cols])[0])
 
 
 def sfs_select(
@@ -51,8 +42,10 @@ def sfs_select(
     Forward starts empty and adds the feature whose inclusion most reduces
     the cross-validated MSE, stopping once the best improvement falls below
     ``tol`` or ``max_features`` is reached; backward removes symmetrically.
-    Splits are contiguous blocks, so ``seed`` is accepted only for interface
-    parity. Exact metric ties resolve to the lowest column index.
+    Splits are contiguous blocks (``folds`` >= 2), so ``seed`` is accepted
+    only for interface parity. Exact metric ties resolve to the lowest
+    column index. All candidates of a step are scored in one
+    ``cv_mse_sets`` call on fold Grams formed once per call.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -61,17 +54,22 @@ def sfs_select(
         max_features = len(names)
     if design.n <= max_features + 1:
         raise Underdetermined(f"{design.n} rows cannot support {max_features} features")
+    cv = _cv_folds(design, folds)
     diagnostics = {name: (0.0, math.inf) for name in names}
+
+    def scores(feature_sets) -> list[float]:
+        """CV MSE of each feature set, with its columns in design order."""
+        column_sets = [[0] + design.feature_column_indices(chosen) for chosen in feature_sets]
+        return cv_mse_sets(cv, column_sets).tolist()
 
     if direction == "forward":
         current: list[str] = []
-        current_mse = cv_mse(design, current, folds)
+        current_mse = scores([current])[0]
         while len(current) < max_features and len(current) < len(names):
+            candidates = [name for name in names if name not in current]
             best_name, best_mse = None, math.inf
-            for name in names:  # column order: first strict win takes ties
-                if name in current:
-                    continue
-                mse = cv_mse(design, current + [name], folds)
+            # column order: first strict win takes ties
+            for name, mse in zip(candidates, scores([{*current, n} for n in candidates])):
                 diagnostics[name] = (current_mse - mse, mse)
                 if mse < best_mse:
                     best_name, best_mse = name, mse
@@ -82,12 +80,10 @@ def sfs_select(
         return FeatureSet(frozenset(current), diagnostics, "sfs")
 
     current = list(names)
-    current_mse = cv_mse(design, current, folds)
+    current_mse = scores([current])[0]
     while current:
         best_name, best_mse = None, math.inf
-        for name in current:
-            trial = [n for n in current if n != name]
-            mse = cv_mse(design, trial, folds)
+        for name, mse in zip(current, scores([set(current) - {n} for n in current])):
             diagnostics[name] = (current_mse - mse, mse)
             if mse < best_mse:
                 best_name, best_mse = name, mse

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from causalfs.panel import AlignedPanel, MonthStamp
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so a
+# CI failure reproduces locally with the same flag
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def month_range(start: str, n: int) -> tuple[MonthStamp, ...]:

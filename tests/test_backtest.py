@@ -307,6 +307,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BacktestConfig(window=10, reselect_every=0)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_lag_order_at_least_one(self, p):
+        with pytest.raises(ValueError, match="lag order"):
+            BacktestConfig(window=10, p=p)
+
 
 # each selector called directly, with every default left to its signature
 DIRECT = {

@@ -88,6 +88,7 @@ class TestConfigFormat:
         pytest.param("[selector.sfs]\nmax_features = [1, 2]\n", id="ill-typed-list"),
         pytest.param('[selector.seqicp]\nenvironments = "calender"\n', id="bad-environments"),
         pytest.param('[selector.sfs]\ndirection = "sideways"\n', id="bad-direction"),
+        pytest.param("[selector.sfs]\nfolds = 1\n", id="sfs-one-fold"),
         pytest.param("[selector.bogus]\nalpha = 0.1\n", id="unknown-selector"),
         pytest.param("selector_timeout = 5.0\n", id="removed-timeout"),
     ])
@@ -189,6 +190,21 @@ class TestBacktest:
         run_cli("ingest", "--config", workspace / "run.toml")
         config = workspace / "run.toml"
         config.write_text(config.read_text() + "alpah = 0.1\n")  # into [selector.sfs]
+        assert run_cli("backtest", "--config", config) == 2
+        assert not list((workspace / "out").glob("ledger_*"))
+
+    @pytest.mark.parametrize("old, new", [
+        ("p = 1", "p = 0"),
+        ("window = 40", "window = 3"),
+        ("seed = 7", "seed = 7\nreselect_every = 0"),
+        ("p = 1", "p = 1.5"),
+    ], ids=["p-zero", "window-le-p-plus-2", "reselect-zero", "p-not-integer"])
+    def test_infeasible_run_config_exit_2_before_any_ledger(self, workspace, old, new):
+        assert run_cli("ingest", "--config", workspace / "run.toml") == 0
+        config = workspace / "run.toml"
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new))
         assert run_cli("backtest", "--config", config) == 2
         assert not list((workspace / "out").glob("ledger_*"))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,11 @@ from causalfs.errors import (
     RankDeficientWarning,
     Underdetermined,
 )
+from causalfs import numerics
 from causalfs.numerics import (
     acyclicity,
+    cv_folds,
+    cv_mse_sets,
     f_sf,
     f_test_nested,
     fastica,
@@ -123,6 +127,118 @@ class TestNestedRss:
     def test_underdetermined(self, rng):
         with pytest.raises(Underdetermined):
             nested_rss(rng.normal(size=(5, 4)), rng.normal(size=5), [[0]])
+
+
+def _lstsq_cv_mse(X, y, cols, blocks):
+    """Mean out-of-block MSE from one np.linalg.lstsq refit per fold."""
+    losses = []
+    for block in blocks:
+        train = np.setdiff1d(np.arange(len(y)), block)
+        beta = np.linalg.lstsq(
+            np.column_stack([np.ones(len(train)), X[train][:, cols]]), y[train], rcond=None
+        )[0]
+        pred = np.column_stack([np.ones(len(block)), X[block][:, cols]]) @ beta
+        losses.append(float(((y[block] - pred) ** 2).mean()))
+    return float(np.mean(losses))
+
+
+def _no_ols_fit(*args, **kwargs):
+    raise AssertionError("ols_fit called on a well-conditioned fold")
+
+
+class TestCvMseSets:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("collinear", [False, True], ids=["random", "cond1e6"])
+    def test_matches_per_fold_lstsq_oracle(self, rng, p, collinear):
+        n, n_blocks = 90, 4
+        X = rng.normal(size=(n, 1 + p * n_blocks))
+        if collinear:  # the last column nearly copies the one before
+            X[:, -1] = X[:, -2] + 2e-6 * rng.normal(size=n)
+            assert 1e5 < np.linalg.cond(np.column_stack([np.ones(n), X])) < 1e7
+        y = X[:, :3] @ np.array([0.5, -1.0, 0.3]) + rng.normal(size=n)
+        blocks = np.array_split(np.arange(n), 5)
+        sets = [[0] + [c for b in range(n_blocks) if b != drop
+                       for c in range(1 + b * p, 1 + (b + 1) * p)]
+                for drop in range(n_blocks)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficientWarning)
+            got = cv_mse_sets(cv_folds(X, y, blocks), sets)
+        oracle = [_lstsq_cv_mse(X, y, s, blocks) for s in sets]
+        np.testing.assert_allclose(got, oracle, rtol=1e-10)
+
+    def test_moderate_conditioning_stays_on_the_gram_path(self, rng, monkeypatch):
+        n = 80
+        X = rng.normal(size=(n, 4))
+        X[:, 3] = X[:, 2] + 1e-2 * rng.normal(size=n)  # scaled Gram cond ~1e4
+        y = X @ np.array([0.5, -1.0, 0.3, 0.2]) + rng.normal(size=n)
+        blocks = np.array_split(np.arange(n), 5)
+        sets = [[0, 2, 3], [1, 2, 3], [0, 1, 3]]
+        monkeypatch.setattr(numerics, "ols_fit", _no_ols_fit)
+        got = cv_mse_sets(cv_folds(X, y, blocks), sets)
+        oracle = [_lstsq_cv_mse(X, y, s, blocks) for s in sets]
+        np.testing.assert_allclose(got, oracle, rtol=1e-10)
+
+    def test_ill_conditioned_folds_refit_with_ols_fit(self, rng, monkeypatch):
+        n = 60
+        X = rng.normal(size=(n, 3))
+        X[:, 2] = X[:, 1] + 2e-6 * rng.normal(size=n)
+        y = X[:, 0] + rng.normal(size=n)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ols_fit(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "ols_fit", counting)
+        cv_mse_sets(cv_folds(X, y, np.array_split(np.arange(n), 4)), [[0, 1], [1, 2]])
+        assert len(calls) == 4  # every fold of the collinear set, none of the other
+
+    def test_exact_duplicate_warns_and_equals_ols_fit_path(self, rng):
+        n = 60
+        X = rng.normal(size=(n, 3))
+        X[:, 2] = X[:, 1]  # exact copy
+        y = X[:, 0] + rng.normal(size=n)
+        blocks = np.array_split(np.arange(n), 5)
+        with pytest.warns(RankDeficientWarning):
+            got = cv_mse_sets(cv_folds(X, y, blocks), [[0, 1, 2]])
+        losses = []
+        with pytest.warns(RankDeficientWarning):
+            for block in blocks:
+                train = np.setdiff1d(np.arange(n), block)
+                fit = ols_fit(X[train], y[train])
+                pred = np.column_stack([np.ones(len(block)), X[block]]) @ fit.beta
+                losses.append(float(((y[block] - pred) ** 2).mean()))
+        assert got.tolist() == [float(np.mean(losses))]
+
+    def test_chunked_stacks_match_one_stack(self, rng, monkeypatch):
+        n = 70
+        X = rng.normal(size=(n, 6))
+        y = X[:, 0] + rng.normal(size=n)
+        cv = cv_folds(X, y, np.array_split(np.arange(n), 5))
+        sets = [[c for c in range(6) if c != drop] for drop in range(6)]
+        whole = cv_mse_sets(cv, sets)
+        monkeypatch.setattr(numerics, "_CV_CHUNK_ENTRIES", 1)  # one set per chunk
+        np.testing.assert_allclose(cv_mse_sets(cv, sets), whole, rtol=1e-14)
+
+    def test_wide_backward_step_memory_is_bounded(self, rng):
+        n, width = 200, 121
+        X = rng.normal(size=(n, width))
+        y = X[:, 0] + rng.normal(size=n)
+        cv = cv_folds(X, y, np.array_split(np.arange(n), 5))
+        sets = [[c for c in range(width) if c != drop] for drop in range(1, width)]
+        tracemalloc.start()
+        try:
+            cv_mse_sets(cv, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 120 candidates x 5 folds x 121 x 121 stacked at once is ~70 MB
+        assert peak < 20e6
+
+    def test_underdetermined_fold_scores_inf(self, rng):
+        X = rng.normal(size=(10, 6))
+        cv = cv_folds(X, rng.normal(size=10), np.array_split(np.arange(10), 2))
+        assert cv_mse_sets(cv, [[0, 1, 2, 3], [1, 2, 3, 4]]).tolist() == [math.inf] * 2
 
 
 class TestFTest:
