@@ -257,18 +257,21 @@ def cmd_validate(spec_path: Path, out_dir: Path | None, seed_override) -> int:
             spec_kwargs["ar_coeff"] = float(raw.pop("ar_coeff"))
         if raw:
             raise ConfigError(f"unknown validate keys: {sorted(raw)}")
+        shifts = tuple(
+            synthlab.EnvShift(
+                variable=str(row["variable"]),
+                start_row=int(row["start_row"]),
+                mean=float(row.get("mean", 0.0)),
+                scale=float(row.get("scale", 1.0)),
+            )
+            for row in shift_rows
+        )
+        synthlab.SvarSpec(seed=base_seed, environment_shifts=shifts, **spec_kwargs)
     except KeyError as exc:
         print(f"validate spec missing key: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    shifts = tuple(
-        synthlab.EnvShift(
-            variable=str(row["variable"]),
-            start_row=int(row["start_row"]),
-            mean=float(row.get("mean", 0.0)),
-            scale=float(row.get("scale", 1.0)),
-        )
-        for row in shift_rows
-    )
+    except ValueError as exc:  # a bad value, or a spec SvarSpec rejects
+        raise ConfigError(f"bad validate spec: {exc}") from None
     p = spec_kwargs["p"]
     out.mkdir(parents=True, exist_ok=True)
     for sid in selectors:

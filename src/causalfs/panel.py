@@ -7,6 +7,7 @@ reject NaN, so look-ahead reasoning stays simple.
 """
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 
@@ -177,18 +178,18 @@ class AlignedPanel:
         return len(self.feature_names)
 
     def head(self, n: int) -> "AlignedPanel":
-        """First ``n`` rows; the training window view used by the backtest."""
+        """First ``n`` rows; the training window view used by the backtest.
+
+        A row prefix of a checked panel meets every construction invariant,
+        so the view skips the checks and shares the read-only arrays.
+        """
         if not 1 <= n <= len(self):
             raise ValueError(f"head({n}) outside 1..{len(self)}")
-        return AlignedPanel(
-            self.dates[:n],
-            self.target[:n],
-            self.features[:n],
-            self.feature_names,
-            self.feature_groups,
-            self.target_name,
-            self.returns_x100,
-        )
+        view = copy.copy(self)
+        object.__setattr__(view, "dates", self.dates[:n])
+        object.__setattr__(view, "target", self.target[:n])
+        object.__setattr__(view, "features", self.features[:n])
+        return view
 
     def column(self, name: str) -> np.ndarray:
         return self.features[:, self.feature_names.index(name)]

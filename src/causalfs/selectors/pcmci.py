@@ -10,12 +10,14 @@ series.
 """
 from __future__ import annotations
 
+import heapq
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import SkippedTestWarning, Underdetermined
-from ..numerics import partial_correlation
+from ..numerics import gram_partial_correlation, partial_correlation
 from ..panel import AlignedPanel
 from .base import FeatureSet
 
@@ -39,23 +41,31 @@ class _LagView:
             return np.empty((self.rows, 0))
         return np.column_stack([self.col(v, lag) for v, lag in links])
 
+    @cached_property
+    def centred(self) -> np.ndarray:
+        """``centred[lag, var]`` is ``col(var, lag)`` minus its mean."""
+        cols = np.stack([
+            self.data[self.max_lag - lag : self.max_lag - lag + self.rows].T
+            for lag in range(self.max_lag + 1)
+        ])
+        centred = cols - cols.mean(axis=2, keepdims=True)
+        # a constant column whose mean rounds would keep a tiny constant;
+        # zeroed, its tests go through partial_correlation as they always did
+        centred[(cols == cols[..., :1]).all(axis=2)] = 0.0
+        return centred
 
-def _parcorr_or_none(view, x_link, y_var, cond_links, ci_test):
-    """Run the CI test; None means it was skipped (too little data)."""
-    if ci_test != "parcorr":
-        raise ValueError(f"unsupported conditional independence test {ci_test!r}")
-    x = view.col(*x_link)
-    y = view.col(y_var, 0)
+    def centred_cols(self, links) -> np.ndarray:
+        """The centred columns of ``links``, one per row."""
+        return self.centred[[lag for _, lag in links], [v for v, _ in links]]
+
+
+def _parcorr_by_ols(view, x_link, y_var, cond_links):
+    """The CI test from least-squares residuals; None if it was skipped."""
     Z = view.matrix(cond_links)
-    if view.rows <= Z.shape[1] + 3:
-        warnings.warn(
-            f"skipping test with {Z.shape[1]} conditions on {view.rows} rows",
-            SkippedTestWarning,
-            stacklevel=3,
-        )
-        return None
     try:
-        return partial_correlation(x, y, Z if Z.shape[1] else None)
+        return partial_correlation(
+            view.col(*x_link), view.col(y_var, 0), Z if Z.shape[1] else None
+        )
     except Underdetermined:
         warnings.warn(
             "conditioning set too large for the sample; link retained",
@@ -65,6 +75,38 @@ def _parcorr_or_none(view, x_link, y_var, cond_links, ci_test):
         return None
 
 
+def _parcorr_or_none(view, x_link, y_var, cond_links):
+    """Run the CI test; None means it was skipped (too little data)."""
+    if view.rows <= len(cond_links) + 3:
+        warnings.warn(
+            f"skipping test with {len(cond_links)} conditions on {view.rows} rows",
+            SkippedTestWarning,
+            stacklevel=3,
+        )
+        return None
+    M = view.centred_cols([x_link, (y_var, 0), *cond_links])
+    r, p, ok = gram_partial_correlation((M @ M.T)[None], view.rows)
+    if ok[0]:
+        return float(r[0]), float(p[0])
+    return _parcorr_by_ols(view, x_link, y_var, cond_links)
+
+
+def _unconditional_tests(view, j, links):
+    """Level q = 0 for variable j: (r, p) of each link against j alone,
+    from one batch. Needs view.rows > 3."""
+    X = view.centred_cols(links)
+    y = view.centred[0, j]
+    G = np.empty((len(links), 2, 2))
+    G[:, 0, 0] = np.einsum("ij,ij->i", X, X)
+    G[:, 1, 1] = y @ y
+    G[:, 0, 1] = G[:, 1, 0] = X @ y
+    r, p, ok = gram_partial_correlation(G, view.rows)
+    results = list(zip(r.tolist(), p.tolist()))
+    for i in np.flatnonzero(~ok):  # a zero-variance column, decided as before
+        results[i] = _parcorr_by_ols(view, links[i], j, [])
+    return results
+
+
 def _condition_select(
     view: _LagView,
     j: int,
@@ -72,32 +114,39 @@ def _condition_select(
     alpha: float,
     max_cond_dim: int,
     max_parents: int,
-    ci_test: str,
 ):
     """Stage-one parent screening for variable j (PC-stable style)."""
     strength = {link: np.inf for link in candidates}  # min |r| seen so far
     pval = {link: 0.0 for link in candidates}
     parents = list(candidates)
+
+    def strongest_first(o):
+        return -strength[o] if np.isfinite(strength[o]) else 0.0
+
     for q in range(max_cond_dim + 1):
         if len(parents) - 1 < q:
             break
-        removed = []
-        for link in parents:
-            others = [o for o in parents if o != link]
-            others.sort(key=lambda o: -strength[o] if np.isfinite(strength[o]) else 0.0)
-            cond = others[:q]
-            result = _parcorr_or_none(view, link, j, cond, ci_test)
+        if q == 0 and view.rows > 3:  # else every test below is skipped
+            results = zip(parents, _unconditional_tests(view, j, parents))
+        else:
+            # lazy, so each link's conditions see the strengths updated so
+            # far; nsmallest equals sorted(...)[:q], ties in parents order
+            results = (
+                (link, _parcorr_or_none(view, link, j, heapq.nsmallest(
+                    q, (o for o in parents if o != link), key=strongest_first)))
+                for link in parents
+            )
+        removed = set()
+        for link, result in results:
             if result is None:
                 continue  # conservative: keep the link untested
             r, p = result
             strength[link] = min(strength[link], abs(r))
             pval[link] = max(pval[link], p)
             if p >= alpha:
-                removed.append(link)
-        for link in removed:
-            parents.remove(link)
-        parents.sort(key=lambda o: (-strength[o], o))
-        parents = parents[:max_parents]
+                removed.add(link)
+        kept = (o for o in parents if o not in removed)
+        parents = sorted(kept, key=lambda o: (-strength[o], o))[:max_parents]
     return parents, strength, pval
 
 
@@ -118,6 +167,8 @@ def pcmci_select(
     """
     if p < 1:
         raise ValueError("lag order p must be >= 1")
+    if ci_test != "parcorr":
+        raise ValueError(f"unsupported conditional independence test {ci_test!r}")
     names = (panel.target_name, *panel.feature_names)
     data = np.column_stack([panel.target, panel.features])
     m = data.shape[1]
@@ -130,7 +181,7 @@ def pcmci_select(
     def screen(j):
         return _condition_select(
             stage1_view, j, list(candidates), alpha, max_cond_dim,
-            max_parents_stage1, ci_test,
+            max_parents_stage1,
         )
 
     parents: dict[int, list[Link]] = {}
@@ -158,7 +209,7 @@ def pcmci_select(
             if c not in seen and c != link:
                 seen.add(c)
                 cond_unique.append(c)
-        result = _parcorr_or_none(mci_view, link, 0, cond_unique, ci_test)
+        result = _parcorr_or_none(mci_view, link, 0, cond_unique)
         if result is None:
             r, pv = stat1[0].get(link, 0.0), 0.0  # retained conservatively
             r = 0.0 if not np.isfinite(r) else r
@@ -172,21 +223,16 @@ def pcmci_select(
             selected.add(name)
 
     diagnostics = {}
-    for name in panel.feature_names:
-        i = names.index(name)
-        had_link = any(link[0] == i for link in parents[0])
-        if had_link:
+    linked = {i for i, _ in parents[0]}
+    for i, name in enumerate(panel.feature_names, start=1):
+        if i in linked:
             diagnostics[name] = (best_stat[name], best_p[name])
         else:
             # removed in stage one: report its screening record
-            stats = [
-                stat1[0][link]
-                for link in candidates
-                if link[0] == i and np.isfinite(stat1[0].get(link, np.inf))
-            ]
-            ps = [pval1[0][link] for link in candidates if link[0] == i]
+            lags = [(i, tau) for tau in range(1, p + 1)]
+            stats = [stat1[0][link] for link in lags if np.isfinite(stat1[0][link])]
             diagnostics[name] = (
-                max(stats) if stats else 0.0,
-                min(ps) if ps else 1.0,
+                max(stats, default=0.0),
+                min(pval1[0][link] for link in lags),
             )
     return FeatureSet(frozenset(selected), diagnostics, "pcmci")

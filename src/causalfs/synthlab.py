@@ -57,6 +57,8 @@ class SvarSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("need at least a target and one feature")
+        if self.p < 1:
+            raise ValueError("lag order p must be >= 1")
         if self.noise not in ("gaussian", "uniform", "laplace"):
             raise ValueError(f"unknown noise family {self.noise!r}")
         if self.target_parents is not None and self.target_parents > self.d - 1:

@@ -299,6 +299,16 @@ alpha = 0.05
         assert run_cli("validate", "--config", path) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "spec", ["d = 4\np = 0\n", "d = 0\n", "d = 1\n", 'd = "four"\n'],
+        ids=["p-zero", "d-zero", "d-one", "d-not-integer"],
+    )
+    def test_infeasible_spec_exit_2_before_output(self, tmp_path, spec):
+        path = tmp_path / "lab.toml"
+        path.write_text(spec + 'selectors = ["granger"]\n')
+        assert run_cli("validate", "--config", path) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_density_zero_selection_rate_near_alpha(self, tmp_path):
         spec = (
             "d = 6\nn = 300\nedge_density = 0.0\nar_coeff = 0.3\n"

@@ -20,6 +20,7 @@ from causalfs.numerics import (
     f_sf,
     f_test_nested,
     fastica,
+    gram_partial_correlation,
     kmeans,
     nested_rss,
     ols_fit,
@@ -338,6 +339,41 @@ class TestPartialCorrelation:
         mean_est = float(np.mean(estimates))
         se = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
         assert abs(mean_est - rho) < 3 * se + 1e-3
+
+
+class TestGramPartialCorrelation:
+    @staticmethod
+    def grams(columns):
+        M = np.asarray(columns, dtype=float)
+        M = M - M.mean(axis=-1, keepdims=True)
+        return M @ np.swapaxes(M, -1, -2)
+
+    @pytest.mark.parametrize("nz", [0, 1, 3])
+    def test_matches_partial_correlation(self, rng, nz):
+        n = 50
+        cols = rng.normal(size=(6, 2 + nz, n))
+        cols[:, 1] += 0.4 * cols[:, 0]
+        r, p, ok = gram_partial_correlation(self.grams(cols), n)
+        assert ok.all()
+        for i, c in enumerate(cols):
+            want = partial_correlation(c[0], c[1], c[2:].T if nz else None)
+            np.testing.assert_allclose([r[i], p[i]], want, rtol=0, atol=1e-12)
+
+    def test_perfect_correlation_has_p_zero(self, rng):
+        x = rng.normal(size=30)
+        r, p, ok = gram_partial_correlation(self.grams([[x, x]]), 30)
+        assert ok[0] and (r[0], p[0]) == partial_correlation(x, x) == (1.0, 0.0)
+
+    def test_zero_variance_or_ill_conditioned_left_to_caller(self, rng):
+        n = 40
+        x, y, z = rng.normal(size=(3, n))
+        stack = [[x, y, z], [x, y, np.zeros(n)], [x, y, x + 1e-6 * z], [x, y, z]]
+        r, p, ok = gram_partial_correlation(self.grams(stack), n)
+        assert ok.tolist() == [True, False, False, True]
+        assert np.isnan(r[1:3]).all() and np.isnan(p[1:3]).all()
+        assert (r[0], p[0]) == (r[3], p[3])
+        r, p, ok = gram_partial_correlation(self.grams([[x, np.zeros(n)]]), n)
+        assert not ok[0] and np.isnan(r[0])
 
 
 class TestKMeans:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,3 +194,31 @@ class TestAlignedPanelInvariants:
         head = panel.head(4)
         assert len(head) == 4
         assert head.dates[-1] == panel.dates[3]
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_head_equals_checked_constructor(self, n):
+        rng = np.random.default_rng(n)
+        panel = AlignedPanel(month_range("2001-11", 7), rng.normal(size=7),
+                             rng.normal(size=(7, 3)), ("A", "B", "C"), (1, 2, 1),
+                             "R", False)
+        head = panel.head(n)
+        checked = AlignedPanel(panel.dates[:n], panel.target[:n], panel.features[:n],
+                               panel.feature_names, panel.feature_groups,
+                               panel.target_name, panel.returns_x100)
+        for field in dataclasses.fields(AlignedPanel):
+            got, want = getattr(head, field.name), getattr(checked, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got.setflags(write=True)
+            else:
+                assert got == want
+        assert len(panel) == 7  # the parent panel is untouched
+
+    @pytest.mark.parametrize("n", [0, -1, 7])
+    def test_head_out_of_range_rejected(self, n):
+        panel = make_panel(np.arange(6.0), np.arange(6.0))
+        with pytest.raises(ValueError, match="head"):
+            panel.head(n)

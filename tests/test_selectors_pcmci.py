@@ -1,8 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalfs.errors import SkippedTestWarning
+import causalfs.selectors.pcmci as pcmci_module
+from causalfs.errors import (
+    DegenerateInput,
+    RankDeficientWarning,
+    SkippedTestWarning,
+    Underdetermined,
+)
+from causalfs.numerics import partial_correlation
 from causalfs.selectors import pcmci_select
+from causalfs.selectors.pcmci import _condition_select, _LagView
 from causalfs.synthlab import SvarSpec, generate_svar
 
 from conftest import make_panel
@@ -79,3 +91,248 @@ def test_deterministic(rng):
     b = pcmci_select(panel, p=1, alpha=0.05)
     assert a.selected == b.selected
     assert a.diagnostics == b.diagnostics
+
+
+# --- oracle: the re-sort loop with one partial_correlation per CI test ---
+
+def _oracle_parcorr(view, x_link, y_var, cond_links):
+    Z = view.matrix(cond_links)
+    if view.rows <= Z.shape[1] + 3:
+        return None
+    try:
+        return partial_correlation(view.col(*x_link), view.col(y_var, 0),
+                                   Z if Z.shape[1] else None)
+    except Underdetermined:
+        return None
+
+
+def _oracle_condition_select(view, j, candidates, alpha, max_cond_dim, max_parents):
+    strength = {link: np.inf for link in candidates}
+    pval = {link: 0.0 for link in candidates}
+    parents = list(candidates)
+    for q in range(max_cond_dim + 1):
+        if len(parents) - 1 < q:
+            break
+        removed = []
+        for link in parents:
+            others = [o for o in parents if o != link]
+            others.sort(key=lambda o: -strength[o] if np.isfinite(strength[o]) else 0.0)
+            result = _oracle_parcorr(view, link, j, others[:q])
+            if result is None:
+                continue
+            r, p = result
+            strength[link] = min(strength[link], abs(r))
+            pval[link] = max(pval[link], p)
+            if p >= alpha:
+                removed.append(link)
+        for link in removed:
+            parents.remove(link)
+        parents.sort(key=lambda o: (-strength[o], o))
+        parents = parents[:max_parents]
+    return parents, strength, pval
+
+
+def _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1):
+    """Stage-one parents of every screened variable, selection, diagnostics."""
+    names = (panel.target_name, *panel.feature_names)
+    data = np.column_stack([panel.target, panel.features])
+    candidates = [(i, tau) for i in range(data.shape[1]) for tau in range(1, p + 1)]
+    view = _LagView(data, p)
+    stage1 = {0: _oracle_condition_select(view, 0, candidates, alpha, max_cond_dim,
+                                          max_parents_stage1)}
+    for i in sorted({link[0] for link in stage1[0][0]}):
+        if i not in stage1:
+            stage1[i] = _oracle_condition_select(view, i, candidates, alpha, max_cond_dim,
+                                                 max_parents_stage1)
+    parents0, stat0, pval0 = stage1[0]
+    mci_view = _LagView(data, 2 * p)
+    best_stat = dict.fromkeys(panel.feature_names, 0.0)
+    best_p = dict.fromkeys(panel.feature_names, 1.0)
+    selected = set()
+    for link in parents0:
+        i, tau = link
+        if i == 0:
+            continue
+        cond = [c for c in parents0 if c != link]
+        cond += [(k, lag + tau) for k, lag in stage1[i][0]]
+        cond = [c for c in dict.fromkeys(cond) if c != link]
+        result = _oracle_parcorr(mci_view, link, 0, cond)
+        if result is None:
+            r, pv = stat0.get(link, 0.0), 0.0
+            r = 0.0 if not np.isfinite(r) else r
+        else:
+            r, pv = result
+        name = names[i]
+        if abs(r) > abs(best_stat[name]):
+            best_stat[name] = r
+        best_p[name] = min(best_p[name], pv)
+        if pv < alpha:
+            selected.add(name)
+    diagnostics = {}
+    for name in panel.feature_names:
+        i = names.index(name)
+        if any(link[0] == i for link in parents0):
+            diagnostics[name] = (best_stat[name], best_p[name])
+        else:
+            stats = [stat0[link] for link in candidates
+                     if link[0] == i and np.isfinite(stat0[link])]
+            ps = [pval0[link] for link in candidates if link[0] == i]
+            diagnostics[name] = (max(stats) if stats else 0.0, min(ps) if ps else 1.0)
+    return stage1, selected, diagnostics
+
+
+# r and p of the Gram path may differ from the oracle's least-squares
+# residuals by rounding amplified by the scaled Gram's condition number,
+# which is at most numerics._PARCORR_COND_MAX there
+TOL = 1e-10
+
+
+def _assert_close_records(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        g, w = np.asarray(got[key], dtype=float), np.asarray(want[key], dtype=float)
+        np.testing.assert_allclose(g, w, rtol=0, atol=TOL, err_msg=str(key))
+
+
+def assert_matches_oracle(panel, p, alpha=0.05, max_cond_dim=3, max_parents_stage1=10):
+    stage1, selected, diagnostics = _oracle_pcmci(
+        panel, p, alpha, max_cond_dim, max_parents_stage1)
+    data = np.column_stack([panel.target, panel.features])
+    candidates = [(i, tau) for i in range(data.shape[1]) for tau in range(1, p + 1)]
+    view = _LagView(data, p)
+    for j, (parents, strength, pval) in stage1.items():
+        got = _condition_select(view, j, list(candidates), alpha, max_cond_dim,
+                                max_parents_stage1)
+        assert got[0] == parents
+        _assert_close_records(got[1], strength)
+        _assert_close_records(got[2], pval)
+    fs = pcmci_select(panel, p=p, alpha=alpha, max_cond_dim=max_cond_dim,
+                      max_parents_stage1=max_parents_stage1)
+    assert fs.selected == selected
+    _assert_close_records(fs.diagnostics, diagnostics)
+    return stage1
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("max_cond_dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("max_parents_stage1", [3, 10])
+def test_matches_resort_oracle(p, max_cond_dim, max_parents_stage1):
+    for seed in range(3):
+        panel, _ = generate_svar(SvarSpec(
+            d=8, p=p, n=120, edge_density=0.3, target_parents=3, ar_coeff=0.3,
+            instantaneous=False, seed=100 * p + seed))
+        assert_matches_oracle(panel, p, alpha=0.2, max_cond_dim=max_cond_dim,
+                              max_parents_stage1=max_parents_stage1)
+
+
+def test_matches_oracle_on_skipped_tests(rng):
+    # 9 rows: levels with many conditions are skipped, strengths stay inf
+    panel = make_panel(rng.normal(size=9), rng.normal(size=(9, 6)))
+    with pytest.warns(SkippedTestWarning):
+        assert_matches_oracle(panel, 1, alpha=0.99, max_cond_dim=6,
+                              max_parents_stage1=12)
+
+
+def test_tied_strengths_keep_parent_order():
+    # integer columns whose window sums are 0 make every q = 0 statistic
+    # exact, so X1 and X2, which differ by one swap of rows with equal y,
+    # tie exactly in strength; X3 is stronger, so at q = 1 the tie decides
+    # what X3 is conditioned on, while X1 and X2 are conditioned on X3
+    y = np.tile([3.0, -3.0, 1.0, -1.0, 0.0], 8)
+    a = y + np.tile([1.0, -1.0], 20)
+    b = a.copy()
+    b[[0, 5]] = b[[5, 0]]  # y[0] == y[5], a[0] != a[5]
+    c = 2.0 * y + np.tile([1.0, 0.0, -1.0, 0.0], 10)
+    noise = np.random.default_rng(3).normal(size=(41, 2))
+    features = np.column_stack([np.append(v, 0.0) for v in (a, b, c)] + [noise])
+    panel = make_panel(np.append(0.0, y), features)
+    view = _LagView(np.column_stack([panel.target, panel.features]), 1)
+    _, strength, _ = _condition_select(view, 0, [(i, 1) for i in range(6)], 0.5, 0, 10)
+    assert strength[(1, 1)] == strength[(2, 1)] < strength[(3, 1)]
+    for max_cond_dim in (0, 1, 2):
+        for max_parents in (1, 2, 3):
+            stage1 = assert_matches_oracle(panel, 1, alpha=0.5, max_cond_dim=max_cond_dim,
+                                           max_parents_stage1=max_parents)
+            if max_cond_dim == 0:
+                assert stage1[0][0][:3] == [(3, 1), (1, 1), (2, 1)][:max_parents]
+
+
+def test_near_collinear_conditioning_takes_fallback(rng, monkeypatch):
+    n = 200
+    x1 = rng.normal(size=n)
+    features = np.column_stack([x1, x1 + 1e-5 * rng.normal(size=n), rng.normal(size=n)])
+    y = np.zeros(n)
+    y[1:] = 0.6 * x1[:-1] + rng.normal(size=n - 1)
+    panel = make_panel(y, features)
+    calls = []
+    original = pcmci_module.partial_correlation
+
+    def counted(x, y, Z=None):
+        calls.append(0 if Z is None else np.asarray(Z).shape[1])
+        return original(x, y, Z)
+
+    monkeypatch.setattr(pcmci_module, "partial_correlation", counted)
+    assert_matches_oracle(panel, 1, alpha=0.05)
+    assert calls and min(calls) >= 1  # only conditional tests fall back
+
+
+def test_unsupported_ci_test_rejected_before_any_test(rng, monkeypatch):
+    panel = make_panel(rng.normal(size=60), rng.normal(size=(60, 3)))
+
+    def no_test(*args):
+        raise AssertionError("a CI test ran")
+
+    monkeypatch.setattr(pcmci_module, "gram_partial_correlation", no_test)
+    monkeypatch.setattr(pcmci_module, "partial_correlation", no_test)
+    with pytest.raises(ValueError, match="gpdc"):
+        pcmci_select(panel, p=1, ci_test="gpdc")
+
+
+@pytest.mark.parametrize("value", [0.0, 0.25])
+def test_zero_variance_column_raises(rng, value):
+    features = rng.normal(size=(60, 3))
+    features[:, 1] = value
+    panel = make_panel(rng.normal(size=60), features)
+    with pytest.raises(DegenerateInput):
+        pcmci_select(panel, p=1)
+
+
+def test_constant_column_with_rounded_mean_matches_oracle(rng):
+    # the mean of 0.1s is not exactly 0.1, so partial_correlation sees a
+    # tiny nonzero variance and raises nothing; the batched level agrees
+    features = rng.normal(size=(60, 3))
+    features[:, 1] = 0.1
+    panel = make_panel(rng.normal(size=60), features)
+    assert_matches_oracle(panel, 1, alpha=0.5)
+    # with alpha above 1 no link is removed: the constant enters conditioning
+    # sets, and as a screened variable is regressed on the others
+    rank_warnings = []
+    for run in (lambda: pcmci_select(panel, p=1, alpha=2.0),
+                lambda: _oracle_pcmci(panel, 1, 2.0, 3, 10)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateInput):
+                run()
+        rank_warnings.append(sum(w.category is RankDeficientWarning for w in caught))
+    assert rank_warnings[0] == rank_warnings[1] > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 7),
+    p=st.sampled_from([1, 2]),
+    n=st.integers(12, 120),
+    alpha=st.sampled_from([0.05, 0.2, 0.5]),
+    max_cond_dim=st.integers(0, 3),
+    max_parents_stage1=st.sampled_from([3, 10]),
+)
+def test_matches_oracle_property(seed, d, p, n, alpha, max_cond_dim, max_parents_stage1):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    for t in range(1, n):
+        x[t, :2] += 0.5 * x[t - 1, 1::-1]  # a lagged link each way
+    panel = make_panel(x[:, 0], x[:, 1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SkippedTestWarning)
+        assert_matches_oracle(panel, p, alpha, max_cond_dim, max_parents_stage1)
