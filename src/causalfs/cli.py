@@ -12,6 +12,7 @@ import io
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, synthlab
@@ -22,8 +23,8 @@ from .backtest import (
     run_backtest,
     run_manifest,
 )
-from .config import ConfigError, RunConfig, check_selectors, load_config_file, load_run_config
-from .errors import BacktestAborted, CausalfsError, GenerationFailed
+from .config import RUN_CONFIG_KEYS, RunConfig, check_config, load_run_config, load_validate_config
+from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed
 from .ingest import (
     STOCK_MARKET_GROUP,
     Regime,
@@ -223,70 +224,22 @@ def cmd_report(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(spec_path: Path, out_dir: Path | None, seed_override) -> int:
-    raw = load_config_file(spec_path)
-    out = out_dir or Path(raw.pop("output_dir", "out"))
-    if not out.is_absolute():
-        out = spec_path.resolve().parent / out
-    selectors = raw.pop("selectors", ["granger"])
-    if isinstance(selectors, str):
-        selectors = [selectors]
-    n_seeds = int(raw.pop("n_seeds", 20))
-    selector_params = raw.pop("selector", {})
-    check_selectors(selectors, selector_params)
-    base_seed = int(seed_override if seed_override is not None else raw.pop("seed", 0))
-    raw.pop("seed", None)
-    shift_rows = raw.pop("environment_shifts", [])
-    try:
-        spec_kwargs = dict(
-            d=int(raw.pop("d")),
-            p=int(raw.pop("p", 1)),
-            n=int(raw.pop("n", 500)),
-            edge_density=float(raw.pop("edge_density", 0.2)),
-            noise=raw.pop("noise", "gaussian"),
-            instantaneous=bool(raw.pop("instantaneous", True)),
-        )
-        if "coefficient_low" in raw or "coefficient_high" in raw:
-            spec_kwargs["coefficient_range"] = (
-                float(raw.pop("coefficient_low", 0.3)),
-                float(raw.pop("coefficient_high", 0.8)),
-            )
-        if "target_parents" in raw:
-            spec_kwargs["target_parents"] = int(raw.pop("target_parents"))
-        if "ar_coeff" in raw:
-            spec_kwargs["ar_coeff"] = float(raw.pop("ar_coeff"))
-        if raw:
-            raise ConfigError(f"unknown validate keys: {sorted(raw)}")
-        shifts = tuple(
-            synthlab.EnvShift(
-                variable=str(row["variable"]),
-                start_row=int(row["start_row"]),
-                mean=float(row.get("mean", 0.0)),
-                scale=float(row.get("scale", 1.0)),
-            )
-            for row in shift_rows
-        )
-        synthlab.SvarSpec(seed=base_seed, environment_shifts=shifts, **spec_kwargs)
-    except KeyError as exc:
-        print(f"validate spec missing key: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:  # a bad value, or a spec SvarSpec rejects
-        raise ConfigError(f"bad validate spec: {exc}") from None
-    p = spec_kwargs["p"]
+def cmd_validate(spec_path: Path, out_override: str | None, seed_override: int | None) -> int:
+    cfg = load_validate_config(spec_path)
+    out = spec_path.resolve().parent / (out_override or cfg.output_dir)
+    base_seed = cfg.spec.seed if seed_override is None else seed_override
     out.mkdir(parents=True, exist_ok=True)
-    for sid in selectors:
-        runner = make_selector(sid, selector_params.get(sid, {}))
+    for sid in cfg.selectors:
+        runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
-        for k in range(n_seeds):
-            spec = synthlab.SvarSpec(
-                seed=base_seed + k, environment_shifts=shifts, **spec_kwargs
-            )
+        for k in range(cfg.n_seeds):
+            spec = replace(cfg.spec, seed=base_seed + k)
             try:
                 panel, truth = synthlab.generate_svar(spec)
             except GenerationFailed as exc:
                 print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
                 return EXIT_GENERATION
-            fs = runner(panel, p, spec.seed, None)
+            fs = runner(panel, spec.p, spec.seed, None)
             score = synthlab.score_recovery(fs, truth)
             rows.append((spec.seed, score, len(fs)))
         buf = io.StringIO()
@@ -297,7 +250,7 @@ def cmd_validate(spec_path: Path, out_dir: Path | None, seed_override) -> int:
                 [seed, repr(score.precision), repr(score.recall), repr(score.f1), n_sel]
             )
         mean_f1 = sum(s.f1 for _, s, _ in rows) / len(rows)
-        mean_rate = sum(n for _, _, n in rows) / (len(rows) * (spec_kwargs["d"] - 1))
+        mean_rate = sum(n for _, _, n in rows) / (len(rows) * (spec.d - 1))
         writer.writerow(
             ["mean",
              repr(sum(s.precision for _, s, _ in rows) / len(rows)),
@@ -316,11 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Causal feature selection and expanding-window forecasting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("ingest", True), ("backtest", True), ("report", True), ("validate", True),
-    ):
+    for name in ("ingest", "backtest", "report", "validate"):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=needs_config, help="run config file")
+        cmd.add_argument("--config", required=True, help="run config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument(
@@ -335,16 +286,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            out = Path(args.out) if args.out else None
-            return cmd_validate(Path(args.config), out, args.seed)
+            return cmd_validate(Path(args.config), args.out, args.seed)
         cfg = load_run_config(args.config, require_inputs=args.command == "ingest")
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
+        flags = {"seed": args.seed, "output_dir": args.out, "selectors": args.selectors}
         if args.selectors is not None:
-            cfg.selectors = [s.strip() for s in args.selectors.split(",") if s.strip()]
-            check_selectors(cfg.selectors, {})
+            flags["selectors"] = [s.strip() for s in args.selectors.split(",") if s.strip()]
+        given = {key: value for key, value in flags.items() if value is not None}
+        for key, value in check_config(RUN_CONFIG_KEYS, given, "the flags").items():
+            setattr(cfg, key, value)
         handler = {"ingest": cmd_ingest, "backtest": cmd_backtest, "report": cmd_report}
         return handler[args.command](cfg)
     except ConfigError as exc:

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .errors import BadName, ConfigError
-from .selectors import selector_params
+from .selectors import (
+    SELECTOR_IDS, at_least, boolean, check_keys, integer, number, selector_params, string,
+)
+from .synthlab import EnvShift, SvarSpec
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_\-]+)\s*=\s*(.+)$")
@@ -111,6 +115,63 @@ def load_config_file(path) -> dict:
     return parse_kv(text)
 
 
+def check_config(coercions: dict, values, label: str) -> dict:
+    """``check_keys``, raising ConfigError."""
+    try:
+        return check_keys(coercions, values, label)
+    except BadName as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _selector_ids(value) -> list:
+    ids = [value] if isinstance(value, str) else value
+    if not isinstance(ids, list):
+        raise TypeError(f"expected selector ids, got {ids!r}")
+    for sid in ids:
+        selector_params(sid)
+    return ids
+
+
+def _combine(value) -> list:
+    if len(ids := _selector_ids(value)) not in (0, 2):
+        raise ValueError("must list exactly two selector ids")
+    return ids
+
+
+def _selector_tables(tables) -> dict:
+    check_keys({sid: partial(selector_params, sid) for sid in SELECTOR_IDS}, tables, "[selector]")
+    return tables  # as written, which manifests and config hashes record
+
+
+# paths relative to the config's directory; ingest requires every one
+_INPUT_FILES = dict.fromkeys(("fredmd_csv", "prices_csv", "groups_csv", "calendar"), string)
+# key -> coercion for a run config; defaults are RunConfig's
+RUN_CONFIG_KEYS = {
+    **_INPUT_FILES, "output_dir": string, "window": integer, "p": at_least(1),
+    "metric_window": at_least(1), "shift_months": at_least(0), "seed": at_least(0),
+    "target_name": string, "selectors": _selector_ids, "selector": _selector_tables,
+    "reselect_every": at_least(1), "combine": _combine, "combine_weight": number,
+}
+
+_SHIFT_KEYS = {"variable": string, "start_row": integer, "mean": number, "scale": number}
+
+
+def _environment_shifts(rows) -> tuple:
+    return tuple(EnvShift(**check_keys(_SHIFT_KEYS, row, "environment_shifts")) for row in rows)
+
+
+# key -> coercion for a validate spec; the keys from seed on make an SvarSpec,
+# which checks what they mean. Defaults are SvarSpec's and ValidateConfig's.
+VALIDATE_KEYS = {
+    "output_dir": string, "selectors": _selector_ids, "selector": _selector_tables,
+    "n_seeds": at_least(1),
+    "seed": at_least(0), "d": integer, "p": integer, "n": integer,
+    "edge_density": number, "coefficient_low": number, "coefficient_high": number,
+    "noise": string, "instantaneous": boolean, "environment_shifts": _environment_shifts,
+    "target_parents": integer, "ar_coeff": number,
+}
+
+
 @dataclass
 class RunConfig:
     """Everything one batch run needs; see load_run_config for the format."""
@@ -141,62 +202,46 @@ class RunConfig:
 
     @property
     def out_dir(self) -> Path:
-        p = Path(self.output_dir)
-        return p if p.is_absolute() else self.base_dir / p
-
-
-def check_selectors(selectors, params: dict) -> None:
-    """Raise ConfigError unless every id in ``selectors`` is known and every
-    ``[selector.<id>]`` table in ``params`` passes the registry's checks."""
-    if not isinstance(params, dict):
-        raise ConfigError("[selector.*] sections must form a table")
-    try:
-        for sid in selectors:
-            selector_params(sid)
-        for sid, table in params.items():
-            if not isinstance(table, dict):
-                raise ConfigError(f"[selector.{sid}] must be a table")
-            selector_params(sid, table)
-    except BadName as exc:
-        raise ConfigError(str(exc)) from None
+        return self.base_dir / self.output_dir  # an absolute output_dir wins
 
 
 def load_run_config(path, require_inputs: bool = False) -> RunConfig:
-    """Load and validate a run config; selector ids and params must pass
-    ``check_selectors``, the lag order ``p``, ``window`` and
-    ``reselect_every`` must be integers that a backtest can run with
-    (p >= 1, window > p + 2, reselect_every >= 1) and, when
-    ``require_inputs`` is set, every referenced input file must exist."""
-    raw = load_config_file(path)
+    """Load a run config whose keys pass ``RUN_CONFIG_KEYS`` and whose
+    ``window`` exceeds ``p + 2``; when ``require_inputs`` is set, every
+    referenced input file must exist."""
+    values = check_config(RUN_CONFIG_KEYS, load_config_file(path), "run config")
     base = Path(path).resolve().parent
-    tables = raw.pop("selector", {})
-    known = {
-        "fredmd_csv", "prices_csv", "groups_csv", "calendar", "output_dir",
-        "window", "p", "metric_window", "shift_months", "seed", "target_name",
-        "selectors", "reselect_every", "combine", "combine_weight",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(base_dir=base, selector_params=tables, **raw)
-    if isinstance(cfg.selectors, str):
-        cfg.selectors = [cfg.selectors]
-    check_selectors([*cfg.selectors, *cfg.combine], tables)
-    for key in ("window", "p", "reselect_every"):
-        value = getattr(cfg, key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if cfg.p < 1:
-        raise ConfigError(f"lag order p must be >= 1, got {cfg.p}")
+    cfg = RunConfig(base_dir=base, selector_params=values.pop("selector", {}), **values)
     if cfg.window <= cfg.p + 2:
         raise ConfigError(f"window must exceed p + 2 = {cfg.p + 2}, got {cfg.window}")
-    if cfg.reselect_every < 1:
-        raise ConfigError(f"reselect_every must be >= 1, got {cfg.reselect_every}")
-    if cfg.combine and len(cfg.combine) != 2:
-        raise ConfigError("combine must list exactly two selector ids")
     if require_inputs:
-        for key in ("fredmd_csv", "prices_csv", "groups_csv", "calendar"):
+        for key in _INPUT_FILES:
             p = cfg.resolve(key)
             if not p.exists():
                 raise ConfigError(f"{key} file {p} does not exist")
     return cfg
+
+
+@dataclass(frozen=True)
+class ValidateConfig:
+    """A validate spec: the lab, seeded from ``spec.seed`` on, and what to run on it."""
+
+    spec: SvarSpec
+    output_dir: str = "out"
+    selectors: list[str] = field(default_factory=lambda: ["granger"])
+    selector_params: dict = field(default_factory=dict)
+    n_seeds: int = 20
+
+
+def load_validate_config(path) -> ValidateConfig:
+    """Load a validate spec whose keys pass ``VALIDATE_KEYS`` and make an
+    ``SvarSpec``, which needs ``d``."""
+    keys = check_config(VALIDATE_KEYS, load_config_file(path), "validate spec")
+    low, high = SvarSpec.coefficient_range
+    keys["coefficient_range"] = keys.pop("coefficient_low", low), keys.pop("coefficient_high", high)
+    lab = {f.name: keys.pop(f.name) for f in fields(SvarSpec) if f.name in keys}
+    try:
+        spec = SvarSpec(**lab)
+    except (TypeError, ValueError) as exc:  # TypeError: d is missing
+        raise ConfigError(f"bad validate spec: {exc}") from None
+    return ValidateConfig(spec, selector_params=keys.pop("selector", {}), **keys)

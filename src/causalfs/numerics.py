@@ -294,7 +294,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     yc = y - y.mean()
     sx = float(xc @ xc)
     sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
+    # a constant whose mean rounds leaves a tiny nonzero xc, so test equality
+    if sx == 0.0 or sy == 0.0 or (x == x[0]).all() or (y == y[0]).all():
         raise DegenerateInput("zero-variance input to correlation")
     return float((xc @ yc) / math.sqrt(sx * sy))
 
@@ -473,18 +474,13 @@ def _sym_decorrelate(W: np.ndarray) -> np.ndarray:
 
 
 def fastica(
-    X: np.ndarray,
-    n_components: int | None = None,
-    seed: int = 0,
-    max_iter: int = 500,
-    tol: float = 1e-5,
+    X: np.ndarray, seed: int = 0, max_iter: int = 500, tol: float = 1e-5
 ) -> FastIcaResult:
     """Symmetric FastICA with tanh contrast on eigen-whitened data.
 
     Parameters
     ----------
     X : array, samples x variables. Centered internally.
-    n_components : number of sources to extract (default: all variables).
     seed : seeds the random orthogonal starting point.
     max_iter, tol : fixed-point iteration cap and the convergence threshold
         on the largest row-direction change.
@@ -500,20 +496,17 @@ def fastica(
     n, m = X.shape
     if n <= m:
         raise Underdetermined(f"{n} samples for {m} variables")
-    c = m if n_components is None else int(n_components)
-    if not 1 <= c <= m:
-        raise ValueError(f"n_components must be in 1..{m}")
     Xc = X - X.mean(axis=0)
     cov = (Xc.T @ Xc) / (n - 1)
     vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1][:c]
+    order = np.argsort(vals)[::-1]
     vals = vals[order]
     if (vals <= 1e-12).any():
         raise DegenerateInput("covariance is singular; cannot whiten")
     K = vecs[:, order] / np.sqrt(vals)  # variables x components
     Z = Xc @ K  # white: sample cov = I
     rng = np.random.default_rng(seed)
-    W = _sym_decorrelate(rng.standard_normal((c, c)))
+    W = _sym_decorrelate(rng.standard_normal((m, m)))
     converged = False
     it = 0
     for it in range(1, max_iter + 1):

@@ -19,6 +19,7 @@ __all__ = [
     "Environment",
     "FeatureSet",
     "VarLingamResult",
+    "check_keys",
     "cluster_prefilter",
     "cv_mse",
     "dynotears_fit",
@@ -74,61 +75,78 @@ def _sfs(panel, p, seed, calendar, **kw):
     return sfs_select(build_design(panel, p), seed=seed, **kw)
 
 
-def _choice(*options):
-    def check(value):
-        if value not in options:
-            raise ValueError(f"{value!r} is not one of {options}")
+def _coercion(kind: str, *types, rule: str = "", test=lambda value: True):
+    """A key-table coercion: a value not of ``types`` (a bool is no int) or
+    failing ``test`` is an error, so "false" is no bool and 2.7 no int; only
+    a number for a float key is converted, to float."""
+    def coerce(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise TypeError(f"expected {kind}, got {value!r}")
+        value = float(value) if float in types else value
+        if not test(value):
+            raise ValueError(f"{value!r} is not {rule}")
         return value
 
-    return check
+    return coerce
 
 
-def _int_at_least(low):
-    def check(value):
-        value = int(value)
-        if value < low:
-            raise ValueError(f"{value} is below {low}")
-        return value
-
-    return check
+integer, number = _coercion("an integer", int), _coercion("a number", int, float)
+boolean, string = _coercion("true or false", bool), _coercion("a string", str)
+_ALPHA = _coercion("a number", int, float, rule="in (0, 1)", test=lambda value: 0 < value < 1)
+_POSITIVE = _coercion("a number", int, float, rule="> 0", test=lambda value: value > 0)
 
 
-# id -> (adapter, {param: coercion}); the keys are every param a config may set
+def at_least(low: int):
+    return _coercion("an integer", int, rule=f">= {low}", test=lambda value: value >= low)
+
+
+def _one_of(*options):
+    return _coercion("a string", str, rule=f"one of {options}", test=options.__contains__)
+
+
+# id -> (adapter, {param: coercion}) for every param a config may set; the
+# ranges bind config input only, not direct calls
 SELECTORS = {
-    "granger": (_granger, {"alpha": float}),
-    "seqicp": (_seqicp, {"alpha": float, "max_subset_size": int,
-                         "environments": _choice("halves", "calendar")}),
-    "varlingam": (_varlingam, {"k_clusters": int, "edge_threshold": float,
-                               "use_instantaneous": bool, "use_lagged": bool}),
-    "dynotears": (_dynotears, {"lambda_w": float, "lambda_s": float,
-                               "h_tol": float, "w_threshold": float}),
-    "pcmci": (_pcmci, {"alpha": float, "max_cond_dim": int, "max_parents_stage1": int}),
-    "sfs": (_sfs, {"direction": _choice("forward", "backward"), "tol": float,
-                   "max_features": int, "folds": _int_at_least(2)}),
+    "granger": (_granger, {"alpha": _ALPHA}),
+    "seqicp": (_seqicp, {"alpha": _ALPHA, "max_subset_size": at_least(0),
+                         "environments": _one_of("halves", "calendar")}),
+    "varlingam": (_varlingam, {"k_clusters": at_least(1), "edge_threshold": number,
+                               "use_instantaneous": boolean, "use_lagged": boolean}),
+    "dynotears": (_dynotears, {"lambda_w": number, "lambda_s": number,
+                               "h_tol": _POSITIVE, "w_threshold": number}),
+    "pcmci": (_pcmci, {"alpha": _ALPHA, "max_cond_dim": at_least(0),
+                       "max_parents_stage1": at_least(1)}),
+    "sfs": (_sfs, {"direction": _one_of("forward", "backward"), "tol": number,
+                   "max_features": integer, "folds": at_least(2)}),
 }
 SELECTOR_IDS = tuple(SELECTORS)
 
 
-def selector_params(selector_id: str, params: dict | None = None) -> dict:
-    """Check a selector's params against the registry and coerce each value.
-
-    Raises BadName for an unknown selector id, an unknown param, or a value
-    that fails its coercion or choice check.
-    """
-    if selector_id not in SELECTOR_IDS:
-        raise BadName(f"unknown selector {selector_id!r}; known: {SELECTOR_IDS}")
-    params = params or {}
-    coercions = SELECTORS[selector_id][1]
-    unknown = set(params) - set(coercions)
+def check_keys(coercions: dict, values, label: str) -> dict:
+    """The table ``values``, each coerced by ``coercions[key]``; raises
+    BadName, naming ``label``, for a non-table, an unknown key or a value
+    its coercion rejects."""
+    if not isinstance(values, dict):
+        raise BadName(f"{label} must be a table, got {values!r}")
+    unknown = set(values) - set(coercions)
     if unknown:
-        raise BadName(f"unknown parameters for {selector_id}: {sorted(unknown)}")
+        raise BadName(f"unknown keys in {label}: {sorted(unknown)}")
     checked = {}
-    for key, value in params.items():
+    for key, value in values.items():
         try:
             checked[key] = coercions[key](value)
         except (TypeError, ValueError) as exc:
-            raise BadName(f"bad value for {selector_id}.{key}: {exc}") from None
+            raise BadName(f"bad value for {key} in {label}: {exc}") from None
     return checked
+
+
+def selector_params(selector_id: str, params: dict | None = None) -> dict:
+    """Check a selector's params against the registry and coerce each value;
+    raises BadName for an unknown selector id or params ``check_keys`` rejects."""
+    if selector_id not in SELECTOR_IDS:
+        raise BadName(f"unknown selector {selector_id!r}; known: {SELECTOR_IDS}")
+    label = f"[selector.{selector_id}]"
+    return check_keys(SELECTORS[selector_id][1], {} if params is None else params, label)
 
 
 def make_selector(selector_id: str, params: dict | None = None):

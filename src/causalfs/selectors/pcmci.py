@@ -156,7 +156,6 @@ def pcmci_select(
     alpha: float = 0.05,
     max_cond_dim: int = 3,
     max_parents_stage1: int = 10,
-    ci_test: str = "parcorr",
 ) -> FeatureSet:
     """Select features with a link into the target that survives both stages.
 
@@ -167,8 +166,6 @@ def pcmci_select(
     """
     if p < 1:
         raise ValueError("lag order p must be >= 1")
-    if ci_test != "parcorr":
-        raise ValueError(f"unsupported conditional independence test {ci_test!r}")
     names = (panel.target_name, *panel.feature_names)
     data = np.column_stack([panel.target, panel.features])
     m = data.shape[1]

@@ -111,8 +111,6 @@ def varlingam_fit(
     p: int = 1,
     k_clusters: int | None = None,
     seed: int = 0,
-    ica_max_iter: int = 500,
-    ica_tol: float = 1e-5,
 ) -> VarLingamResult:
     """Estimate instantaneous and lagged effect matrices on [target, features].
 
@@ -151,7 +149,7 @@ def varlingam_fit(
         for tau in range(p):
             B[tau][:, j] = coef[tau * m : (tau + 1) * m]
     # step 2: ICA separates the residuals into independent shocks
-    ica = fastica(resid, seed=seed, max_iter=ica_max_iter, tol=ica_tol)
+    ica = fastica(resid, seed=seed)
     # step 3: instantaneous matrix from the permuted, rescaled unmixing
     W_tilde = _permute_unit_diagonal(ica.unmixing)
     A0 = np.eye(m) - W_tilde
@@ -176,15 +174,10 @@ def varlingam_select(
     seed: int = 0,
     use_instantaneous: bool = True,
     use_lagged: bool = True,
-    ica_max_iter: int = 500,
-    ica_tol: float = 1e-5,
 ) -> FeatureSet:
     """Select features with an effect on the target above ``edge_threshold``
     in the instantaneous matrix or any lag matrix (switchable per kind)."""
-    result = varlingam_fit(
-        panel, p=p, k_clusters=k_clusters, seed=seed,
-        ica_max_iter=ica_max_iter, ica_tol=ica_tol,
-    )
+    result = varlingam_fit(panel, p=p, k_clusters=k_clusters, seed=seed)
     diagnostics = {}
     selected = set()
     for name in panel.feature_names:

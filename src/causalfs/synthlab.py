@@ -57,13 +57,16 @@ class SvarSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("need at least a target and one feature")
-        if self.p < 1:
-            raise ValueError("lag order p must be >= 1")
+        if self.p < 1 or self.n < 1:
+            raise ValueError("lag order p and length n must be >= 1")
         if self.noise not in ("gaussian", "uniform", "laplace"):
             raise ValueError(f"unknown noise family {self.noise!r}")
-        if self.target_parents is not None and self.target_parents > self.d - 1:
-            raise ValueError("more target parents than features")
+        if self.target_parents is not None and not 0 <= self.target_parents <= self.d - 1:
+            raise ValueError(f"target_parents must be in 0..{self.d - 1} (the features)")
         object.__setattr__(self, "environment_shifts", tuple(self.environment_shifts))
+        for shift in self.environment_shifts:
+            if shift.variable not in variable_names(self.d) or not 0 <= shift.start_row < self.n:
+                raise ValueError(f"{shift}: no such variable, or start_row not in 0..{self.n - 1}")
 
 
 @dataclass(frozen=True)

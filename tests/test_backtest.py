@@ -26,6 +26,7 @@ from causalfs.selectors import (
     granger_select,
     make_selector,
     pcmci_select,
+    selector_params,
     seqicp_select,
     sfs_select,
     varlingam_select,
@@ -348,10 +349,29 @@ class TestSelectorRegistry:
         pytest.param("granger", {"alpha": "high"}, id="ill-typed"),
         pytest.param("seqicp", {"environments": "calender"}, id="bad-environments"),
         pytest.param("sfs", {"direction": "sideways"}, id="bad-direction"),
+        pytest.param("sfs", {"folds": 2.7}, id="int-given-float"),
+        pytest.param("sfs", {"max_features": True}, id="int-given-bool"),
+        pytest.param("sfs", {"tol": "1e-6"}, id="float-given-string"),
+        pytest.param("varlingam", {"use_lagged": 0}, id="bool-given-int"),
+        pytest.param("varlingam", {"use_lagged": "false"}, id="bool-given-string"),
+        pytest.param("seqicp", {"environments": 1}, id="choice-given-int"),
+        pytest.param("granger", {"alpha": 1.0}, id="alpha-one"),
+        pytest.param("varlingam", {"k_clusters": 0}, id="k-clusters-zero"),
+        pytest.param("dynotears", {"h_tol": -1e-8}, id="h-tol-negative"),
+        pytest.param("pcmci", [("alpha", 0.1)], id="not-a-table"),
     ])
     def test_bad_params_rejected_before_any_call(self, sid, params):
         with pytest.raises(BadName):
             make_selector(sid, params)
+
+    def test_params_coerced_without_conversion(self):
+        got = selector_params("sfs", {"tol": 1, "max_features": 3, "folds": 2,
+                                      "direction": "backward"})
+        assert got == {"tol": 1.0, "max_features": 3, "folds": 2, "direction": "backward"}
+        assert type(got["tol"]) is float
+        assert selector_params("varlingam", {"use_lagged": False, "k_clusters": 1}) == {
+            "use_lagged": False, "k_clusters": 1}
+        assert selector_params("pcmci", {"max_cond_dim": 0}) == {"max_cond_dim": 0}
 
     def test_seqicp_calendar_environments(self, panel):
         design = build_design(panel, 1)

@@ -1,12 +1,24 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalfs.cli import main
-from causalfs.config import load_run_config, parse_kv
+from causalfs.config import (
+    RUN_CONFIG_KEYS,
+    VALIDATE_KEYS,
+    RunConfig,
+    load_run_config,
+    load_validate_config,
+    parse_kv,
+)
 from causalfs.errors import ConfigError
-from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar
+from causalfs.selectors import SELECTORS
+from causalfs.synthlab import EnvShift, SvarSpec, export_fredmd, generate_svar
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -112,6 +124,50 @@ class TestConfigFormat:
         }
 
 
+def readme_table(heading):
+    """The rows of the first Markdown table after ``heading``, as dicts."""
+    lines = README.read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(heading) + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    header, _, *body = rows
+    return [dict(zip(header, row)) for row in body]
+
+
+class TestReadme:
+    def test_key_tables_name_exactly_the_code_tables(self):
+        def keys(heading):
+            return {row["key"].strip("`") for row in readme_table(heading)}
+
+        assert keys("### Run config keys") == set(RUN_CONFIG_KEYS)
+        assert keys("### Validate spec keys") == set(VALIDATE_KEYS)
+        pairs, selector = set(), None
+        for row in readme_table("### Selector parameters"):
+            selector = row["selector"].strip("`") or selector
+            pairs.add((selector, row["key"].strip("`")))
+        assert pairs == {(sid, key) for sid, (_, table) in SELECTORS.items() for key in table}
+
+    def test_examples_load(self, tmp_path):
+        run, lab = re.findall(r"```toml\n(.*?)```", README.read_text(), re.S)
+        (tmp_path / "run.toml").write_text(run)
+        (tmp_path / "lab.toml").write_text(lab)
+        assert load_run_config(tmp_path / "run.toml") == RunConfig(
+            fredmd_csv="data/fredmd.csv", prices_csv="data/prices.csv",
+            groups_csv="data/groups.csv", calendar="data/crisis.txt", output_dir="out",
+            window=60, p=1, metric_window=12, shift_months=1, seed=7,
+            selectors=["granger", "sfs"], combine=["granger", "sfs"], combine_weight=0.5,
+            selector_params={"granger": {"alpha": 0.05}, "sfs": {"max_features": 10}},
+            base_dir=tmp_path.resolve(),
+        )
+        cfg = load_validate_config(tmp_path / "lab.toml")
+        assert cfg.spec == SvarSpec(d=11, p=1, n=500, edge_density=0.0, target_parents=3,
+                                    ar_coeff=0.3, instantaneous=False, noise="gaussian")
+        assert (cfg.n_seeds, cfg.selectors) == (100, ["granger", "pcmci"])
+
+
 class TestIngest:
     def test_toy_run_exits_zero(self, workspace):
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
@@ -186,6 +242,13 @@ class TestBacktest:
             "backtest", "--config", workspace / "run.toml", "--selectors", "zzz"
         ) == 2
 
+    def test_negative_seed_flag_exit_2_before_any_ledger(self, workspace, capsys):
+        run_cli("ingest", "--config", workspace / "run.toml")
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", workspace / "run.toml", "--seed", "-1") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list((workspace / "out").glob("ledger_*"))
+
     def test_bad_selector_param_exit_2_before_any_ledger(self, workspace):
         run_cli("ingest", "--config", workspace / "run.toml")
         config = workspace / "run.toml"
@@ -198,14 +261,43 @@ class TestBacktest:
         ("window = 40", "window = 3"),
         ("seed = 7", "seed = 7\nreselect_every = 0"),
         ("p = 1", "p = 1.5"),
-    ], ids=["p-zero", "window-le-p-plus-2", "reselect-zero", "p-not-integer"])
-    def test_infeasible_run_config_exit_2_before_any_ledger(self, workspace, old, new):
+        ("seed = 7", 'seed = "abc"'),
+        ("seed = 7", "seed = -1"),
+        ("seed = 7", "seed = true"),
+        ("window = 40", "window = 40.0"),
+        ("metric_window = 6", "metric_window = 0"),
+        ("shift_months = 0", "shift_months = -1"),
+        ("combine_weight = 0.5", 'combine_weight = "x"'),
+        ('combine = ["granger", "sfs"]', 'combine = ["granger"]'),
+        ('target_name = "Y"', "target_name = 5"),
+        ('output_dir = "out"', 'output_dir = "out"\nselector_timeout = 5'),
+        ("max_features = 2", 'max_features = 2\n[selector.varlingam]\nuse_instantaneous = "false"'),
+        ("max_features = 2", "max_features = 2\nfolds = 2.7"),
+        ("max_features = 2", "max_features = 2\n[selector.varlingam]\nk_clusters = 0"),
+        ("alpha = 0.1", "alpha = 5"),
+        ("alpha = 0.1", "alpha = true"),
+        ("max_features = 2", "max_features = 2\n[selector.seqicp]\nalpha = 0.0"),
+        ("max_features = 2", "max_features = 2\n[selector.seqicp]\nmax_subset_size = -1"),
+        ("max_features = 2", "max_features = 2\n[selector.pcmci]\nalpha = 1"),
+        ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_cond_dim = -1"),
+        ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_parents_stage1 = 0"),
+        ("max_features = 2", "max_features = 2\n[selector.dynotears]\nh_tol = 0.0"),
+    ], ids=["p-zero", "window-le-p-plus-2", "reselect-zero", "p-not-integer",
+            "seed-string", "seed-negative", "seed-bool", "window-float", "metric-window-zero",
+            "shift-months-negative", "combine-weight-string", "combine-one-id",
+            "target-name-int", "unknown-key", "use-instantaneous-string", "folds-float",
+            "k-clusters-zero", "granger-alpha-above-one", "granger-alpha-bool",
+            "seqicp-alpha-zero", "seqicp-max-subset-negative", "pcmci-alpha-one",
+            "pcmci-max-cond-dim-negative", "pcmci-max-parents-zero", "dynotears-h-tol-zero"])
+    def test_infeasible_run_config_exit_2_before_any_ledger(self, workspace, capsys, old, new):
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
         config = workspace / "run.toml"
         text = config.read_text()
         assert old in text
         config.write_text(text.replace(old, new))
+        capsys.readouterr()
         assert run_cli("backtest", "--config", config) == 2
+        assert "config error" in capsys.readouterr().err
         assert not list((workspace / "out").glob("ledger_*"))
 
 
@@ -300,14 +392,59 @@ alpha = 0.05
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "spec", ["d = 4\np = 0\n", "d = 0\n", "d = 1\n", 'd = "four"\n'],
-        ids=["p-zero", "d-zero", "d-one", "d-not-integer"],
+        "spec", ["d = 4\np = 0\n", "d = 0\n", "d = 1\n", 'd = "four"\n',
+                 "d = 4\nn_seeds = 0\n", 'd = 4\ninstantaneous = "false"\n',
+                 "d = 4\ntarget_parents = -1\n", "d = 4\ntarget_parents = 4\n",
+                 "d = 4\nseed = -1\n", "d = 4\nn = 0\n", "d = 4.0\n", "n = 100\n",
+                 "d = 4\nnoise = 1\n", "d = 4\nedge_density = \"0.2\"\n",
+                 "d = 4\nalpha = 0.1\n"],
+        ids=["p-zero", "d-zero", "d-one", "d-not-integer", "n-seeds-zero",
+             "instantaneous-string", "target-parents-negative", "target-parents-above-d",
+             "seed-negative", "n-zero", "d-float", "d-missing", "noise-int",
+             "edge-density-string", "unknown-key"],
     )
-    def test_infeasible_spec_exit_2_before_output(self, tmp_path, spec):
+    def test_infeasible_spec_exit_2_before_output(self, tmp_path, capsys, spec):
         path = tmp_path / "lab.toml"
         path.write_text(spec + 'selectors = ["granger"]\n')
         assert run_cli("validate", "--config", path) == 2
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shift", [
+        {"variable": "X9", "start_row": 10},
+        {"variable": "X1", "start_row": 100},
+        {"variable": "X1", "start_row": -1},
+        {"variable": "X1", "start_row": 10.0},
+        {"variable": "X1"},
+        {"variable": "X1", "start_row": 10, "sclae": 2.0},
+        "X1",
+    ], ids=["unknown-variable", "start-past-end", "start-negative", "start-float",
+            "start-missing", "unknown-key", "not-a-table"])
+    def test_bad_environment_shift_exit_2_before_output(self, tmp_path, capsys, shift):
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps({"d": 4, "n": 100, "n_seeds": 1,
+                                    "environment_shifts": [shift]}))
+        assert run_cli("validate", "--config", path) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_keys_build_the_same_svar_spec(self, tmp_path):
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps({
+            "d": 5, "p": 2, "n": 300, "edge_density": 0, "coefficient_low": 0.4,
+            "noise": "laplace", "instantaneous": False, "target_parents": 2,
+            "ar_coeff": 0.3, "seed": 9, "n_seeds": 3, "selectors": "pcmci",
+            "selector": {"sfs": {"tol": 1}}, "output_dir": "lab",
+            "environment_shifts": [{"variable": "Y", "start_row": 299, "scale": 2}],
+        }))
+        cfg = load_validate_config(path)
+        assert cfg.spec == SvarSpec(
+            d=5, p=2, n=300, edge_density=0.0, coefficient_range=(0.4, 0.8),
+            noise="laplace", instantaneous=False, target_parents=2, ar_coeff=0.3,
+            seed=9, environment_shifts=(EnvShift("Y", 299, 0.0, 2.0),),
+        )
+        assert (cfg.n_seeds, cfg.selectors, cfg.output_dir) == (3, ["pcmci"], "lab")
+        assert cfg.selector_params == {"sfs": {"tol": 1}}  # as written
 
     def test_density_zero_selection_rate_near_alpha(self, tmp_path):
         spec = (

@@ -306,6 +306,12 @@ class TestCorrelation:
         with pytest.raises(DegenerateInput):
             pearson(np.ones(10), np.arange(10.0))
 
+    def test_constant_with_rounded_mean(self):
+        # the mean of 60 0.1s rounds, so x - mean(x) is a tiny nonzero constant
+        for x, y in ((np.full(60, 0.1), np.arange(60.0)), (np.arange(60.0), np.full(60, 0.1))):
+            with pytest.raises(DegenerateInput):
+                pearson(x, y)
+
 
 class TestPartialCorrelation:
     def test_empty_conditioning_reduces_to_pearson(self, rng):

@@ -65,17 +65,25 @@ def test_prefilter_keeps_strongest_per_cluster(rng):
     assert "X2" in kept  # strongest within the base cluster
 
 
-def test_constant_feature_scores_zero_and_is_never_kept(rng):
+def _assert_constant_feature_scores_zero(rng, value):
     # the constant column comes first, so a tie with it would keep it
     n = 200
     target = rng.uniform(-1, 1, size=n)
     weak = 0.1 * target + rng.uniform(-1, 1, size=n)
-    panel = make_panel(target, np.column_stack([np.full(n, 3.0), weak]))
+    panel = make_panel(target, np.column_stack([np.full(n, value), weak]))
     kept, corr = cluster_prefilter(panel, k_clusters=1, seed=0)
     assert corr["X1"] == 0.0
     assert kept == ("X2",)
     fs = varlingam_select(panel, p=1, k_clusters=1, seed=0)
     assert "X1" not in fs.selected
+
+
+def test_constant_feature_scores_zero_and_is_never_kept(rng):
+    _assert_constant_feature_scores_zero(rng, 3.0)
+
+
+def test_constant_feature_with_rounded_mean_scores_zero(rng):
+    _assert_constant_feature_scores_zero(rng, 0.3)  # the mean of 200 0.3s rounds
 
 
 def test_no_dependence_mostly_empty():

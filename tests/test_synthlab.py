@@ -99,6 +99,25 @@ class TestGeneration:
         np.testing.assert_array_equal(t1.W[0], t2.W[0])
         np.testing.assert_array_equal(p1.target[:50], p2.target[:50])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"d": 1}, {"p": 0}, {"n": 0}, {"noise": "cauchy"},
+        {"target_parents": -1}, {"target_parents": 4},
+        {"environment_shifts": (EnvShift("X9", start_row=10),)},
+        {"environment_shifts": (EnvShift("X1", start_row=100),)},
+        {"environment_shifts": (EnvShift("X1", start_row=-1),)},
+    ], ids=["d-one", "p-zero", "n-zero", "noise-unknown", "target-parents-negative",
+            "target-parents-above-features", "shift-unknown-variable",
+            "shift-start-past-end", "shift-start-negative"])
+    def test_spec_rejects_what_cannot_be_generated(self, kwargs):
+        with pytest.raises(ValueError):
+            SvarSpec(**{"d": 4, "n": 100, **kwargs})
+
+    def test_spec_accepts_its_bounds(self):
+        spec = SvarSpec(d=4, n=100, target_parents=0,
+                        environment_shifts=[EnvShift("Y", 0), EnvShift("X3", 99)])
+        assert len(spec.environment_shifts) == 2
+        SvarSpec(d=4, n=100, target_parents=3)
+
     def test_explosive_explicit_graph_fails(self):
         W = np.eye(3) * 1.5
         with pytest.raises(GenerationFailed):
