@@ -23,7 +23,14 @@ from .backtest import (
     run_backtest,
     run_manifest,
 )
-from .config import RUN_CONFIG_KEYS, RunConfig, check_config, load_run_config, load_validate_config
+from .config import (
+    RUN_CONFIG_KEYS,
+    VALIDATE_KEYS,
+    RunConfig,
+    check_config,
+    load_run_config,
+    load_validate_config,
+)
 from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed
 from .ingest import (
     STOCK_MARKET_GROUP,
@@ -224,12 +231,14 @@ def cmd_report(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(spec_path: Path, out_override: str | None, seed_override: int | None) -> int:
+def cmd_validate(spec_path: Path, flags: dict) -> int:
+    """Run the spec's selectors on its lab; ``flags`` holds checked
+    ``VALIDATE_KEYS`` values (output_dir, seed, selectors) that override it."""
     cfg = load_validate_config(spec_path)
-    out = spec_path.resolve().parent / (out_override or cfg.output_dir)
-    base_seed = cfg.spec.seed if seed_override is None else seed_override
+    out = spec_path.resolve().parent / flags.get("output_dir", cfg.output_dir)
+    base_seed = flags.get("seed", cfg.spec.seed)
     out.mkdir(parents=True, exist_ok=True)
-    for sid in cfg.selectors:
+    for sid in flags.get("selectors", cfg.selectors):
         runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
         for k in range(cfg.n_seeds):
@@ -285,13 +294,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(Path(args.config), args.out, args.seed)
-        cfg = load_run_config(args.config, require_inputs=args.command == "ingest")
         flags = {"seed": args.seed, "output_dir": args.out, "selectors": args.selectors}
         if args.selectors is not None:
             flags["selectors"] = [s.strip() for s in args.selectors.split(",") if s.strip()]
         given = {key: value for key, value in flags.items() if value is not None}
+        if args.command == "validate":
+            return cmd_validate(Path(args.config), check_config(VALIDATE_KEYS, given, "the flags"))
+        cfg = load_run_config(args.config, require_inputs=args.command == "ingest")
         for key, value in check_config(RUN_CONFIG_KEYS, given, "the flags").items():
             setattr(cfg, key, value)
         handler = {"ingest": cmd_ingest, "backtest": cmd_backtest, "report": cmd_report}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import betainc, gammaincc
+from scipy.special import betainc
 
 from .errors import (
     BadK,
@@ -141,16 +141,95 @@ def nested_rss(
     return rss_full, rss_full + gaps
 
 
-# A fold Gram whose unit-diagonal scaling has a condition number above this
-# is refit with ols_fit. The normal equations lose about cond * eps: on
-# random 80-row designs with one near-copied column, the out-of-block MSE
-# moved from per-fold lstsq refits by up to 1.5e-11 relative at cond
-# 1e5-1e6, 1.5e-10 at 1e6-1e7 and 1.3e-8 at 1e8-1e9.
+# A fold or subset Gram whose unit-diagonal scaling has a condition number
+# above this is refit with ols_fit. The normal equations lose about
+# cond * eps: on random 80-row designs with one near-copied column, the
+# out-of-block MSE moved from per-fold lstsq refits by up to 1.5e-11
+# relative at cond 1e5-1e6, 1.5e-10 at 1e6-1e7 and 1.3e-8 at 1e8-1e9. With
+# the refinement step of subset_residuals, seqicp p-values on random 60-row
+# designs moved from per-subset ols_fit by up to 1.6e-13 relative at cond
+# 1e4-1e5 and 5.0e-12 at 1e5-1e6 (2.8e-10 there without the step).
 _CV_COND_MAX = 1e6
-# Cap on the float64 entries of one chunk of stacked candidate systems
+# Cap on the float64 entries of one chunk of stacked systems or residuals
 # (2 MB), so a backward step at width 120 does not stack all its
 # candidates x folds x k x k at once (about 70 MB).
 _CV_CHUNK_ENTRIES = 2**18
+
+
+def chunk_slices(count: int, entries_each: int) -> list[slice]:
+    """Slices of range(count) whose items hold at most _CV_CHUNK_ENTRIES
+    float64 entries together, at least one item per slice."""
+    step = max(1, _CV_CHUNK_ENTRIES // entries_each)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+class _ScaledSystems:
+    """Stacked normal equations G beta = rhs (G is ... x k x k), solved
+    through G scaled to unit diagonal. ``ok`` is False where the scaled
+    condition number is above _CV_COND_MAX; ``solve`` leaves beta zero
+    there, and the caller refits those systems with ``ols_fit``."""
+
+    def __init__(self, G: np.ndarray):
+        scale = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
+        scale[scale == 0.0] = 1.0
+        self.scale = scale
+        self.G = G / scale[..., :, None] / scale[..., None, :]
+        w = np.linalg.eigvalsh(self.G)
+        self.ok = w[..., 0] > w[..., -1] / _CV_COND_MAX
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        ok, scale = self.ok, self.scale
+        rhs = rhs / scale
+        beta = np.zeros(rhs.shape)
+        beta[ok] = np.linalg.solve(self.G[ok], rhs[ok][..., None])[..., 0] / scale[ok]
+        return beta
+
+
+@dataclass(frozen=True)
+class SubsetGram:
+    """Z = [1, X, y] and Z'Z, from which the least-squares fit of y on any
+    column subset of [1, X] reads its normal equations."""
+
+    Z: np.ndarray
+    gram: np.ndarray
+
+
+def subset_gram(X: np.ndarray, y: np.ndarray) -> SubsetGram:
+    """Form Z'Z of Z = [1, X, y] once per design."""
+    y = np.asarray(y, dtype=float).ravel()
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("rows(X) must equal len(y)")
+    Z = np.column_stack([np.ones(len(y)), X, y])
+    return SubsetGram(Z, Z.T @ Z)
+
+
+def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
+    """Residuals of y on [1, X[:, S]] for each column set S, one row per set.
+
+    ``column_sets`` holds one or more equal-length lists of column indices
+    into X. The coefficients solve each set's normal equations, read from
+    ``sg.gram``, in one stacked solve (``_ScaledSystems``, shared with
+    ``cv_mse_sets``), and one step of iterative refinement solves them
+    again for the residuals' own cross-products: forming the Gram loses
+    about cond * eps in beta, and the refinement wins most of it back. A
+    set whose scaled Gram has condition number above _CV_COND_MAX is refit
+    with ``ols_fit`` (minimum-norm SVD, which warns RankDeficientWarning).
+    """
+    sets = np.asarray(column_sets, dtype=int).reshape(len(column_sets), -1)
+    n, k = sg.Z.shape[0], sets.shape[1] + 1
+    if n <= k:
+        raise Underdetermined(f"{n} rows for {k} regressors")
+    cols = np.column_stack([np.zeros(len(sets), dtype=int), sets + 1])  # into [1, X]
+    systems = _ScaledSystems(sg.gram[cols[:, :, None], cols[:, None, :]])
+    A = sg.Z[:, cols]  # n x sets x k
+    y = sg.Z[:, -1]
+    residuals = y - np.einsum("nsk,sk->sn", A, systems.solve(sg.gram[cols, -1]))
+    step = systems.solve(np.einsum("nsk,sn->sk", A, residuals))
+    residuals -= np.einsum("nsk,sk->sn", A, step)
+    for i in np.flatnonzero(~systems.ok):
+        residuals[i] = ols_fit(sg.Z[:, cols[i, 1:]], y).residuals
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -173,18 +252,15 @@ class CvFolds:
 
 def cv_folds(X: np.ndarray, y: np.ndarray, blocks) -> CvFolds:
     """Form Z'Z of Z = [1, X, y] once and downdate it by each block."""
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("rows(X) must equal len(y)")
-    Z = np.column_stack([np.ones(len(y)), X, y])
+    full = subset_gram(X, y)
+    Z = full.Z
     blocks = tuple(np.asarray(b, dtype=int) for b in blocks)
     z_val = np.zeros((len(blocks), max(len(b) for b in blocks), Z.shape[1]))
     for f, block in enumerate(blocks):
         z_val[f, : len(block)] = Z[block]
-    grams = Z.T @ Z - np.transpose(z_val, (0, 2, 1)) @ z_val
+    grams = full.gram - np.transpose(z_val, (0, 2, 1)) @ z_val
     n_val = np.array([len(b) for b in blocks])
-    return CvFolds(X, y, blocks, grams, z_val, n_val)
+    return CvFolds(Z[:, 1:-1], Z[:, -1], blocks, grams, z_val, n_val)
 
 
 def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
@@ -192,8 +268,8 @@ def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
 
     ``column_sets`` holds one or more equal-length lists of column indices
     into X. Each fold's coefficients solve its training normal equations,
-    taken from ``cv.grams`` and scaled to unit diagonal, in one batched
-    solve over folds x sets; the loss comes from the validation residuals
+    taken from ``cv.grams``, in one stacked solve over folds x sets
+    (``_ScaledSystems``); the loss comes from the validation residuals
     y_b - [1, X_b[:, S]] beta themselves, so a perfect fit scores ~0. A
     fold whose scaled Gram has condition number above _CV_COND_MAX is
     refit on its training rows with ``ols_fit`` (minimum-norm SVD, which
@@ -206,24 +282,15 @@ def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
         return np.full(n_sets, math.inf)
     cols = np.column_stack([np.zeros(n_sets, dtype=int), sets + 1])  # into [1, X]
     folds, rows = cv.z_val.shape[:2]
-    chunk = max(1, _CV_CHUNK_ENTRIES // (folds * k * (k + rows)))
     losses = np.empty((folds, n_sets))
-    for start in range(0, n_sets, chunk):
-        c = cols[start : start + chunk]
-        G = cv.grams[:, c[:, :, None], c[:, None, :]]  # folds x sets x k x k
-        scale = np.sqrt(np.diagonal(G, axis1=2, axis2=3))
-        scale[scale == 0.0] = 1.0
-        G = G / scale[..., :, None] / scale[..., None, :]
-        w = np.linalg.eigvalsh(G)
-        ok = w[..., 0] > w[..., -1] / _CV_COND_MAX
-        rhs = cv.grams[:, c, -1] / scale
-        beta = np.zeros(rhs.shape)
-        beta[ok] = np.linalg.solve(G[ok], rhs[ok][..., None])[..., 0] / scale[ok]
-        pred = np.einsum("flck,fck->fcl", cv.z_val[:, :, c], beta)
+    for part in chunk_slices(n_sets, folds * k * (k + rows)):
+        c = cols[part]
+        systems = _ScaledSystems(cv.grams[:, c[:, :, None], c[:, None, :]])  # folds x sets
+        pred = np.einsum("flck,fck->fcl", cv.z_val[:, :, c], systems.solve(cv.grams[:, c, -1]))
         resid = cv.z_val[:, None, :, -1] - pred  # padded rows give 0 - 0
-        losses[:, start : start + chunk] = (resid * resid).sum(axis=2) / cv.n_val[:, None]
-        for f, i in zip(*np.nonzero(~ok)):
-            losses[f, start + i] = _ols_fold_mse(cv, f, sets[start + i])
+        losses[:, part] = (resid * resid).sum(axis=2) / cv.n_val[:, None]
+        for f, i in zip(*np.nonzero(~systems.ok)):
+            losses[f, part.start + i] = _ols_fold_mse(cv, f, sets[part.start + i])
     return losses.mean(axis=0)
 
 
@@ -253,12 +320,6 @@ def t_sf(x: float, df: int) -> float:
         return 0.0 if x > 0 else 1.0
     p_two = betainc(df / 2.0, 0.5, df / (df + x * x))
     return float(p_two / 2.0 if x >= 0 else 1.0 - p_two / 2.0)
-
-
-def chi2_sf(x: float, df: int) -> float:
-    if x <= 0:
-        return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
 
 
 def f_test_nested(

@@ -6,16 +6,23 @@ a Chow-style F test, equal variances by Bartlett's test, combined with
 Bonferroni). The reported set is the intersection of all accepted subsets;
 when nothing is accepted, the empty result is flagged as informative -- the
 data rejected the invariance premise itself.
+
+The fits of all subsets of one size come from one Gram of [1, X, y] per
+window (``numerics.subset_residuals``: a stacked solve of the scaled normal
+equations and one refinement step, with an ``ols_fit`` refit where the
+scaled Gram's condition number is above 1e6), and both tests run over all
+of their residual rows at once. Each p-value agrees with a per-subset
+``ols_fit`` within 1e-10 relative on designs below that condition number.
 """
 from __future__ import annotations
 
-import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
+from scipy.special import betainc, gammaincc
 
 from ..errors import Insufficient, NeedEnvironments
-from ..numerics import chi2_sf, f_sf, ols_fit
+from ..numerics import chunk_slices, subset_gram, subset_residuals
 from ..panel import DesignMatrix
 from .base import Environment, FeatureSet
 
@@ -29,32 +36,46 @@ def halves_environments(n: int) -> list[Environment]:
     ]
 
 
-def residual_invariance_p(residuals: np.ndarray, environments) -> float:
-    """Bonferroni-combined p-value of mean and variance equality."""
-    groups = [residuals[env.rows] for env in environments]
-    e = len(groups)
-    n = sum(len(g) for g in groups)
-    grand = residuals.mean() if n else 0.0
-    between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
-    within = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
-    if within <= 0.0:
-        p_mean = 1.0 if between <= 0.0 else 0.0
-    else:
-        f_stat = (between / (e - 1)) / (within / (n - e))
-        p_mean = f_sf(f_stat, e - 1, n - e)
-    variances = [float(((g - g.mean()) ** 2).sum()) / (len(g) - 1) for g in groups]
-    if min(variances) <= 0.0:
-        p_var = 1.0 if max(variances) <= 0.0 else 0.0
-    else:
-        pooled = within / (n - e)
-        stat = (n - e) * math.log(pooled) - sum(
-            (len(g) - 1) * math.log(v) for g, v in zip(groups, variances)
-        )
-        correction = 1.0 + (
-            sum(1.0 / (len(g) - 1) for g in groups) - 1.0 / (n - e)
-        ) / (3.0 * (e - 1))
-        p_var = chi2_sf(stat / correction, e - 1)
-    return min(1.0, 2.0 * min(p_mean, p_var))
+def residual_invariance_p(residuals: np.ndarray, environments) -> float | np.ndarray:
+    """Bonferroni-combined p-value of mean and variance equality.
+
+    ``residuals`` is one residual vector (a float is returned) or a 2-D
+    array with one per row (an array of p-values is returned, one per row).
+    An environment with fewer than 2 rows raises Insufficient.
+    """
+    if len(environments) < 2:
+        raise NeedEnvironments("invariance testing needs >= 2 environments")
+    for env in environments:
+        if len(env) < 2:
+            raise Insufficient(f"environment {env.label!r} has {len(env)} rows; need >= 2")
+    R = np.asarray(residuals, dtype=float)
+    R2 = R.reshape(-1, R.shape[-1])
+    sizes = np.array([len(env) for env in environments])
+    e, n = len(sizes), int(sizes.sum())
+    grand = R2.mean(axis=1)
+    means = np.empty((len(R2), e))
+    ss = np.empty((len(R2), e))  # within-environment sums of squares
+    for j, env in enumerate(environments):
+        g = R2[:, env.rows]
+        means[:, j] = g.mean(axis=1)
+        ss[:, j] = ((g - means[:, j, None]) ** 2).sum(axis=1)
+    between = (sizes * (means - grand[:, None]) ** 2).sum(axis=1)
+    within = ss.sum(axis=1)
+    # F test of equal means (upper tail of F(e - 1, n - e))
+    p_mean = np.where(between <= 0.0, 1.0, 0.0)
+    ok = within > 0.0
+    f_stat = (between[ok] / (e - 1)) / (within[ok] / (n - e))
+    p_mean[ok] = betainc((n - e) / 2.0, (e - 1) / 2.0, (n - e) / ((n - e) + (e - 1) * f_stat))
+    # Bartlett's test of equal variances (upper tail of chi2(e - 1))
+    variances = ss / (sizes - 1)
+    p_var = np.where(variances.max(axis=1) <= 0.0, 1.0, 0.0)
+    ok = variances.min(axis=1) > 0.0
+    pooled = within[ok] / (n - e)
+    stat = (n - e) * np.log(pooled) - ((sizes - 1) * np.log(variances[ok])).sum(axis=1)
+    correction = 1.0 + ((1.0 / (sizes - 1)).sum() - 1.0 / (n - e)) / (3.0 * (e - 1))
+    p_var[ok] = gammaincc((e - 1) / 2.0, np.maximum(stat / correction, 0.0) / 2.0)
+    p = np.minimum(1.0, 2.0 * np.minimum(p_mean, p_var))
+    return float(p[0]) if R.ndim == 1 else p
 
 
 def seqicp_select(
@@ -79,7 +100,11 @@ def seqicp_select(
     all_rows = np.concatenate([env.rows for env in environments])
     if len(np.unique(all_rows)) != design.n or len(all_rows) != design.n:
         raise ValueError("environments must partition the design rows")
-    names = design.feature_names
+    blocks: dict[str, list[int]] = {}  # feature -> its design columns
+    for i, (name, _) in enumerate(design.columns):
+        if name != design.target_name:
+            blocks.setdefault(name, []).append(i)
+    names = tuple(blocks)
     max_cols = 2 + design.p * max_subset_size  # intercept + target lag + subset
     for env in environments:
         if len(env) <= max_cols + 1:
@@ -87,20 +112,29 @@ def seqicp_select(
                 f"environment {env.label!r} has {len(env)} rows for up to "
                 f"{max_cols} regressors"
             )
+    gram = subset_gram(design.X, design.y)
     accepted: list[frozenset[str]] = []
     appearances = {name: 0 for name in names}
     best_p = {name: 0.0 for name in names}
     for size in range(0, max_subset_size + 1):
-        for subset in combinations(names, size):
-            cols = [0] + design.feature_column_indices(subset)
-            fit = ols_fit(design.X[:, cols], design.y, intercept=True)
-            p = residual_invariance_p(fit.residuals, environments)
-            for name in subset:
-                best_p[name] = max(best_p[name], p)
-            if p > alpha:
-                accepted.append(frozenset(subset))
+        subsets = list(combinations(names, size))
+        if not subsets:
+            break
+        column_sets = [
+            [0] + sorted(chain.from_iterable(blocks[name] for name in subset))
+            for subset in subsets
+        ]
+        # per subset: n residuals and the n x k columns of [1, X_S] they come from
+        for part in chunk_slices(len(subsets), design.n * (len(column_sets[0]) + 2)):
+            residuals = subset_residuals(gram, column_sets[part])
+            p_values = residual_invariance_p(residuals, environments).tolist()
+            for subset, p in zip(subsets[part], p_values):
                 for name in subset:
-                    appearances[name] += 1
+                    best_p[name] = max(best_p[name], p)
+                if p > alpha:
+                    accepted.append(frozenset(subset))
+                    for name in subset:
+                        appearances[name] += 1
     diagnostics = {
         name: (float(appearances[name]), best_p[name]) for name in names
     }

@@ -64,9 +64,14 @@ class SvarSpec:
         if self.target_parents is not None and not 0 <= self.target_parents <= self.d - 1:
             raise ValueError(f"target_parents must be in 0..{self.d - 1} (the features)")
         object.__setattr__(self, "environment_shifts", tuple(self.environment_shifts))
-        for shift in self.environment_shifts:
-            if shift.variable not in variable_names(self.d) or not 0 <= shift.start_row < self.n:
-                raise ValueError(f"{shift}: no such variable, or start_row not in 0..{self.n - 1}")
+        _check_shifts(self.environment_shifts, variable_names(self.d), self.n)
+
+
+def _check_shifts(shifts, names, n: int) -> None:
+    """Each shift must name one of ``names`` and start on one of n rows."""
+    for shift in shifts:
+        if shift.variable not in names or not 0 <= shift.start_row < n:
+            raise ValueError(f"{shift}: no such variable, or start_row not in 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,7 @@ def simulate_svar(
     d = S.shape[0]
     p = len(W)
     names = variable_names(d) if names is None else tuple(names)
+    _check_shifts(environment_shifts, names, n)
     radius = _companion_radius(S, W)
     if radius >= 1.0:
         raise GenerationFailed(f"reduced form is explosive (radius {radius:.3f})")

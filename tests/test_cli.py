@@ -385,6 +385,28 @@ alpha = 0.05
         path.write_text('d = 4\nselectors = ["bogus"]\n')
         assert run_cli("validate", "--config", path) == 2
 
+    def test_selectors_flag_overrides_spec(self, tmp_path):
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 4\nn = 120\nn_seeds = 2\nselectors = ["granger", "sfs"]\n')
+        assert run_cli("validate", "--config", path, "--selectors", "granger") == 0
+        assert [f.name for f in (tmp_path / "out").iterdir()] == ["recovery_granger.csv"]
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--selectors", "zzz"]],
+                             ids=["seed-negative", "selector-unknown"])
+    def test_bad_flag_exit_2_before_output(self, tmp_path, capsys, flags):
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n')
+        assert run_cli("validate", "--config", path, *flags) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_seeds_the_lab(self, tmp_path):
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n')
+        assert run_cli("validate", "--config", path, "--seed", "5") == 0
+        rows = (tmp_path / "out" / "recovery_granger.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["5", "6", "mean"]
+
     def test_unknown_selector_section_exit_2(self, tmp_path):
         path = tmp_path / "lab.toml"
         path.write_text('d = 4\nselectors = ["granger"]\n[selector.bogus]\nalpha = 0.1\n')

@@ -26,6 +26,8 @@ from causalfs.numerics import (
     ols_fit,
     partial_correlation,
     pearson,
+    subset_gram,
+    subset_residuals,
 )
 
 # frozen from an independent quadrature of the F(2, 17) density over [1.7, inf)
@@ -240,6 +242,40 @@ class TestCvMseSets:
         X = rng.normal(size=(10, 6))
         cv = cv_folds(X, rng.normal(size=10), np.array_split(np.arange(10), 2))
         assert cv_mse_sets(cv, [[0, 1, 2, 3], [1, 2, 3, 4]]).tolist() == [math.inf] * 2
+
+
+class TestSubsetResiduals:
+    @pytest.mark.parametrize("collinear", [False, True], ids=["random", "cond1e5"])
+    def test_matches_ols_fit_residuals(self, rng, monkeypatch, collinear):
+        n = 60
+        X = rng.normal(size=(n, 5)) + 1.0
+        if collinear:
+            X[:, 4] = X[:, 3] + 1e-2 * rng.normal(size=n)
+        y = X[:, :2] @ np.array([0.5, -1.0]) + rng.normal(size=n)
+        sets = [[0, a, b] for a in range(1, 5) for b in range(a + 1, 5)]
+        oracle = [ols_fit(X[:, s], y).residuals for s in sets]
+        monkeypatch.setattr(numerics, "ols_fit", _no_ols_fit)  # all on the Gram path
+        got = subset_residuals(subset_gram(X, y), sets)
+        assert got.shape == (len(sets), n)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10 * np.linalg.norm(y))
+
+    def test_exact_duplicate_warns_and_equals_ols_fit(self, rng):
+        n = 40
+        X = rng.normal(size=(n, 3))
+        X[:, 2] = X[:, 1]
+        y = X[:, 0] + rng.normal(size=n)
+        sets = [[0, 1], [1, 2], [0, 2]]
+        with pytest.warns(RankDeficientWarning):
+            got = subset_residuals(subset_gram(X, y), sets)
+        with pytest.warns(RankDeficientWarning):
+            refit = ols_fit(X[:, [1, 2]], y).residuals
+        assert got[1].tolist() == refit.tolist()
+        np.testing.assert_allclose(got[0], ols_fit(X[:, [0, 1]], y).residuals, atol=1e-12)
+
+    def test_underdetermined(self, rng):
+        X = rng.normal(size=(4, 4))
+        with pytest.raises(Underdetermined):
+            subset_residuals(subset_gram(X, rng.normal(size=4)), [[0, 1, 2]])
 
 
 class TestFTest:

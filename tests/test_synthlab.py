@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,15 @@ class TestGeneration:
                         environment_shifts=[EnvShift("Y", 0), EnvShift("X3", 99)])
         assert len(spec.environment_shifts) == 2
         SvarSpec(d=4, n=100, target_parents=3)
+
+    @pytest.mark.parametrize("shift", [
+        EnvShift("X9", start_row=10), EnvShift("X1", start_row=50),
+        EnvShift("X1", start_row=500), EnvShift("X1", start_row=-1),
+    ], ids=["unknown-variable", "start-at-end", "start-past-end", "start-negative"])
+    def test_explicit_graph_rejects_shifts_that_cannot_apply(self, shift):
+        with pytest.raises(ValueError, match=re.escape(str(shift))):
+            simulate_svar(np.zeros((3, 3)), [np.eye(3) * 0.5], n=50, seed=0,
+                          environment_shifts=(shift,))
 
     def test_explosive_explicit_graph_fails(self):
         W = np.eye(3) * 1.5
