@@ -238,16 +238,19 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
     out = spec_path.resolve().parent / flags.get("output_dir", cfg.output_dir)
     base_seed = flags.get("seed", cfg.spec.seed)
     out.mkdir(parents=True, exist_ok=True)
+    labs = []  # (spec, panel, truth) per seed, generated once, as the first selector reaches it
     for sid in flags.get("selectors", cfg.selectors):
         runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
         for k in range(cfg.n_seeds):
-            spec = replace(cfg.spec, seed=base_seed + k)
-            try:
-                panel, truth = synthlab.generate_svar(spec)
-            except GenerationFailed as exc:
-                print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
-                return EXIT_GENERATION
+            if k == len(labs):
+                spec = replace(cfg.spec, seed=base_seed + k)
+                try:
+                    labs.append((spec, *synthlab.generate_svar(spec)))
+                except GenerationFailed as exc:
+                    print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
+                    return EXIT_GENERATION
+            spec, panel, truth = labs[k]
             fs = runner(panel, spec.p, spec.seed, None)
             score = synthlab.score_recovery(fs, truth)
             rows.append((spec.seed, score, len(fs)))

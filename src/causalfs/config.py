@@ -206,14 +206,17 @@ class RunConfig:
 
 
 def load_run_config(path, require_inputs: bool = False) -> RunConfig:
-    """Load a run config whose keys pass ``RUN_CONFIG_KEYS`` and whose
-    ``window`` exceeds ``p + 2``; when ``require_inputs`` is set, every
-    referenced input file must exist."""
+    """Load a run config whose keys pass ``RUN_CONFIG_KEYS``, whose
+    ``window`` exceeds ``p + 2`` and whose ``combine`` names only ids in its
+    own ``selectors``; when ``require_inputs`` is set, every referenced
+    input file must exist."""
     values = check_config(RUN_CONFIG_KEYS, load_config_file(path), "run config")
     base = Path(path).resolve().parent
     cfg = RunConfig(base_dir=base, selector_params=values.pop("selector", {}), **values)
     if cfg.window <= cfg.p + 2:
         raise ConfigError(f"window must exceed p + 2 = {cfg.p + 2}, got {cfg.window}")
+    if missing := [sid for sid in cfg.combine if sid not in cfg.selectors]:
+        raise ConfigError(f"combine names {missing} missing from selectors {cfg.selectors}")
     if require_inputs:
         for key in _INPUT_FILES:
             p = cfg.resolve(key)

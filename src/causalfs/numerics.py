@@ -3,7 +3,8 @@
 Least squares and the F machinery are thin, contract-checked wrappers over
 LAPACK (via numpy/scipy); k-means and FastICA are implemented here because
 the selectors depend on their exact seeding, repair, and convergence
-behaviour being reproducible.
+behaviour being reproducible. scipy is imported inside the functions that
+call it, so a command that never calls them does not load it.
 """
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import betainc
 
 from .errors import (
     BadK,
@@ -307,6 +306,8 @@ def _ols_fold_mse(cv: CvFolds, f: int, columns: np.ndarray) -> float:
 def f_sf(x: float, df1: int, df2: int) -> float:
     """Upper tail of the F(df1, df2) distribution via the regularized
     incomplete beta function."""
+    from scipy.special import betainc
+
     if x <= 0:
         return 1.0
     if math.isinf(x):
@@ -316,6 +317,8 @@ def f_sf(x: float, df1: int, df2: int) -> float:
 
 def t_sf(x: float, df: int) -> float:
     """Upper tail of Student's t with ``df`` degrees of freedom."""
+    from scipy.special import betainc
+
     if math.isinf(x):
         return 0.0 if x > 0 else 1.0
     p_two = betainc(df / 2.0, 0.5, df / (df + x * x))
@@ -428,6 +431,8 @@ def gram_partial_correlation(
     ``partial_correlation``, which raises DegenerateInput and warns
     RankDeficientWarning where they are due.
     """
+    from scipy.special import betainc
+
     G = np.asarray(G, dtype=float)
     k = G.shape[-1]
     dof = n - k
@@ -599,6 +604,8 @@ def acyclicity(S: np.ndarray) -> tuple[float, np.ndarray]:
     h is zero exactly when the support of S admits a topological order;
     the gradient is 2 exp(S*S)^T * S (Hadamard products throughout).
     """
+    from scipy.linalg import expm
+
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")

@@ -155,9 +155,10 @@ class AlignedPanel:
             raise ValueError("feature names must be unique")
         if self.target_name in names:
             raise ValueError("target name collides with a feature name")
-        for a, b in zip(dates, dates[1:]):
-            if b != a.successor():
-                raise NonContiguous(f"gap or disorder between {a} and {b}")
+        months = [12 * d.year + d.month for d in dates]  # consecutive months differ by 1
+        for i, (a, b) in enumerate(zip(months, months[1:])):
+            if b != a + 1:
+                raise NonContiguous(f"gap or disorder between {dates[i]} and {dates[i + 1]}")
         if len(dates) == 0:
             raise NoOverlap("empty panel")
         if np.isnan(target).any() or np.isnan(features).any():

@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.optimize as sopt
 
 from ..errors import NotAcyclic
 from ..numerics import acyclicity
@@ -63,6 +62,8 @@ def dynotears_fit(
     and the diagonal of S is forced to zero. Raises NotAcyclic (carrying the
     best iterate) when the constraint cannot be met before ``rho_max``.
     """
+    import scipy.optimize as sopt  # looked up per call, so a patched minimize is seen
+
     names = (panel.target_name, *panel.feature_names)
     m = len(names)
     T = len(panel)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 import numpy as np
-from scipy.special import betainc, gammaincc
 
 from ..errors import Insufficient, NeedEnvironments
 from ..numerics import chunk_slices, subset_gram, subset_residuals
@@ -36,20 +35,31 @@ def halves_environments(n: int) -> list[Environment]:
     ]
 
 
+def _check_partition(environments, n: int) -> None:
+    """ValueError unless the environments' rows are a permutation of range(n)."""
+    rows = np.concatenate([env.rows for env in environments])
+    if not np.array_equal(np.sort(rows), np.arange(n)):
+        raise ValueError(f"environments must partition the {n} rows 0..{n - 1}")
+
+
 def residual_invariance_p(residuals: np.ndarray, environments) -> float | np.ndarray:
     """Bonferroni-combined p-value of mean and variance equality.
 
     ``residuals`` is one residual vector (a float is returned) or a 2-D
     array with one per row (an array of p-values is returned, one per row).
-    An environment with fewer than 2 rows raises Insufficient.
+    The environments must partition the residual columns (ValueError
+    otherwise); an environment with fewer than 2 rows raises Insufficient.
     """
+    from scipy.special import betainc, gammaincc
+
     if len(environments) < 2:
         raise NeedEnvironments("invariance testing needs >= 2 environments")
+    R = np.asarray(residuals, dtype=float)
+    R2 = R.reshape(-1, R.shape[-1])
+    _check_partition(environments, R2.shape[1])
     for env in environments:
         if len(env) < 2:
             raise Insufficient(f"environment {env.label!r} has {len(env)} rows; need >= 2")
-    R = np.asarray(residuals, dtype=float)
-    R2 = R.reshape(-1, R.shape[-1])
     sizes = np.array([len(env) for env in environments])
     e, n = len(sizes), int(sizes.sum())
     grand = R2.mean(axis=1)
@@ -97,9 +107,7 @@ def seqicp_select(
         environments = halves_environments(design.n)
     if len(environments) < 2:
         raise NeedEnvironments("invariance testing needs >= 2 environments")
-    all_rows = np.concatenate([env.rows for env in environments])
-    if len(np.unique(all_rows)) != design.n or len(all_rows) != design.n:
-        raise ValueError("environments must partition the design rows")
+    _check_partition(environments, design.n)
     blocks: dict[str, list[int]] = {}  # feature -> its design columns
     for i, (name, _) in enumerate(design.columns):
         if name != design.target_name:

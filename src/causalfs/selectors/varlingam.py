@@ -14,7 +14,6 @@ from functools import cached_property
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..errors import DegenerateInput, TooManyCovariates
 from ..numerics import fastica, kmeans, ols_fit, pearson
@@ -73,6 +72,8 @@ def cluster_prefilter(
 
 def _permute_unit_diagonal(W: np.ndarray) -> np.ndarray:
     """Row-permute W to maximize the diagonal, then scale rows to unit diag."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = 1.0 / np.maximum(np.abs(W), 1e-12)
     rows, cols = linear_sum_assignment(cost)
     permuted = np.empty_like(W)

@@ -289,9 +289,8 @@ def export_fredmd(
     """
     lines = ["sasdate," + ",".join(panel.feature_names)]
     lines.append("Transform:," + ",".join("1" for _ in panel.feature_names))
-    for i, d in enumerate(panel.dates):
-        cells = ",".join(repr(float(v)) for v in panel.features[i])
-        lines.append(f"{d.month}/1/{d.year},{cells}")
+    for d, row in zip(panel.dates, panel.features.tolist()):
+        lines.append(f"{d.month}/1/{d.year}," + ",".join(map(repr, row)))
     fredmd_csv = "\n".join(lines) + "\n"
     groups = panel.feature_groups or (1,) * panel.n_features
     groups_csv = "series,group\n" + "\n".join(

@@ -282,13 +282,15 @@ class TestBacktest:
         ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_cond_dim = -1"),
         ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_parents_stage1 = 0"),
         ("max_features = 2", "max_features = 2\n[selector.dynotears]\nh_tol = 0.0"),
+        ('combine = ["granger", "sfs"]', 'combine = ["granger", "pcmci"]'),
     ], ids=["p-zero", "window-le-p-plus-2", "reselect-zero", "p-not-integer",
             "seed-string", "seed-negative", "seed-bool", "window-float", "metric-window-zero",
             "shift-months-negative", "combine-weight-string", "combine-one-id",
             "target-name-int", "unknown-key", "use-instantaneous-string", "folds-float",
             "k-clusters-zero", "granger-alpha-above-one", "granger-alpha-bool",
             "seqicp-alpha-zero", "seqicp-max-subset-negative", "pcmci-alpha-one",
-            "pcmci-max-cond-dim-negative", "pcmci-max-parents-zero", "dynotears-h-tol-zero"])
+            "pcmci-max-cond-dim-negative", "pcmci-max-parents-zero", "dynotears-h-tol-zero",
+            "combine-unlisted-selector"])
     def test_infeasible_run_config_exit_2_before_any_ledger(self, workspace, capsys, old, new):
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
         config = workspace / "run.toml"
@@ -342,6 +344,24 @@ class TestReport:
             report.regime(Regime.NORMAL).mae, abs=1e-9
         )
 
+    def test_combine_outside_selectors_flag_exit_3(self, workspace, capsys):
+        # the config's own selectors cover combine; a --selectors override
+        # that drops one of them loads, and report finds no ledger for it
+        self.run_pipeline(workspace)
+        capsys.readouterr()
+        config = workspace / "run.toml"
+        assert run_cli("report", "--config", config, "--selectors", "granger") == 3
+        assert "combine refers to selectors without ledgers" in capsys.readouterr().err
+
+    def test_combine_outside_selectors_rejected_at_load(self, workspace):
+        config = workspace / "run.toml"
+        config.write_text(config.read_text().replace(
+            'selectors = ["granger", "sfs"]', 'selectors = ["granger"]'))
+        with pytest.raises(ConfigError, match=r"combine names \['sfs'\]"):
+            load_run_config(config)
+        assert run_cli("ingest", "--config", config) == 2
+        assert not (workspace / "out").exists()
+
     def test_crisis_free_calendar_flags_absent(self, workspace):
         (workspace / "crisis.txt").write_text("# no crises\n")
         self.run_pipeline(workspace)
@@ -379,6 +399,34 @@ alpha = 0.05
         assert len(lines) == 7  # header + 5 seeds + mean
         mean_f1 = float(lines[-1].split(",")[3])
         assert mean_f1 >= 0.8
+
+    def test_each_seed_generated_once_for_all_selectors(self, tmp_path, monkeypatch, capsys):
+        from causalfs import synthlab
+
+        spec = 'd = 5\nn = 120\nn_seeds = 4\nseed = 3\nnoise = "laplace"\n'
+        sids = ["granger", "sfs", "pcmci"]
+        path = tmp_path / "lab.toml"
+        path.write_text(spec + f"selectors = {json.dumps(sids)}\n")
+        seeds = []
+        generate = synthlab.generate_svar
+
+        def spy(lab):
+            seeds.append(lab.seed)
+            return generate(lab)
+
+        monkeypatch.setattr(synthlab, "generate_svar", spy)
+        capsys.readouterr()
+        assert run_cli("validate", "--config", path, "--out", "all") == 0
+        assert seeds == [3, 4, 5, 6]
+        combined = capsys.readouterr().out
+        stdout = []
+        for sid in sids:
+            assert run_cli("validate", "--config", path, "--out", sid, "--selectors", sid) == 0
+            name = f"recovery_{sid}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / sid / name).read_bytes()
+            stdout.append(capsys.readouterr().out)
+        assert len(seeds) == 4 + 3 * 4
+        assert combined == "".join(stdout)
 
     def test_unknown_selector_exit_2(self, tmp_path):
         path = tmp_path / "lab.toml"

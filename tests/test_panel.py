@@ -222,3 +222,22 @@ class TestAlignedPanelInvariants:
         panel = make_panel(np.arange(6.0), np.arange(6.0))
         with pytest.raises(ValueError, match="head"):
             panel.head(n)
+
+    def test_december_to_january_is_contiguous(self):
+        dates = month_range("2019-11", 4)
+        assert [str(d) for d in dates] == ["2019-11", "2019-12", "2020-01", "2020-02"]
+        assert make_panel(np.arange(4.0), np.arange(4.0), start="2019-11").dates == dates
+
+    @pytest.mark.parametrize("dates, message", [
+        ([(2019, 11), (2019, 12), (2020, 2)], "gap or disorder between 2019-12 and 2020-02"),
+        ([(2019, 12), (2021, 1)], "gap or disorder between 2019-12 and 2021-01"),
+        ([(2020, 1), (2019, 12)], "gap or disorder between 2020-01 and 2019-12"),
+        ([(2020, 3), (2020, 4), (2020, 3)], "gap or disorder between 2020-04 and 2020-03"),
+        ([(2020, 3), (2020, 3)], "gap or disorder between 2020-03 and 2020-03"),
+    ], ids=["gap-across-year", "year-skipped", "disorder-across-year", "disorder", "repeat"])
+    def test_gap_or_disorder_rejected(self, dates, message):
+        n = len(dates)
+        with pytest.raises(NonContiguous) as exc:
+            AlignedPanel(tuple(MonthStamp(*d) for d in dates), np.zeros(n), np.zeros((n, 1)),
+                         ("X1",))
+        assert str(exc.value) == message

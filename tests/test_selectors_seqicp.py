@@ -105,6 +105,16 @@ def test_environments_must_partition():
         seqicp_select(design, bad)
 
 
+def test_environment_rows_out_of_range_rejected():
+    # rows 1..n: n distinct rows, but row n does not exist
+    panel, _ = chain_fixture(2)
+    design = build_design(panel, 1)
+    n = design.n
+    bad = [Environment("a", np.arange(1, n // 2)), Environment("b", np.arange(n // 2, n + 1))]
+    with pytest.raises(ValueError, match="partition"):
+        seqicp_select(design, bad)
+
+
 def thirds_environments(n):
     # three calendar-like regimes: a middle block between two outer ones
     idx = np.arange(n)
@@ -167,6 +177,19 @@ class TestResidualInvariance:
                                           stats.bartlett(*groups).pvalue))
                 np.testing.assert_allclose(single, oracle, rtol=1e-9)
         assert batched[3] == 1.0
+
+    @pytest.mark.parametrize("rows", [
+        (np.arange(0, 15), np.arange(15, 30)),  # rows 30-39 in no environment
+        (np.arange(0, 20), np.arange(15, 40)),  # rows 15-19 in both
+        (np.arange(1, 20), np.arange(20, 41)),  # row 40 out of range, row 0 missing
+    ], ids=["uncovered", "overlap", "out-of-range"])
+    def test_environments_must_partition_the_residuals(self, rows):
+        r = np.random.default_rng(1).normal(size=40)
+        r[30:] += 5.0
+        envs = [Environment("a", rows[0]), Environment("b", rows[1])]
+        for residuals in (r, np.vstack([r, r])):
+            with pytest.raises(ValueError, match="partition"):
+                residual_invariance_p(residuals, envs)
 
     @pytest.mark.parametrize("sizes", [(9, 1), (10, 0)], ids=["one-row", "empty"])
     def test_environment_below_two_rows_is_insufficient(self, sizes):

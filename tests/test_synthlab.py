@@ -6,7 +6,7 @@ import pytest
 from causalfs.errors import GenerationFailed
 from causalfs.ingest import load_prices, parse_fredmd, prices_to_returns, transform_panel
 from causalfs.numerics import acyclicity
-from causalfs.panel import align_and_shift
+from causalfs.panel import AlignedPanel, align_and_shift
 from causalfs.selectors.base import DynamicGraph, FeatureSet
 from causalfs.synthlab import (
     EnvShift,
@@ -200,3 +200,16 @@ class TestExportRoundTrip:
         assert back.dates == panel.dates
         np.testing.assert_allclose(back.features, panel.features, rtol=1e-9)
         np.testing.assert_allclose(back.target, panel.target, rtol=1e-7, atol=1e-9)
+
+    def test_export_writes_each_value_as_its_repr(self):
+        # every cell is repr(float(v)), the shortest text that reads back as v
+        panel, _ = generate_svar(SvarSpec(d=6, p=1, n=30, noise="laplace", seed=8))
+        features = np.array(panel.features)
+        features[0, :3] = [-0.0, 1e-300, 123456789.0]
+        panel = AlignedPanel(panel.dates, panel.target, features, panel.feature_names,
+                             target_name="Y", returns_x100=False)
+        rows = export_fredmd(panel)[0].splitlines()[2:]
+        assert len(rows) == len(panel)
+        for d, row, text in zip(panel.dates, panel.features, rows):
+            assert text == f"{d.month}/1/{d.year}," + ",".join(repr(float(v)) for v in row)
+        assert rows[0].split(",")[1:4] == ["-0.0", "1e-300", "123456789.0"]
