@@ -8,17 +8,15 @@ strictly before the predicted month.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BacktestAborted, CausalfsError, InsufficientHistory
-from .ingest import Regime, RegimeCalendar
+from .errors import BacktestAborted, CausalfsError, InsufficientHistory, MalformedCsv
+from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
 from .numerics import OlsFit, ols_fit
 from .panel import AlignedPanel, MonthStamp
 from .selectors import make_selector
@@ -181,36 +179,32 @@ def run_backtest(
 
 # --- serialization ---
 
+_LEDGER_HEADER = ["date", "y_true", "y_pred", "regime", "selected"]
+
+
 def ledger_to_csv(ledger: BacktestLedger) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "y_true", "y_pred", "regime", "selected"])
-    for r in ledger.records:
-        writer.writerow(
-            [str(r.date), repr(r.y_true), repr(r.y_pred), str(r.regime),
-             ";".join(r.selected)]
-        )
-    return buf.getvalue()
+    return to_csv(
+        _LEDGER_HEADER,
+        ([r.date, r.y_true, r.y_pred, r.regime, ";".join(r.selected)] for r in ledger.records),
+    )
+
+
+def _ledger_record(row: list[str]) -> LedgerRecord:
+    date, y_true, y_pred, regime, selected = row
+    return LedgerRecord(
+        date=MonthStamp.parse(date),
+        y_true=float(y_true),
+        y_pred=float(y_pred),
+        selected=tuple(s for s in selected.split(";") if s),
+        regime=Regime(regime),
+    )
 
 
 def ledger_from_csv(text: str, config: dict | None = None) -> BacktestLedger:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
-    if not rows or rows[0] != ["date", "y_true", "y_pred", "regime", "selected"]:
-        raise ValueError("not a ledger CSV")
-    records = []
-    for row in rows[1:]:
-        date, y_true, y_pred, regime, selected = row
-        records.append(
-            LedgerRecord(
-                date=MonthStamp.parse(date),
-                y_true=float(y_true),
-                y_pred=float(y_pred),
-                selected=tuple(s for s in selected.split(";") if s),
-                regime=Regime(regime),
-            )
-        )
-    return BacktestLedger(tuple(records), config or {})
+    rows = csv_rows(text)
+    if not rows or rows[0] != _LEDGER_HEADER:
+        raise MalformedCsv("not a ledger CSV")
+    return BacktestLedger(tuple(parse_rows(rows[1:], _ledger_record)), config or {})
 
 
 def config_hash(config: dict) -> str:

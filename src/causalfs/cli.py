@@ -7,8 +7,6 @@ directory; input files are never modified.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import sys
@@ -41,6 +39,7 @@ from .ingest import (
     parse_fredmd,
     prices_to_returns,
     read_panel,
+    to_csv,
     transform_panel,
     write_panel,
 )
@@ -130,8 +129,18 @@ def cmd_backtest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(round(float(value), 10))
+def _fmt(value) -> float | None:
+    """A report table cell: rounded to 10 digits, blank when missing."""
+    return None if value is None else round(float(value), 10)
+
+
+def _by_regime(values: dict, *fields) -> list:
+    """Cells of ``fields`` read from ``values[regime]``, field-major and
+    normal then crisis; blank where a regime or a value is missing."""
+    return [
+        _fmt(getattr(values.get(regime), name, None))
+        for name in fields for regime in (Regime.NORMAL, Regime.CRISIS)
+    ]
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -145,60 +154,25 @@ def cmd_report(cfg: RunConfig) -> int:
             return EXIT_MISSING
         ledgers[sid] = ledger_from_csv(path.read_text())
 
-    table1 = io.StringIO()
-    w1 = csv.writer(table1, lineterminator="\n")
-    w1.writerow(
-        ["model", "mae_normal", "mae_crisis", "rmse_normal", "rmse_crisis",
-         "mae_increase_pct"]
-    )
-    table2 = io.StringIO()
-    w2 = csv.writer(table2, lineterminator="\n")
-    w2.writerow(
-        ["model", "er_normal", "er_crisis", "sharpe_normal", "sharpe_crisis",
-         "sortino_normal", "sortino_crisis"]
-    )
-
-    def error_row(name, report):
-        normal = report.regime(Regime.NORMAL)
-        crisis = report.regime(Regime.CRISIS)
-        w1.writerow([
-            name,
-            _fmt(normal.mae if normal else None),
-            _fmt(crisis.mae if crisis else None),
-            _fmt(normal.rmse if normal else None),
-            _fmt(crisis.rmse if crisis else None),
-            _fmt(report.mae_increase_pct),
-        ])
-
-    def portfolio_row(name, stats):
-        normal = stats.get(Regime.NORMAL)
-        crisis = stats.get(Regime.CRISIS)
-        w2.writerow([
-            name,
-            _fmt(normal.expected_return if normal else None),
-            _fmt(crisis.expected_return if crisis else None),
-            _fmt(normal.sharpe if normal else None),
-            _fmt(crisis.sharpe if crisis else None),
-            _fmt(normal.sortino if normal else None),
-            _fmt(crisis.sortino if crisis else None),
-        ])
-
+    table1 = []
+    table2 = []
     strategies = {}
     metrics_json = {}
     for sid, ledger in ledgers.items():
         report = evaluation.regime_metrics(ledger, calendar)
-        error_row(sid, report)
+        table1.append(
+            [sid, *_by_regime(report.per_regime, "mae", "rmse"), _fmt(report.mae_increase_pct)]
+        )
         series = evaluation.strategy_returns(ledger)
         strategies[sid] = series
-        portfolio_row(sid, evaluation.portfolio_metrics(series, calendar))
-        dates, values = evaluation.rolling_rmse(ledger, cfg.metric_window)
-        (out / f"rolling_rmse_{sid}.csv").write_text(
-            evaluation.series_to_csv(dates, values)
-        )
-        dates, values = evaluation.rolling_mae(ledger, cfg.metric_window)
-        (out / f"rolling_mae_{sid}.csv").write_text(
-            evaluation.series_to_csv(dates, values)
-        )
+        table2.append([
+            sid, *_by_regime(evaluation.portfolio_metrics(series, calendar),
+                             "expected_return", "sharpe", "sortino"),
+        ])
+        for name, rolling in (("rmse", evaluation.rolling_rmse), ("mae", evaluation.rolling_mae)):
+            (out / f"rolling_{name}_{sid}.csv").write_text(
+                evaluation.series_to_csv(*rolling(ledger, cfg.metric_window))
+            )
         (out / f"stability_{sid}.csv").write_text(evaluation.stability_to_csv(ledger))
         metrics_json[sid] = {
             "errors": {
@@ -214,7 +188,11 @@ def cmd_report(cfg: RunConfig) -> int:
             combined = evaluation.combine_portfolios(
                 strategies[a], strategies[b], cfg.combine_weight
             )
-            portfolio_row(f"combined({a},{b})", evaluation.portfolio_metrics(combined, calendar))
+            table2.append([
+                f"combined({a},{b})",
+                *_by_regime(evaluation.portfolio_metrics(combined, calendar),
+                            "expected_return", "sharpe", "sortino"),
+            ])
             (out / "combined_portfolio.csv").write_text(
                 evaluation.series_to_csv(combined.dates, combined.returns)
             )
@@ -222,8 +200,12 @@ def cmd_report(cfg: RunConfig) -> int:
             print("combine refers to selectors without ledgers", file=sys.stderr)
             return EXIT_MISSING
 
-    (out / "table1.csv").write_text(table1.getvalue())
-    (out / "table2.csv").write_text(table2.getvalue())
+    (out / "table1.csv").write_text(to_csv(
+        ["model", "mae_normal", "mae_crisis", "rmse_normal", "rmse_crisis",
+         "mae_increase_pct"], table1))
+    (out / "table2.csv").write_text(to_csv(
+        ["model", "er_normal", "er_crisis", "sharpe_normal", "sharpe_crisis",
+         "sortino_normal", "sortino_crisis"], table2))
     (out / "metrics.json").write_text(
         json.dumps(metrics_json, indent=2, sort_keys=True) + "\n"
     )
@@ -253,24 +235,14 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
             spec, panel, truth = labs[k]
             fs = runner(panel, spec.p, spec.seed, None)
             score = synthlab.score_recovery(fs, truth)
-            rows.append((spec.seed, score, len(fs)))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["seed", "precision", "recall", "f1", "n_selected"])
-        for seed, score, n_sel in rows:
-            writer.writerow(
-                [seed, repr(score.precision), repr(score.recall), repr(score.f1), n_sel]
-            )
-        mean_f1 = sum(s.f1 for _, s, _ in rows) / len(rows)
-        mean_rate = sum(n for _, _, n in rows) / (len(rows) * (spec.d - 1))
-        writer.writerow(
-            ["mean",
-             repr(sum(s.precision for _, s, _ in rows) / len(rows)),
-             repr(sum(s.recall for _, s, _ in rows) / len(rows)),
-             repr(mean_f1),
-             repr(mean_rate)]
+            rows.append((spec.seed, score.precision, score.recall, score.f1, len(fs)))
+        _, precision, recall, f1, n_selected = zip(*rows)
+        mean_f1 = sum(f1) / len(rows)
+        mean_rate = sum(n_selected) / (len(rows) * (spec.d - 1))
+        mean = ("mean", sum(precision) / len(rows), sum(recall) / len(rows), mean_f1, mean_rate)
+        (out / f"recovery_{sid}.csv").write_text(
+            to_csv(["seed", "precision", "recall", "f1", "n_selected"], [*rows, mean])
         )
-        (out / f"recovery_{sid}.csv").write_text(buf.getvalue())
         print(f"{sid}: mean F1 {mean_f1:.3f}, selection rate {mean_rate:.3f}")
     return EXIT_OK
 

@@ -7,8 +7,6 @@ maps to a flat position.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -16,7 +14,7 @@ import numpy as np
 
 from .backtest import BacktestLedger
 from .errors import Insufficient, Misaligned, WindowTooLong
-from .ingest import Regime, RegimeCalendar
+from .ingest import Regime, RegimeCalendar, to_csv
 from .panel import MonthStamp
 
 ANNUALIZATION = math.sqrt(12.0)
@@ -215,18 +213,11 @@ def selection_stability(ledger: BacktestLedger) -> tuple[tuple[str, ...], np.nda
 
 def stability_to_csv(ledger: BacktestLedger) -> str:
     names, matrix = selection_stability(ledger)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", *names])
-    for r, row in zip(ledger.records, matrix):
-        writer.writerow([str(r.date), *row.tolist()])
-    return buf.getvalue()
+    return to_csv(
+        ["date", *names],
+        ([r.date, *row] for r, row in zip(ledger.records, matrix.tolist())),
+    )
 
 
 def series_to_csv(dates, values) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "value"])
-    for d, v in zip(dates, values):
-        writer.writerow([str(d), repr(float(v))])
-    return buf.getvalue()
+    return to_csv(["date", "value"], zip(dates, np.asarray(values, dtype=float).tolist()))

@@ -7,6 +7,12 @@ Formats handled here:
   * group sidecar CSV -- ``series,group`` with group in 1..8;
   * crisis calendar  -- one ``YYYY-MM..YYYY-MM`` range per line, ``#`` comments;
   * aligned-panel CSV -- the output schema of the ingest command.
+
+Every CSV the commands read or write goes through ``csv_rows``, ``parse_rows``
+and ``to_csv`` here: the inputs above, the aligned panel, the backtest ledger
+(``backtest.ledger_to_csv``/``ledger_from_csv``), the report's ``table1.csv``,
+``table2.csv``, rolling, stability and combined-portfolio series, and
+``validate``'s ``recovery_<id>.csv``.
 """
 from __future__ import annotations
 
@@ -23,7 +29,6 @@ from .errors import (
     BadRange,
     BadTransformCode,
     DomainError,
-    DuplicateDate,
     MalformedCsv,
     OverlappingRanges,
     UnknownSeries,
@@ -77,6 +82,38 @@ class RegimeCalendar:
         return Regime.NORMAL
 
 
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows of a CSV text, skipping blank and whitespace-only lines."""
+    try:
+        return [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise MalformedCsv(str(exc)) from None
+
+
+def parse_rows(rows: list[list[str]], convert) -> list:
+    """``convert`` applied to each row; a ``ValueError`` it raises (a bad
+    number, date or label, or a wrong field count) becomes ``MalformedCsv``
+    naming the row by its first cell."""
+    out = []
+    for row in rows:
+        try:
+            out.append(convert(row))
+        except ValueError as exc:
+            raise MalformedCsv(f"row {row[0].strip()!r}: {exc}") from None
+    return out
+
+
+def to_csv(header, rows) -> str:
+    """CSV text with ``\n`` line ends. Cells are written with ``str``, except
+    Python floats, which are written as their repr and so read back exactly,
+    and ``None``, which is written as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _parse_us_date(text: str) -> MonthStamp:
     parts = text.strip().split("/")
     if len(parts) != 3:
@@ -92,23 +129,17 @@ def _cell_to_float(cell: str) -> float:
 
 def parse_groups(csv_text: str) -> dict[str, int]:
     """Parse the ``series,group`` sidecar."""
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
+    rows = csv_rows(csv_text)
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["series", "group"]:
         raise MalformedCsv("group sidecar must start with header 'series,group'")
-    groups = {}
-    for row in rows[1:]:
-        if len(row) < 2:
-            raise MalformedCsv(f"short row in group sidecar: {row!r}")
-        name, tag = row[0].strip(), row[1].strip()
-        try:
-            tag_i = int(tag)
-        except ValueError:
-            raise MalformedCsv(f"non-integer group {tag!r} for series {name}")
-        if not 1 <= tag_i <= 8:
-            raise MalformedCsv(f"group {tag_i} for {name} outside 1..8")
-        groups[name] = tag_i
-    return groups
+
+    def group_row(row):
+        name, tag = (c.strip() for c in row[:2])
+        if not 1 <= int(tag) <= 8:
+            raise MalformedCsv(f"group {tag} for {name} outside 1..8")
+        return name, int(tag)
+
+    return dict(parse_rows(rows[1:], group_row))
 
 
 def parse_fredmd(
@@ -123,8 +154,7 @@ def parse_fredmd(
     the exclusion.
     """
     sidecar = parse_groups(groups_csv)
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
+    rows = csv_rows(csv_text)
     if len(rows) < 3:
         raise MalformedCsv("need a header, a transform row, and data")
     header = rows[0]
@@ -143,13 +173,13 @@ def parse_fredmd(
         except ValueError:
             raise BadTransformCode(f"unreadable transform code {cell!r} for {name}")
         tcodes[name] = validate_tcode(code)
-    dates = []
-    data = []
-    for row in rows[2:]:
+
+    def data_row(row):
         if len(row) != len(header):
             raise MalformedCsv(f"ragged row of width {len(row)}: {row[:3]}...")
-        dates.append(_parse_us_date(row[0]))
-        data.append([_cell_to_float(c) for c in row[1:]])
+        return _parse_us_date(row[0]), [_cell_to_float(c) for c in row[1:]]
+
+    dates, data = zip(*parse_rows(rows[2:], data_row))
     groups = {}
     for name in names:
         if name not in sidecar:
@@ -159,7 +189,7 @@ def parse_fredmd(
     kept_names = tuple(names[i] for i in keep)
     values = np.array(data, dtype=float)[:, keep]
     panel = MonthlyPanel(
-        dates=tuple(dates),
+        dates=dates,
         values=values,
         names=kept_names,
         groups=tuple(groups[n] for n in kept_names),
@@ -213,25 +243,19 @@ def transform_panel(panel: MonthlyPanel, tcodes: dict[str, int]) -> MonthlyPanel
 
 def load_prices(csv_text: str) -> MonthlySeries:
     """Parse the ``date,close`` price CSV; one row per month expected."""
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
+    rows = csv_rows(csv_text)
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["date", "close"]:
         raise MalformedCsv("price CSV must start with header 'date,close'")
-    months = []
-    values = []
-    for row in rows[1:]:
-        if len(row) < 2:
-            raise MalformedCsv(f"short price row: {row!r}")
-        date = row[0].strip()
+
+    def price_row(row):
+        date, close = (c.strip() for c in row[:2])
         parts = date.split("-")
         if len(parts) != 3:
             raise MalformedCsv(f"expected ISO YYYY-MM-DD date, got {date!r}")
-        stamp = MonthStamp(int(parts[0]), int(parts[1]))
-        if stamp in months:
-            raise DuplicateDate(f"two price rows for month {stamp}")
-        months.append(stamp)
-        values.append(float(row[1]))
-    return MonthlySeries(tuple(months), np.array(values))
+        return MonthStamp(int(parts[0]), int(parts[1])), float(close)
+
+    parsed = parse_rows(rows[1:], price_row)
+    return MonthlySeries(tuple(m for m, _ in parsed), np.array([v for _, v in parsed]))
 
 
 def prices_to_returns(prices: MonthlySeries) -> MonthlySeries:
@@ -264,15 +288,11 @@ def load_calendar(text: str) -> RegimeCalendar:
 # --- aligned-panel round trip (output schema of the ingest command) ---
 
 def panel_to_csv(panel: AlignedPanel) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["month", panel.target_name, *panel.feature_names])
-    for i, d in enumerate(panel.dates):
-        writer.writerow(
-            [str(d), repr(float(panel.target[i])),
-             *[repr(float(v)) for v in panel.features[i]]]
-        )
-    return buf.getvalue()
+    cells = np.column_stack([panel.target, panel.features]).tolist()
+    return to_csv(
+        ["month", panel.target_name, *panel.feature_names],
+        ([d, *row] for d, row in zip(panel.dates, cells)),
+    )
 
 
 def panel_meta(panel: AlignedPanel) -> dict:
@@ -284,27 +304,24 @@ def panel_meta(panel: AlignedPanel) -> dict:
 
 
 def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
-    if not rows or rows[0][0].strip() != "month":
-        raise MalformedCsv("panel CSV must start with a 'month' column")
+    rows = csv_rows(csv_text)
+    if len(rows) < 2 or len(rows[0]) < 2 or rows[0][0].strip() != "month":
+        raise MalformedCsv("panel CSV needs a 'month,<target>,...' header and a data row")
     header = rows[0]
     target_name = header[1]
     names = tuple(header[2:])
-    dates = []
-    target = []
-    feats = []
-    for row in rows[1:]:
+
+    def panel_row(row):
         if len(row) != len(header):
             raise MalformedCsv(f"ragged panel row: {row[:3]}...")
-        dates.append(MonthStamp.parse(row[0]))
-        target.append(float(row[1]))
-        feats.append([float(c) for c in row[2:]])
+        return MonthStamp.parse(row[0]), float(row[1]), [float(c) for c in row[2:]]
+
+    parsed = parse_rows(rows[1:], panel_row)
     meta = meta or {}
     return AlignedPanel(
-        dates=tuple(dates),
-        target=np.array(target),
-        features=np.array(feats),
+        dates=tuple(d for d, _, _ in parsed),
+        target=np.array([y for _, y, _ in parsed]),
+        features=np.array([x for _, _, x in parsed]),
         feature_names=names,
         feature_groups=tuple(meta.get("feature_groups", ())),
         target_name=meta.get("target_name", target_name),

@@ -1,12 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from causalfs.panel import AlignedPanel, MonthStamp
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, so a
 # CI failure reproduces locally with the same flag
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+# Floats a CSV round trip must carry bit for bit: signed zero, subnormals and
+# the extremes first, then any float but NaN, which has no single repr.
+csv_floats = st.one_of(
+    st.sampled_from(
+        [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+         math.inf, -math.inf]
+    ),
+    st.floats(allow_nan=False),
+)
+# Series names with the characters a CSV writer must quote or keep: comma,
+# quote, newline, tab, spaces, non-ASCII. No ';', the ledger's selection
+# separator, and no bare carriage return, which csv.writer leaves unquoted
+# under a "\n" line end (names read from files never hold one: text mode
+# turns it into "\n").
+csv_names = st.text(st.sampled_from(list('Xy7 ,"\'\n\t.-_&\u00e9\u20ac')), min_size=1, max_size=8)
 
 
 def month_range(start: str, n: int) -> tuple[MonthStamp, ...]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalfs.backtest import (
     BacktestConfig,
@@ -17,7 +19,7 @@ from causalfs.backtest import (
 from causalfs.errors import BadName, InsufficientHistory, ShapeError
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
-from causalfs.panel import build_design
+from causalfs.panel import MonthStamp, build_design
 from causalfs.selectors import (
     SELECTOR_IDS,
     Environment,
@@ -33,7 +35,7 @@ from causalfs.selectors import (
 )
 from causalfs.synthlab import SvarSpec, generate_svar
 
-from conftest import make_panel
+from conftest import csv_floats, csv_names, make_panel
 
 EMPTY_CAL = RegimeCalendar(())
 
@@ -284,6 +286,30 @@ class TestSerialization:
         ledger = self._ledger()
         back = ledger_from_csv(ledger_to_csv(ledger), ledger.config)
         assert back.records == ledger.records
+
+    @given(
+        st.integers(1900 * 12, 2100 * 12),
+        st.lists(
+            st.tuples(csv_floats, csv_floats, st.sampled_from(Regime),
+                      st.lists(csv_names, max_size=4).map(tuple)),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_csv_round_trip_is_exact(self, start, rows):
+        first = MonthStamp(start // 12, start % 12 + 1)
+        records = tuple(
+            LedgerRecord(first.plus(i), y_true, y_pred, selected, regime)
+            for i, (y_true, y_pred, regime, selected) in enumerate(rows)
+        )
+        back = ledger_from_csv(ledger_to_csv(BacktestLedger(records, {})))
+        assert [(r.date, r.regime, r.selected) for r in back.records] == [
+            (r.date, r.regime, r.selected) for r in records
+        ]
+        np.testing.assert_array_equal(
+            np.array([[r.y_true, r.y_pred] for r in back.records]).view(np.int64),
+            np.array([[r.y_true, r.y_pred] for r in records]).view(np.int64),
+        )
 
     def test_manifest_hash_stable(self):
         ledger = self._ledger()

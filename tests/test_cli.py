@@ -60,6 +60,105 @@ max_features = 2
     return tmp_path
 
 
+# Hand-written ledgers with dyadic values and a two-regime calendar: report's
+# outputs depend on no fitted model, so these bytes hold on any BLAS. sfs has
+# no crisis loss, so its crisis Sortino (and the combined book's) is blank.
+GOLDEN_LEDGERS = {
+    "granger": """date,y_true,y_pred,regime,selected
+2020-01,1.5,0.5,normal,X1
+2020-02,-0.75,0.25,normal,X1;X2
+2020-03,-2.0,-1.0,crisis,X2
+2020-04,3.25,-0.5,crisis,
+2020-05,0.5,0.125,normal,X1
+2020-06,-1.0,-0.25,normal,X1
+""",
+    "sfs": """date,y_true,y_pred,regime,selected
+2020-01,1.5,1.0,normal,X3
+2020-02,-0.75,-0.5,normal,X3
+2020-03,-2.0,-0.75,crisis,X1;X3
+2020-04,3.25,2.5,crisis,X1
+2020-05,0.5,-0.25,normal,
+2020-06,-1.0,0.0,normal,X3
+""",
+}
+
+GOLDEN_SELECTOR_FILES = {
+    "rolling_rmse_granger.csv": "date,value\n2020-03,1.0\n2020-04,2.3139072294858036\n"
+    "2020-05,2.2511571098733496\n2020-06,2.218529918662356\n",
+    "rolling_mae_granger.csv": "date,value\n2020-03,1.0\n2020-04,1.9166666666666667\n"
+    "2020-05,1.7083333333333333\n2020-06,1.625\n",
+    "stability_granger.csv": "date,X1,X2\n2020-01,1,0\n2020-02,1,1\n2020-03,0,1\n"
+    "2020-04,0,0\n2020-05,1,0\n2020-06,1,0\n",
+    "rolling_rmse_sfs.csv": "date,value\n2020-03,0.7905694150420949\n2020-04,0.8539125638299665\n"
+    "2020-05,0.9464847243000456\n2020-06,0.8416254115301732\n",
+    "rolling_mae_sfs.csv": "date,value\n2020-03,0.6666666666666666\n2020-04,0.75\n"
+    "2020-05,0.9166666666666666\n2020-06,0.8333333333333334\n",
+    "stability_sfs.csv": "date,X3,X1\n2020-01,1,0\n2020-02,1,0\n2020-03,1,1\n"
+    "2020-04,0,1\n2020-05,0,0\n2020-06,1,0\n",
+}
+
+GOLDEN_REPORT_FILES = {
+    **GOLDEN_SELECTOR_FILES,
+    "table1.csv": "model,mae_normal,mae_crisis,rmse_normal,rmse_crisis,mae_increase_pct\n"
+    "granger,0.78125,2.375,0.8220591524,2.7443123,204.0\n"
+    "sfs,0.625,1.0,0.6846531969,1.0307764064,60.0\n",
+    "table2.csv": "model,er_normal,er_crisis,sharpe_normal,sharpe_crisis,sortino_normal,"
+    "sortino_crisis\n"
+    "granger,6.75,-7.5,2.0180747504,-0.5832118435,5.1961524227,-0.9421114395\n"
+    "sfs,5.25,31.5,1.7320508076,10.2878569197,6.0621778265,\n"
+    '"combined(granger,sfs)",5.625,21.75,2.1983938594,23.6784008469,12.9903810568,\n',
+    "combined_portfolio.csv": "date,value\n2020-01,1.5\n2020-02,0.375\n2020-03,2.0\n"
+    "2020-04,1.625\n2020-05,-0.25\n2020-06,0.25\n",
+    "metrics.json": """{
+  "granger": {
+    "errors": {
+      "crisis": {
+        "count": 2,
+        "mae": 2.375,
+        "rmse": 2.7443123000125187
+      },
+      "normal": {
+        "count": 4,
+        "mae": 0.78125,
+        "rmse": 0.8220591523728691
+      }
+    },
+    "mae_increase_pct": 204.0
+  },
+  "sfs": {
+    "errors": {
+      "crisis": {
+        "count": 2,
+        "mae": 1.0,
+        "rmse": 1.0307764064044151
+      },
+      "normal": {
+        "count": 4,
+        "mae": 0.625,
+        "rmse": 0.6846531968814576
+      }
+    },
+    "mae_increase_pct": 60.00000000000001
+  }
+}
+""",
+}
+
+
+@pytest.fixture
+def golden_workspace(tmp_path):
+    """The golden ledgers plus a report config that combines them."""
+    (tmp_path / "out").mkdir()
+    for sid, text in GOLDEN_LEDGERS.items():
+        (tmp_path / "out" / f"ledger_{sid}.csv").write_text(text)
+    (tmp_path / "crisis.txt").write_text("2020-03..2020-04\n")
+    (tmp_path / "run.toml").write_text(
+        'calendar = "crisis.txt"\noutput_dir = "out"\nmetric_window = 3\n'
+        'selectors = ["granger", "sfs"]\ncombine = ["granger", "sfs"]\ncombine_weight = 0.25\n'
+    )
+    return tmp_path
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
@@ -362,6 +461,24 @@ class TestReport:
         assert run_cli("ingest", "--config", config) == 2
         assert not (workspace / "out").exists()
 
+    def test_golden_bytes(self, golden_workspace):
+        assert run_cli("report", "--config", golden_workspace / "run.toml") == 0
+        out = golden_workspace / "out"
+        written = {p.name for p in out.iterdir()} - {f"ledger_{s}.csv" for s in GOLDEN_LEDGERS}
+        assert written == set(GOLDEN_REPORT_FILES)
+        for name, text in GOLDEN_REPORT_FILES.items():
+            assert (out / name).read_text() == text, name
+
+    def test_combine_exit_3_writes_series_but_no_tables(self, golden_workspace):
+        config = golden_workspace / "run.toml"
+        assert run_cli("report", "--config", config, "--selectors", "granger") == 3
+        out = golden_workspace / "out"
+        written = {p.name for p in out.iterdir()} - {f"ledger_{s}.csv" for s in GOLDEN_LEDGERS}
+        expected = {k: v for k, v in GOLDEN_SELECTOR_FILES.items() if k.endswith("granger.csv")}
+        assert written == set(expected)
+        for name, text in expected.items():
+            assert (out / name).read_text() == text, name
+
     def test_crisis_free_calendar_flags_absent(self, workspace):
         (workspace / "crisis.txt").write_text("# no crises\n")
         self.run_pipeline(workspace)
@@ -370,6 +487,53 @@ class TestReport:
         cells = row.split(",")
         assert cells[2] == ""  # crisis MAE absent
         assert cells[5] == ""  # increase undefined
+
+
+# One broken cell or row per case: (command, file, line, edit of that line's
+# cells). Each must end in exit 2 naming the row, not in a traceback.
+MALFORMED_CSV = {
+    "price-close": ("ingest", "prices.csv", 5, lambda c: [c[0], "abc"]),
+    "price-date": ("ingest", "prices.csv", 5, lambda c: ["2000-xx-28", c[1]]),
+    "fredmd-cell": ("ingest", "fredmd.csv", 5, lambda c: [c[0], "1.2.3", *c[2:]]),
+    "fredmd-date": ("ingest", "fredmd.csv", 5, lambda c: ["13/1/2000", *c[1:]]),
+    "panel-float": ("backtest", "out/panel.csv", 5, lambda c: [c[0], c[1], "1.2.3", *c[3:]]),
+    "panel-date": ("backtest", "out/panel.csv", 5, lambda c: ["2000-4", *c[1:]]),
+    "ledger-short-row": ("report", "out/ledger_granger.csv", 3, lambda c: c[:3]),
+    "ledger-date": ("report", "out/ledger_granger.csv", 3, lambda c: ["2003/05", *c[1:]]),
+    "ledger-regime": ("report", "out/ledger_granger.csv", 3, lambda c: [*c[:3], "panic", c[4]]),
+    "ledger-float": ("report", "out/ledger_granger.csv", 3, lambda c: [c[0], "0x1p-3", *c[2:]]),
+    "ledger-header": ("report", "out/ledger_granger.csv", 0, lambda c: ["month", *c[1:]]),
+}
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("case", MALFORMED_CSV)
+    def test_exit_2_naming_the_row(self, workspace, capsys, case):
+        command, name, line, edit = MALFORMED_CSV[case]
+        config = workspace / "run.toml"
+        steps = ("ingest", "backtest", "report")
+        for earlier in steps[: steps.index(command)]:
+            assert run_cli(earlier, "--config", config) == 0
+        path = workspace / name
+        lines = path.read_text().split("\n")
+        lines[line] = ",".join(edit(lines[line].split(",")))
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run_cli(command, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        named = "not a ledger CSV" if line == 0 else repr(lines[line].split(",")[0])
+        assert named in err
+
+    def test_unreadable_csv_exit_2(self, workspace, capsys):
+        # csv.reader rejects a cell past its field size limit (128 KiB)
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        panel = workspace / "out" / "panel.csv"
+        panel.write_text(panel.read_text().replace(",", "," + "1" * 200_000 + ",", 1))
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -28,7 +28,7 @@ from causalfs.ingest import (
 )
 from causalfs.panel import MonthStamp, MonthlySeries, align_and_shift
 
-from conftest import make_panel, month_range
+from conftest import csv_floats, csv_names, make_panel, month_range
 
 FREDMD = """sasdate,RPI,CPI,SP500
 Transform:,1,5,2
@@ -196,3 +196,30 @@ class TestPipeline:
         np.testing.assert_array_equal(back.target, panel.target)
         np.testing.assert_array_equal(back.features, panel.features)
         assert back.feature_names == panel.feature_names
+
+    @pytest.mark.parametrize("text", ["", "month,Y,X1\n", "month\n2000-01\n", "date,Y\n2000-01,1.0\n"])
+    def test_panel_csv_without_header_or_rows_rejected(self, text):
+        with pytest.raises(MalformedCsv, match="header and a data row"):
+            panel_from_csv(text)
+
+    @given(
+        st.integers(1900 * 12, 2100 * 12),
+        st.integers(1, 8),
+        st.lists(csv_names, min_size=1, max_size=4, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_panel_csv_round_trip_is_exact(self, start, n, names, data):
+        values = np.array(
+            data.draw(st.lists(csv_floats, min_size=n * (len(names) + 1),
+                               max_size=n * (len(names) + 1)))
+        ).reshape(n, len(names) + 1)
+        first = MonthStamp(start // 12, start % 12 + 1)
+        panel = make_panel(values[:, 0], values[:, 1:], names, start=str(first))
+        back = panel_from_csv(panel_to_csv(panel), {"target_name": "Y"})
+        assert back.dates == panel.dates
+        assert back.feature_names == panel.feature_names
+        np.testing.assert_array_equal(back.target.view(np.int64), panel.target.view(np.int64))
+        np.testing.assert_array_equal(
+            back.features.view(np.int64), panel.features.view(np.int64)
+        )
