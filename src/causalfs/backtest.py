@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BacktestAborted, CausalfsError, InsufficientHistory, MalformedCsv
 from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
 from .numerics import OlsFit, ols_fit
-from .panel import AlignedPanel, MonthStamp
+from .panel import AlignedPanel, MonthStamp, lag_rows
 from .selectors import make_selector
 from .selectors.base import FeatureSet
 
@@ -102,22 +102,15 @@ def fit_forecast_model(
 ) -> tuple[OlsFit, np.ndarray]:
     """Fit the forecasting OLS of y_t on [Y_{t-1}, lags 1..p of each
     selected feature] on the window, columns in ``selected`` order, and
-    build the next-step regressor vector from the window's final rows."""
+    read the next-step regressor vector as the same lags at time T."""
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    X = np.empty((T - p, 1 + p * len(selected)))
-    X[:, 0] = panel.target[p - 1 : T - 1]
-    regressors = [panel.target[T - 1]]
-    k = 1
-    for name in selected:
-        x = panel.column(name)
-        for lag in range(1, p + 1):
-            X[:, k] = x[p - lag : T - lag]
-            regressors.append(x[T - lag])
-            k += 1
-    fit = ols_fit(X, panel.target[p:T], intercept=True)
-    return fit, np.array(regressors)
+    data = np.column_stack([panel.target, panel.features])
+    cols = [1 + panel.feature_names.index(name) for name in selected]
+    links = [(0, 1), *((j, lag) for j in cols for lag in range(1, p + 1))]
+    rows = lag_rows(data, links, range(p, T + 1))  # time T: the next step
+    return ols_fit(rows[:-1], panel.target[p:T], intercept=True), rows[-1]
 
 
 def run_backtest(

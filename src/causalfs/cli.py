@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .config import (
     load_run_config,
     load_validate_config,
 )
-from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed
+from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed, MalformedCsv
 from .ingest import (
     STOCK_MARKET_GROUP,
     Regime,
@@ -60,15 +61,24 @@ def _load_calendar_from(cfg: RunConfig) -> RegimeCalendar:
     return load_calendar(cfg.resolve("calendar").read_text())
 
 
+@contextmanager
+def _naming(*paths):
+    """Prefix a MalformedCsv raised inside with the files being parsed."""
+    try:
+        yield
+    except MalformedCsv as exc:
+        raise MalformedCsv(f"{', '.join(map(str, paths))}: {exc}") from None
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    fredmd_text = cfg.resolve("fredmd_csv").read_text()
-    groups_text = cfg.resolve("groups_csv").read_text()
-    prices_text = cfg.resolve("prices_csv").read_text()
-    raw_panel, tcodes, groups = parse_fredmd(fredmd_text, groups_text)
+    fredmd, sidecar, prices = map(cfg.resolve, ("fredmd_csv", "groups_csv", "prices_csv"))
+    with _naming(fredmd, sidecar):
+        raw_panel, tcodes, groups = parse_fredmd(fredmd.read_text(), sidecar.read_text())
     transformed = transform_panel(raw_panel, tcodes)
-    returns = prices_to_returns(load_prices(prices_text))
+    with _naming(prices):
+        returns = prices_to_returns(load_prices(prices.read_text()))
     panel = align_and_shift(
         returns, transformed,
         shift_months=cfg.shift_months,
@@ -99,7 +109,8 @@ def cmd_backtest(cfg: RunConfig) -> int:
     if not panel_path.exists():
         print(f"missing artifact: {panel_path} (run ingest first)", file=sys.stderr)
         return EXIT_MISSING
-    panel = read_panel(panel_path, out / "panel_meta.json")
+    with _naming(panel_path):
+        panel = read_panel(panel_path, out / "panel_meta.json")
     calendar = _load_calendar_from(cfg)
     for sid in cfg.selectors:
         bt = BacktestConfig(
@@ -152,7 +163,8 @@ def cmd_report(cfg: RunConfig) -> int:
         if not path.exists():
             print(f"missing artifact: {path}", file=sys.stderr)
             return EXIT_MISSING
-        ledgers[sid] = ledger_from_csv(path.read_text())
+        with _naming(path):
+            ledgers[sid] = ledger_from_csv(path.read_text())
 
     table1 = []
     table2 = []

@@ -60,13 +60,12 @@ def _parse_value(text: str):
         if not inner:
             return []
         parts = []
-        depth = 0
         current = ""
         in_string = False
         for ch in inner:
             if ch == '"':
                 in_string = not in_string
-            if ch == "," and not in_string and depth == 0:
+            if ch == "," and not in_string:
                 parts.append(current)
                 current = ""
                 continue

@@ -4,12 +4,17 @@ Everything downstream (selectors, backtest) consumes the two container types
 built here: :class:`AlignedPanel` for raw series and :class:`DesignMatrix`
 for lag-augmented regressions. Both are immutable after construction and
 reject NaN, so look-ahead reasoning stays simple.
+
+The lag rule: a lag >= 1 at time t reads only rows < t. Every lagged value
+in the package (designs, the forecast's regressors, the lag matrices of
+PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it.
 """
 from __future__ import annotations
 
 import copy
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -224,18 +229,22 @@ class DesignMatrix:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
 
+    @cached_property
+    def blocks(self) -> dict[str, tuple[int, ...]]:
+        """Each feature's design columns; the target's own lag is in none."""
+        blocks: dict[str, list[int]] = {}
+        for i, (name, _) in enumerate(self.columns):
+            if name != self.target_name:
+                blocks.setdefault(name, []).append(i)
+        return {name: tuple(cols) for name, cols in blocks.items()}
+
     @property
     def feature_names(self) -> tuple[str, ...]:
-        seen = []
-        for name, _ in self.columns:
-            if name != self.target_name and name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(self.blocks)
 
     def feature_column_indices(self, names) -> list[int]:
         """Design column indices holding any lag of the given features."""
-        wanted = set(names)
-        return [i for i, (name, _) in enumerate(self.columns) if name in wanted]
+        return sorted(i for name in set(names) for i in self.blocks.get(name, ()))
 
     @property
     def n(self) -> int:
@@ -290,6 +299,26 @@ def align_and_shift(
     )
 
 
+def lag_rows(data: np.ndarray, links: list[tuple[int, int]], times: range) -> np.ndarray:
+    """``data[t - lag, var]`` for each t in ``times`` (rows) and link ``(var, lag)`` (columns).
+    Raises ValueError on a negative lag (a read of the future) or a read before row 0 (which
+    numpy would wrap to the last row), and IndexError on any other read outside ``data``."""
+    if not links:
+        return np.empty((len(times), 0))
+    var, lag = zip(*links)
+    m, low, high = data.shape[1], min(lag), max(lag)
+    if low < 0:
+        raise ValueError(f"negative lag {low} would read the future")
+    if times.start < high:
+        raise ValueError(f"lag {high} at time {times.start} reads before row 0")
+    if times.stop - low > len(data) or not 0 <= min(var) <= max(var) < m:
+        raise IndexError(f"a link reads outside the data's {len(data)} rows x {m} columns")
+    # one copy per row shift, then a gather unless the links list every column in order
+    shifts = np.hstack([data[times.start - k : times.stop - k] for k in range(low, high + 1)])
+    cols = [(k - low) * m + v for v, k in links]
+    return shifts if cols == list(range(shifts.shape[1])) else shifts.take(cols, axis=1)
+
+
 def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     """Build the lag-p design: y_t on [Y_{t-1}, X_{i,t-1..t-p} for all i].
 
@@ -301,23 +330,14 @@ def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    cols: list[tuple[str, int]] = [(panel.target_name, 1)]
-    for name in panel.feature_names:
-        cols.extend((name, lag) for lag in range(1, p + 1))
-    n = T - p
-    X = np.empty((n, len(cols)))
-    X[:, 0] = panel.target[p - 1 : T - 1]
-    k = 1
-    for j in range(panel.n_features):
-        for lag in range(1, p + 1):
-            X[:, k] = panel.features[p - lag : T - lag, j]
-            k += 1
-    y = panel.target[p:T]
+    names = (panel.target_name, *panel.feature_names)
+    links = [(0, 1), *((j, lag) for j in range(1, len(names)) for lag in range(1, p + 1))]
+    X = lag_rows(np.column_stack([panel.target, panel.features]), links, range(p, T))
     return DesignMatrix(
         dates=panel.dates[p:T],
-        y=y,
+        y=panel.target[p:T],
         X=X,
-        columns=tuple(cols),
+        columns=tuple((names[j], lag) for j, lag in links),
         target_name=panel.target_name,
         p=p,
     )

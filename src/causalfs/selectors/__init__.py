@@ -72,7 +72,7 @@ def _pcmci(panel, p, seed, calendar, **kw):
 
 
 def _sfs(panel, p, seed, calendar, **kw):
-    return sfs_select(build_design(panel, p), seed=seed, **kw)
+    return sfs_select(build_design(panel, p), **kw)
 
 
 def _coercion(kind: str, *types, rule: str = "", test=lambda value: True):
@@ -91,7 +91,8 @@ def _coercion(kind: str, *types, rule: str = "", test=lambda value: True):
 
 
 integer, number = _coercion("an integer", int), _coercion("a number", int, float)
-boolean, string = _coercion("true or false", bool), _coercion("a string", str)
+boolean = _coercion("true or false", bool)
+string = _coercion("a string", str, rule="printable", test=str.isprintable)
 _ALPHA = _coercion("a number", int, float, rule="in (0, 1)", test=lambda value: 0 < value < 1)
 _POSITIVE = _coercion("a number", int, float, rule="> 0", test=lambda value: value > 0)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import NotAcyclic
 from ..numerics import acyclicity
-from ..panel import AlignedPanel
+from ..panel import AlignedPanel, lag_rows
 from .base import DynamicGraph, FeatureSet
 
 
@@ -28,10 +28,8 @@ def _standardize(X: np.ndarray) -> np.ndarray:
 
 
 def _stack_lags(X: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    T = X.shape[0]
-    now = X[p:T]
-    lag = np.hstack([X[p - tau : T - tau] for tau in range(1, p + 1)])
-    return now, lag
+    links = [(j, tau) for tau in range(1, p + 1) for j in range(X.shape[1])]
+    return X[p:], lag_rows(X, links, range(p, len(X)))
 
 
 def objective_terms(

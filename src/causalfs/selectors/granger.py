@@ -22,14 +22,10 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
         raise Underdetermined(
             f"{n} design rows for {k_full} regressors; pre-filter the features"
         )
-    blocks = {name: [] for name in design.feature_names}
-    for col, (name, _) in enumerate(design.columns):
-        if name in blocks:
-            blocks[name].append(col)
-    rss_full, rss_restricted = nested_rss(design.X, design.y, list(blocks.values()))
+    rss_full, rss_restricted = nested_rss(design.X, design.y, list(design.blocks.values()))
     diagnostics = {}
     selected = set()
-    for (name, block), rss in zip(blocks.items(), rss_restricted):
+    for (name, block), rss in zip(design.blocks.items(), rss_restricted):
         test = f_test_nested(float(rss), rss_full, q=len(block), n=n, k_full=k_full)
         diagnostics[name] = (test.statistic, test.p_value)
         if test.p_value < alpha:

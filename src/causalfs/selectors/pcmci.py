@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import SkippedTestWarning, Underdetermined
 from ..numerics import gram_partial_correlation, partial_correlation
-from ..panel import AlignedPanel
+from ..panel import AlignedPanel, lag_rows
 from .base import FeatureSet
 
 Link = tuple[int, int]  # (variable index, lag >= 1)
@@ -33,21 +33,18 @@ class _LagView:
         self.rows = data.shape[0] - max_lag
 
     def col(self, var: int, lag: int) -> np.ndarray:
-        start = self.max_lag - lag
-        return self.data[start : start + self.rows, var]
+        return self.matrix([(var, lag)])[:, 0]
 
     def matrix(self, links) -> np.ndarray:
-        if not links:
-            return np.empty((self.rows, 0))
-        return np.column_stack([self.col(v, lag) for v, lag in links])
+        return lag_rows(self.data, links, range(self.max_lag, len(self.data)))
 
     @cached_property
     def centred(self) -> np.ndarray:
         """``centred[lag, var]`` is ``col(var, lag)`` minus its mean."""
-        cols = np.stack([
-            self.data[self.max_lag - lag : self.max_lag - lag + self.rows].T
-            for lag in range(self.max_lag + 1)
-        ])
+        m = self.data.shape[1]
+        # each lag's rows x vars block: the means below sum a column's rows in order
+        blocks = [self.matrix([(v, lag) for v in range(m)]) for lag in range(self.max_lag + 1)]
+        cols = np.stack(blocks).transpose(0, 2, 1)
         centred = cols - cols.mean(axis=2, keepdims=True)
         # a constant column whose mean rounds would keep a tiny constant;
         # zeroed, its tests go through partial_correlation as they always did
@@ -198,14 +195,9 @@ def pcmci_select(
         i, tau = link
         if i == 0:
             continue  # own target lag: conditioning only, never a feature
-        cond = [c for c in parents[0] if c != link]
-        cond += [(k, lag + tau) for k, lag in parents[i]]
-        seen = set()
-        cond_unique = []
-        for c in cond:
-            if c not in seen and c != link:
-                seen.add(c)
-                cond_unique.append(c)
+        # the target's other parents, then the source's parents shifted by tau
+        cond = [*parents[0], *((k, lag + tau) for k, lag in parents[i])]
+        cond_unique = [c for c in dict.fromkeys(cond) if c != link]
         result = _parcorr_or_none(mci_view, link, 0, cond_unique)
         if result is None:
             r, pv = stat1[0].get(link, 0.0), 0.0  # retained conservatively

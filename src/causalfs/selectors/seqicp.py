@@ -16,7 +16,7 @@ of their residual rows at once. Each p-value agrees with a per-subset
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -108,11 +108,7 @@ def seqicp_select(
     if len(environments) < 2:
         raise NeedEnvironments("invariance testing needs >= 2 environments")
     _check_partition(environments, design.n)
-    blocks: dict[str, list[int]] = {}  # feature -> its design columns
-    for i, (name, _) in enumerate(design.columns):
-        if name != design.target_name:
-            blocks.setdefault(name, []).append(i)
-    names = tuple(blocks)
+    names = design.feature_names
     max_cols = 2 + design.p * max_subset_size  # intercept + target lag + subset
     for env in environments:
         if len(env) <= max_cols + 1:
@@ -129,8 +125,7 @@ def seqicp_select(
         if not subsets:
             break
         column_sets = [
-            [0] + sorted(chain.from_iterable(blocks[name] for name in subset))
-            for subset in subsets
+            [0] + design.feature_column_indices(subset) for subset in subsets
         ]
         # per subset: n residuals and the n x k columns of [1, X_S] they come from
         for part in chunk_slices(len(subsets), design.n * (len(column_sets[0]) + 2)):

@@ -35,16 +35,14 @@ def sfs_select(
     tol: float = 1e-8,
     max_features: int | None = None,
     folds: int = 5,
-    seed: int = 0,
 ) -> FeatureSet:
     """Forward or backward stepwise search over the design's features.
 
     Forward starts empty and adds the feature whose inclusion most reduces
     the cross-validated MSE, stopping once the best improvement falls below
     ``tol`` or ``max_features`` is reached; backward removes symmetrically.
-    Splits are contiguous blocks (``folds`` >= 2), so ``seed`` is accepted
-    only for interface parity. Exact metric ties resolve to the lowest
-    column index. All candidates of a step are scored in one
+    Splits are contiguous blocks (``folds`` >= 2). Exact metric ties resolve
+    to the lowest column index. All candidates of a step are scored in one
     ``cv_mse_sets`` call on fold Grams formed once per call.
     """
     if direction not in ("forward", "backward"):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DegenerateInput, TooManyCovariates
 from ..numerics import fastica, kmeans, ols_fit, pearson
-from ..panel import AlignedPanel
+from ..panel import AlignedPanel, lag_rows
 from .base import FeatureSet
 
 
@@ -134,21 +134,15 @@ def varlingam_fit(
             f"{T - p} usable rows for {p * m} lag regressors; "
             "reduce k_clusters or the lag order"
         )
-    X = np.column_stack(
-        [panel.target] + [panel.column(name) for name in kept]
-    )
+    X = np.column_stack([panel.target, *(panel.column(name) for name in kept)])
     # step 1: equation-wise least squares for the lag structure
-    rows = T - p
-    lag_blocks = [X[p - tau : T - tau] for tau in range(1, p + 1)]
-    lagged_X = np.hstack(lag_blocks)  # rows x (p*m)
-    resid = np.empty((rows, m))
+    lagged_X = lag_rows(X, [(j, tau) for tau in range(1, p + 1) for j in range(m)], range(p, T))
+    resid = np.empty((T - p, m))
     B = np.zeros((p, m, m))  # B[tau-1][i, j]: var i at lag tau+1 -> var j
     for j in range(m):
         fit = ols_fit(lagged_X, X[p:T, j], intercept=True)
         resid[:, j] = fit.residuals
-        coef = fit.beta[1:]
-        for tau in range(p):
-            B[tau][:, j] = coef[tau * m : (tau + 1) * m]
+        B[:, :, j] = fit.beta[1:].reshape(p, m)  # in the links' lag-major order
     # step 2: ICA separates the residuals into independent shocks
     ica = fastica(resid, seed=seed)
     # step 3: instantaneous matrix from the permuted, rescaled unmixing

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,7 +350,7 @@ DIRECT = {
     "dynotears": lambda panel, seed: dynotears_select(
         dynotears_fit(panel, p=1), panel.target_name),
     "pcmci": lambda panel, seed: pcmci_select(panel, p=1),
-    "sfs": lambda panel, seed: sfs_select(build_design(panel, 1), seed=seed),
+    "sfs": lambda panel, seed: sfs_select(build_design(panel, 1)),
 }
 
 
@@ -419,3 +421,52 @@ class TestSelectorRegistry:
         selector = make_selector("seqicp", {"environments": "calendar"})
         for cal in (EMPTY_CAL, load_calendar(f"{design.dates[0]}..{design.dates[-1]}\n")):
             np.testing.assert_equal(vars(selector(panel, 1, 0, cal)), vars(seqicp_select(design)))
+
+
+class TestNoLookAheadEverySelector:
+    @staticmethod
+    def run(monkeypatch, panel, cfg):
+        """The ledger records, and each step's selection (None if it raised)."""
+        import causalfs.backtest as bt
+
+        calls, real = [], make_selector
+
+        def recording(sid, params):
+            selector = real(sid, params)
+
+            def recorded(window, p, seed, calendar=None):
+                calls.append(None)
+                fs = selector(window, p, seed, calendar)
+                calls[-1] = vars(fs)
+                return fs
+
+            return recorded
+
+        monkeypatch.setattr(bt, "make_selector", recording)
+        return run_backtest(panel, EMPTY_CAL, cfg).records, calls
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("sid", SELECTOR_IDS)
+    def test_overwritten_future_never_changes_the_past(self, monkeypatch, sid, p):
+        # rows from k on are replaced by fresh noise: the selections and
+        # records dated before month k, and the selection and forecast for
+        # month k, may read only rows before k, so they must come out
+        # bit-identical (DYNOTEARS gets a smaller panel to keep its per-step
+        # fits short)
+        d, n, window, k = (3, 30, 24, 27) if sid == "dynotears" else (4, 40, 25, 32)
+        panel, _ = generate_svar(SvarSpec(d=d, p=1, n=n, target_parents=2, seed=5,
+                                          noise="laplace", instantaneous=False))
+        rng = np.random.default_rng(k)
+        target, features = panel.target.copy(), panel.features.copy()
+        target[k:] = rng.normal(size=n - k)
+        features[k:] = rng.normal(size=(n - k, d - 1))
+        future = dataclasses.replace(panel, target=target, features=features)
+        cfg = _config(window=window, p=p, selector_id=sid, selector_params={})
+        before, selections_before = self.run(monkeypatch, panel, cfg)
+        after, selections_after = self.run(monkeypatch, future, cfg)
+        at_k = k - window
+        np.testing.assert_equal(selections_after[:at_k + 1], selections_before[:at_k + 1])
+        assert after[:at_k] == before[:at_k]
+        assert (after[at_k].y_pred, after[at_k].selected) == (
+            before[at_k].y_pred, before[at_k].selected)
+        assert after[at_k + 1:] != before[at_k + 1:]  # the overwrite reached the loop

@@ -280,6 +280,20 @@ class TestIngest:
         (workspace / "prices.csv").unlink()
         assert run_cli("ingest", "--config", workspace / "run.toml") == 2
 
+    @pytest.mark.parametrize("name", ["Y\r", "Y\n", "Y\x00", "Y\u2028"])
+    def test_unprintable_target_name_exit_2_at_load(self, workspace, capsys, name):
+        # a bare carriage return would ingest, then split the panel header
+        config = workspace / "run.json"
+        config.write_text(json.dumps({
+            "fredmd_csv": "fredmd.csv", "prices_csv": "prices.csv",
+            "groups_csv": "groups.csv", "target_name": name,
+        }))
+        capsys.readouterr()
+        assert run_cli("ingest", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "target_name" in err
+        assert not (workspace / "out").exists()
+
     def test_group6_series_excluded(self, workspace):
         # tag X2 as the stock-market group; ingest must drop it and log it
         (workspace / "groups.csv").write_text(
@@ -521,9 +535,21 @@ class TestMalformedCsv:
         capsys.readouterr()
         assert run_cli(command, "--config", config) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {path.resolve()}")
         named = "not a ledger CSV" if line == 0 else repr(lines[line].split(",")[0])
         assert named in err
+
+    def test_report_names_the_bad_ledger_of_three(self, golden_workspace, capsys):
+        out = golden_workspace / "out"
+        (out / "ledger_pcmci.csv").write_text(GOLDEN_LEDGERS["granger"])
+        bad = out / "ledger_sfs.csv"
+        bad.write_text(bad.read_text().replace("2020-03,-2.0,-0.75,crisis,X1;X3", "2020-03,-2.0"))
+        capsys.readouterr()
+        config = golden_workspace / "run.toml"
+        assert run_cli("report", "--config", config, "--selectors", "granger,sfs,pcmci") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad.resolve()}: row '2020-03': ")
+        assert "ledger_granger" not in err and "ledger_pcmci" not in err
 
     def test_unreadable_csv_exit_2(self, workspace, capsys):
         # csv.reader rejects a cell past its field size limit (128 KiB)

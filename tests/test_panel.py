@@ -18,6 +18,7 @@ from causalfs.panel import (
     MonthlySeries,
     align_and_shift,
     build_design,
+    lag_rows,
 )
 
 from conftest import make_panel, month_range
@@ -170,6 +171,14 @@ class TestBuildDesign:
                     k = panel.feature_names.index(name)
                     assert design.X[i, j] == panel.features[src_row, k]
 
+    def test_blocks_group_each_features_lags(self):
+        rng = np.random.default_rng(1)
+        panel = make_panel(rng.normal(size=12), rng.normal(size=(12, 3)))
+        design = build_design(panel, p=2)
+        assert design.blocks == {"X1": (1, 2), "X2": (3, 4), "X3": (5, 6)}
+        assert design.feature_names == ("X1", "X2", "X3")
+        assert design.feature_column_indices(["X3", "X1"]) == [1, 2, 5, 6]
+
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_row_count_always_T_minus_p(self, extra, p, d):
@@ -177,6 +186,35 @@ class TestBuildDesign:
         rng = np.random.default_rng(extra * 13 + p)
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, d)))
         assert build_design(panel, p).X.shape[0] == T - p
+
+
+class TestLagRows:
+    def test_values_follow_index_arithmetic(self):
+        data = np.arange(24.0).reshape(8, 3)
+        links = [(2, 1), (0, 0), (1, 3)]
+        got = lag_rows(data, links, range(3, 8))
+        assert got.shape == (5, 3)
+        for i, t in enumerate(range(3, 8)):
+            for k, (var, lag) in enumerate(links):
+                assert got[i, k] == data[t - lag, var]
+        assert lag_rows(data, [], range(3, 8)).shape == (5, 0)
+
+    def test_negative_lag_rejected(self):
+        with pytest.raises(ValueError, match="negative lag"):
+            lag_rows(np.zeros((6, 2)), [(0, 1), (1, -1)], range(2, 5))
+
+    def test_read_before_row_zero_rejected(self):
+        # numpy would wrap row -1 to the last row, a read of the future
+        with pytest.raises(ValueError, match="before row 0"):
+            lag_rows(np.zeros((6, 2)), [(0, 1), (1, 3)], range(2, 6))
+
+    @pytest.mark.parametrize("links, times", [
+        ([(0, 1), (1, 0)], range(2, 7)),  # row 6: a slice would come back short
+        ([(0, 1), (2, 0)], range(2, 5)),  # column 2 would alias a lag-1 column
+    ])
+    def test_read_outside_the_data_rejected(self, links, times):
+        with pytest.raises(IndexError, match="outside the data's 6 rows x 2 columns"):
+            lag_rows(np.zeros((6, 2)), links, times)
 
 
 class TestAlignedPanelInvariants:
