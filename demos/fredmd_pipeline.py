@@ -13,6 +13,7 @@ from causalfs import (
     generate_svar,
     load_prices,
     parse_fredmd,
+    parse_groups,
     prices_to_returns,
     transform_panel,
 )
@@ -24,7 +25,7 @@ print("FRED-MD file head:")
 for line in fredmd_csv.splitlines()[:4]:
     print(" ", line[:72])
 
-raw, tcodes, groups = parse_fredmd(fredmd_csv, groups_csv)
+raw, tcodes, groups = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
 print(f"\nparsed {len(raw.names)} series over {len(raw)} months; "
       f"codes {sorted(set(tcodes.values()))}, groups {sorted(set(groups.values()))}")
 

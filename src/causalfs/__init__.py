@@ -27,6 +27,7 @@ from .ingest import (
     load_calendar,
     load_prices,
     parse_fredmd,
+    parse_groups,
     prices_to_returns,
     transform_panel,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "make_selector",
     "ols_fit",
     "parse_fredmd",
+    "parse_groups",
     "partial_correlation",
     "pcmci_select",
     "pearson",

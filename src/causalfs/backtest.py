@@ -123,12 +123,14 @@ def run_backtest(
     start -- with a logged warning naming the error class; an empty
     selection degrades the model to intercept plus target lag. Any other
     exception from a selector is a programming error and propagates; a
-    failed forecast fit aborts with the partial ledger.
+    forecast fit that raises either of those errors aborts with the partial
+    ledger. A panel of at most ``window + 1`` months raises
+    InsufficientHistory before any selector call.
     """
     T = len(panel)
     w = config.window
     if T <= w + 1:
-        raise ValueError(f"panel length {T} must exceed window+1={w + 1}")
+        raise InsufficientHistory(f"panel length {T} must exceed window+1={w + 1}")
     selector = make_selector(config.selector_id, config.selector_params)
     records = []
     last_fs: FeatureSet | None = None
@@ -152,7 +154,7 @@ def run_backtest(
         try:
             fit, regressors = fit_forecast_model(window, config.p, selected)
             y_pred = forecast_next(fit, regressors)
-        except Exception as exc:
+        except (CausalfsError, np.linalg.LinAlgError) as exc:
             raise BacktestAborted(
                 f"hard error at {date}: {exc}",
                 partial=BacktestLedger(tuple(records), config.snapshot()),

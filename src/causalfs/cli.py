@@ -38,6 +38,7 @@ from .ingest import (
     load_calendar,
     load_prices,
     parse_fredmd,
+    parse_groups,
     prices_to_returns,
     read_panel,
     to_csv,
@@ -62,20 +63,22 @@ def _load_calendar_from(cfg: RunConfig) -> RegimeCalendar:
 
 
 @contextmanager
-def _naming(*paths):
-    """Prefix a MalformedCsv raised inside with the files being parsed."""
+def _naming(path):
+    """Prefix a MalformedCsv raised inside with the file being parsed."""
     try:
         yield
     except MalformedCsv as exc:
-        raise MalformedCsv(f"{', '.join(map(str, paths))}: {exc}") from None
+        raise MalformedCsv(f"{path}: {exc}") from None
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     fredmd, sidecar, prices = map(cfg.resolve, ("fredmd_csv", "groups_csv", "prices_csv"))
-    with _naming(fredmd, sidecar):
-        raw_panel, tcodes, groups = parse_fredmd(fredmd.read_text(), sidecar.read_text())
+    with _naming(sidecar):
+        sidecar_groups = parse_groups(sidecar.read_text())
+    with _naming(fredmd):
+        raw_panel, tcodes, groups = parse_fredmd(fredmd.read_text(), sidecar_groups)
     transformed = transform_panel(raw_panel, tcodes)
     with _naming(prices):
         returns = prices_to_returns(load_prices(prices.read_text()))
@@ -129,9 +132,6 @@ def cmd_backtest(cfg: RunConfig) -> int:
             partial.write_text(ledger_to_csv(exc.partial) if exc.partial else "")
             print(f"selector {sid} aborted: {exc}", file=sys.stderr)
             return 1
-        except Exception as exc:
-            print(f"selector {sid} crashed: {exc}", file=sys.stderr)
-            return EXIT_GENERATION if isinstance(exc, GenerationFailed) else 1
         ledger_path.write_text(ledger_to_csv(ledger))
         (out / f"manifest_{sid}.json").write_text(
             json.dumps(run_manifest(ledger), indent=2, sort_keys=True) + "\n"

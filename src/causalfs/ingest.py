@@ -124,7 +124,10 @@ def _parse_us_date(text: str) -> MonthStamp:
 
 def _cell_to_float(cell: str) -> float:
     cell = cell.strip()
-    return math.nan if cell == "" else float(cell)
+    value = math.nan if cell == "" else float(cell)  # empty is missing
+    if math.isinf(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
 
 
 def parse_groups(csv_text: str) -> dict[str, int]:
@@ -143,9 +146,10 @@ def parse_groups(csv_text: str) -> dict[str, int]:
 
 
 def parse_fredmd(
-    csv_text: str, groups_csv: str
+    csv_text: str, sidecar: dict[str, int]
 ) -> tuple[MonthlyPanel, dict[str, int], dict[str, int]]:
-    """Parse a FRED-MD-format CSV plus its group sidecar.
+    """Parse a FRED-MD-format CSV; ``sidecar`` is its group sidecar as
+    ``parse_groups`` returns it.
 
     Returns the raw (still untransformed, NaN-bearing) panel, the per-series
     transform codes for the kept series, and the group tags for every series
@@ -153,7 +157,6 @@ def parse_fredmd(
     the panel and the code map but stay in the group map so callers can log
     the exclusion.
     """
-    sidecar = parse_groups(groups_csv)
     rows = csv_rows(csv_text)
     if len(rows) < 3:
         raise MalformedCsv("need a header, a transform row, and data")
@@ -317,11 +320,16 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
         return MonthStamp.parse(row[0]), float(row[1]), [float(c) for c in row[2:]]
 
     parsed = parse_rows(rows[1:], panel_row)
+    target = np.array([y for _, y, _ in parsed])
+    features = np.array([x for _, _, x in parsed])
+    finite = np.isfinite(target) & np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise MalformedCsv(f"row {rows[1 + finite.argmin()][0].strip()!r}: non-finite value")
     meta = meta or {}
     return AlignedPanel(
         dates=tuple(d for d, _, _ in parsed),
-        target=np.array([y for _, y, _ in parsed]),
-        features=np.array([x for _, _, x in parsed]),
+        target=target,
+        features=features,
         feature_names=names,
         feature_groups=tuple(meta.get("feature_groups", ())),
         target_name=meta.get("target_name", target_name),

@@ -140,15 +140,19 @@ def nested_rss(
     return rss_full, rss_full + gaps
 
 
-# A fold or subset Gram whose unit-diagonal scaling has a condition number
-# above this is refit with ols_fit. The normal equations lose about
-# cond * eps: on random 80-row designs with one near-copied column, the
-# out-of-block MSE moved from per-fold lstsq refits by up to 1.5e-11
-# relative at cond 1e5-1e6, 1.5e-10 at 1e6-1e7 and 1.3e-8 at 1e8-1e9. With
-# the refinement step of subset_residuals, seqicp p-values on random 60-row
-# designs moved from per-subset ols_fit by up to 1.6e-13 relative at cond
-# 1e4-1e5 and 5.0e-12 at 1e5-1e6 (2.8e-10 there without the step).
-_CV_COND_MAX = 1e6
+# A Gram whose unit-diagonal scaling has a condition number above this is
+# left to least squares: sfs folds and seqicp subsets are refit with
+# ols_fit, PCMCI tests go to partial_correlation. Forming the Gram squares
+# the design's condition number, and the normal equations lose about
+# cond * eps. Against the least-squares path, on random designs with one
+# near-copied column: sfs out-of-block MSE (80 rows) moved by up to 1.5e-11
+# relative at cond 1e5-1e6, 1.5e-10 at 1e6-1e7 and 1.3e-8 at 1e8-1e9;
+# seqicp p-values (60 rows, with the refinement step of subset_residuals)
+# by 1.6e-13 relative at 1e4-1e5 and 5.0e-12 at 1e5-1e6 (2.8e-10 there
+# without the step); PCMCI r (100 rows, 1 to 5 conditioning columns, one a
+# noisy copy of x) by 3.4e-14 at 1e2-1e3, 3.9e-12 at 1e4-1e5, 3.7e-11
+# (p by 9.3e-11) at 1e5-1e6 and 3.2e-9 at 1e7-1e8.
+_GRAM_COND_MAX = 1e6
 # Cap on the float64 entries of one chunk of stacked systems or residuals
 # (2 MB), so a backward step at width 120 does not stack all its
 # candidates x folds x k x k at once (about 70 MB).
@@ -165,7 +169,7 @@ def chunk_slices(count: int, entries_each: int) -> list[slice]:
 class _ScaledSystems:
     """Stacked normal equations G beta = rhs (G is ... x k x k), solved
     through G scaled to unit diagonal. ``ok`` is False where the scaled
-    condition number is above _CV_COND_MAX; ``solve`` leaves beta zero
+    condition number is above _GRAM_COND_MAX; ``solve`` leaves beta zero
     there, and the caller refits those systems with ``ols_fit``."""
 
     def __init__(self, G: np.ndarray):
@@ -174,7 +178,7 @@ class _ScaledSystems:
         self.scale = scale
         self.G = G / scale[..., :, None] / scale[..., None, :]
         w = np.linalg.eigvalsh(self.G)
-        self.ok = w[..., 0] > w[..., -1] / _CV_COND_MAX
+        self.ok = w[..., 0] > w[..., -1] / _GRAM_COND_MAX
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         ok, scale = self.ok, self.scale
@@ -212,7 +216,7 @@ def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
     ``cv_mse_sets``), and one step of iterative refinement solves them
     again for the residuals' own cross-products: forming the Gram loses
     about cond * eps in beta, and the refinement wins most of it back. A
-    set whose scaled Gram has condition number above _CV_COND_MAX is refit
+    set whose scaled Gram has condition number above _GRAM_COND_MAX is refit
     with ``ols_fit`` (minimum-norm SVD, which warns RankDeficientWarning).
     """
     sets = np.asarray(column_sets, dtype=int).reshape(len(column_sets), -1)
@@ -270,7 +274,7 @@ def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
     taken from ``cv.grams``, in one stacked solve over folds x sets
     (``_ScaledSystems``); the loss comes from the validation residuals
     y_b - [1, X_b[:, S]] beta themselves, so a perfect fit scores ~0. A
-    fold whose scaled Gram has condition number above _CV_COND_MAX is
+    fold whose scaled Gram has condition number above _GRAM_COND_MAX is
     refit on its training rows with ``ols_fit`` (minimum-norm SVD, which
     warns RankDeficientWarning). A set with no more training rows than
     regressors in some fold scores inf, as its fit is underdetermined.
@@ -405,15 +409,6 @@ def partial_correlation(
     return r, min(p, 1.0)
 
 
-# A conditional test whose unit-diagonal Gram has a condition number above
-# this is left to partial_correlation. Forming the Gram squares the design's
-# condition number: on random 100-row tests with 1 to 5 conditioning columns,
-# one of them a noisy copy of x, r moved from partial_correlation by up to
-# 3.4e-14 at cond 1e2-1e3, 3.9e-12 at 1e4-1e5, 3.7e-11 (p by 9.3e-11) at
-# 1e5-1e6 and 3.2e-9 at 1e7-1e8.
-_PARCORR_COND_MAX = 1e6
-
-
 def gram_partial_correlation(
     G: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,7 +422,7 @@ def gram_partial_correlation(
     r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes from the same t
     transform as ``partial_correlation``. ``ok`` is False, and r and p nan,
     for a Gram with a zero diagonal entry or, when k > 2, a scaled condition
-    number above _PARCORR_COND_MAX: the caller must take those tests through
+    number above _GRAM_COND_MAX: the caller must take those tests through
     ``partial_correlation``, which raises DegenerateInput and warns
     RankDeficientWarning where they are due.
     """
@@ -445,7 +440,7 @@ def gram_partial_correlation(
     else:
         s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))  # C stays finite where not ok
         w, V = np.linalg.eigh(G * s[:, :, None] * s[:, None, :])
-        ok &= w[:, 0] > w[:, -1] / _PARCORR_COND_MAX
+        ok &= w[:, 0] > w[:, -1] / _GRAM_COND_MAX
         # rows x and y of C^-1 = V diag(1/w) V'
         U = V[:, :2] / np.sqrt(np.where(ok[:, None], w, 1.0))[:, None, :]
         P = U @ U.transpose(0, 2, 1)

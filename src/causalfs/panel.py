@@ -132,7 +132,7 @@ class AlignedPanel:
     """Post-shift, post-join panel of target plus features.
 
     Invariants enforced at construction: dates strictly increasing with no
-    gaps, equal row counts, and no NaN anywhere. ``returns_x100`` records
+    gaps, equal row counts, and no NaN or inf anywhere. ``returns_x100`` records
     whether the target is stored in percent.
     """
 
@@ -166,8 +166,8 @@ class AlignedPanel:
                 raise NonContiguous(f"gap or disorder between {dates[i]} and {dates[i + 1]}")
         if len(dates) == 0:
             raise NoOverlap("empty panel")
-        if np.isnan(target).any() or np.isnan(features).any():
-            raise ValueError("NaN forbidden in an aligned panel")
+        if not (np.isfinite(target).all() and np.isfinite(features).all()):
+            raise ValueError("NaN and inf forbidden in an aligned panel")
         target.setflags(write=False)
         features.setflags(write=False)
         object.__setattr__(self, "dates", dates)

@@ -7,6 +7,11 @@ each surviving link into the target while conditioning on the remaining
 parents of the target plus the time-shifted parents of the source, which is
 what keeps false-positive rates near the nominal level on autocorrelated
 series.
+
+Every CI test goes through ``_ci_tests``: a test with q conditions on at
+most q + 3 rows is skipped (the link is kept), the rest take r and p from
+the Gram of their centred columns, or from ``partial_correlation`` where
+that Gram has a zero-variance column or is ill-conditioned.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import SkippedTestWarning, Underdetermined
+from ..errors import SkippedTestWarning
 from ..numerics import gram_partial_correlation, partial_correlation
 from ..panel import AlignedPanel, lag_rows
 from .base import FeatureSet
@@ -32,19 +37,16 @@ class _LagView:
         self.max_lag = max_lag
         self.rows = data.shape[0] - max_lag
 
-    def col(self, var: int, lag: int) -> np.ndarray:
-        return self.matrix([(var, lag)])[:, 0]
-
     def matrix(self, links) -> np.ndarray:
         return lag_rows(self.data, links, range(self.max_lag, len(self.data)))
 
     @cached_property
     def centred(self) -> np.ndarray:
-        """``centred[lag, var]`` is ``col(var, lag)`` minus its mean."""
+        """``centred[lag, var]`` is the column of ``(var, lag)`` minus its mean."""
         m = self.data.shape[1]
-        # each lag's rows x vars block: the means below sum a column's rows in order
-        blocks = [self.matrix([(v, lag) for v in range(m)]) for lag in range(self.max_lag + 1)]
-        cols = np.stack(blocks).transpose(0, 2, 1)
+        # rows x (lag, var), so the means below sum a column's rows in order
+        links = [(v, lag) for lag in range(self.max_lag + 1) for v in range(m)]
+        cols = self.matrix(links).reshape(self.rows, self.max_lag + 1, m).transpose(1, 2, 0)
         centred = cols - cols.mean(axis=2, keepdims=True)
         # a constant column whose mean rounds would keep a tiny constant;
         # zeroed, its tests go through partial_correlation as they always did
@@ -56,51 +58,34 @@ class _LagView:
         return self.centred[[lag for _, lag in links], [v for v, _ in links]]
 
 
-def _parcorr_by_ols(view, x_link, y_var, cond_links):
-    """The CI test from least-squares residuals; None if it was skipped."""
-    Z = view.matrix(cond_links)
-    try:
-        return partial_correlation(
-            view.col(*x_link), view.col(y_var, 0), Z if Z.shape[1] else None
-        )
-    except Underdetermined:
-        warnings.warn(
-            "conditioning set too large for the sample; link retained",
-            SkippedTestWarning,
-            stacklevel=3,
-        )
-        return None
-
-
-def _parcorr_or_none(view, x_link, y_var, cond_links):
-    """Run the CI test; None means it was skipped (too little data)."""
-    if view.rows <= len(cond_links) + 3:
-        warnings.warn(
-            f"skipping test with {len(cond_links)} conditions on {view.rows} rows",
-            SkippedTestWarning,
-            stacklevel=3,
-        )
-        return None
-    M = view.centred_cols([x_link, (y_var, 0), *cond_links])
-    r, p, ok = gram_partial_correlation((M @ M.T)[None], view.rows)
-    if ok[0]:
-        return float(r[0]), float(p[0])
-    return _parcorr_by_ols(view, x_link, y_var, cond_links)
-
-
-def _unconditional_tests(view, j, links):
-    """Level q = 0 for variable j: (r, p) of each link against j alone,
-    from one batch. Needs view.rows > 3."""
-    X = view.centred_cols(links)
-    y = view.centred[0, j]
-    G = np.empty((len(links), 2, 2))
-    G[:, 0, 0] = np.einsum("ij,ij->i", X, X)
-    G[:, 1, 1] = y @ y
-    G[:, 0, 1] = G[:, 1, 0] = X @ y
+def _ci_tests(view, x_links, y_var, cond_links):
+    """(r, p) of each link in ``x_links`` against ``(y_var, 0)`` given
+    ``cond_links``, or None for a test skipped for lack of rows."""
+    q = len(cond_links)
+    if view.rows <= q + 3:
+        for _ in x_links:
+            warnings.warn(
+                f"skipping test with {q} conditions on {view.rows} rows",
+                SkippedTestWarning,
+                stacklevel=3,
+            )
+        return [None] * len(x_links)
+    if len(x_links) == 1:
+        M = view.centred_cols([*x_links, (y_var, 0), *cond_links])
+        G = (M @ M.T)[None]
+    else:  # only stage one at q = 0 passes several links: Pearson Grams
+        X = view.centred_cols(x_links)
+        y = view.centred[0, y_var]
+        G = np.empty((len(x_links), 2, 2))
+        G[:, 0, 0] = np.einsum("ij,ij->i", X, X)
+        G[:, 1, 1] = y @ y
+        G[:, 0, 1] = G[:, 1, 0] = X @ y
     r, p, ok = gram_partial_correlation(G, view.rows)
     results = list(zip(r.tolist(), p.tolist()))
-    for i in np.flatnonzero(~ok):  # a zero-variance column, decided as before
-        results[i] = _parcorr_by_ols(view, links[i], j, [])
+    for i, good in enumerate(ok.tolist()):
+        if not good:
+            M = view.matrix([x_links[i], (y_var, 0), *cond_links])
+            results[i] = partial_correlation(M[:, 0], M[:, 1], M[:, 2:])
     return results
 
 
@@ -123,13 +108,13 @@ def _condition_select(
     for q in range(max_cond_dim + 1):
         if len(parents) - 1 < q:
             break
-        if q == 0 and view.rows > 3:  # else every test below is skipped
-            results = zip(parents, _unconditional_tests(view, j, parents))
+        if q == 0:
+            results = zip(parents, _ci_tests(view, parents, j, []))
         else:
             # lazy, so each link's conditions see the strengths updated so
             # far; nsmallest equals sorted(...)[:q], ties in parents order
             results = (
-                (link, _parcorr_or_none(view, link, j, heapq.nsmallest(
+                (link, *_ci_tests(view, [link], j, heapq.nsmallest(
                     q, (o for o in parents if o != link), key=strongest_first)))
                 for link in parents
             )
@@ -168,8 +153,9 @@ def pcmci_select(
     m = data.shape[1]
     candidates: list[Link] = [(i, tau) for i in range(m) for tau in range(1, p + 1)]
 
-    # stage-one screening for the target and, lazily, for the source of
-    # every surviving link (the only parent sets stage two ever conditions on)
+    # stage-one screening for the target, then for the source of every
+    # surviving link: the only parent sets stage two ever conditions on.
+    # Only the target's screening record is ever read.
     stage1_view = _LagView(data, p)
 
     def screen(j):
@@ -178,29 +164,24 @@ def pcmci_select(
             max_parents_stage1,
         )
 
-    parents: dict[int, list[Link]] = {}
-    stat1: dict[int, dict] = {}
-    pval1: dict[int, dict] = {}
-    parents[0], stat1[0], pval1[0] = screen(0)
-    for i in sorted({link[0] for link in parents[0]}):
-        if i not in parents:
-            parents[i], stat1[i], pval1[i] = screen(i)
+    parents, strength, pval = screen(0)
+    source_parents = {i: screen(i)[0] for i in sorted({i for i, _ in parents} - {0})}
 
     # stage two: momentary tests for links into the target (variable 0)
     mci_view = _LagView(data, 2 * p)
     best_stat = {name: 0.0 for name in panel.feature_names}
     best_p = {name: 1.0 for name in panel.feature_names}
     selected = set()
-    for link in parents[0]:
+    for link in parents:
         i, tau = link
         if i == 0:
             continue  # own target lag: conditioning only, never a feature
         # the target's other parents, then the source's parents shifted by tau
-        cond = [*parents[0], *((k, lag + tau) for k, lag in parents[i])]
+        cond = [*parents, *((k, lag + tau) for k, lag in source_parents[i])]
         cond_unique = [c for c in dict.fromkeys(cond) if c != link]
-        result = _parcorr_or_none(mci_view, link, 0, cond_unique)
+        [result] = _ci_tests(mci_view, [link], 0, cond_unique)
         if result is None:
-            r, pv = stat1[0].get(link, 0.0), 0.0  # retained conservatively
+            r, pv = strength.get(link, 0.0), 0.0  # retained conservatively
             r = 0.0 if not np.isfinite(r) else r
         else:
             r, pv = result
@@ -212,16 +193,16 @@ def pcmci_select(
             selected.add(name)
 
     diagnostics = {}
-    linked = {i for i, _ in parents[0]}
+    linked = {i for i, _ in parents}
     for i, name in enumerate(panel.feature_names, start=1):
         if i in linked:
             diagnostics[name] = (best_stat[name], best_p[name])
         else:
             # removed in stage one: report its screening record
             lags = [(i, tau) for tau in range(1, p + 1)]
-            stats = [stat1[0][link] for link in lags if np.isfinite(stat1[0][link])]
+            stats = [strength[link] for link in lags if np.isfinite(strength[link])]
             diagnostics[name] = (
                 max(stats, default=0.0),
-                min(pval1[0][link] for link in lags),
+                min(pval[link] for link in lags),
             )
     return FeatureSet(frozenset(selected), diagnostics, "pcmci")

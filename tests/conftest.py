@@ -12,14 +12,15 @@ from causalfs.panel import AlignedPanel, MonthStamp
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 # Floats a CSV round trip must carry bit for bit: signed zero, subnormals and
-# the extremes first, then any float but NaN, which has no single repr.
-csv_floats = st.one_of(
+# the extremes first, then any float but NaN, which has no single repr. An
+# aligned panel holds only the finite ones.
+csv_finite_floats = st.one_of(
     st.sampled_from(
-        [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
-         math.inf, -math.inf]
+        [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
     ),
-    st.floats(allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
+csv_floats = st.one_of(csv_finite_floats, st.sampled_from([math.inf, -math.inf]))
 # Series names with the characters a CSV writer must quote or keep: comma,
 # quote, newline, tab, spaces, non-ASCII. No ';', the ledger's selection
 # separator, and no bare carriage return, which csv.writer leaves unquoted

@@ -362,6 +362,26 @@ class TestBacktest:
         assert "config error" in capsys.readouterr().err
         assert not list((workspace / "out").glob("ledger_*"))
 
+    def test_panel_no_longer_than_window_exit_2(self, workspace, capsys):
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        config.write_text(config.read_text().replace("window = 40", "window = 100"))
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 2
+        assert "must exceed window+1=101" in capsys.readouterr().err
+        assert not list((workspace / "out").glob("ledger_*"))
+
+    def test_selector_programming_error_raises_out_of_main(self, workspace, monkeypatch):
+        import causalfs.backtest as bt
+
+        def broken(panel_w, p, seed, calendar=None):
+            raise TypeError("bug inside a selector")
+
+        assert run_cli("ingest", "--config", workspace / "run.toml") == 0
+        monkeypatch.setattr(bt, "make_selector", lambda sid, params: broken)
+        with pytest.raises(TypeError, match="bug inside a selector"):
+            run_cli("backtest", "--config", workspace / "run.toml")
+
     def test_bad_selector_param_exit_2_before_any_ledger(self, workspace):
         run_cli("ingest", "--config", workspace / "run.toml")
         config = workspace / "run.toml"
@@ -510,8 +530,11 @@ MALFORMED_CSV = {
     "price-date": ("ingest", "prices.csv", 5, lambda c: ["2000-xx-28", c[1]]),
     "fredmd-cell": ("ingest", "fredmd.csv", 5, lambda c: [c[0], "1.2.3", *c[2:]]),
     "fredmd-date": ("ingest", "fredmd.csv", 5, lambda c: ["13/1/2000", *c[1:]]),
+    "fredmd-inf": ("ingest", "fredmd.csv", 5, lambda c: [c[0], "inf", *c[2:]]),
+    "groups-tag": ("ingest", "groups.csv", 2, lambda c: [c[0], "x"]),
     "panel-float": ("backtest", "out/panel.csv", 5, lambda c: [c[0], c[1], "1.2.3", *c[3:]]),
     "panel-date": ("backtest", "out/panel.csv", 5, lambda c: ["2000-4", *c[1:]]),
+    "panel-inf": ("backtest", "out/panel.csv", 5, lambda c: [c[0], c[1], "-inf", *c[3:]]),
     "ledger-short-row": ("report", "out/ledger_granger.csv", 3, lambda c: c[:3]),
     "ledger-date": ("report", "out/ledger_granger.csv", 3, lambda c: ["2003/05", *c[1:]]),
     "ledger-regime": ("report", "out/ledger_granger.csv", 3, lambda c: [*c[:3], "panic", c[4]]),
@@ -535,9 +558,11 @@ class TestMalformedCsv:
         capsys.readouterr()
         assert run_cli(command, "--config", config) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path.resolve()}")
+        assert err.startswith(f"error: {path.resolve()}: ")
         named = "not a ledger CSV" if line == 0 else repr(lines[line].split(",")[0])
         assert named in err
+        for other in {"fredmd.csv", "groups.csv", "prices.csv"} - {name}:
+            assert other not in err  # only the file at fault is named
 
     def test_report_names_the_bad_ledger_of_three(self, golden_workspace, capsys):
         out = golden_workspace / "out"

@@ -23,12 +23,13 @@ from causalfs.ingest import (
     panel_from_csv,
     panel_to_csv,
     parse_fredmd,
+    parse_groups,
     prices_to_returns,
     transform_panel,
 )
 from causalfs.panel import MonthStamp, MonthlySeries, align_and_shift
 
-from conftest import csv_floats, csv_names, make_panel, month_range
+from conftest import csv_finite_floats, csv_names, make_panel, month_range
 
 FREDMD = """sasdate,RPI,CPI,SP500
 Transform:,1,5,2
@@ -38,11 +39,11 @@ Transform:,1,5,2
 4/1/2020,103,2.3,2800
 """
 
-GROUPS = """series,group
+GROUPS = parse_groups("""series,group
 RPI,1
 CPI,8
 SP500,6
-"""
+""")
 
 
 class TestParseFredmd:
@@ -71,12 +72,18 @@ class TestParseFredmd:
 
     def test_missing_sidecar_entry(self):
         with pytest.raises(UnknownSeries):
-            parse_fredmd(FREDMD, "series,group\nRPI,1\nCPI,8\n")
+            parse_fredmd(FREDMD, {"RPI": 1, "CPI": 8})
 
     def test_empty_cells_become_nan(self):
         text = FREDMD.replace("2/1/2020,101,2.1,3050", "2/1/2020,,2.1,3050")
         panel, _, _ = parse_fredmd(text, GROUPS)
         assert math.isnan(panel.values[1, 0])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", " Infinity", "1e999"])
+    def test_non_finite_cell_rejected_naming_the_row(self, cell):
+        text = FREDMD.replace("2/1/2020,101,2.1,3050", f"2/1/2020,{cell},2.1,3050")
+        with pytest.raises(MalformedCsv, match="row '2/1/2020': non-finite value"):
+            parse_fredmd(text, GROUPS)
 
 
 class TestApplyTcode:
@@ -197,6 +204,12 @@ class TestPipeline:
         np.testing.assert_array_equal(back.features, panel.features)
         assert back.feature_names == panel.feature_names
 
+    @pytest.mark.parametrize("row", ["2000-02,inf,1.0", "2000-02,1.0,-inf", "2000-02,1.0,nan"])
+    def test_panel_csv_non_finite_cell_rejected_naming_the_row(self, row):
+        text = f"month,Y,X1\n2000-01,1.0,2.0\n{row}\n"
+        with pytest.raises(MalformedCsv, match="row '2000-02': non-finite value"):
+            panel_from_csv(text)
+
     @pytest.mark.parametrize("text", ["", "month,Y,X1\n", "month\n2000-01\n", "date,Y\n2000-01,1.0\n"])
     def test_panel_csv_without_header_or_rows_rejected(self, text):
         with pytest.raises(MalformedCsv, match="header and a data row"):
@@ -211,7 +224,7 @@ class TestPipeline:
     @settings(max_examples=100, deadline=None)
     def test_panel_csv_round_trip_is_exact(self, start, n, names, data):
         values = np.array(
-            data.draw(st.lists(csv_floats, min_size=n * (len(names) + 1),
+            data.draw(st.lists(csv_finite_floats, min_size=n * (len(names) + 1),
                                max_size=n * (len(names) + 1)))
         ).reshape(n, len(names) + 1)
         first = MonthStamp(start // 12, start % 12 + 1)

@@ -222,6 +222,13 @@ class TestAlignedPanelInvariants:
         with pytest.raises(ValueError):
             make_panel([1.0, np.nan], [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_inf(self, value):
+        with pytest.raises(ValueError, match="inf forbidden"):
+            make_panel([1.0, 2.0], [[1.0], [value]])
+        with pytest.raises(ValueError, match="inf forbidden"):
+            make_panel([value, 2.0], [[1.0], [2.0]])
+
     def test_immutable_arrays(self):
         panel = make_panel([1.0, 2.0], [[1.0], [2.0]])
         with pytest.raises(ValueError):

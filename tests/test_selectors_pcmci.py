@@ -99,9 +99,9 @@ def _oracle_parcorr(view, x_link, y_var, cond_links):
     Z = view.matrix(cond_links)
     if view.rows <= Z.shape[1] + 3:
         return None
+    x, y = view.matrix([x_link, (y_var, 0)]).T
     try:
-        return partial_correlation(view.col(*x_link), view.col(y_var, 0),
-                                   Z if Z.shape[1] else None)
+        return partial_correlation(x, y, Z if Z.shape[1] else None)
     except Underdetermined:
         return None
 
@@ -183,7 +183,7 @@ def _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1):
 
 # r and p of the Gram path may differ from the oracle's least-squares
 # residuals by rounding amplified by the scaled Gram's condition number,
-# which is at most numerics._PARCORR_COND_MAX there
+# which is at most numerics._GRAM_COND_MAX there
 TOL = 1e-10
 
 
@@ -231,6 +231,29 @@ def test_matches_oracle_on_skipped_tests(rng):
     with pytest.warns(SkippedTestWarning):
         assert_matches_oracle(panel, 1, alpha=0.99, max_cond_dim=6,
                               max_parents_stage1=12)
+
+
+def test_too_few_rows_skip_every_unconditional_test(rng):
+    # 4 rows at p = 1 leave 3 usable rows: each q = 0 test is skipped with one
+    # warning, so no link gets a strength or is removed
+    panel = make_panel(rng.normal(size=4), rng.normal(size=(4, 3)))
+    view = _LagView(np.column_stack([panel.target, panel.features]), 1)
+    candidates = [(i, 1) for i in range(4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parents, strength, pval = _condition_select(view, 0, candidates, 0.05, 0, 10)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (SkippedTestWarning, "skipping test with 0 conditions on 3 rows")] * len(candidates)
+    assert parents == candidates
+    assert strength == dict.fromkeys(candidates, np.inf)
+    assert pval == dict.fromkeys(candidates, 0.0)
+    # the momentary tests are skipped too, and an untested link is retained
+    with pytest.warns(SkippedTestWarning):
+        fs = pcmci_select(panel, p=1)
+    assert fs.selected == {"X1", "X2", "X3"}
+    assert fs.diagnostics == dict.fromkeys(["X1", "X2", "X3"], (0.0, 0.0))
+    with pytest.warns(SkippedTestWarning):
+        assert_matches_oracle(panel, 1)
 
 
 def test_tied_strengths_keep_parent_order():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from causalfs.errors import GenerationFailed
-from causalfs.ingest import load_prices, parse_fredmd, prices_to_returns, transform_panel
+from causalfs.ingest import (
+    load_prices,
+    parse_fredmd,
+    parse_groups,
+    prices_to_returns,
+    transform_panel,
+)
 from causalfs.numerics import acyclicity
 from causalfs.panel import AlignedPanel, align_and_shift
 from causalfs.selectors.base import DynamicGraph, FeatureSet
@@ -192,7 +198,7 @@ class TestExportRoundTrip:
         )
         # exported target is a price path; returns come back in percent
         fredmd_csv, groups_csv, prices_csv = export_fredmd(panel)
-        raw, tcodes, _ = parse_fredmd(fredmd_csv, groups_csv)
+        raw, tcodes, _ = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
         transformed = transform_panel(raw, tcodes)
         returns = prices_to_returns(load_prices(prices_csv))
         back = align_and_shift(returns, transformed, shift_months=0,
