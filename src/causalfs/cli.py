@@ -1,8 +1,9 @@
 """Batch entry point: ingest, backtest, report, validate.
 
-Exit codes: 0 ok, 2 config/input error, 3 missing artifact, 4 generation
-failure. All outputs are plot-ready CSV/JSON under the configured output
-directory; input files are never modified.
+Exit codes: 0 ok, 1 backtest aborted (``ledger_<id>.csv.partial`` written),
+2 config/input error, 3 missing artifact, 4 generation failure. All outputs
+are plot-ready CSV/JSON under the configured output directory; input files
+are never modified.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from .selectors import make_selector
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
+EXIT_ABORTED = 1
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_GENERATION = 4
@@ -129,9 +131,9 @@ def cmd_backtest(cfg: RunConfig) -> int:
             ledger = run_backtest(panel, calendar, bt)
         except BacktestAborted as exc:
             partial = ledger_path.with_suffix(".csv.partial")
-            partial.write_text(ledger_to_csv(exc.partial) if exc.partial else "")
+            partial.write_text(ledger_to_csv(exc.partial) if exc.partial is not None else "")
             print(f"selector {sid} aborted: {exc}", file=sys.stderr)
-            return 1
+            return EXIT_ABORTED
         ledger_path.write_text(ledger_to_csv(ledger))
         (out / f"manifest_{sid}.json").write_text(
             json.dumps(run_manifest(ledger), indent=2, sort_keys=True) + "\n"

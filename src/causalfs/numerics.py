@@ -482,7 +482,8 @@ def kmeans(
     """Lloyd's algorithm with k-means++ seeding, deterministic given seed.
 
     An empty cluster is repaired by handing it the point currently farthest
-    from its own centroid, which never increases the objective.
+    from its own centroid among clusters of two or more points, which never
+    increases the objective and never empties another cluster.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -502,11 +503,10 @@ def kmeans(
         for c in range(k):
             if (new_assign == c).any():
                 continue
-            dist_own = d2[np.arange(n), new_assign]
-            donor = int(dist_own.argmax())
-            new_assign[donor] = c
-            d2[donor, :] = np.inf
-            d2[donor, c] = 0.0
+            # donors come from clusters of two or more (one exists, as k <= n)
+            shared = np.bincount(new_assign, minlength=k)[new_assign] > 1
+            dist_own = np.where(shared, d2[np.arange(n), new_assign], -1.0)
+            new_assign[int(dist_own.argmax())] = c
         moved = (new_assign != assignments).any() or not history
         assignments = new_assign
         for c in range(k):

@@ -1,7 +1,6 @@
 """Multivariate lag-based causality selection via nested-model F tests."""
 from __future__ import annotations
 
-from ..errors import Underdetermined
 from ..numerics import f_test_nested, nested_rss
 from ..panel import DesignMatrix
 from .base import FeatureSet
@@ -13,15 +12,12 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
     For each feature the full model (target lag plus all feature lags) is
     compared against the model with that feature's p lags removed; the
     feature is kept when the F test rejects at level alpha. All restricted
-    fits come from one factorization of the full design (``nested_rss``).
-    Diagnostics carry every (F, p) pair.
+    fits come from one factorization of the full design (``nested_rss``,
+    which raises Underdetermined when the rows do not exceed the
+    regressors). Diagnostics carry every (F, p) pair.
     """
     n, k_cols = design.X.shape
     k_full = k_cols + 1  # intercept counted
-    if n <= k_full:
-        raise Underdetermined(
-            f"{n} design rows for {k_full} regressors; pre-filter the features"
-        )
     rss_full, rss_restricted = nested_rss(design.X, design.y, list(design.blocks.values()))
     diagnostics = {}
     selected = set()

@@ -9,9 +9,10 @@ what keeps false-positive rates near the nominal level on autocorrelated
 series.
 
 Every CI test goes through ``_ci_tests``: a test with q conditions on at
-most q + 3 rows is skipped (the link is kept), the rest take r and p from
-the Gram of their centred columns, or from ``partial_correlation`` where
-that Gram has a zero-variance column or is ill-conditioned.
+most q + 3 rows is skipped (stage one keeps the link, stage two leaves it
+unselected), the rest take r and p from the Gram of their centred columns,
+or from ``partial_correlation`` where that Gram has a zero-variance column
+or is ill-conditioned.
 """
 from __future__ import annotations
 
@@ -181,10 +182,8 @@ def pcmci_select(
         cond_unique = [c for c in dict.fromkeys(cond) if c != link]
         [result] = _ci_tests(mci_view, [link], 0, cond_unique)
         if result is None:
-            r, pv = strength.get(link, 0.0), 0.0  # retained conservatively
-            r = 0.0 if not np.isfinite(r) else r
-        else:
-            r, pv = result
+            continue  # untested: never selected
+        r, pv = result
         name = names[i]
         if abs(r) > abs(best_stat[name]):
             best_stat[name] = r

@@ -120,10 +120,8 @@ def seqicp_select(
     accepted: list[frozenset[str]] = []
     appearances = {name: 0 for name in names}
     best_p = {name: 0.0 for name in names}
-    for size in range(0, max_subset_size + 1):
+    for size in range(min(max_subset_size, len(names)) + 1):
         subsets = list(combinations(names, size))
-        if not subsets:
-            break
         column_sets = [
             [0] + design.feature_column_indices(subset) for subset in subsets
         ]

@@ -38,12 +38,16 @@ def sfs_select(
 ) -> FeatureSet:
     """Forward or backward stepwise search over the design's features.
 
-    Forward starts empty and adds the feature whose inclusion most reduces
-    the cross-validated MSE, stopping once the best improvement falls below
-    ``tol`` or ``max_features`` is reached; backward removes symmetrically.
-    Splits are contiguous blocks (``folds`` >= 2). Exact metric ties resolve
-    to the lowest column index. All candidates of a step are scored in one
-    ``cv_mse_sets`` call on fold Grams formed once per call.
+    One loop serves both directions. Forward starts empty and each step may
+    add one feature from outside the current set; backward starts full and
+    each step may drop one from inside it. A step scores every candidate
+    set in one ``cv_mse_sets`` call on fold Grams formed once per call,
+    records each candidate's (MSE gain, MSE), and takes the first strict
+    win in design order, so exact metric ties resolve to the lowest column
+    index. Forward stops once the best gain falls below ``tol`` or
+    ``max_features`` is reached; backward stops once no drop gains ``tol``,
+    but keeps dropping while the set holds more than ``max_features``.
+    Splits are contiguous blocks (``folds`` >= 2).
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -60,35 +64,25 @@ def sfs_select(
         column_sets = [[0] + design.feature_column_indices(chosen) for chosen in feature_sets]
         return cv_mse_sets(cv, column_sets).tolist()
 
-    if direction == "forward":
-        current: list[str] = []
-        current_mse = scores([current])[0]
-        while len(current) < max_features and len(current) < len(names):
-            candidates = [name for name in names if name not in current]
-            best_name, best_mse = None, math.inf
-            # column order: first strict win takes ties
-            for name, mse in zip(candidates, scores([{*current, n} for n in candidates])):
-                diagnostics[name] = (current_mse - mse, mse)
-                if mse < best_mse:
-                    best_name, best_mse = name, mse
-            if best_name is None or current_mse - best_mse < tol:
-                break
-            current.append(best_name)
-            current_mse = best_mse
-        return FeatureSet(frozenset(current), diagnostics, "sfs")
-
-    current = list(names)
+    forward = direction == "forward"
+    current = set() if forward else set(names)
     current_mse = scores([current])[0]
-    while current:
+    while not forward or len(current) < max_features:
+        # forward toggles a feature outside the set in, backward one inside out
+        candidates = [name for name in names if (name in current) != forward]
+        if not candidates:
+            break
         best_name, best_mse = None, math.inf
-        for name, mse in zip(current, scores([set(current) - {n} for n in current])):
+        for name, mse in zip(candidates, scores([current ^ {n} for n in candidates])):
             diagnostics[name] = (current_mse - mse, mse)
             if mse < best_mse:
                 best_name, best_mse = name, mse
-        improves = current_mse - best_mse >= tol
-        over_cap = len(current) > max_features
-        if best_name is None or not (improves or over_cap):
+        gain = current_mse - best_mse
+        # the two stop rules differ only when gain or tol is NaN
+        stops = gain < tol if forward else not gain >= tol
+        over_cap = len(current) > max_features  # never true going forward
+        if best_name is None or (stops and not over_cap):
             break
-        current.remove(best_name)
+        current ^= {best_name}
         current_mse = best_mse
     return FeatureSet(frozenset(current), diagnostics, "sfs")

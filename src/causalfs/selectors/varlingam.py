@@ -121,11 +121,9 @@ def varlingam_fit(
     reporting-only and is computed on first access of
     ``VarLingamResult.causal_order``.
     """
-    if k_clusters is not None:
-        kept, corr = cluster_prefilter(panel, k_clusters, seed=seed)
-    else:
-        _, corr = cluster_prefilter(panel, panel.n_features, seed=seed)
-        kept = panel.feature_names
+    if k_clusters is None:
+        k_clusters = panel.n_features  # every feature is kept
+    kept, corr = cluster_prefilter(panel, k_clusters, seed=seed)
     names = (panel.target_name, *kept)
     m = len(names)
     T = len(panel)

@@ -382,6 +382,44 @@ class TestBacktest:
         with pytest.raises(TypeError, match="bug inside a selector"):
             run_cli("backtest", "--config", workspace / "run.toml")
 
+    @pytest.mark.parametrize("abort_step", [0, 5])
+    def test_forecast_fit_error_aborts_with_partial_ledger(
+        self, workspace, monkeypatch, capsys, abort_step
+    ):
+        import causalfs.backtest as bt
+        from causalfs.backtest import ledger_from_csv
+        from causalfs.cli import EXIT_ABORTED
+
+        config, out = workspace / "run.toml", workspace / "out"
+        assert run_cli("ingest", "--config", config) == 0
+        assert run_cli("backtest", "--config", config) == 0
+        full = ledger_from_csv((out / "ledger_granger.csv").read_text())
+        for path in out.glob("ledger_*"):
+            path.unlink()
+        fit = bt.fit_forecast_model
+
+        def failing(window, p, selected):
+            if len(window) == 40 + abort_step:  # forecasting month 40 + abort_step
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return fit(window, p, selected)
+
+        monkeypatch.setattr(bt, "fit_forecast_model", failing)
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == EXIT_ABORTED == 1
+        assert "selector granger aborted: hard error at" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("ledger_*")) == ["ledger_granger.csv.partial"]
+        partial = ledger_from_csv((out / "ledger_granger.csv.partial").read_text())
+        assert partial.records == full.records[:abort_step]
+
+    def test_exit_codes_documented(self):
+        import causalfs.cli as cli
+
+        codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        assert codes == {0, 1, 2, 3, 4}
+        for text in (cli.__doc__, README.read_text()):
+            listed = re.search(r"Exit codes: (.*?generation failure)", text, re.S).group(1)
+            assert {int(code) for code in re.findall(r"\b(\d)\s", listed)} == codes
+
     def test_bad_selector_param_exit_2_before_any_ledger(self, workspace):
         run_cli("ingest", "--config", workspace / "run.toml")
         config = workspace / "run.toml"

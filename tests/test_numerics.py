@@ -458,6 +458,24 @@ class TestKMeans:
         b = kmeans(pts, 3, seed=9)
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
+    @pytest.mark.parametrize("points, k", [
+        (np.ones((6, 2)), 3),
+        (np.repeat([[0.0, 0.0], [1.0, 0.0]], [5, 2], axis=0), 4),
+        (np.zeros((5, 3)), 5),
+    ])
+    def test_tied_points_fill_every_cluster(self, points, k):
+        # with every distance tied, the farthest point can be the sole member
+        # of a cluster just repaired; taking it would leave an empty cluster,
+        # a NaN centroid and a "Mean of empty slice" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = kmeans(points, k, seed=0)
+        assert np.bincount(res.assignments, minlength=k).min() >= 1
+        assert np.isfinite(res.centroids).all()
+        history = res.objective_history
+        assert all(a >= b for a, b in zip(history, history[1:]))
+        assert len(history) < 300  # converged
+
     def test_bad_k(self):
         with pytest.raises(BadK):
             kmeans(np.zeros((3, 2)), 4, seed=0)

@@ -158,10 +158,8 @@ def _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1):
         cond = [c for c in dict.fromkeys(cond) if c != link]
         result = _oracle_parcorr(mci_view, link, 0, cond)
         if result is None:
-            r, pv = stat0.get(link, 0.0), 0.0
-            r = 0.0 if not np.isfinite(r) else r
-        else:
-            r, pv = result
+            continue
+        r, pv = result
         name = names[i]
         if abs(r) > abs(best_stat[name]):
             best_stat[name] = r
@@ -247,11 +245,12 @@ def test_too_few_rows_skip_every_unconditional_test(rng):
     assert parents == candidates
     assert strength == dict.fromkeys(candidates, np.inf)
     assert pval == dict.fromkeys(candidates, 0.0)
-    # the momentary tests are skipped too, and an untested link is retained
+    # the momentary tests are skipped too, and an untested link is never
+    # selected: its feature keeps the default diagnostics
     with pytest.warns(SkippedTestWarning):
         fs = pcmci_select(panel, p=1)
-    assert fs.selected == {"X1", "X2", "X3"}
-    assert fs.diagnostics == dict.fromkeys(["X1", "X2", "X3"], (0.0, 0.0))
+    assert fs.selected == set()
+    assert fs.diagnostics == dict.fromkeys(["X1", "X2", "X3"], (0.0, 1.0))
     with pytest.warns(SkippedTestWarning):
         assert_matches_oracle(panel, 1)
 
