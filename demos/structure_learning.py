@@ -37,9 +37,9 @@ print("directions may flip here: equal-variance chains are not orientable "
 
 res = varlingam_fit(panel, p=1, seed=0)
 print(f"ICA-based causal order: {' -> '.join(res.causal_order)}")
-print("instantaneous effects on the target (row 0):")
+print("instantaneous effects on the target (column 0):")
 for j, name in enumerate(res.variable_names):
     if j:
-        print(f"  {name}: {res.instantaneous[0, j]:+.3f}")
+        print(f"  {name}: {res.graph.S[j, 0]:+.3f}")
 print("\nnon-Gaussian noise makes the ordering identifiable: X2 comes out")
 print("as the only direct cause of Y, with X1 acting through X2.")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,14 +43,7 @@ class BacktestConfig:
             raise ValueError("reselect_every must be >= 1")
 
     def snapshot(self) -> dict:
-        return {
-            "window": self.window,
-            "p": self.p,
-            "selector_id": self.selector_id,
-            "selector_params": dict(self.selector_params),
-            "reselect_every": self.reselect_every,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

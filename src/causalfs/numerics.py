@@ -319,14 +319,16 @@ def f_sf(x: float, df1: int, df2: int) -> float:
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
 
 
-def t_sf(x: float, df: int) -> float:
-    """Upper tail of Student's t with ``df`` degrees of freedom."""
+def _correlation_p(r, dof: int) -> np.ndarray:
+    """Two-sided p-value of the correlation(s) r on ``dof`` degrees of
+    freedom, from the t transform t = r sqrt(dof / (1 - r^2)); |r| = 1
+    gives p = 0 and a nan r a nan p."""
     from scipy.special import betainc
 
-    if math.isinf(x):
-        return 0.0 if x > 0 else 1.0
-    p_two = betainc(df / 2.0, 0.5, df / (df + x * x))
-    return float(p_two / 2.0 if x >= 0 else 1.0 - p_two / 2.0)
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):  # |r| = 1 gives t = inf and p = 0
+        t = r * np.sqrt(dof / (1.0 - r * r))
+    return np.minimum(betainc(dof / 2.0, 0.5, dof / (dof + t * t)), 1.0)
 
 
 def f_test_nested(
@@ -402,11 +404,7 @@ def partial_correlation(
     if dof < 1:
         raise ValueError("not enough observations for the t transform")
     r = min(max(r, -1.0), 1.0)
-    if abs(r) >= 1.0:
-        return r, 0.0
-    t = r * math.sqrt(dof / (1.0 - r * r))
-    p = 2.0 * t_sf(abs(t), dof)
-    return r, min(p, 1.0)
+    return r, float(_correlation_p(r, dof))
 
 
 def gram_partial_correlation(
@@ -419,15 +417,14 @@ def gram_partial_correlation(
     ``G`` stacks tests x k x k Grams M'M, where M = [x, y, Z] holds the n
     centred rows of one test's columns (k - 2 conditioning columns). Each
     is scaled to unit diagonal, C; r = C01 when k = 2, else
-    r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes from the same t
-    transform as ``partial_correlation``. ``ok`` is False, and r and p nan,
-    for a Gram with a zero diagonal entry or, when k > 2, a scaled condition
-    number above _GRAM_COND_MAX: the caller must take those tests through
+    r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes from
+    ``_correlation_p``, as in ``partial_correlation``. ``ok`` is False, and
+    r and p nan, for a Gram with a zero diagonal entry or, when k > 2, a
+    scaled condition number above _GRAM_COND_MAX: the caller must take those
+    tests through
     ``partial_correlation``, which raises DegenerateInput and warns
     RankDeficientWarning where they are due.
     """
-    from scipy.special import betainc
-
     G = np.asarray(G, dtype=float)
     k = G.shape[-1]
     dof = n - k
@@ -446,10 +443,7 @@ def gram_partial_correlation(
         P = U @ U.transpose(0, 2, 1)
         r = -P[:, 0, 1] / np.sqrt(P[:, 0, 0] * P[:, 1, 1])
     r = np.where(ok, np.clip(r, -1.0, 1.0), np.nan)
-    with np.errstate(divide="ignore"):  # |r| = 1 gives t = inf and p = 0
-        t = r * np.sqrt(dof / (1.0 - r * r))
-    p = np.minimum(betainc(dof / 2.0, 0.5, dof / (dof + t * t)), 1.0)
-    return r, p, ok
+    return r, _correlation_p(r, dof), ok
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,13 @@ class Environment:
 
 @dataclass(frozen=True)
 class DynamicGraph:
-    """Instantaneous matrix S and lag matrices W, row = source, col = dest.
+    """Instantaneous matrix S and lag matrices W of a structural VAR.
 
-    Also serves as the ground-truth type in the synthetic lab; ``h_value``
-    is the acyclicity residual of S after fitting (0 for generated truths).
+    ``S[i, j]`` and ``W[tau - 1][i, j]`` weigh the edge from variable i (at
+    lag 0, resp. tau) into variable j: the row is the cause, the column the
+    effect. DYNOTEARS and VARLiNGAM return this type, and the synthetic lab
+    uses it for the truth; ``h_value`` is the acyclicity residual of S that
+    DYNOTEARS reports after fitting (0 for every other producer).
     """
 
     S: np.ndarray
@@ -94,14 +97,19 @@ class DynamicGraph:
         except ValueError:
             raise BadName(f"unknown variable {name!r}")
 
+    def in_weights(
+        self, name: str, instantaneous: bool = True, lagged: bool = True
+    ) -> dict[str, float]:
+        """Every other variable's largest absolute edge weight into ``name``,
+        over S and/or every W_tau; 0.0 where it has no such edge."""
+        j = self.index_of(name)
+        kinds = ((self.S,) if instantaneous else ()) + (self.W if lagged else ())
+        return {
+            src: max([0.0] + [abs(M[i, j]) for M in kinds])
+            for i, src in enumerate(self.variable_names)
+            if src != name
+        }
+
     def parents_of(self, name: str) -> frozenset[str]:
         """Names with any nonzero edge into ``name`` (instantaneous or lagged)."""
-        j = self.index_of(name)
-        parents = set()
-        for i, src in enumerate(self.variable_names):
-            if src == name:
-                continue
-            if self.S[i, j] != 0 or any(w[i, j] != 0 for w in self.W):
-                parents.add(src)
-        return frozenset(parents)
-
+        return frozenset(src for src, w in self.in_weights(name).items() if w > 0.0)

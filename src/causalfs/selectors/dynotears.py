@@ -160,16 +160,7 @@ def dynotears_fit(
 def dynotears_select(graph: DynamicGraph, target_name: str) -> FeatureSet:
     """Features with a surviving edge into the target, at any lag or
     instantaneously; edges leaving the target do not count."""
-    t = graph.index_of(target_name)
-    diagnostics = {}
-    selected = set()
-    for i, name in enumerate(graph.variable_names):
-        if name == target_name:
-            continue
-        weight = abs(graph.S[i, t])
-        for W in graph.W:
-            weight = max(weight, abs(W[i, t]))
-        diagnostics[name] = (weight, weight)
-        if weight > 0.0:
-            selected.add(name)
-    return FeatureSet(frozenset(selected), diagnostics, "dynotears")
+    weights = graph.in_weights(target_name)
+    diagnostics = {name: (w, w) for name, w in weights.items()}
+    selected = frozenset(n for n, w in weights.items() if w > 0.0)
+    return FeatureSet(selected, diagnostics, "dynotears")

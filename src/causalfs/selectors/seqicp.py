@@ -109,7 +109,8 @@ def seqicp_select(
         raise NeedEnvironments("invariance testing needs >= 2 environments")
     _check_partition(environments, design.n)
     names = design.feature_names
-    max_cols = 2 + design.p * max_subset_size  # intercept + target lag + subset
+    largest = min(max_subset_size, len(names))
+    max_cols = 2 + design.p * largest  # intercept + target lag + subset
     for env in environments:
         if len(env) <= max_cols + 1:
             raise Insufficient(
@@ -120,7 +121,7 @@ def seqicp_select(
     accepted: list[frozenset[str]] = []
     appearances = {name: 0 for name in names}
     best_p = {name: 0.0 for name in names}
-    for size in range(min(max_subset_size, len(names)) + 1):
+    for size in range(largest + 1):
         subsets = list(combinations(names, size))
         column_sets = [
             [0] + design.feature_column_indices(subset) for subset in subsets

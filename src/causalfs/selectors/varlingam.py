@@ -5,6 +5,8 @@ keep the covariate count below the observation count, an equation-wise
 least-squares fit of the lag structure, ICA on the residuals, and recovery
 of the instantaneous effects matrix by permutation search on the unmixing
 matrix. Non-Gaussian noise is what makes the ordering identifiable.
+The instantaneous matrix A0 and the lag matrices A_tau (row = effect, as in
+the method's paper) are returned transposed, as a ``DynamicGraph``.
 """
 from __future__ import annotations
 
@@ -18,24 +20,25 @@ import numpy as np
 from ..errors import DegenerateInput, TooManyCovariates
 from ..numerics import fastica, kmeans, ols_fit, pearson
 from ..panel import AlignedPanel, lag_rows
-from .base import FeatureSet
+from .base import DynamicGraph, FeatureSet
 
 
 @dataclass(frozen=True)
 class VarLingamResult:
     """Full estimation output; ``variable_names[0]`` is the target."""
 
-    variable_names: tuple[str, ...]
-    kept_features: tuple[str, ...]
+    graph: DynamicGraph  # S = A0.T, W_tau = A_tau.T
     corr_with_target: dict[str, float]
-    instantaneous: np.ndarray  # A0, row = effect, col = cause
-    lagged: tuple[np.ndarray, ...]  # A_tau in the same orientation
     ica_converged: bool
+
+    @property
+    def variable_names(self) -> tuple[str, ...]:
+        return self.graph.variable_names
 
     @cached_property
     def causal_order(self) -> tuple[str, ...]:
         """Reporting only, so the order search runs on first access."""
-        return tuple(self.variable_names[i] for i in _causal_order(self.instantaneous))
+        return tuple(self.variable_names[i] for i in _causal_order(self.graph.S.T))
 
 
 def cluster_prefilter(
@@ -116,8 +119,9 @@ def varlingam_fit(
     """Estimate instantaneous and lagged effect matrices on [target, features].
 
     Requires more observations than covariates after the pre-filter (pass
-    ``k_clusters`` to shrink a wide panel first). Selection reads only row 0
-    of ``instantaneous`` and of each lag matrix; the ICA causal order is
+    ``k_clusters`` to shrink a wide panel first). The matrices come back as
+    ``VarLingamResult.graph`` over the kept variables; selection reads only
+    the edges into the target (column 0); the ICA causal order is
     reporting-only and is computed on first access of
     ``VarLingamResult.causal_order``.
     """
@@ -136,7 +140,7 @@ def varlingam_fit(
     # step 1: equation-wise least squares for the lag structure
     lagged_X = lag_rows(X, [(j, tau) for tau in range(1, p + 1) for j in range(m)], range(p, T))
     resid = np.empty((T - p, m))
-    B = np.zeros((p, m, m))  # B[tau-1][i, j]: var i at lag tau+1 -> var j
+    B = np.zeros((p, m, m))  # B[tau - 1][i, j]: var i at lag tau -> var j
     for j in range(m):
         fit = ols_fit(lagged_X, X[p:T, j], intercept=True)
         resid[:, j] = fit.residuals
@@ -147,14 +151,11 @@ def varlingam_fit(
     W_tilde = _permute_unit_diagonal(ica.unmixing)
     A0 = np.eye(m) - W_tilde
     np.fill_diagonal(A0, 0.0)
-    # step 4: lagged causal matrices, instantaneous effects removed
-    lagged = tuple((np.eye(m) - A0) @ B[tau].T for tau in range(p))
+    # step 4: lag matrices A_tau = (I - A0) B_tau', instantaneous effects removed
+    W = tuple(((np.eye(m) - A0) @ B[tau].T).T for tau in range(p))
     return VarLingamResult(
-        variable_names=names,
-        kept_features=kept,
+        graph=DynamicGraph(S=A0.T, W=W, variable_names=names),
         corr_with_target=corr,
-        instantaneous=A0,
-        lagged=lagged,
         ica_converged=ica.converged,
     )
 
@@ -171,20 +172,12 @@ def varlingam_select(
     """Select features with an effect on the target above ``edge_threshold``
     in the instantaneous matrix or any lag matrix (switchable per kind)."""
     result = varlingam_fit(panel, p=p, k_clusters=k_clusters, seed=seed)
-    diagnostics = {}
-    selected = set()
-    for name in panel.feature_names:
-        if name not in result.kept_features:
-            diagnostics[name] = (abs(result.corr_with_target[name]), 0.0)
-            continue
-        j = result.variable_names.index(name)
-        weight = 0.0
-        if use_instantaneous:
-            weight = max(weight, abs(result.instantaneous[0, j]))
-        if use_lagged:
-            for A in result.lagged:
-                weight = max(weight, abs(A[0, j]))
-        diagnostics[name] = (abs(result.corr_with_target[name]), weight)
-        if weight > edge_threshold:
-            selected.add(name)
-    return FeatureSet(frozenset(selected), diagnostics, "varlingam")
+    weights = result.graph.in_weights(
+        panel.target_name, use_instantaneous, use_lagged
+    )  # pre-filtered features have no edges and weigh 0
+    diagnostics = {
+        name: (abs(result.corr_with_target[name]), weights.get(name, 0.0))
+        for name in panel.feature_names
+    }
+    selected = frozenset(n for n, w in weights.items() if w > edge_threshold)
+    return FeatureSet(selected, diagnostics, "varlingam")

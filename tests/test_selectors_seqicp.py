@@ -115,6 +115,17 @@ def test_environment_rows_out_of_range_rejected():
         seqicp_select(design, bad)
 
 
+def test_subset_size_above_feature_count_is_capped():
+    # 3 features: sizes above 3 add no subset, so they must not add regressors
+    # to the feasibility guard either (15-row environments, 2 lags)
+    rng = np.random.default_rng(0)
+    panel = AlignedPanel(month_range("2000-01", 32), rng.normal(size=32),
+                         rng.normal(size=(32, 3)), ("X1", "X2", "X3"),
+                         target_name="Y", returns_x100=False)
+    design = build_design(panel, 2)
+    assert seqicp_select(design, max_subset_size=9) == seqicp_select(design, max_subset_size=3)
+
+
 def thirds_environments(n):
     # three calendar-like regimes: a middle block between two outer ones
     idx = np.arange(n)
@@ -258,7 +269,7 @@ class TestBatchedFits:
                              target_name="Y", returns_x100=False)
         design = build_design(panel, p)
         envs = (thirds_environments if three else halves_environments)(design.n)
-        if min(len(e) for e in envs) <= 2 + p * max_subset_size + 1:
+        if min(len(e) for e in envs) <= 2 + p * min(max_subset_size, d) + 1:
             with pytest.raises(Insufficient):
                 seqicp_select(design, envs, max_subset_size=max_subset_size)
             return

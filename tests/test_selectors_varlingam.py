@@ -42,6 +42,19 @@ def test_chain_recovers_order_and_parent():
     assert ok_set >= 36
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_graph_rows_are_causes(seed):
+    # lag-only chain X1 -> Y -> X2; a graph in the effect-row orientation
+    # would put each 0.8 in the transposed cell and miss by 0.8
+    W = np.zeros((3, 3))
+    W[1, 0] = 0.8  # X1 -> Y
+    W[0, 2] = 0.8  # Y -> X2
+    panel, _ = simulate_svar(np.zeros((3, 3)), [W], n=2000, noise="laplace", seed=seed)
+    graph = varlingam_fit(panel, p=1, seed=seed).graph
+    assert graph.variable_names == ("Y", "X1", "X2")
+    assert np.abs(graph.W[0] - W).max() <= 0.2
+
+
 def test_identity_prefilter_when_k_equals_d(rng):
     panel = make_panel(rng.normal(size=50), rng.normal(size=(50, 4)))
     kept, _ = cluster_prefilter(panel, k_clusters=4, seed=0)
