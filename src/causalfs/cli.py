@@ -234,25 +234,25 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
     out = spec_path.resolve().parent / flags.get("output_dir", cfg.output_dir)
     base_seed = flags.get("seed", cfg.spec.seed)
     out.mkdir(parents=True, exist_ok=True)
-    labs = []  # (spec, panel, truth) per seed, generated once, as the first selector reaches it
-    for sid in flags.get("selectors", cfg.selectors):
+    sids = flags.get("selectors", cfg.selectors)
+    labs = []  # (spec, panel, truth) per seed, shared by all selectors; none without one
+    for k in range(cfg.n_seeds if sids else 0):
+        spec = replace(cfg.spec, seed=base_seed + k)
+        try:
+            labs.append((spec, *synthlab.generate_svar(spec)))
+        except GenerationFailed as exc:
+            print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
+            return EXIT_GENERATION
+    for sid in sids:
         runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
-        for k in range(cfg.n_seeds):
-            if k == len(labs):
-                spec = replace(cfg.spec, seed=base_seed + k)
-                try:
-                    labs.append((spec, *synthlab.generate_svar(spec)))
-                except GenerationFailed as exc:
-                    print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
-                    return EXIT_GENERATION
-            spec, panel, truth = labs[k]
+        for spec, panel, truth in labs:
             fs = runner(panel, spec.p, spec.seed, None)
             score = synthlab.score_recovery(fs, truth)
             rows.append((spec.seed, score.precision, score.recall, score.f1, len(fs)))
         _, precision, recall, f1, n_selected = zip(*rows)
         mean_f1 = sum(f1) / len(rows)
-        mean_rate = sum(n_selected) / (len(rows) * (spec.d - 1))
+        mean_rate = sum(n_selected) / (len(rows) * (cfg.spec.d - 1))
         mean = ("mean", sum(precision) / len(rows), sum(recall) / len(rows), mean_f1, mean_rate)
         (out / f"recovery_{sid}.csv").write_text(
             to_csv(["seed", "precision", "recall", "f1", "n_selected"], [*rows, mean])

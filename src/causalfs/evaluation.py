@@ -3,7 +3,8 @@
 Conventions, stated once: returns are monthly and in percent, annualization
 uses sqrt(12) with a zero risk-free rate, the Sortino denominator is the
 root mean square of the negative returns (target 0), and a zero forecast
-maps to a flat position.
+maps to a flat position. Every per-regime figure takes its months from
+``RegimeCalendar.split``, the one rule for which month is normal or crisis.
 """
 from __future__ import annotations
 
@@ -107,18 +108,16 @@ def regime_metrics(ledger: BacktestLedger, calendar: RegimeCalendar) -> MetricsR
     """
     if len(ledger) == 0:
         raise Insufficient("empty ledger")
-    groups: dict[Regime, list[float]] = {}
-    for r in ledger.records:
-        regime = calendar.classify(r.date)
-        groups.setdefault(regime, []).append(r.y_true - r.y_pred)
+    errors = ledger.errors
     per_regime = {}
-    for regime, errs in groups.items():
-        e = np.array(errs)
-        per_regime[regime] = RegimeErrors(
-            mae=float(np.abs(e).mean()),
-            rmse=math.sqrt(float((e * e).mean())),
-            count=len(e),
-        )
+    for regime, rows in calendar.split(ledger.dates).items():
+        if len(rows):
+            e = errors[rows]
+            per_regime[regime] = RegimeErrors(
+                mae=float(np.abs(e).mean()),
+                rmse=math.sqrt(float((e * e).mean())),
+                count=len(e),
+            )
     normal = per_regime.get(Regime.NORMAL)
     crisis = per_regime.get(Regime.CRISIS)
     if normal is None or crisis is None or normal.mae == 0.0:
@@ -165,14 +164,11 @@ def portfolio_metrics(
     """
     if len(series) < 2:
         raise Insufficient("need at least two strategy returns")
-    out = {}
-    for regime in Regime:
-        mask = np.array(
-            [calendar.classify(d) is regime for d in series.dates]
-        )
-        if mask.sum() >= 2:
-            out[regime] = _stats(series.returns[mask])
-    return out
+    return {
+        regime: _stats(series.returns[rows])
+        for regime, rows in calendar.split(series.dates).items()
+        if len(rows) >= 2
+    }
 
 
 def combine_portfolios(

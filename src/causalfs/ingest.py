@@ -81,6 +81,15 @@ class RegimeCalendar:
                 return Regime.CRISIS
         return Regime.NORMAL
 
+    def split(self, dates) -> dict[Regime, np.ndarray]:
+        """For each regime, normal then crisis, the positions in ``dates`` of
+        its months: an int array in order, empty when it has none."""
+        regimes = [self.classify(d) for d in dates]
+        return {
+            regime: np.array([i for i, r in enumerate(regimes) if r is regime], dtype=int)
+            for regime in Regime
+        }
+
 
 def csv_rows(text: str) -> list[list[str]]:
     """The rows of a CSV text, skipping blank and whitespace-only lines."""

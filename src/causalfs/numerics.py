@@ -5,6 +5,10 @@ LAPACK (via numpy/scipy); k-means and FastICA are implemented here because
 the selectors depend on their exact seeding, repair, and convergence
 behaviour being reproducible. scipy is imported inside the functions that
 call it, so a command that never calls them does not load it.
+
+``f_sf`` is the package's one F tail, read by the nested F test, the
+correlation tests (as the F(1, dof) tail of t^2) and seqICP's equal-mean
+test; ``standardize`` is its one column standardisation.
 """
 from __future__ import annotations
 
@@ -53,10 +57,12 @@ class OlsFit:
 
 @dataclass(frozen=True)
 class FTestResult:
-    statistic: float
-    df1: int
+    """One F test, or one per element when ``f_test_nested`` got arrays."""
+
+    statistic: float | np.ndarray
+    df1: int | np.ndarray
     df2: int
-    p_value: float
+    p_value: float | np.ndarray
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True) -> OlsFit:
@@ -307,52 +313,58 @@ def _ols_fold_mse(cv: CvFolds, f: int, columns: np.ndarray) -> float:
     return float(((cv.y[block] - pred) ** 2).mean())
 
 
-def f_sf(x: float, df1: int, df2: int) -> float:
-    """Upper tail of the F(df1, df2) distribution via the regularized
-    incomplete beta function."""
+def f_sf(x, df1, df2):
+    """Upper tail of the F(df1, df2) distribution at x, elementwise, via the
+    regularized incomplete beta function; x = 0 gives exactly 1 and x = inf
+    exactly 0. Every p-value in the package comes from this tail."""
     from scipy.special import betainc
 
-    if x <= 0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
+    return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x))
 
 
 def _correlation_p(r, dof: int) -> np.ndarray:
     """Two-sided p-value of the correlation(s) r on ``dof`` degrees of
-    freedom, from the t transform t = r sqrt(dof / (1 - r^2)); |r| = 1
+    freedom: the F(1, dof) tail of t^2, t = r sqrt(dof / (1 - r^2)); |r| = 1
     gives p = 0 and a nan r a nan p."""
-    from scipy.special import betainc
-
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):  # |r| = 1 gives t = inf and p = 0
         t = r * np.sqrt(dof / (1.0 - r * r))
-    return np.minimum(betainc(dof / 2.0, 0.5, dof / (dof + t * t)), 1.0)
+    return np.minimum(f_sf(t * t, 1, dof), 1.0)
 
 
-def f_test_nested(
-    rss_restricted: float, rss_full: float, q: int, n: int, k_full: int
-) -> FTestResult:
-    """Nested-model F test; negative RSS gaps are clamped to zero.
+def standardize(X: np.ndarray) -> np.ndarray:
+    """Columns centred and divided by their sample standard deviation
+    (ddof 1); a constant column is only centred."""
+    std = X.std(axis=0, ddof=1)
+    std = np.where(std > 0, std, 1.0)
+    return (X - X.mean(axis=0)) / std
+
+
+def f_test_nested(rss_restricted, rss_full: float, q, n: int, k_full: int) -> FTestResult:
+    """Nested-model F test, elementwise over ``rss_restricted`` and ``q``:
+    scalars give floats, arrays give arrays. Negative RSS gaps are clamped
+    to zero.
 
     A perfect full fit with a worse restricted fit yields an infinite
     statistic and p = 0.
     """
-    if q < 1:
+    rss_restricted, q = np.asarray(rss_restricted, dtype=float), np.asarray(q)
+    if (q < 1).any():
         raise ValueError("q must be >= 1")
     if n <= k_full:
         raise ValueError("need n > k_full")
-    if rss_full < 0 or rss_restricted < 0:
+    if rss_full < 0 or (rss_restricted < 0).any():
         raise ValueError("RSS cannot be negative")
-    gap = max(rss_restricted - rss_full, 0.0)
+    gap = np.maximum(rss_restricted - rss_full, 0.0)
     df2 = n - k_full
     if rss_full == 0.0:
-        if gap > 0.0:
-            return FTestResult(math.inf, q, df2, 0.0)
-        return FTestResult(0.0, q, df2, 1.0)
-    stat = (gap / q) / (rss_full / df2)
-    return FTestResult(stat, q, df2, f_sf(stat, q, df2))
+        stat = np.where(gap > 0.0, math.inf, 0.0)
+    else:
+        stat = (gap / q) / (rss_full / df2)
+    p = f_sf(stat, q, df2)
+    if stat.ndim == 0:
+        return FTestResult(float(stat), int(q), df2, float(p))
+    return FTestResult(stat, q, df2, p)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

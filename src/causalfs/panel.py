@@ -7,7 +7,8 @@ reject NaN, so look-ahead reasoning stays simple.
 
 The lag rule: a lag >= 1 at time t reads only rows < t. Every lagged value
 in the package (designs, the forecast's regressors, the lag matrices of
-PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it.
+PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it;
+VARLiNGAM and DYNOTEARS share one VAR lag stack, :func:`stack_lags`.
 """
 from __future__ import annotations
 
@@ -317,6 +318,14 @@ def lag_rows(data: np.ndarray, links: list[tuple[int, int]], times: range) -> np
     shifts = np.hstack([data[times.start - k : times.stop - k] for k in range(low, high + 1)])
     cols = [(k - low) * m + v for v, k in links]
     return shifts if cols == list(range(shifts.shape[1])) else shifts.take(cols, axis=1)
+
+
+def stack_lags(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a VAR(p) regression: ``data[p:]`` and, row for row, every
+    variable at lags 1..p, lag-major (column (tau - 1) * m + j holds variable
+    j at lag tau)."""
+    links = [(j, tau) for tau in range(1, p + 1) for j in range(data.shape[1])]
+    return data[p:], lag_rows(data, links, range(p, len(data)))
 
 
 def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:

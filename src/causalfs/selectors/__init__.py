@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from ..errors import BadName
-from ..ingest import Regime
 from ..panel import AlignedPanel, build_design
 from .base import DynamicGraph, Environment, FeatureSet
 from .dynotears import dynotears_fit, dynotears_select
@@ -49,11 +48,8 @@ def _seqicp(panel, p, seed, calendar, environments="halves", **kw):
     design = build_design(panel, p)
     envs = None  # seqicp_select's default: the window's two halves
     if environments == "calendar" and calendar is not None:
-        regimes = [calendar.classify(d) for d in design.dates]
-        envs = [
-            Environment(str(regime), [i for i, r in enumerate(regimes) if r is regime])
-            for regime in Regime
-        ]
+        envs = [Environment(str(regime), rows)
+                for regime, rows in calendar.split(design.dates).items()]
         if not all(len(e) for e in envs):
             envs = None  # a single-regime window cannot test invariance
     return seqicp_select(design, envs, **kw)

@@ -70,8 +70,6 @@ class DynamicGraph:
     S: np.ndarray
     W: tuple[np.ndarray, ...]
     variable_names: tuple[str, ...]
-    lambda_s: float = 0.0
-    lambda_w: float = 0.0
     h_value: float = 0.0
 
     def __post_init__(self):

@@ -16,20 +16,9 @@ import warnings
 import numpy as np
 
 from ..errors import NotAcyclic
-from ..numerics import acyclicity
-from ..panel import AlignedPanel, lag_rows
+from ..numerics import acyclicity, standardize
+from ..panel import AlignedPanel, stack_lags
 from .base import DynamicGraph, FeatureSet
-
-
-def _standardize(X: np.ndarray) -> np.ndarray:
-    std = X.std(axis=0, ddof=1)
-    std = np.where(std > 0, std, 1.0)
-    return (X - X.mean(axis=0)) / std
-
-
-def _stack_lags(X: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    links = [(j, tau) for tau in range(1, p + 1) for j in range(X.shape[1])]
-    return X[p:], lag_rows(X, links, range(p, len(X)))
 
 
 def objective_terms(
@@ -72,10 +61,7 @@ def dynotears_fit(
             UserWarning,
             stacklevel=2,
         )
-    data = _standardize(
-        np.column_stack([panel.target, panel.features])
-    )
-    X, X_lag = _stack_lags(data, p)
+    X, X_lag = stack_lags(standardize(np.column_stack([panel.target, panel.features])), p)
     n_s = m * m
     n_w = p * m * m
 
@@ -142,14 +128,7 @@ def dynotears_fit(
     W_est[np.abs(W_est) < w_threshold] = 0.0
     W_list = tuple(W_est[tau * m : (tau + 1) * m] for tau in range(p))
     h_final, _ = acyclicity(S_est)
-    graph = DynamicGraph(
-        S=S_est,
-        W=W_list,
-        variable_names=names,
-        lambda_s=lambda_s,
-        lambda_w=lambda_w,
-        h_value=h_final,
-    )
+    graph = DynamicGraph(S=S_est, W=W_list, variable_names=names, h_value=h_final)
     if h > h_tol:
         raise NotAcyclic(
             f"h={h:.3e} above tolerance {h_tol:.1e} at rho_max", graph=graph

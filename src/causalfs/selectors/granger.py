@@ -14,16 +14,14 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
     feature is kept when the F test rejects at level alpha. All restricted
     fits come from one factorization of the full design (``nested_rss``,
     which raises Underdetermined when the rows do not exceed the
-    regressors). Diagnostics carry every (F, p) pair.
+    regressors), and one ``f_test_nested`` call scores every block.
+    Diagnostics carry every (F, p) pair.
     """
     n, k_cols = design.X.shape
-    k_full = k_cols + 1  # intercept counted
-    rss_full, rss_restricted = nested_rss(design.X, design.y, list(design.blocks.values()))
-    diagnostics = {}
-    selected = set()
-    for (name, block), rss in zip(design.blocks.items(), rss_restricted):
-        test = f_test_nested(float(rss), rss_full, q=len(block), n=n, k_full=k_full)
-        diagnostics[name] = (test.statistic, test.p_value)
-        if test.p_value < alpha:
-            selected.add(name)
-    return FeatureSet(frozenset(selected), diagnostics, "granger")
+    blocks = list(design.blocks.values())
+    rss_full, rss_restricted = nested_rss(design.X, design.y, blocks)
+    test = f_test_nested(rss_restricted, rss_full, q=[len(b) for b in blocks], n=n,
+                         k_full=k_cols + 1)  # intercept counted
+    diagnostics = dict(zip(design.blocks, zip(test.statistic.tolist(), test.p_value.tolist())))
+    selected = frozenset(name for name, (_, p) in diagnostics.items() if p < alpha)
+    return FeatureSet(selected, diagnostics, "granger")

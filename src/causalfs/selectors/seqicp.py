@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import Insufficient, NeedEnvironments
-from ..numerics import chunk_slices, subset_gram, subset_residuals
+from ..numerics import chunk_slices, f_sf, subset_gram, subset_residuals
 from ..panel import DesignMatrix
 from .base import Environment, FeatureSet
 
@@ -50,7 +50,7 @@ def residual_invariance_p(residuals: np.ndarray, environments) -> float | np.nda
     The environments must partition the residual columns (ValueError
     otherwise); an environment with fewer than 2 rows raises Insufficient.
     """
-    from scipy.special import betainc, gammaincc
+    from scipy.special import gammaincc
 
     if len(environments) < 2:
         raise NeedEnvironments("invariance testing needs >= 2 environments")
@@ -75,7 +75,7 @@ def residual_invariance_p(residuals: np.ndarray, environments) -> float | np.nda
     p_mean = np.where(between <= 0.0, 1.0, 0.0)
     ok = within > 0.0
     f_stat = (between[ok] / (e - 1)) / (within[ok] / (n - e))
-    p_mean[ok] = betainc((n - e) / 2.0, (e - 1) / 2.0, (n - e) / ((n - e) + (e - 1) * f_stat))
+    p_mean[ok] = f_sf(f_stat, e - 1, n - e)
     # Bartlett's test of equal variances (upper tail of chi2(e - 1))
     variances = ss / (sizes - 1)
     p_var = np.where(variances.max(axis=1) <= 0.0, 1.0, 0.0)

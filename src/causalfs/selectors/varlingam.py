@@ -18,8 +18,8 @@ from itertools import permutations
 import numpy as np
 
 from ..errors import DegenerateInput, TooManyCovariates
-from ..numerics import fastica, kmeans, ols_fit, pearson
-from ..panel import AlignedPanel, lag_rows
+from ..numerics import fastica, kmeans, ols_fit, pearson, standardize
+from ..panel import AlignedPanel, stack_lags
 from .base import DynamicGraph, FeatureSet
 
 
@@ -50,9 +50,6 @@ def cluster_prefilter(
     with the target survives; ties resolve to the lowest column index.
     """
     X = panel.features
-    std = X.std(axis=0, ddof=1)
-    std = np.where(std > 0, std, 1.0)
-    Xs = (X - X.mean(axis=0)) / std
     corr = {}
     for j, name in enumerate(panel.feature_names):
         try:
@@ -61,7 +58,7 @@ def cluster_prefilter(
             corr[name] = 0.0
     if k_clusters >= panel.n_features:
         return panel.feature_names, corr
-    result = kmeans(Xs.T, k_clusters, seed=seed)
+    result = kmeans(standardize(X).T, k_clusters, seed=seed)
     kept = []
     for c in range(k_clusters):
         members = [j for j in range(panel.n_features) if result.assignments[j] == c]
@@ -138,11 +135,11 @@ def varlingam_fit(
         )
     X = np.column_stack([panel.target, *(panel.column(name) for name in kept)])
     # step 1: equation-wise least squares for the lag structure
-    lagged_X = lag_rows(X, [(j, tau) for tau in range(1, p + 1) for j in range(m)], range(p, T))
+    current, lagged_X = stack_lags(X, p)
     resid = np.empty((T - p, m))
     B = np.zeros((p, m, m))  # B[tau - 1][i, j]: var i at lag tau -> var j
     for j in range(m):
-        fit = ols_fit(lagged_X, X[p:T, j], intercept=True)
+        fit = ols_fit(lagged_X, current[:, j], intercept=True)
         resid[:, j] = fit.residuals
         B[:, :, j] = fit.beta[1:].reshape(p, m)  # in the links' lag-major order
     # step 2: ICA separates the residuals into independent shocks

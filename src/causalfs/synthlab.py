@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationFailed
+from .ingest import to_csv
 from .panel import AlignedPanel, MonthStamp
 from .selectors.base import DynamicGraph, FeatureSet
 
@@ -287,15 +288,18 @@ def export_fredmd(
     convention regardless of the panel's flag. Returns (fredmd_csv,
     groups_csv, prices_csv).
     """
-    lines = ["sasdate," + ",".join(panel.feature_names)]
-    lines.append("Transform:," + ",".join("1" for _ in panel.feature_names))
-    for d, row in zip(panel.dates, panel.features.tolist()):
-        lines.append(f"{d.month}/1/{d.year}," + ",".join(map(repr, row)))
-    fredmd_csv = "\n".join(lines) + "\n"
+    # names go through to_csv, which quotes them where needed; the float rows
+    # are joined by hand: no float repr needs quoting, and csv.writer's scan
+    # of every cell would slow a wide export
+    header = to_csv(["sasdate", *panel.feature_names], [["Transform:", *["1"] * panel.n_features]])
+    fredmd_csv = header + "".join(
+        f"{d.month}/1/{d.year}," + ",".join(map(repr, row)) + "\n"
+        for d, row in zip(panel.dates, panel.features.tolist())
+    )
     groups = panel.feature_groups or (1,) * panel.n_features
-    groups_csv = "series,group\n" + "\n".join(
-        f"{name},{max(g, 1)}" for name, g in zip(panel.feature_names, groups)
-    ) + "\n"
+    groups_csv = to_csv(
+        ["series", "group"], ((name, max(g, 1)) for name, g in zip(panel.feature_names, groups))
+    )
     factor = panel.target / 100.0
     if (factor <= -1.0).any():
         raise ValueError("target below -100%; not representable as a price path")

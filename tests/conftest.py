@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from causalfs.panel import AlignedPanel, MonthStamp
 
-# CI runs with --hypothesis-profile=ci: the same examples on every run, so a
-# CI failure reproduces locally with the same flag
+# The ci profile is the default: every run draws the same examples, so a
+# failure reproduces on the next run; --hypothesis-profile=<name> overrides it
 settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile("ci")
 
 # Floats a CSV round trip must carry bit for bit: signed zero, subnormals and
 # the extremes first, then any float but NaN, which has no single repr. An

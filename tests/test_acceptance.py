@@ -22,8 +22,8 @@ from causalfs.evaluation import (
     strategy_returns,
 )
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
-from causalfs.numerics import fastica, ols_fit
-from causalfs.panel import AlignedPanel, MonthStamp, build_design
+from causalfs.numerics import fastica, ols_fit, standardize
+from causalfs.panel import AlignedPanel, MonthStamp, build_design, stack_lags
 from causalfs.selectors import (
     dynotears_fit,
     granger_select,
@@ -32,7 +32,7 @@ from causalfs.selectors import (
     sfs_select,
     varlingam_fit,
 )
-from causalfs.selectors.dynotears import _stack_lags, _standardize, objective_terms
+from causalfs.selectors.dynotears import objective_terms
 from causalfs.selectors.seqicp import halves_environments
 from causalfs.synthlab import (
     EnvShift,
@@ -116,8 +116,8 @@ def test_granger_recovery_and_calibration():
 def test_dynotears_gradient_h_and_recovery(rng):
     # gradient of the reconstruction objective vs central differences
     panel, _ = generate_svar(SvarSpec(d=5, p=1, n=200, edge_density=0.3, seed=1))
-    data = _standardize(np.column_stack([panel.target, panel.features]))
-    X, X_lag = _stack_lags(data, 1)
+    data = standardize(np.column_stack([panel.target, panel.features]))
+    X, X_lag = stack_lags(data, 1)
     m = 5
     grad_ok = True
     worst = 0.0

@@ -17,6 +17,7 @@ from causalfs.errors import (
 from causalfs.ingest import (
     TCODE_ORDER,
     Regime,
+    RegimeCalendar,
     apply_tcode,
     load_calendar,
     load_prices,
@@ -177,6 +178,25 @@ class TestCalendar:
         b = [cal.classify(m) for m in months]
         assert a == b
         assert all(r in (Regime.NORMAL, Regime.CRISIS) for r in a)
+
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=4),
+           st.lists(st.integers(-24, 200), max_size=60))
+    def test_split_partitions_positions_and_agrees_with_classify(self, spans, offsets):
+        # disjoint crisis ranges, each `gap` months after the last, over any dates
+        base, cursor, ranges = MonthStamp(2000, 1), 0, []
+        for gap, length in spans:
+            start = cursor + gap
+            ranges.append((base.plus(start), base.plus(start + length)))
+            cursor = start + length + 1
+        cal = RegimeCalendar(tuple(ranges))
+        dates = [base.plus(k) for k in offsets]
+        split = cal.split(dates)
+        assert list(split) == [Regime.NORMAL, Regime.CRISIS]
+        assert sorted(np.concatenate(list(split.values())).tolist()) == list(range(len(dates)))
+        for regime, rows in split.items():
+            assert rows.dtype.kind == "i" and (np.diff(rows) > 0).all()
+            assert all(cal.classify(dates[i]) is regime for i in rows.tolist())
 
 
 class TestPipeline:

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalfs
 from causalfs.errors import (
     BadK,
     DegenerateInput,
@@ -14,6 +16,7 @@ from causalfs.errors import (
 )
 from causalfs import numerics
 from causalfs.numerics import (
+    _correlation_p,
     acyclicity,
     cv_folds,
     cv_mse_sets,
@@ -305,6 +308,19 @@ class TestFTest:
         assert math.isinf(res.statistic)
         assert res.p_value == 0.0
 
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        # rss_full = 0 (both branches), negative gaps (clamped), zero gaps, q 1 and 2
+        restricted = np.array([0.0, 1e-300, 2.0, 9.0, 10.0, 10.5, 12.0, 40.0])
+        for rss_full in (0.0, 3.7, 10.0):
+            for q in (1, 2, np.resize([1, 2], len(restricted))):
+                got = f_test_nested(restricted, rss_full, q=q, n=20, k_full=3)
+                q_each = np.broadcast_to(q, restricted.shape).tolist()
+                for i, (rss, qi) in enumerate(zip(restricted.tolist(), q_each)):
+                    want = f_test_nested(rss, rss_full, q=qi, n=20, k_full=3)
+                    assert float(got.statistic[i]).hex() == want.statistic.hex()
+                    assert float(got.p_value[i]).hex() == want.p_value.hex()
+                    assert type(want.statistic) is float and type(want.p_value) is float
+
     def test_null_pvalues_uniform_ks(self):
         # simulate true-null nested Gaussian models; KS vs uniform
         rng = np.random.default_rng(77)
@@ -326,6 +342,19 @@ class TestFTest:
 
 
 class TestCorrelation:
+    def test_p_is_the_t_transform_bit_for_bit(self):
+        # the two-sided t-test p-value, written out as before it became the F(1, dof) tail
+        from scipy.special import betainc
+
+        r = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.nan, 1e-8, 0.999999, -0.5],
+                            np.linspace(-1.0, 1.0, 41)])
+        for dof in (1, 2, 3, 7, 58, 197, 600):
+            with np.errstate(divide="ignore"):
+                t = r * np.sqrt(dof / (1.0 - r * r))
+            want = np.minimum(betainc(dof / 2.0, 0.5, dof / (dof + t * t)), 1.0)
+            got = _correlation_p(r, dof)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
     def test_perfect_and_anti(self, rng):
         x = rng.normal(size=30)
         assert pearson(x, x) == pytest.approx(1.0)
@@ -567,3 +596,16 @@ class TestFSf:
         assert f_sf(0.0, 3, 10) == 1.0
         assert f_sf(math.inf, 3, 10) == 0.0
         assert 0.0 < f_sf(2.0, 3, 10) < 1.0
+
+    def test_elementwise(self):
+        x, df1 = np.array([0.0, 2.0, 2.0, math.inf]), np.array([3, 3, 1, 3])
+        got = f_sf(x, df1, 10)
+        assert got.tolist() == [f_sf(v, d, 10) for v, d in zip(x.tolist(), df1.tolist())]
+
+
+def test_betainc_only_in_numerics():
+    # every p-value's tail comes from f_sf: no module but numerics writes one out
+    src = Path(causalfs.__file__).resolve().parent
+    users = [str(p.relative_to(src)) for p in sorted(src.rglob("*.py"))
+             if "betainc" in p.read_text()]
+    assert users == ["numerics.py"]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from causalfs.errors import BadName
-from causalfs.numerics import acyclicity
+from causalfs.numerics import acyclicity, standardize
 from causalfs.selectors import DynamicGraph, dynotears_fit, dynotears_select
-from causalfs.selectors.dynotears import _stack_lags, _standardize, objective_terms
+from causalfs.panel import stack_lags
+from causalfs.selectors.dynotears import objective_terms
 from causalfs.synthlab import SvarSpec, generate_svar, score_graph_edges
 
 from conftest import make_panel
@@ -31,8 +32,8 @@ def test_heavy_regularization_empties_graph(rng):
 
 def test_objective_gradient_matches_finite_differences(rng):
     panel, _ = generate_svar(SvarSpec(d=4, p=2, n=200, edge_density=0.3, seed=3))
-    data = _standardize(np.column_stack([panel.target, panel.features]))
-    X, X_lag = _stack_lags(data, 2)
+    data = standardize(np.column_stack([panel.target, panel.features]))
+    X, X_lag = stack_lags(data, 2)
     m = 4
     for _ in range(3):
         S = rng.normal(size=(m, m)) * 0.3

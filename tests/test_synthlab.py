@@ -207,6 +207,16 @@ class TestExportRoundTrip:
         np.testing.assert_allclose(back.features, panel.features, rtol=1e-9)
         np.testing.assert_allclose(back.target, panel.target, rtol=1e-7, atol=1e-9)
 
+    def test_names_needing_quotes_round_trip(self):
+        panel, _ = generate_svar(SvarSpec(d=3, p=1, n=30, seed=6))
+        names = ("A,B", 'say "C"')
+        panel = AlignedPanel(panel.dates, panel.target, panel.features, names,
+                             target_name="Y", returns_x100=False)
+        fredmd_csv, groups_csv, _ = export_fredmd(panel)
+        raw, _, groups = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
+        assert raw.names == names and tuple(groups) == names
+        assert raw.values.tolist() == panel.features.tolist()
+
     def test_export_writes_each_value_as_its_repr(self):
         # every cell is repr(float(v)), the shortest text that reads back as v
         panel, _ = generate_svar(SvarSpec(d=6, p=1, n=30, noise="laplace", seed=8))
