@@ -40,7 +40,6 @@ from .numerics import (
     kmeans,
     ols_fit,
     partial_correlation,
-    pearson,
 )
 from .panel import (
     AlignedPanel,
@@ -118,7 +117,6 @@ __all__ = [
     "parse_groups",
     "partial_correlation",
     "pcmci_select",
-    "pearson",
     "portfolio_metrics",
     "prices_to_returns",
     "regime_metrics",

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BacktestAborted, CausalfsError, InsufficientHistory, MalformedCsv
 from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
 from .numerics import OlsFit, ols_fit
-from .panel import AlignedPanel, MonthStamp, lag_rows
+from .panel import AlignedPanel, MonthStamp, design_links, lag_rows
 from .selectors import make_selector
 from .selectors.base import FeatureSet
 
@@ -93,16 +93,15 @@ def step_seed(seed: int, step: int) -> int:
 def fit_forecast_model(
     panel: AlignedPanel, p: int, selected: tuple[str, ...]
 ) -> tuple[OlsFit, np.ndarray]:
-    """Fit the forecasting OLS of y_t on [Y_{t-1}, lags 1..p of each
-    selected feature] on the window, columns in ``selected`` order, and
-    read the next-step regressor vector as the same lags at time T."""
+    """Fit the forecasting OLS of y_t on the ``design_links`` columns of
+    the selected features, in ``selected`` order, on the window, and read
+    the next-step regressor vector as the same lags at time T."""
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
     data = np.column_stack([panel.target, panel.features])
     cols = [1 + panel.feature_names.index(name) for name in selected]
-    links = [(0, 1), *((j, lag) for j in cols for lag in range(1, p + 1))]
-    rows = lag_rows(data, links, range(p, T + 1))  # time T: the next step
+    rows = lag_rows(data, design_links(cols, p), range(p, T + 1))  # time T: the next step
     return ols_fit(rows[:-1], panel.target[p:T], intercept=True), rows[-1]
 
 

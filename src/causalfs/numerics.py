@@ -9,6 +9,13 @@ call it, so a command that never calls them does not load it.
 ``f_sf`` is the package's one F tail, read by the nested F test, the
 correlation tests (as the F(1, dof) tail of t^2) and seqICP's equal-mean
 test; ``standardize`` is its one column standardisation.
+
+``centre`` is the one centring rule: each column minus its mean, except
+that a column whose entries are all equal becomes exact zeros (its mean
+may round).
+``pearson_tests`` is the one Pearson formula, r = x'y / sqrt(x'x y'y) over
+centred rows, with its t-test p-value; PCMCI's unconditional tests,
+VARLiNGAM's pre-filter and ``partial_correlation`` all read it.
 """
 from __future__ import annotations
 
@@ -332,12 +339,20 @@ def _correlation_p(r, dof: int) -> np.ndarray:
     return np.minimum(f_sf(t * t, 1, dof), 1.0)
 
 
+def centre(X: np.ndarray) -> np.ndarray:
+    """The centring rule above, on the columns of X (or on a vector)."""
+    X = np.asarray(X, dtype=float)
+    centred = X - X.mean(axis=0)
+    centred[..., (X == X[:1]).all(axis=0)] = 0.0
+    return centred
+
+
 def standardize(X: np.ndarray) -> np.ndarray:
-    """Columns centred and divided by their sample standard deviation
-    (ddof 1); a constant column is only centred."""
+    """Columns centred by ``centre`` and divided by their sample standard
+    deviation (ddof 1); a constant column comes back as exact zeros."""
     std = X.std(axis=0, ddof=1)
     std = np.where(std > 0, std, 1.0)
-    return (X - X.mean(axis=0)) / std
+    return centre(X) / std
 
 
 def f_test_nested(rss_restricted, rss_full: float, q, n: int, k_full: int) -> FTestResult:
@@ -367,26 +382,29 @@ def f_test_nested(rss_restricted, rss_full: float, q, n: int, k_full: int) -> FT
     return FTestResult(stat, q, df2, p)
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape or len(x) < 2:
-        raise ValueError("need two equal-length vectors of length >= 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
-    # a constant whose mean rounds leaves a tiny nonzero xc, so test equality
-    if sx == 0.0 or sy == 0.0 or (x == x[0]).all() or (y == y[0]).all():
-        raise DegenerateInput("zero-variance input to correlation")
-    return float((xc @ yc) / math.sqrt(sx * sy))
+def pearson_tests(
+    X: np.ndarray, y: np.ndarray, conditions: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r of each centred row of X with the centred y, and its p-value on
+    n - 2 - ``conditions`` degrees of freedom (``_correlation_p``). ``ok``
+    is False, and r and p nan, where a row or y has zero variance."""
+    dof = len(y) - 2 - conditions
+    if dof < 1:
+        raise ValueError("not enough observations for the t transform")
+    sx = np.einsum("ij,ij->i", X, X)
+    sy = y @ y
+    ok = (sx > 0.0) & (sy > 0.0)
+    r = (X @ y) / np.sqrt(np.where(ok, sx * sy, 1.0))
+    r = np.where(ok, np.clip(r, -1.0, 1.0), np.nan)
+    return r, _correlation_p(r, dof), ok
 
 
 def partial_correlation(
     x: np.ndarray, y: np.ndarray, Z: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Partial correlation of x and y given the columns of Z, with the
-    two-sided p-value from the t transform.
+    two-sided p-value from the t transform: ``pearson_tests`` on the
+    least-squares residuals of x and y on [1, Z].
 
     With an empty Z this reduces to the plain Pearson correlation. A
     residual with (numerically) zero variance raises DegenerateInput.
@@ -394,29 +412,23 @@ def partial_correlation(
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     n = len(x)
-    if Z is None or (hasattr(Z, "size") and np.asarray(Z).size == 0):
-        nz = 0
-        rx, ry = x, y
-    else:
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[:, None]
-        nz = Z.shape[1]
+    Z = np.empty((n, 0)) if Z is None else np.asarray(Z, dtype=float).reshape(n, -1)
+    nz = Z.shape[1]
+    rx, ry = x, y
+    if nz:
         if n <= nz + 2:
             raise Underdetermined(f"{n} rows for {nz} conditioning columns")
         rx = ols_fit(Z, x, intercept=True).residuals
         ry = ols_fit(Z, y, intercept=True).residuals
         # numerically exact dependence on Z leaves only rounding noise
         for resid, orig in ((rx, x), (ry, y)):
-            total = float(((orig - orig.mean()) ** 2).sum())
+            total = float((centre(orig) ** 2).sum())
             if float(resid @ resid) <= 1e-24 * max(total, 1e-300):
                 raise DegenerateInput("residual is (numerically) a zero vector")
-    r = pearson(rx, ry)
-    dof = n - nz - 2
-    if dof < 1:
-        raise ValueError("not enough observations for the t transform")
-    r = min(max(r, -1.0), 1.0)
-    return r, float(_correlation_p(r, dof))
+    r, p, ok = pearson_tests(centre(rx)[None], centre(ry), nz)
+    if not ok[0]:
+        raise DegenerateInput("zero-variance input to correlation")
+    return float(r[0]), float(p[0])
 
 
 def gram_partial_correlation(
@@ -424,36 +436,31 @@ def gram_partial_correlation(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial correlations of x and y given Z, with two-sided p-values,
     from the Gram matrices of centred columns; ``partial_correlation``
-    batched over tests.
+    batched over conditional tests.
 
     ``G`` stacks tests x k x k Grams M'M, where M = [x, y, Z] holds the n
-    centred rows of one test's columns (k - 2 conditioning columns). Each
-    is scaled to unit diagonal, C; r = C01 when k = 2, else
-    r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes from
-    ``_correlation_p``, as in ``partial_correlation``. ``ok`` is False, and
-    r and p nan, for a Gram with a zero diagonal entry or, when k > 2, a
-    scaled condition number above _GRAM_COND_MAX: the caller must take those
-    tests through
+    centred rows of one test's columns (k - 2 conditioning columns; an
+    unconditional test goes through ``pearson_tests``). Each is scaled to
+    unit diagonal, C; r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes
+    from ``_correlation_p``, as in ``partial_correlation``. ``ok`` is
+    False, and r and p nan, for a scaled condition number above
+    _GRAM_COND_MAX, which a zero-variance column (a zero row and column of
+    C) always has: the caller must take those tests through
     ``partial_correlation``, which raises DegenerateInput and warns
     RankDeficientWarning where they are due.
     """
     G = np.asarray(G, dtype=float)
-    k = G.shape[-1]
-    dof = n - k
+    dof = n - G.shape[-1]
     if dof < 1:
         raise ValueError("not enough observations for the t transform")
     d = np.diagonal(G, axis1=1, axis2=2)
-    ok = (d > 0.0).all(axis=1)
-    if k == 2:
-        r = G[:, 0, 1] / np.sqrt(np.where(ok, d[:, 0] * d[:, 1], 1.0))
-    else:
-        s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))  # C stays finite where not ok
-        w, V = np.linalg.eigh(G * s[:, :, None] * s[:, None, :])
-        ok &= w[:, 0] > w[:, -1] / _GRAM_COND_MAX
-        # rows x and y of C^-1 = V diag(1/w) V'
-        U = V[:, :2] / np.sqrt(np.where(ok[:, None], w, 1.0))[:, None, :]
-        P = U @ U.transpose(0, 2, 1)
-        r = -P[:, 0, 1] / np.sqrt(P[:, 0, 0] * P[:, 1, 1])
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))  # C stays finite where not ok
+    w, V = np.linalg.eigh(G * s[:, :, None] * s[:, None, :])
+    ok = w[:, 0] > w[:, -1] / _GRAM_COND_MAX
+    # rows x and y of C^-1 = V diag(1/w) V'
+    U = V[:, :2] / np.sqrt(np.where(ok[:, None], w, 1.0))[:, None, :]
+    P = U @ U.transpose(0, 2, 1)
+    r = -P[:, 0, 1] / np.sqrt(P[:, 0, 0] * P[:, 1, 1])
     r = np.where(ok, np.clip(r, -1.0, 1.0), np.nan)
     return r, _correlation_p(r, dof), ok
 
@@ -563,7 +570,7 @@ def fastica(
     n, m = X.shape
     if n <= m:
         raise Underdetermined(f"{n} samples for {m} variables")
-    Xc = X - X.mean(axis=0)
+    Xc = centre(X)
     cov = (Xc.T @ Xc) / (n - 1)
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]

@@ -8,7 +8,8 @@ reject NaN, so look-ahead reasoning stays simple.
 The lag rule: a lag >= 1 at time t reads only rows < t. Every lagged value
 in the package (designs, the forecast's regressors, the lag matrices of
 PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it;
-VARLiNGAM and DYNOTEARS share one VAR lag stack, :func:`stack_lags`.
+VARLiNGAM and DYNOTEARS share one VAR lag stack, :func:`stack_lags`, and
+the design and the forecast's regressors one layout, :func:`design_links`.
 """
 from __future__ import annotations
 
@@ -206,9 +207,8 @@ class AlignedPanel:
 class DesignMatrix:
     """Lag-augmented regression design with column provenance.
 
-    Column 0 is the target at lag 1; each feature contributes its lags
-    1..p as a contiguous block. Every regressor in the row for date t is a
-    panel value stamped strictly before t.
+    Columns follow :func:`design_links`. Every regressor in the row for
+    date t is a panel value stamped strictly before t.
     """
 
     dates: tuple[MonthStamp, ...]
@@ -328,6 +328,12 @@ def stack_lags(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return data[p:], lag_rows(data, links, range(p, len(data)))
 
 
+def design_links(columns, p: int) -> list[tuple[int, int]]:
+    """The design's lag layout over [target, features]: the target (column
+    0) at lag 1, then lags 1..p of each of ``columns`` as one block."""
+    return [(0, 1), *((j, lag) for j in columns for lag in range(1, p + 1))]
+
+
 def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     """Build the lag-p design: y_t on [Y_{t-1}, X_{i,t-1..t-p} for all i].
 
@@ -340,7 +346,7 @@ def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
     names = (panel.target_name, *panel.feature_names)
-    links = [(0, 1), *((j, lag) for j in range(1, len(names)) for lag in range(1, p + 1))]
+    links = design_links(range(1, len(names)), p)
     X = lag_rows(np.column_stack([panel.target, panel.features]), links, range(p, T))
     return DesignMatrix(
         dates=panel.dates[p:T],

@@ -1,7 +1,7 @@
 """Feature selectors behind one contract: panel (or design) in, FeatureSet out."""
 from __future__ import annotations
 
-from ..errors import BadName
+from ..errors import BadName, Insufficient
 from ..panel import AlignedPanel, build_design
 from .base import DynamicGraph, Environment, FeatureSet
 from .dynotears import dynotears_fit, dynotears_select
@@ -46,13 +46,14 @@ def _granger(panel, p, seed, calendar, **kw):
 
 def _seqicp(panel, p, seed, calendar, environments="halves", **kw):
     design = build_design(panel, p)
-    envs = None  # seqicp_select's default: the window's two halves
     if environments == "calendar" and calendar is not None:
         envs = [Environment(str(regime), rows)
                 for regime, rows in calendar.split(design.dates).items()]
-        if not all(len(e) for e in envs):
-            envs = None  # a single-regime window cannot test invariance
-    return seqicp_select(design, envs, **kw)
+        try:
+            return seqicp_select(design, envs, **kw)
+        except Insufficient:
+            pass  # a regime too short to fit (or empty): test the window's halves
+    return seqicp_select(design, None, **kw)
 
 
 def _varlingam(panel, p, seed, calendar, **kw):

@@ -10,9 +10,10 @@ series.
 
 Every CI test goes through ``_ci_tests``: a test with q conditions on at
 most q + 3 rows is skipped (stage one keeps the link, stage two leaves it
-unselected), the rest take r and p from the Gram of their centred columns,
-or from ``partial_correlation`` where that Gram has a zero-variance column
-or is ill-conditioned.
+unselected). The rest read centred lag columns: r and p come from
+``pearson_tests`` at q = 0 and from the Gram of the columns otherwise, or
+from ``partial_correlation`` on the same columns where a column has zero
+variance or the Gram is ill-conditioned.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import SkippedTestWarning
-from ..numerics import gram_partial_correlation, partial_correlation
+from ..numerics import centre, gram_partial_correlation, partial_correlation, pearson_tests
 from ..panel import AlignedPanel, lag_rows
 from .base import FeatureSet
 
@@ -43,16 +44,11 @@ class _LagView:
 
     @cached_property
     def centred(self) -> np.ndarray:
-        """``centred[lag, var]`` is the column of ``(var, lag)`` minus its mean."""
+        """``centred[lag, var]`` is the centred column of ``(var, lag)``."""
         m = self.data.shape[1]
-        # rows x (lag, var), so the means below sum a column's rows in order
         links = [(v, lag) for lag in range(self.max_lag + 1) for v in range(m)]
-        cols = self.matrix(links).reshape(self.rows, self.max_lag + 1, m).transpose(1, 2, 0)
-        centred = cols - cols.mean(axis=2, keepdims=True)
-        # a constant column whose mean rounds would keep a tiny constant;
-        # zeroed, its tests go through partial_correlation as they always did
-        centred[(cols == cols[..., :1]).all(axis=2)] = 0.0
-        return centred
+        cols = centre(self.matrix(links))  # rows x (lag, var)
+        return cols.reshape(self.rows, self.max_lag + 1, m).transpose(1, 2, 0)
 
     def centred_cols(self, links) -> np.ndarray:
         """The centred columns of ``links``, one per row."""
@@ -71,22 +67,17 @@ def _ci_tests(view, x_links, y_var, cond_links):
                 stacklevel=3,
             )
         return [None] * len(x_links)
-    if len(x_links) == 1:
-        M = view.centred_cols([*x_links, (y_var, 0), *cond_links])
-        G = (M @ M.T)[None]
-    else:  # only stage one at q = 0 passes several links: Pearson Grams
-        X = view.centred_cols(x_links)
-        y = view.centred[0, y_var]
-        G = np.empty((len(x_links), 2, 2))
-        G[:, 0, 0] = np.einsum("ij,ij->i", X, X)
-        G[:, 1, 1] = y @ y
-        G[:, 0, 1] = G[:, 1, 0] = X @ y
-    r, p, ok = gram_partial_correlation(G, view.rows)
+    if q == 0:  # stage one's q = 0 level passes all its links at once
+        r, p, ok = pearson_tests(view.centred_cols(x_links), view.centred[0, y_var])
+    else:  # a test with conditions is always passed on its own
+        [x_link] = x_links
+        M = view.centred_cols([x_link, (y_var, 0), *cond_links])
+        r, p, ok = gram_partial_correlation((M @ M.T)[None], view.rows)
     results = list(zip(r.tolist(), p.tolist()))
     for i, good in enumerate(ok.tolist()):
         if not good:
-            M = view.matrix([x_links[i], (y_var, 0), *cond_links])
-            results[i] = partial_correlation(M[:, 0], M[:, 1], M[:, 2:])
+            M = view.centred_cols([x_links[i], (y_var, 0), *cond_links])
+            results[i] = partial_correlation(M[0], M[1], M[2:].T)
     return results
 
 

@@ -17,8 +17,8 @@ from itertools import permutations
 
 import numpy as np
 
-from ..errors import DegenerateInput, TooManyCovariates
-from ..numerics import fastica, kmeans, ols_fit, pearson, standardize
+from ..errors import TooManyCovariates
+from ..numerics import centre, fastica, kmeans, ols_fit, pearson_tests, standardize
 from ..panel import AlignedPanel, stack_lags
 from .base import DynamicGraph, FeatureSet
 
@@ -47,18 +47,14 @@ def cluster_prefilter(
     """One representative feature per k-means cluster of standardized series.
 
     Within each cluster the feature with the strongest absolute correlation
-    with the target survives; ties resolve to the lowest column index.
+    with the target survives; ties resolve to the lowest column index. A
+    constant feature, or a constant target, correlates 0.
     """
-    X = panel.features
-    corr = {}
-    for j, name in enumerate(panel.feature_names):
-        try:
-            corr[name] = pearson(X[:, j], panel.target)
-        except DegenerateInput:
-            corr[name] = 0.0
+    r, _, ok = pearson_tests(centre(panel.features).T, centre(panel.target))
+    corr = dict(zip(panel.feature_names, np.where(ok, r, 0.0).tolist()))
     if k_clusters >= panel.n_features:
         return panel.feature_names, corr
-    result = kmeans(standardize(X).T, k_clusters, seed=seed)
+    result = kmeans(standardize(panel.features).T, k_clusters, seed=seed)
     kept = []
     for c in range(k_clusters):
         members = [j for j in range(panel.n_features) if result.assignments[j] == c]

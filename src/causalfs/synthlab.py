@@ -288,9 +288,9 @@ def export_fredmd(
     convention regardless of the panel's flag. Returns (fredmd_csv,
     groups_csv, prices_csv).
     """
-    # names go through to_csv, which quotes them where needed; the float rows
-    # are joined by hand: no float repr needs quoting, and csv.writer's scan
-    # of every cell would slow a wide export
+    # names and prices go through to_csv, which quotes them where needed;
+    # the FRED-MD float rows are joined by hand: no float repr needs quoting,
+    # and csv.writer's scan of every cell would slow a wide export
     header = to_csv(["sasdate", *panel.feature_names], [["Transform:", *["1"] * panel.n_features]])
     fredmd_csv = header + "".join(
         f"{d.month}/1/{d.year}," + ",".join(map(repr, row)) + "\n"
@@ -305,8 +305,8 @@ def export_fredmd(
         raise ValueError("target below -100%; not representable as a price path")
     prices = initial_price * np.cumprod(1.0 + factor)
     first = panel.dates[0].plus(-1)
-    price_lines = ["date,close", f"{first}-28,{initial_price!r}"]
-    for d, price in zip(panel.dates, prices):
-        price_lines.append(f"{d}-28,{float(price)!r}")
-    prices_csv = "\n".join(price_lines) + "\n"
+    prices_csv = to_csv(["date", "close"], [
+        (f"{first}-28", initial_price),
+        *((f"{d}-28", price) for d, price in zip(panel.dates, prices.tolist())),
+    ])
     return fredmd_csv, groups_csv, prices_csv

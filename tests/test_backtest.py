@@ -92,6 +92,14 @@ class TestFitForecastModel:
         with pytest.raises(InsufficientHistory):
             fit_forecast_model(panel, 2, ("X1",))
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_every_feature_in_order_fits_the_design(self, rng, p):
+        # one layout: the forecast model on all features is the design's fit, bit for bit
+        panel = make_panel(rng.normal(size=30), rng.normal(size=(30, 3)))
+        design = build_design(panel, p)
+        fit, _ = fit_forecast_model(panel, p, panel.feature_names)
+        assert fit.beta.tolist() == ols_fit(design.X, design.y).beta.tolist()
+
 
 def _config(**kw):
     base = dict(window=10, p=1, selector_id="granger",
@@ -421,6 +429,24 @@ class TestSelectorRegistry:
         selector = make_selector("seqicp", {"environments": "calendar"})
         for cal in (EMPTY_CAL, load_calendar(f"{design.dates[0]}..{design.dates[-1]}\n")):
             np.testing.assert_equal(vars(selector(panel, 1, 0, cal)), vars(seqicp_select(design)))
+
+    def test_seqicp_short_regime_falls_back_to_halves(self, caplog):
+        # windows ending 2005-01..2005-03 hold 3 to 5 crisis rows: too few
+        # for seqicp_select's row check, so they test the halves instead of
+        # raising Insufficient and reusing last month's set
+        panel = generate_svar(SvarSpec(d=6, n=100, seed=3, instantaneous=False,
+                                       target_parents=2, ar_coeff=0.3))[0]
+        cal = load_calendar("2004-10..2005-12\n")
+        params = {"environments": "calendar"}
+        config = BacktestConfig(window=60, selector_id="seqicp", selector_params=params)
+        with caplog.at_level("WARNING", logger="causalfs.backtest"):
+            run_backtest(panel, cal, config)
+        assert not any("falling back" in r.getMessage() for r in caplog.records)
+        selector = make_selector("seqicp", params)
+        for month in ("2005-01", "2005-02", "2005-03"):
+            window = panel.head(panel.dates.index(MonthStamp.parse(month)))
+            np.testing.assert_equal(vars(selector(window, 1, 0, cal)),
+                                    vars(seqicp_select(build_design(window, 1))))
 
 
 class TestNoLookAheadEverySelector:

@@ -1,3 +1,4 @@
+import ast
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from causalfs import numerics
 from causalfs.numerics import (
     _correlation_p,
     acyclicity,
+    centre,
     cv_folds,
     cv_mse_sets,
     f_sf,
@@ -28,7 +30,8 @@ from causalfs.numerics import (
     nested_rss,
     ols_fit,
     partial_correlation,
-    pearson,
+    pearson_tests,
+    standardize,
     subset_gram,
     subset_residuals,
 )
@@ -355,27 +358,73 @@ class TestCorrelation:
             got = _correlation_p(r, dof)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
+    @staticmethod
+    def pearson(x, y):
+        """One Pearson test of x against y: r, p and ok as scalars."""
+        r, p, ok = pearson_tests(centre(x)[None], centre(y))
+        return r[0], p[0], ok[0]
+
     def test_perfect_and_anti(self, rng):
         x = rng.normal(size=30)
-        assert pearson(x, x) == pytest.approx(1.0)
-        assert pearson(x, -x) == pytest.approx(-1.0)
+        assert self.pearson(x, x)[0] == pytest.approx(1.0)
+        assert self.pearson(x, -x)[0] == pytest.approx(-1.0)
+
+    def test_perfect_correlation_has_p_zero(self, rng):
+        x = rng.normal(size=30)
+        r, p, ok = self.pearson(x, x)
+        assert ok and (r, p) == partial_correlation(x, x) == (1.0, 0.0)
 
     def test_matches_covariance_formula(self, rng):
         x = rng.normal(size=50)
         y = rng.normal(size=50)
         xc, yc = x - x.mean(), y - y.mean()
         oracle = (xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc))
-        assert pearson(x, y) == pytest.approx(oracle, abs=1e-12)
+        assert self.pearson(x, y)[0] == pytest.approx(oracle, abs=1e-12)
+
+    def test_batched_rows_match_single_tests(self, rng):
+        X, y = rng.normal(size=(7, 40)), rng.normal(size=40)
+        X[2] = 0.3 * y + X[2]
+        r, p, ok = pearson_tests(centre(X.T).T, centre(y))
+        assert ok.all()
+        for i in range(7):
+            np.testing.assert_allclose([r[i], p[i]], self.pearson(X[i], y)[:2], rtol=1e-13)
+        # the p-value reads n - 2 - conditions degrees of freedom
+        assert pearson_tests(centre(X.T).T, centre(y), 3)[1].tolist() == _correlation_p(r, 35).tolist()
 
     def test_zero_variance(self):
-        with pytest.raises(DegenerateInput):
-            pearson(np.ones(10), np.arange(10.0))
+        for x, y in ((np.ones(10), np.arange(10.0)), (np.arange(10.0), np.ones(10))):
+            r, p, ok = self.pearson(x, y)
+            assert not ok and np.isnan(r) and np.isnan(p)
+            with pytest.raises(DegenerateInput):
+                partial_correlation(x, y)
 
     def test_constant_with_rounded_mean(self):
         # the mean of 60 0.1s rounds, so x - mean(x) is a tiny nonzero constant
         for x, y in ((np.full(60, 0.1), np.arange(60.0)), (np.arange(60.0), np.full(60, 0.1))):
+            assert not self.pearson(x, y)[2]
             with pytest.raises(DegenerateInput):
-                pearson(x, y)
+                partial_correlation(x, y)
+
+
+class TestCentre:
+    def test_constant_columns_centre_to_exact_zeros(self, rng):
+        X = np.column_stack([np.full(60, 0.07), rng.normal(size=60), np.full(60, 0.1)])
+        assert (0.07 - np.full(60, 0.07).mean()) != 0.0  # the mean rounds
+        got = centre(X)
+        assert (got[:, [0, 2]] == 0.0).all()
+        assert got[:, 1].tolist() == (X[:, 1] - X[:, 1].mean()).tolist()
+        assert (centre(np.full(60, 0.07)) == 0.0).all()
+
+    def test_other_columns_keep_the_plain_arithmetic(self, rng):
+        # bit for bit: DYNOTEARS and FastICA amplify any change in the last bit
+        X = rng.normal(size=(45, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
+        assert centre(X).tolist() == (X - X.mean(axis=0)).tolist()
+        x = X[:, 0]
+        assert centre(x).tolist() == (x - x.mean()).tolist()
+
+    def test_standardize_constant_column_is_zeros(self):
+        assert (standardize(np.full((60, 1), 0.07)) == 0.0).all()
+        assert (standardize(np.full((60, 1), 3.0)) == 0.0).all()
 
 
 class TestPartialCorrelation:
@@ -383,7 +432,7 @@ class TestPartialCorrelation:
         x = rng.normal(size=40)
         y = rng.normal(size=40)
         r, _ = partial_correlation(x, y, None)
-        assert r == pytest.approx(pearson(x, y), abs=1e-12)
+        assert r == pytest.approx(TestCorrelation.pearson(x, y)[0], abs=1e-12)
 
     def test_exact_linear_dependence_degenerates(self, rng):
         Z = rng.normal(size=(30, 2))
@@ -429,11 +478,6 @@ class TestGramPartialCorrelation:
         for i, c in enumerate(cols):
             want = partial_correlation(c[0], c[1], c[2:].T if nz else None)
             np.testing.assert_allclose([r[i], p[i]], want, rtol=0, atol=1e-12)
-
-    def test_perfect_correlation_has_p_zero(self, rng):
-        x = rng.normal(size=30)
-        r, p, ok = gram_partial_correlation(self.grams([[x, x]]), 30)
-        assert ok[0] and (r[0], p[0]) == partial_correlation(x, x) == (1.0, 0.0)
 
     def test_zero_variance_or_ill_conditioned_left_to_caller(self, rng):
         n = 40
@@ -609,3 +653,66 @@ def test_betainc_only_in_numerics():
     users = [str(p.relative_to(src)) for p in sorted(src.rglob("*.py"))
              if "betainc" in p.read_text()]
     assert users == ["numerics.py"]
+
+
+def _rule_sites(tree):
+    """(function, rule) for each column-mean subtraction ``a - b.mean()``,
+    all-equal test ``a == a[...]`` and division by the square root of a
+    product in ``tree``, named by the innermost enclosing function."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            right = node.right
+            if isinstance(right, ast.Call) and getattr(right.func, "attr", None) == "mean":
+                sites.append((where, "centring"))
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq):
+            other = node.comparators[0]
+            if isinstance(other, ast.Subscript) and ast.dump(other.value) == ast.dump(node.left):
+                sites.append((where, "constant"))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            root = node.right
+            name = getattr(getattr(root, "func", None), "attr", getattr(getattr(root, "func", None), "id", None))
+            if name == "sqrt" and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                                      for n in ast.walk(root)):
+                sites.append((where, "ratio"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_one_centring_rule_and_one_pearson_formula():
+    # centring and the constant-column rule live in numerics.centre, the
+    # Pearson ratio x'y / sqrt(x'x y'y) in numerics.pearson_tests; the only
+    # other ratio is the precision-matrix form -P01 / sqrt(P00 P11) of the
+    # conditional tests, once
+    src = Path(causalfs.__file__).resolve().parent
+    sites = [(str(p.relative_to(src)), *site) for p in sorted(src.rglob("*.py"))
+             for site in _rule_sites(ast.parse(p.read_text()))]
+    assert sorted(sites) == [
+        ("numerics.py", "centre", "centring"),
+        ("numerics.py", "centre", "constant"),
+        ("numerics.py", "gram_partial_correlation", "ratio"),
+        ("numerics.py", "pearson_tests", "ratio"),
+    ]
+    assert not hasattr(numerics, "pearson") and not hasattr(causalfs, "pearson")
+
+
+def test_rule_scan_finds_the_old_copies():
+    # the scan above sees each shape it forbids
+    old = """
+def pearson(x, y):
+    xc = x - x.mean()
+    if (x == x[0]).all():
+        raise ValueError
+    return (xc @ yc) / math.sqrt(sx * sy)
+
+def gram(G, d, ok):
+    return G[:, 0, 1] / np.sqrt(np.where(ok, d[:, 0] * d[:, 1], 1.0))
+"""
+    assert _rule_sites(ast.parse(old)) == [
+        ("pearson", "centring"), ("pearson", "constant"), ("pearson", "ratio"), ("gram", "ratio")]

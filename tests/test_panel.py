@@ -18,6 +18,7 @@ from causalfs.panel import (
     MonthlySeries,
     align_and_shift,
     build_design,
+    design_links,
     lag_rows,
 )
 
@@ -178,6 +179,14 @@ class TestBuildDesign:
         assert design.blocks == {"X1": (1, 2), "X2": (3, 4), "X3": (5, 6)}
         assert design.feature_names == ("X1", "X2", "X3")
         assert design.feature_column_indices(["X3", "X1"]) == [1, 2, 5, 6]
+
+    def test_layout_is_design_links(self):
+        # the target at lag 1, then each listed column's lags as one block
+        assert design_links([3, 1], 2) == [(0, 1), (3, 1), (3, 2), (1, 1), (1, 2)]
+        panel = make_panel(np.zeros(12), np.zeros((12, 3)))
+        names = (panel.target_name, *panel.feature_names)
+        assert build_design(panel, p=2).columns == tuple(
+            (names[j], lag) for j, lag in design_links(range(1, 4), 2))
 
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)

@@ -99,6 +99,19 @@ def test_constant_feature_with_rounded_mean_scores_zero(rng):
     _assert_constant_feature_scores_zero(rng, 0.3)  # the mean of 200 0.3s rounds
 
 
+def test_constant_feature_does_not_take_a_cluster():
+    # standardised, a constant 0.07 column used to read -0.99 in every row
+    # (its mean rounds), won a k-means cluster and left FastICA a singular
+    # covariance; centred, it is all zeros and joins a cluster of weak series
+    base = generate_svar(SvarSpec(d=8, n=70, instantaneous=False, target_parents=3,
+                                  ar_coeff=0.3, seed=2))[0]
+    panel = make_panel(base.target, np.column_stack([base.features, np.full(70, 0.07)]))
+    kept, corr = cluster_prefilter(panel.head(60), k_clusters=4, seed=2)
+    assert "X8" not in kept and corr["X8"] == 0.0
+    fs = varlingam_select(panel.head(60), p=1, k_clusters=4, seed=2)
+    assert "X8" not in fs.selected and fs.diagnostics["X8"] == (0.0, 0.0)
+
+
 def test_no_dependence_mostly_empty():
     empty = 0
     for seed in range(50):

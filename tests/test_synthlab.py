@@ -217,6 +217,13 @@ class TestExportRoundTrip:
         assert raw.names == names and tuple(groups) == names
         assert raw.values.tolist() == panel.features.tolist()
 
+    def test_prices_csv_holds_each_price_as_its_repr(self):
+        panel, _ = generate_svar(SvarSpec(d=3, p=1, n=30, seed=6))
+        lines = export_fredmd(panel, initial_price=100.0)[2].splitlines()
+        prices = 100.0 * np.cumprod(1.0 + panel.target / 100.0)
+        assert lines[:2] == ["date,close", f"{panel.dates[0].plus(-1)}-28,100.0"]
+        assert lines[2:] == [f"{d}-28,{v!r}" for d, v in zip(panel.dates, prices.tolist())]
+
     def test_export_writes_each_value_as_its_repr(self):
         # every cell is repr(float(v)), the shortest text that reads back as v
         panel, _ = generate_svar(SvarSpec(d=6, p=1, n=30, noise="laplace", seed=8))
