@@ -25,6 +25,8 @@ print("FRED-MD file head:")
 for line in fredmd_csv.splitlines()[:4]:
     print(" ", line[:72])
 
+# the group tags are read only here: series in the stock-market group (6)
+# are dropped, and the panel carries no tags onwards
 raw, tcodes, groups = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
 print(f"\nparsed {len(raw.names)} series over {len(raw)} months; "
       f"codes {sorted(set(tcodes.values()))}, groups {sorted(set(groups.values()))}")
@@ -36,8 +38,7 @@ print(f"price rows -> {len(returns)} return months, "
 
 # real FRED-MD values stamped month m describe month m but publish a month
 # later; shifting forward keeps the join free of look-ahead
-panel = align_and_shift(returns, transformed, shift_months=1,
-                        target_name="Y", returns_x100=True)
+panel = align_and_shift(returns, transformed, shift_months=1, target_name="Y")
 print(f"\naligned panel: {len(panel)} rows, {panel.n_features} features, "
       f"{panel.dates[0]}..{panel.dates[-1]}")
 

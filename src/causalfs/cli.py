@@ -88,7 +88,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
         returns, transformed,
         shift_months=cfg.shift_months,
         target_name=cfg.target_name,
-        returns_x100=True,
     )
     write_panel(panel, out / "panel.csv", out / "panel_meta.json")
     dropped = len(returns) - len(panel)

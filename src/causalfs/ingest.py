@@ -200,12 +200,7 @@ def parse_fredmd(
     keep = [i for i, name in enumerate(names) if groups[name] != STOCK_MARKET_GROUP]
     kept_names = tuple(names[i] for i in keep)
     values = np.array(data, dtype=float)[:, keep]
-    panel = MonthlyPanel(
-        dates=dates,
-        values=values,
-        names=kept_names,
-        groups=tuple(groups[n] for n in kept_names),
-    )
+    panel = MonthlyPanel(dates=dates, values=values, names=kept_names)
     return panel, {n: tcodes[n] for n in kept_names}, groups
 
 
@@ -250,7 +245,7 @@ def transform_panel(panel: MonthlyPanel, tcodes: dict[str, int]) -> MonthlyPanel
         code = tcodes[name]
         order = TCODE_ORDER[validate_tcode(code)]
         out[order:, j] = apply_tcode(panel.values[:, j], code)
-    return MonthlyPanel(panel.dates, out, panel.names, panel.groups)
+    return MonthlyPanel(panel.dates, out, panel.names)
 
 
 def load_prices(csv_text: str) -> MonthlySeries:
@@ -307,14 +302,6 @@ def panel_to_csv(panel: AlignedPanel) -> str:
     )
 
 
-def panel_meta(panel: AlignedPanel) -> dict:
-    return {
-        "target_name": panel.target_name,
-        "feature_groups": list(panel.feature_groups),
-        "returns_x100": panel.returns_x100,
-    }
-
-
 def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
     rows = csv_rows(csv_text)
     if len(rows) < 2 or len(rows[0]) < 2 or rows[0][0].strip() != "month":
@@ -340,9 +327,7 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
         target=target,
         features=features,
         feature_names=names,
-        feature_groups=tuple(meta.get("feature_groups", ())),
         target_name=meta.get("target_name", target_name),
-        returns_x100=bool(meta.get("returns_x100", True)),
     )
 
 
@@ -350,7 +335,7 @@ def write_panel(panel: AlignedPanel, csv_path, meta_path) -> None:
     with open(csv_path, "w") as fh:
         fh.write(panel_to_csv(panel))
     with open(meta_path, "w") as fh:
-        json.dump(panel_meta(panel), fh, indent=2, sort_keys=True)
+        json.dump({"target_name": panel.target_name}, fh, indent=2)
         fh.write("\n")
 
 

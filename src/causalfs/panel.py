@@ -63,14 +63,20 @@ class MonthStamp:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def _check_dates(dates) -> tuple[MonthStamp, ...]:
-    dates = tuple(dates)
+def _store_month_ordered(series, dates: tuple, values: np.ndarray) -> None:
+    """Set ``series.dates`` and ``series.values`` to ``dates`` and the rows of
+    ``values``, stable-sorted by month, the rows as a read-only copy. Raises
+    DuplicateDate if a month repeats."""
     seen = set()
     for d in dates:
         if d in seen:
             raise DuplicateDate(f"month {d} appears twice")
         seen.add(d)
-    return dates
+    order = np.argsort([d.index() for d in dates], kind="stable")
+    values = values[order]
+    values.setflags(write=False)
+    object.__setattr__(series, "dates", tuple(dates[i] for i in order))
+    object.__setattr__(series, "values", values)
 
 
 @dataclass(frozen=True)
@@ -81,16 +87,11 @@ class MonthlySeries:
     values: np.ndarray
 
     def __post_init__(self):
-        dates = _check_dates(self.dates)
+        dates = tuple(self.dates)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(dates) != values.shape[0]:
             raise ValueError("dates and values must be equal-length 1-d")
-        order = np.argsort([d.index() for d in dates], kind="stable")
-        dates = tuple(dates[i] for i in order)
-        values = values[order].copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
+        _store_month_ordered(self, dates, values)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -103,27 +104,17 @@ class MonthlyPanel:
     dates: tuple[MonthStamp, ...]
     values: np.ndarray  # T x d
     names: tuple[str, ...]
-    groups: tuple[int, ...] = ()
 
     def __post_init__(self):
-        dates = _check_dates(self.dates)
+        dates = tuple(self.dates)
         values = np.asarray(self.values, dtype=float)
         names = tuple(self.names)
         if values.ndim != 2:
             raise ValueError("values must be 2-d (T x d)")
         if values.shape != (len(dates), len(names)):
             raise ValueError("shape mismatch between dates, names, values")
-        groups = tuple(self.groups) if self.groups else (0,) * len(names)
-        if len(groups) != len(names):
-            raise ValueError("one group tag per series required")
-        order = np.argsort([d.index() for d in dates], kind="stable")
-        dates = tuple(dates[i] for i in order)
-        values = values[order].copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
+        _store_month_ordered(self, dates, values)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "groups", groups)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -134,30 +125,28 @@ class AlignedPanel:
     """Post-shift, post-join panel of target plus features.
 
     Invariants enforced at construction: dates strictly increasing with no
-    gaps, equal row counts, and no NaN or inf anywhere. ``returns_x100`` records
-    whether the target is stored in percent.
+    gaps, equal row counts, and no NaN or inf anywhere. The target is in
+    whatever unit its source used: percent returns from ``causalfs ingest``,
+    raw SVAR draws from ``synthlab``.
     """
 
     dates: tuple[MonthStamp, ...]
     target: np.ndarray
     features: np.ndarray  # T x d
     feature_names: tuple[str, ...]
-    feature_groups: tuple[int, ...] = ()
     target_name: str = "TARGET"
-    returns_x100: bool = True
 
     def __post_init__(self):
         dates = tuple(self.dates)
         target = np.asarray(self.target, dtype=float).copy()
         features = np.asarray(self.features, dtype=float).copy()
         names = tuple(self.feature_names)
-        groups = tuple(self.feature_groups) if self.feature_groups else (0,) * len(names)
         if features.ndim != 2:
             raise ValueError("features must be 2-d (T x d)")
         if not (len(dates) == target.shape[0] == features.shape[0]):
             raise ValueError("dates, target, features must share row count")
-        if features.shape[1] != len(names) or len(groups) != len(names):
-            raise ValueError("one name and group per feature column required")
+        if features.shape[1] != len(names):
+            raise ValueError("one name per feature column required")
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
         if self.target_name in names:
@@ -176,7 +165,6 @@ class AlignedPanel:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "feature_groups", groups)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -257,13 +245,14 @@ def align_and_shift(
     features: MonthlyPanel,
     shift_months: int = 1,
     target_name: str = "TARGET",
-    returns_x100: bool = True,
 ) -> AlignedPanel:
     """Re-stamp features forward and inner-join them with the target.
 
     A feature row originally stamped month m is treated as information for
     month m + shift_months, then joined with the target on month. Rows
     carrying any NaN are dropped; the surviving dates must be contiguous.
+    The result carries the joined values, the features' names and
+    ``target_name``; the target keeps the unit it came in.
 
     Raises NoOverlap if the join is empty and DuplicateDate if either input
     repeats a month (checked at input construction).
@@ -294,9 +283,7 @@ def align_and_shift(
         target=np.array(tvals),
         features=np.vstack(rows),
         feature_names=features.names,
-        feature_groups=features.groups,
         target_name=target_name,
-        returns_x100=returns_x100,
     )
 
 

@@ -10,10 +10,12 @@ series.
 
 Every CI test goes through ``_ci_tests``: a test with q conditions on at
 most q + 3 rows is skipped (stage one keeps the link, stage two leaves it
-unselected). The rest read centred lag columns: r and p come from
-``pearson_tests`` at q = 0 and from the Gram of the columns otherwise, or
-from ``partial_correlation`` on the same columns where a column has zero
-variance or the Gram is ill-conditioned.
+unselected). The rest read centred lag columns. A test whose x or y column
+is constant carries no evidence and reads (r, p) = (0, 1) at every q, so
+stage one's first level drops a constant feature at any alpha <= 1. Other
+tests take r and p from ``pearson_tests`` at q = 0 and from the Gram of the
+columns at q > 0, or from ``partial_correlation`` on the same columns where
+the Gram is ill-conditioned (as a constant conditioning column makes it).
 """
 from __future__ import annotations
 
@@ -29,6 +31,9 @@ from ..panel import AlignedPanel, lag_rows
 from .base import FeatureSet
 
 Link = tuple[int, int]  # (variable index, lag >= 1)
+
+# (r, p) of a test whose x or y column is constant in the view
+_NO_EVIDENCE = (0.0, 1.0)
 
 
 class _LagView:
@@ -69,16 +74,17 @@ def _ci_tests(view, x_links, y_var, cond_links):
         return [None] * len(x_links)
     if q == 0:  # stage one's q = 0 level passes all its links at once
         r, p, ok = pearson_tests(view.centred_cols(x_links), view.centred[0, y_var])
-    else:  # a test with conditions is always passed on its own
-        [x_link] = x_links
-        M = view.centred_cols([x_link, (y_var, 0), *cond_links])
-        r, p, ok = gram_partial_correlation((M @ M.T)[None], view.rows)
-    results = list(zip(r.tolist(), p.tolist()))
-    for i, good in enumerate(ok.tolist()):
-        if not good:
-            M = view.centred_cols([x_links[i], (y_var, 0), *cond_links])
-            results[i] = partial_correlation(M[0], M[1], M[2:].T)
-    return results
+        # ok is False exactly where the x or y column is constant
+        return [(ri, pi) if good else _NO_EVIDENCE
+                for ri, pi, good in zip(r.tolist(), p.tolist(), ok.tolist())]
+    [x_link] = x_links  # a test with conditions is always passed on its own
+    M = view.centred_cols([x_link, (y_var, 0), *cond_links])
+    if not M[:2].any(axis=1).all():  # centred, a constant column is exact zeros
+        return [_NO_EVIDENCE]
+    r, p, ok = gram_partial_correlation((M @ M.T)[None], view.rows)
+    if not ok[0]:
+        return [partial_correlation(M[0], M[1], M[2:].T)]
+    return [(r.item(), p.item())]
 
 
 def _condition_select(

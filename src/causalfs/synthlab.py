@@ -190,7 +190,6 @@ def simulate_svar(
         features=X[:, 1:],
         feature_names=names[1:],
         target_name=names[0],
-        returns_x100=False,
     )
     truth = DynamicGraph(S=S, W=tuple(W), variable_names=names)
     return panel, truth
@@ -282,11 +281,10 @@ def export_fredmd(
 ) -> tuple[str, str, str]:
     """Export a panel in the ingest CSV schemas for round-trip testing.
 
-    Features go out as a FRED-MD-format file with transform code 1 (level);
-    the target is rebuilt into a price path whose percent returns reproduce
-    its values, i.e. the target column is always encoded in the percent
-    convention regardless of the panel's flag. Returns (fredmd_csv,
-    groups_csv, prices_csv).
+    Features go out as a FRED-MD-format file with transform code 1 (level),
+    each tagged group 1; the target is rebuilt into a price path whose
+    percent returns reproduce its values, whatever unit the panel's target
+    is in. Returns (fredmd_csv, groups_csv, prices_csv).
     """
     # names and prices go through to_csv, which quotes them where needed;
     # the FRED-MD float rows are joined by hand: no float repr needs quoting,
@@ -296,10 +294,7 @@ def export_fredmd(
         f"{d.month}/1/{d.year}," + ",".join(map(repr, row)) + "\n"
         for d, row in zip(panel.dates, panel.features.tolist())
     )
-    groups = panel.feature_groups or (1,) * panel.n_features
-    groups_csv = to_csv(
-        ["series", "group"], ((name, max(g, 1)) for name, g in zip(panel.feature_names, groups))
-    )
+    groups_csv = to_csv(["series", "group"], ((name, 1) for name in panel.feature_names))
     factor = panel.target / 100.0
     if (factor <= -1.0).any():
         raise ValueError("target below -100%; not representable as a price path")

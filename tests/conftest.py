@@ -48,7 +48,6 @@ def make_panel(target, features, names=None, start="2000-01", target_name="Y"):
         features=features,
         feature_names=tuple(names),
         target_name=target_name,
-        returns_x100=False,
     )
 
 

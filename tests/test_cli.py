@@ -272,7 +272,7 @@ class TestIngest:
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
         out = workspace / "out"
         assert (out / "panel.csv").exists()
-        assert (out / "panel_meta.json").exists()
+        assert json.loads((out / "panel_meta.json").read_text()) == {"target_name": "Y"}
         log = json.loads((out / "ingest_log.json").read_text())
         assert log["rows"] > 0
 

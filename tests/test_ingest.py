@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from causalfs.ingest import (
     parse_fredmd,
     parse_groups,
     prices_to_returns,
+    read_panel,
     transform_panel,
 )
 from causalfs.panel import MonthStamp, MonthlySeries, align_and_shift
@@ -212,13 +214,14 @@ class TestPipeline:
         assert not np.isnan(aligned.features).any()
         assert len(aligned) > 0
 
-    def test_panel_csv_round_trip(self, rng):
+    def test_panel_csv_round_trip(self, rng, tmp_path):
+        # a panel_meta.json that still holds the group tags and percent flag
+        # of older outputs loads: keys other than target_name are ignored
         panel = make_panel(rng.normal(size=7), rng.normal(size=(7, 3)))
-        text = panel_to_csv(panel)
-        back = panel_from_csv(
-            text,
-            {"target_name": "Y", "returns_x100": False, "feature_groups": [0, 0, 0]},
-        )
+        (tmp_path / "panel.csv").write_text(panel_to_csv(panel))
+        (tmp_path / "panel_meta.json").write_text(json.dumps(
+            {"feature_groups": [1, 8, 2], "returns_x100": True, "target_name": "Y"}))
+        back = read_panel(tmp_path / "panel.csv", tmp_path / "panel_meta.json")
         assert back.dates == panel.dates
         np.testing.assert_array_equal(back.target, panel.target)
         np.testing.assert_array_equal(back.features, panel.features)

@@ -253,12 +253,10 @@ class TestAlignedPanelInvariants:
     def test_head_equals_checked_constructor(self, n):
         rng = np.random.default_rng(n)
         panel = AlignedPanel(month_range("2001-11", 7), rng.normal(size=7),
-                             rng.normal(size=(7, 3)), ("A", "B", "C"), (1, 2, 1),
-                             "R", False)
+                             rng.normal(size=(7, 3)), ("A", "B", "C"), "R")
         head = panel.head(n)
         checked = AlignedPanel(panel.dates[:n], panel.target[:n], panel.features[:n],
-                               panel.feature_names, panel.feature_groups,
-                               panel.target_name, panel.returns_x100)
+                               panel.feature_names, panel.target_name)
         for field in dataclasses.fields(AlignedPanel):
             got, want = getattr(head, field.name), getattr(checked, field.name)
             if isinstance(want, np.ndarray):

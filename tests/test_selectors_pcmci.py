@@ -14,7 +14,7 @@ from causalfs.errors import (
 )
 from causalfs.numerics import partial_correlation
 from causalfs.selectors import pcmci_select
-from causalfs.selectors.pcmci import _condition_select, _LagView
+from causalfs.selectors.pcmci import _ci_tests, _condition_select, _LagView
 from causalfs.synthlab import SvarSpec, generate_svar
 
 from conftest import make_panel
@@ -100,6 +100,8 @@ def _oracle_parcorr(view, x_link, y_var, cond_links):
     if view.rows <= Z.shape[1] + 3:
         return None
     x, y = view.matrix([x_link, (y_var, 0)]).T
+    if (x == x[0]).all() or (y == y[0]).all():
+        return 0.0, 1.0  # a constant column carries no evidence
     try:
         return partial_correlation(x, y, Z if Z.shape[1] else None)
     except Underdetermined:
@@ -299,25 +301,57 @@ def test_near_collinear_conditioning_takes_fallback(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("value", [0.0, 0.25])
-def test_zero_variance_column_raises(rng, value):
+def test_zero_variance_column_reads_no_evidence(rng, value):
     features = rng.normal(size=(60, 3))
     features[:, 1] = value
     panel = make_panel(rng.normal(size=60), features)
-    with pytest.raises(DegenerateInput):
-        pcmci_select(panel, p=1)
+    fs = pcmci_select(panel, p=1)
+    assert "X2" not in fs.selected and fs.diagnostics["X2"] == (0.0, 1.0)
+    without = pcmci_select(make_panel(panel.target, features[:, [0, 2]], ("X1", "X3")), p=1)
+    assert fs.selected == without.selected
+    _assert_close_records({k: v for k, v in fs.diagnostics.items() if k != "X2"},
+                          without.diagnostics)
 
 
 def test_constant_column_with_rounded_mean_matches_oracle(rng):
     # the mean of 0.1s is not exactly 0.1, yet the column is constant: both
-    # paths raise as they do for a column of 0.0, at any alpha
+    # paths read it as no evidence, also at an alpha that keeps it as a
+    # condition of every other test
     features = rng.normal(size=(60, 3))
     features[:, 1] = 0.1
     panel = make_panel(rng.normal(size=60), features)
-    for alpha in (0.5, 2.0):
-        for run in (lambda: pcmci_select(panel, p=1, alpha=alpha),
-                    lambda: _oracle_pcmci(panel, 1, alpha, 3, 10)):
-            with pytest.raises(DegenerateInput):
-                run()
+    assert_matches_oracle(panel, 1, alpha=0.5)
+    with pytest.warns(RankDeficientWarning):  # the column as a condition
+        assert_matches_oracle(panel, 1, alpha=2.0)
+
+
+def test_constant_x_or_y_reads_no_evidence_with_conditions(rng):
+    data = rng.normal(size=(30, 3))
+    data[:, 1] = 0.0
+    view = _LagView(data, 1)
+    assert _ci_tests(view, [(1, 1)], 0, [(2, 1)]) == [(0.0, 1.0)]
+    assert _ci_tests(view, [(2, 1)], 1, [(0, 1)]) == [(0.0, 1.0)]
+
+
+def test_constant_feature_changes_no_other_selection():
+    # 16 labs with a constant column appended: every window selects and
+    # reports as it does without the column, which reads (0, 1) unselected;
+    # the other diagnostics match to rounding, as the column means of the
+    # centred lag cube may round by the cube's width
+    for seed in range(16):
+        base, _ = generate_svar(SvarSpec(d=8, n=70, seed=seed))
+        features = np.column_stack([base.features, np.full(len(base), 0.07)])
+        wide = make_panel(base.target, features, (*base.feature_names, "C"))
+        for n in (20, 40, 70):
+            for p in (1, 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SkippedTestWarning)
+                    want = pcmci_select(base.head(n), p=p)
+                    got = pcmci_select(wide.head(n), p=p)
+                assert got.selected == want.selected
+                assert got.diagnostics["C"] == (0.0, 1.0)
+                _assert_close_records({k: v for k, v in got.diagnostics.items() if k != "C"},
+                                      want.diagnostics)
 
 
 @settings(max_examples=30, deadline=None)

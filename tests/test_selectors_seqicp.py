@@ -121,7 +121,7 @@ def test_subset_size_above_feature_count_is_capped():
     rng = np.random.default_rng(0)
     panel = AlignedPanel(month_range("2000-01", 32), rng.normal(size=32),
                          rng.normal(size=(32, 3)), ("X1", "X2", "X3"),
-                         target_name="Y", returns_x100=False)
+                         target_name="Y")
     design = build_design(panel, 2)
     assert seqicp_select(design, max_subset_size=9) == seqicp_select(design, max_subset_size=3)
 
@@ -245,8 +245,7 @@ class TestBatchedFits:
         base, _ = chain_fixture(4, n=120)
         features = np.column_stack([base.features, base.features[:, 0]])
         panel = AlignedPanel(base.dates, base.target, features,
-                             (*base.feature_names, "X1copy"), target_name="Y",
-                             returns_x100=False)
+                             (*base.feature_names, "X1copy"), target_name="Y")
         design = build_design(panel, 1)
         envs = halves_environments(design.n)
         with warnings.catch_warnings():
@@ -266,7 +265,7 @@ class TestBatchedFits:
         y = 0.5 * np.r_[0.0, x[:-1, 0]] + rng.normal(size=n)
         y[n // 2 :] *= rng.uniform(0.5, 2.0)  # a variance shift, sometimes detected
         panel = AlignedPanel(month_range("2000-01", n), y, x, tuple(f"X{i}" for i in range(d)),
-                             target_name="Y", returns_x100=False)
+                             target_name="Y")
         design = build_design(panel, p)
         envs = (thirds_environments if three else halves_environments)(design.n)
         if min(len(e) for e in envs) <= 2 + p * min(max_subset_size, d) + 1:
@@ -285,7 +284,7 @@ def test_wide_call_memory_is_bounded():
     n, d = 200, 120
     panel = AlignedPanel(month_range("2000-01", n + 1), rng.normal(size=n + 1),
                          rng.normal(size=(n + 1, d)), tuple(f"X{i}" for i in range(d)),
-                         target_name="Y", returns_x100=False)
+                         target_name="Y")
     design = build_design(panel, 1)
     tracemalloc.start()
     try:

@@ -201,8 +201,7 @@ class TestExportRoundTrip:
         raw, tcodes, _ = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
         transformed = transform_panel(raw, tcodes)
         returns = prices_to_returns(load_prices(prices_csv))
-        back = align_and_shift(returns, transformed, shift_months=0,
-                               target_name="Y", returns_x100=True)
+        back = align_and_shift(returns, transformed, shift_months=0, target_name="Y")
         assert back.dates == panel.dates
         np.testing.assert_allclose(back.features, panel.features, rtol=1e-9)
         np.testing.assert_allclose(back.target, panel.target, rtol=1e-7, atol=1e-9)
@@ -211,7 +210,7 @@ class TestExportRoundTrip:
         panel, _ = generate_svar(SvarSpec(d=3, p=1, n=30, seed=6))
         names = ("A,B", 'say "C"')
         panel = AlignedPanel(panel.dates, panel.target, panel.features, names,
-                             target_name="Y", returns_x100=False)
+                             target_name="Y")
         fredmd_csv, groups_csv, _ = export_fredmd(panel)
         raw, _, groups = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
         assert raw.names == names and tuple(groups) == names
@@ -230,7 +229,7 @@ class TestExportRoundTrip:
         features = np.array(panel.features)
         features[0, :3] = [-0.0, 1e-300, 123456789.0]
         panel = AlignedPanel(panel.dates, panel.target, features, panel.feature_names,
-                             target_name="Y", returns_x100=False)
+                             target_name="Y")
         rows = export_fredmd(panel)[0].splitlines()[2:]
         assert len(rows) == len(panel)
         for d, row, text in zip(panel.dates, panel.features, rows):
