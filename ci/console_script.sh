@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# the installed entry point, which the tests call only as a function:
+# a tiny validate spec must exit 0; --selectors must pick from a
+# two-selector spec; a spec with n_seeds = 0 and a --seed of -1 must
+# exit 2 before they create an output directory; importing causalfs.cli
+# must not load scipy, which only the selectors' kernels import; a tiny
+# exported panel must go through ingest, backtest and report; a price
+# CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
+# backtest whose window leaves no month to forecast must exit 2; a
+# calendar-mode seqicp backtest whose windows hold only a few crisis
+# months must test the halves there, not log a selector fallback; nor
+# may a pcmci backtest on a panel with a constant feature
+set -eo pipefail
+python -c "import sys, causalfs.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; sys.exit(f'scipy loaded: {loaded}' if loaded else 0)"
+printf 'd = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n' > ok.toml
+causalfs validate --config ok.toml --out ok
+test -s ok/recovery_granger.csv
+printf 'd = 4\nn = 120\nn_seeds = 2\nselectors = ["granger", "sfs"]\n' > two.toml
+causalfs validate --config two.toml --out two --selectors granger
+test "$(ls two)" = recovery_granger.csv
+printf 'd = 4\nn_seeds = 0\n' > bad.toml
+rc=0
+causalfs validate --config bad.toml --out bad || rc=$?
+test "$rc" -eq 2
+test ! -e bad
+rc=0
+causalfs validate --config ok.toml --out neg --seed -1 || rc=$?
+test "$rc" -eq 2
+test ! -e neg
+python -c "from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; texts = export_fredmd(generate_svar(SvarSpec(d=4, n=80, seed=3))[0]); [open(f'{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), texts)]"
+printf '2003-01..2003-06\n' > crisis.txt
+printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "out"\nwindow = 40\nselectors = ["granger"]\n' > run.toml
+causalfs ingest --config run.toml
+causalfs backtest --config run.toml
+causalfs report --config run.toml
+test -s out/table1.csv
+printf '2003-04..2003-12\n' > short_crisis.txt
+printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "short_crisis.txt"\noutput_dir = "cal"\nwindow = 40\nselectors = ["seqicp"]\n[selector.seqicp]\nenvironments = "calendar"\n' > cal.toml
+causalfs ingest --config cal.toml
+causalfs backtest --config cal.toml 2> cal_err.txt
+if grep "falling back" cal_err.txt; then exit 1; fi
+python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; p = AlignedPanel(p.dates, p.target, np.column_stack([p.features, np.full(len(p), 0.07)]), (*p.feature_names, 'CONST'), target_name=p.target_name); [open(f'const_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
+printf 'fredmd_csv = "const_fredmd.csv"\nprices_csv = "const_prices.csv"\ngroups_csv = "const_groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "const"\nwindow = 40\nselectors = ["pcmci"]\n' > const.toml
+causalfs ingest --config const.toml
+causalfs backtest --config const.toml 2> const_err.txt
+if grep "falling back" const_err.txt; then exit 1; fi
+sed '3s/,.*/,abc/' prices.csv > bad_prices.csv
+sed 's/"prices.csv"/"bad_prices.csv"/' run.toml > bad_prices.toml
+rc=0
+causalfs ingest --config bad_prices.toml --out bad_prices || rc=$?
+test "$rc" -eq 2
+sed '3s/,[^,]*/,inf/' fredmd.csv > inf_fredmd.csv
+sed 's/"fredmd.csv"/"inf_fredmd.csv"/' run.toml > inf_fredmd.toml
+rc=0
+causalfs ingest --config inf_fredmd.toml --out inf_fredmd || rc=$?
+test "$rc" -eq 2
+sed 's/window = 40/window = 100/' run.toml > long_window.toml
+rc=0
+causalfs backtest --config long_window.toml || rc=$?
+test "$rc" -eq 2

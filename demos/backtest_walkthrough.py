@@ -48,8 +48,8 @@ for selector_id, params in (
 print(f"{'model':<9} {'MAE norm':>9} {'MAE crisis':>11} {'increase %':>11}")
 for name, ledger in ledgers.items():
     rep = regime_metrics(ledger, calendar)
-    normal = rep.regime(Regime.NORMAL)
-    crisis = rep.regime(Regime.CRISIS)
+    normal = rep.per_regime.get(Regime.NORMAL)
+    crisis = rep.per_regime.get(Regime.CRISIS)
     inc = f"{rep.mae_increase_pct:.1f}" if rep.mae_increase_pct is not None else "n/a"
     print(f"{name:<9} {normal.mae:>9.3f} {crisis.mae:>11.3f} {inc:>11}")
 

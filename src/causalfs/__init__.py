@@ -8,7 +8,7 @@ structural-VAR lab for ground-truth validation (`synthlab`). The `causalfs`
 command drives batch runs.
 """
 from . import errors
-from .backtest import BacktestConfig, BacktestLedger, forecast_next, run_backtest
+from .backtest import BacktestConfig, BacktestLedger, run_backtest
 from .evaluation import (
     MetricsReport,
     StrategySeries,
@@ -105,7 +105,6 @@ __all__ = [
     "errors",
     "f_test_nested",
     "fastica",
-    "forecast_next",
     "generate_svar",
     "granger_select",
     "kmeans",

@@ -80,11 +80,6 @@ class BacktestLedger:
         return self.y_true - self.y_pred
 
 
-def forecast_next(fit: OlsFit, regressors) -> float:
-    """One-step forecast: intercept plus the dot product with the fit."""
-    return fit.predict(np.asarray(regressors, dtype=float))
-
-
 def step_seed(seed: int, step: int) -> int:
     """Per-step selector seed, stable across platforms and rerun order."""
     return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
@@ -102,7 +97,7 @@ def fit_forecast_model(
     data = np.column_stack([panel.target, panel.features])
     cols = [1 + panel.feature_names.index(name) for name in selected]
     rows = lag_rows(data, design_links(cols, p), range(p, T + 1))  # time T: the next step
-    return ols_fit(rows[:-1], panel.target[p:T], intercept=True), rows[-1]
+    return ols_fit(rows[:-1], panel.target[p:T]), rows[-1]
 
 
 def run_backtest(
@@ -145,7 +140,7 @@ def run_backtest(
         date = panel.dates[j]
         try:
             fit, regressors = fit_forecast_model(window, config.p, selected)
-            y_pred = forecast_next(fit, regressors)
+            y_pred = fit.predict(regressors)
         except (CausalfsError, np.linalg.LinAlgError) as exc:
             raise BacktestAborted(
                 f"hard error at {date}: {exc}",

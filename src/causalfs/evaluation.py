@@ -36,9 +36,6 @@ class MetricsReport:
     per_regime: dict[Regime, RegimeErrors]
     mae_increase_pct: float | None
 
-    def regime(self, regime: Regime) -> RegimeErrors | None:
-        return self.per_regime.get(regime)
-
 
 @dataclass(frozen=True)
 class StrategySeries:
@@ -75,13 +72,21 @@ class PortfolioStats:
     count: int
 
 
+def _mae(errors: np.ndarray) -> float:
+    return float(np.abs(errors).mean())
+
+
+def _rmse(errors: np.ndarray) -> float:
+    return math.sqrt(float((errors * errors).mean()))
+
+
 def rolling_rmse(ledger: BacktestLedger, h: int = 12):
     """Trailing-window RMSE; one value per record from the h-th onward."""
-    return _rolling(ledger, h, lambda e: math.sqrt(float((e * e).mean())))
+    return _rolling(ledger, h, _rmse)
 
 
 def rolling_mae(ledger: BacktestLedger, h: int = 12):
-    return _rolling(ledger, h, lambda e: float(np.abs(e).mean()))
+    return _rolling(ledger, h, _mae)
 
 
 def _rolling(ledger, h, fn):
@@ -113,11 +118,7 @@ def regime_metrics(ledger: BacktestLedger, calendar: RegimeCalendar) -> MetricsR
     for regime, rows in calendar.split(ledger.dates).items():
         if len(rows):
             e = errors[rows]
-            per_regime[regime] = RegimeErrors(
-                mae=float(np.abs(e).mean()),
-                rmse=math.sqrt(float((e * e).mean())),
-                count=len(e),
-            )
+            per_regime[regime] = RegimeErrors(mae=_mae(e), rmse=_rmse(e), count=len(e))
     normal = per_regime.get(Regime.NORMAL)
     crisis = per_regime.get(Regime.CRISIS)
     if normal is None or crisis is None or normal.mae == 0.0:

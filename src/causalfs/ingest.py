@@ -112,15 +112,24 @@ def parse_rows(rows: list[list[str]], convert) -> list:
     return out
 
 
+def _csv_line(row) -> str:
+    cells = ["" if c is None else str(c) for c in row]
+    line = ",".join(cells)
+    # one scan of the joined line finds the rare row with a cell to quote
+    if line.count(",") >= len(cells) or any(c in line for c in '"\r\n'):
+        return ",".join('"' + c.replace('"', '""') + '"' if any(s in c for s in ',"\r\n') else c
+                        for c in cells)
+    return '""' if cells == [""] else line
+
+
 def to_csv(header, rows) -> str:
-    """CSV text with ``\n`` line ends. Cells are written with ``str``, except
-    Python floats, which are written as their repr and so read back exactly,
-    and ``None``, which is written as an empty cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV text with ``\n`` line ends: the header, then the rows. A cell is
+    written as ``str(cell)`` (a Python float as its repr, which reads back
+    exactly) and ``None`` as an empty cell. A cell holding a comma, a double
+    quote, CR or LF is quoted, its double quotes doubled; a row of one empty
+    cell is ``""``, not a blank line. These are the standard library CSV
+    writer's bytes, except that it leaves a bare CR unquoted."""
+    return _csv_line(header) + "\n" + "".join(_csv_line(row) + "\n" for row in rows)
 
 
 def _parse_us_date(text: str) -> MonthStamp:

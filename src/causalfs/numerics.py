@@ -36,14 +36,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit. ``beta[0]`` is the intercept when one was added."""
+    """Least-squares fit of y on [1, X]: ``beta[0]`` is the intercept and
+    ``k`` counts it among the columns."""
 
     beta: np.ndarray
     residuals: np.ndarray
     rss: float
     n: int
     k: int
-    intercept: bool
     rank: int
 
     @property
@@ -51,15 +51,13 @@ class OlsFit:
         return self.rank < self.k
 
     def predict(self, regressors: np.ndarray) -> float:
+        """The fit at one row of X: intercept plus slopes @ ``regressors``."""
         x = np.asarray(regressors, dtype=float).ravel()
-        expected = self.k - 1 if self.intercept else self.k
-        if x.shape[0] != expected:
+        if x.shape[0] != self.k - 1:
             from .errors import ShapeError
 
-            raise ShapeError(f"expected {expected} regressors, got {x.shape[0]}")
-        if self.intercept:
-            return float(self.beta[0] + self.beta[1:] @ x)
-        return float(self.beta @ x)
+            raise ShapeError(f"expected {self.k - 1} regressors, got {x.shape[0]}")
+        return float(self.beta[0] + self.beta[1:] @ x)
 
 
 @dataclass(frozen=True)
@@ -67,17 +65,15 @@ class FTestResult:
     """One F test, or one per element when ``f_test_nested`` got arrays."""
 
     statistic: float | np.ndarray
-    df1: int | np.ndarray
-    df2: int
     p_value: float | np.ndarray
 
 
-def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True) -> OlsFit:
-    """Minimum-norm least squares via SVD.
+def ols_fit(X: np.ndarray, y: np.ndarray) -> OlsFit:
+    """Minimum-norm least squares of y on [1, X] via SVD.
 
-    Requires strictly more rows than columns. Rank deficiency is not an
-    error (macro panels are collinear in practice): the minimum-norm
-    solution is returned and a RankDeficientWarning issued.
+    Requires strictly more rows than columns, the intercept included. Rank
+    deficiency is not an error (macro panels are collinear in practice):
+    the minimum-norm solution is returned and a RankDeficientWarning issued.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.asarray(X, dtype=float)
@@ -85,7 +81,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True) -> OlsFit:
         X = X[:, None]
     if X.shape[0] != y.shape[0]:
         raise ValueError("rows(X) must equal len(y)")
-    A = np.column_stack([np.ones(len(y)), X]) if intercept else X
+    A = np.column_stack([np.ones(len(y)), X])
     n, k = A.shape
     if n <= k:
         raise Underdetermined(f"{n} rows for {k} regressors")
@@ -103,7 +99,6 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True) -> OlsFit:
         rss=float(residuals @ residuals),
         n=n,
         k=k,
-        intercept=intercept,
         rank=int(rank),
     )
 
@@ -315,7 +310,7 @@ def _ols_fold_mse(cv: CvFolds, f: int, columns: np.ndarray) -> float:
     block = cv.blocks[f]
     train = np.setdiff1d(np.arange(len(cv.y)), block)
     X = cv.X[:, columns]
-    fit = ols_fit(X[train], cv.y[train], intercept=True)
+    fit = ols_fit(X[train], cv.y[train])
     pred = np.column_stack([np.ones(len(block)), X[block]]) @ fit.beta
     return float(((cv.y[block] - pred) ** 2).mean())
 
@@ -378,8 +373,8 @@ def f_test_nested(rss_restricted, rss_full: float, q, n: int, k_full: int) -> FT
         stat = (gap / q) / (rss_full / df2)
     p = f_sf(stat, q, df2)
     if stat.ndim == 0:
-        return FTestResult(float(stat), int(q), df2, float(p))
-    return FTestResult(stat, q, df2, p)
+        return FTestResult(float(stat), float(p))
+    return FTestResult(stat, p)
 
 
 def pearson_tests(
@@ -387,14 +382,19 @@ def pearson_tests(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """r of each centred row of X with the centred y, and its p-value on
     n - 2 - ``conditions`` degrees of freedom (``_correlation_p``). ``ok``
-    is False, and r and p nan, where a row or y has zero variance."""
+    is False, and r and p nan, where a row or y has zero variance. x'y, x'x
+    and y'y are each one row-wise sum over contiguous rows, so a row's r
+    does not depend on the other rows (a matrix-vector product may block its
+    sums by the row count), and r is exactly 1 for x = y."""
     dof = len(y) - 2 - conditions
     if dof < 1:
         raise ValueError("not enough observations for the t transform")
+    X, y = np.ascontiguousarray(X), np.ascontiguousarray(y)[None]
     sx = np.einsum("ij,ij->i", X, X)
-    sy = y @ y
+    sy = np.einsum("ij,ij->i", y, y)[0]
+    sxy = np.einsum("ij,ij->i", X, np.broadcast_to(y, X.shape))
     ok = (sx > 0.0) & (sy > 0.0)
-    r = (X @ y) / np.sqrt(np.where(ok, sx * sy, 1.0))
+    r = sxy / np.sqrt(np.where(ok, sx * sy, 1.0))
     r = np.where(ok, np.clip(r, -1.0, 1.0), np.nan)
     return r, _correlation_p(r, dof), ok
 
@@ -418,8 +418,8 @@ def partial_correlation(
     if nz:
         if n <= nz + 2:
             raise Underdetermined(f"{n} rows for {nz} conditioning columns")
-        rx = ols_fit(Z, x, intercept=True).residuals
-        ry = ols_fit(Z, y, intercept=True).residuals
+        rx = ols_fit(Z, x).residuals
+        ry = ols_fit(Z, y).residuals
         # numerically exact dependence on Z leaves only rounding noise
         for resid, orig in ((rx, x), (ry, y)):
             total = float((centre(orig) ** 2).sum())

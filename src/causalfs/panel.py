@@ -45,9 +45,6 @@ class MonthStamp:
         total = self.year * 12 + (self.month - 1) + months
         return MonthStamp(total // 12, total % 12 + 1)
 
-    def successor(self) -> "MonthStamp":
-        return self.plus(1)
-
     def index(self) -> int:
         """Months since year 0; differences give month counts."""
         return self.year * 12 + self.month - 1

@@ -63,14 +63,13 @@ class DynamicGraph:
     ``S[i, j]`` and ``W[tau - 1][i, j]`` weigh the edge from variable i (at
     lag 0, resp. tau) into variable j: the row is the cause, the column the
     effect. DYNOTEARS and VARLiNGAM return this type, and the synthetic lab
-    uses it for the truth; ``h_value`` is the acyclicity residual of S that
-    DYNOTEARS reports after fitting (0 for every other producer).
+    uses it for the truth. ``numerics.acyclicity(S)`` measures how far S is
+    from a DAG.
     """
 
     S: np.ndarray
     W: tuple[np.ndarray, ...]
     variable_names: tuple[str, ...]
-    h_value: float = 0.0
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float).copy()

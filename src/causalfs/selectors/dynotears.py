@@ -20,6 +20,11 @@ from ..numerics import acyclicity, standardize
 from ..panel import AlignedPanel, stack_lags
 from .base import DynamicGraph, FeatureSet
 
+# the augmented Lagrangian gives up once its penalty weight rho reaches
+# RHO_MAX, after at most MAX_OUTER dual updates
+RHO_MAX = 1e16
+MAX_OUTER = 100
+
 
 def objective_terms(
     S: np.ndarray, W: np.ndarray, X: np.ndarray, X_lag: np.ndarray
@@ -40,14 +45,12 @@ def dynotears_fit(
     lambda_s: float = 0.1,
     h_tol: float = 1e-8,
     w_threshold: float = 0.05,
-    rho_max: float = 1e16,
-    max_outer: int = 100,
 ) -> DynamicGraph:
     """Fit S and W on [target, features], standardized internally.
 
     Entries below ``w_threshold`` in magnitude are zeroed after optimization
     and the diagonal of S is forced to zero. Raises NotAcyclic (carrying the
-    best iterate) when the constraint cannot be met before ``rho_max``.
+    best iterate) when the constraint cannot be met before ``RHO_MAX``.
     """
     import scipy.optimize as sopt  # looked up per call, so a patched minimize is seen
 
@@ -106,20 +109,20 @@ def dynotears_fit(
 
     vec = np.zeros(2 * n_s + 2 * n_w)
     rho, alpha, h = 1.0, 0.0, np.inf
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         while True:
             sol = sopt.minimize(
                 make_func(rho, alpha), vec, method="L-BFGS-B", jac=True, bounds=bounds
             )
             vec_new = sol.x
             h_new, _ = acyclicity(unpack(vec_new)[0])
-            if h_new > 0.25 * h and rho < rho_max:
+            if h_new > 0.25 * h and rho < RHO_MAX:
                 rho *= 10
                 continue
             break
         vec, h = vec_new, h_new
         alpha += rho * h
-        if h <= h_tol or rho >= rho_max:
+        if h <= h_tol or rho >= RHO_MAX:
             break
 
     S_est, W_est = unpack(vec)
@@ -127,11 +130,10 @@ def dynotears_fit(
     np.fill_diagonal(S_est, 0.0)
     W_est[np.abs(W_est) < w_threshold] = 0.0
     W_list = tuple(W_est[tau * m : (tau + 1) * m] for tau in range(p))
-    h_final, _ = acyclicity(S_est)
-    graph = DynamicGraph(S=S_est, W=W_list, variable_names=names, h_value=h_final)
+    graph = DynamicGraph(S=S_est, W=W_list, variable_names=names)
     if h > h_tol:
         raise NotAcyclic(
-            f"h={h:.3e} above tolerance {h_tol:.1e} at rho_max", graph=graph
+            f"h={h:.3e} above tolerance {h_tol:.1e} at rho={rho:.0e}", graph=graph
         )
     return graph
 

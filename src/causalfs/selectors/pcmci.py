@@ -52,7 +52,9 @@ class _LagView:
         """``centred[lag, var]`` is the centred column of ``(var, lag)``."""
         m = self.data.shape[1]
         links = [(v, lag) for lag in range(self.max_lag + 1) for v in range(m)]
-        cols = centre(self.matrix(links))  # rows x (lag, var)
+        # column-major, so each column's mean is one contiguous sum that does
+        # not depend on how many other columns the panel holds
+        cols = centre(np.asfortranarray(self.matrix(links)))  # rows x (lag, var)
         return cols.reshape(self.rows, self.max_lag + 1, m).transpose(1, 2, 0)
 
     def centred_cols(self, links) -> np.ndarray:

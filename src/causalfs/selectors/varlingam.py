@@ -29,7 +29,6 @@ class VarLingamResult:
 
     graph: DynamicGraph  # S = A0.T, W_tau = A_tau.T
     corr_with_target: dict[str, float]
-    ica_converged: bool
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -135,7 +134,7 @@ def varlingam_fit(
     resid = np.empty((T - p, m))
     B = np.zeros((p, m, m))  # B[tau - 1][i, j]: var i at lag tau -> var j
     for j in range(m):
-        fit = ols_fit(lagged_X, current[:, j], intercept=True)
+        fit = ols_fit(lagged_X, current[:, j])
         resid[:, j] = fit.residuals
         B[:, :, j] = fit.beta[1:].reshape(p, m)  # in the links' lag-major order
     # step 2: ICA separates the residuals into independent shocks
@@ -149,7 +148,6 @@ def varlingam_fit(
     return VarLingamResult(
         graph=DynamicGraph(S=A0.T, W=W, variable_names=names),
         corr_with_target=corr,
-        ica_converged=ica.converged,
     )
 
 

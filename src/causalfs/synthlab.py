@@ -225,10 +225,6 @@ def generate_svar(spec: SvarSpec) -> tuple[AlignedPanel, DynamicGraph]:
     )
 
 
-def true_parents(truth: DynamicGraph, target: str = TARGET_NAME) -> frozenset[str]:
-    return truth.parents_of(target)
-
-
 def _prf(hits: int, n_est: int, n_true: int) -> RecoveryScore:
     """Precision/recall/F1 from counts; an empty estimate has vacuous
     precision 1 and an empty truth vacuous recall 1."""
@@ -250,7 +246,7 @@ def score_recovery(
     An empty selection has vacuous precision 1; an empty truth set gives
     vacuous recall 1.
     """
-    truth_set = true_parents(truth, target)
+    truth_set = truth.parents_of(target)
     return _prf(len(selected.selected & truth_set), len(selected.selected), len(truth_set))
 
 
@@ -276,32 +272,27 @@ def score_graph_edges(estimate: DynamicGraph, truth: DynamicGraph) -> RecoverySc
     return _prf(len(est & tru), len(est), len(tru))
 
 
-def export_fredmd(
-    panel: AlignedPanel, initial_price: float = 100.0
-) -> tuple[str, str, str]:
+def export_fredmd(panel: AlignedPanel) -> tuple[str, str, str]:
     """Export a panel in the ingest CSV schemas for round-trip testing.
 
     Features go out as a FRED-MD-format file with transform code 1 (level),
-    each tagged group 1; the target is rebuilt into a price path whose
-    percent returns reproduce its values, whatever unit the panel's target
-    is in. Returns (fredmd_csv, groups_csv, prices_csv).
+    each tagged group 1; the target is rebuilt into a price path that starts
+    at 100 and whose percent returns reproduce its values, whatever unit the
+    panel's target is in. All three files are written by ``to_csv``.
+    Returns (fredmd_csv, groups_csv, prices_csv).
     """
-    # names and prices go through to_csv, which quotes them where needed;
-    # the FRED-MD float rows are joined by hand: no float repr needs quoting,
-    # and csv.writer's scan of every cell would slow a wide export
-    header = to_csv(["sasdate", *panel.feature_names], [["Transform:", *["1"] * panel.n_features]])
-    fredmd_csv = header + "".join(
-        f"{d.month}/1/{d.year}," + ",".join(map(repr, row)) + "\n"
-        for d, row in zip(panel.dates, panel.features.tolist())
-    )
+    fredmd_csv = to_csv(["sasdate", *panel.feature_names], [
+        ["Transform:", *["1"] * panel.n_features],
+        *([f"{d.month}/1/{d.year}", *row] for d, row in zip(panel.dates, panel.features.tolist())),
+    ])
     groups_csv = to_csv(["series", "group"], ((name, 1) for name in panel.feature_names))
     factor = panel.target / 100.0
     if (factor <= -1.0).any():
         raise ValueError("target below -100%; not representable as a price path")
-    prices = initial_price * np.cumprod(1.0 + factor)
+    prices = 100.0 * np.cumprod(1.0 + factor)
     first = panel.dates[0].plus(-1)
     prices_csv = to_csv(["date", "close"], [
-        (f"{first}-28", initial_price),
+        (f"{first}-28", 100.0),
         *((f"{d}-28", price) for d, price in zip(panel.dates, prices.tolist())),
     ])
     return fredmd_csv, groups_csv, prices_csv

@@ -11,7 +11,6 @@ from causalfs.backtest import (
     LedgerRecord,
     config_hash,
     fit_forecast_model,
-    forecast_next,
     ledger_from_csv,
     ledger_to_csv,
     run_backtest,
@@ -45,27 +44,27 @@ EMPTY_CAL = RegimeCalendar(())
 class TestForecastNext:
     def test_zero_regressors_returns_intercept(self, rng):
         X = rng.normal(size=(10, 0))
-        fit = ols_fit(X, np.full(10, 3.25), intercept=True)
-        assert forecast_next(fit, np.array([])) == pytest.approx(3.25)
+        fit = ols_fit(X, np.full(10, 3.25))
+        assert fit.predict(np.array([])) == pytest.approx(3.25)
 
     def test_zero_slopes_return_intercept(self, rng):
         y = np.full(12, 2.0)
         X = rng.normal(size=(12, 2))
-        fit = ols_fit(X, y, intercept=True)
-        assert forecast_next(fit, rng.normal(size=2)) == pytest.approx(2.0)
+        fit = ols_fit(X, y)
+        assert fit.predict(rng.normal(size=2)) == pytest.approx(2.0)
 
     def test_matches_manual_dot_product(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        fit = ols_fit(X, y, intercept=True)
+        fit = ols_fit(X, y)
         x_new = rng.normal(size=3)
         oracle = fit.beta[0] + float(fit.beta[1:] @ x_new)
-        assert forecast_next(fit, x_new) == pytest.approx(oracle, rel=1e-12)
+        assert fit.predict(x_new) == pytest.approx(oracle, rel=1e-12)
 
     def test_length_mismatch(self, rng):
-        fit = ols_fit(rng.normal(size=(10, 2)), rng.normal(size=10), intercept=True)
+        fit = ols_fit(rng.normal(size=(10, 2)), rng.normal(size=10))
         with pytest.raises(ShapeError):
-            forecast_next(fit, np.ones(3))
+            fit.predict(np.ones(3))
 
 
 class TestFitForecastModel:
@@ -85,7 +84,7 @@ class TestFitForecastModel:
             x_new.extend(x[T - lag] for lag in range(1, p + 1))
         beta = np.linalg.lstsq(np.column_stack(cols), panel.target[p:], rcond=None)[0]
         oracle = float(beta @ np.array(x_new))
-        assert forecast_next(fit, regressors) == pytest.approx(oracle, rel=1e-12)
+        assert fit.predict(regressors) == pytest.approx(oracle, rel=1e-12)
 
     def test_insufficient_history(self, rng):
         panel = make_panel(rng.normal(size=3), rng.normal(size=(3, 2)))
@@ -149,7 +148,7 @@ class TestRunBacktest:
             chosen = tuple(n for n in panel.feature_names if n in fs.selected)
             design = build_design(window, 1)
             cols = [0] + design.feature_column_indices(chosen)
-            fit = ols_fit(design.X[:, cols], design.y, intercept=True)
+            fit = ols_fit(design.X[:, cols], design.y)
             regressors = [window.target[-1]]
             for name in chosen:
                 k = panel.feature_names.index(name)
@@ -168,7 +167,7 @@ class TestRunBacktest:
             j = date_to_row[rec.date]
             window = panel.head(j)  # rows strictly before the record date
             fit, regressors = fit_forecast_model(window, 1, rec.selected)
-            assert forecast_next(fit, regressors) == rec.y_pred
+            assert fit.predict(regressors) == rec.y_pred
 
     def test_empty_selection_falls_back_to_target_lag(self, rng):
         T = 30

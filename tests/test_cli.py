@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalfs
 from causalfs.cli import main
 from causalfs.config import (
     RUN_CONFIG_KEYS,
@@ -512,7 +517,7 @@ class TestReport:
         row = (out / "table1.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "granger"
         assert float(row[1]) == pytest.approx(
-            report.regime(Regime.NORMAL).mae, abs=1e-9
+            report.per_regime.get(Regime.NORMAL).mae, abs=1e-9
         )
 
     def test_combine_outside_selectors_flag_exit_3(self, workspace, capsys):
@@ -780,3 +785,21 @@ alpha = 0.05
         lines = (tmp_path / "out" / "recovery_granger.csv").read_text().splitlines()
         rate = float(lines[-1].split(",")[4])
         assert rate < 0.12  # alpha 0.05 plus sampling slack
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_console_script_checks_pass(tmp_path):
+    # CI's console-script step, run here with shims for the installed
+    # ``causalfs`` entry point and ``python``
+    script = Path(__file__).resolve().parents[1] / "ci" / "console_script.sh"
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, command in (("causalfs", "-m causalfs.cli "), ("python", "")):
+        shim = bin_dir / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {command}"$@"\n')
+        shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=str(Path(causalfs.__file__).resolve().parents[1]))
+    run = subprocess.run(["bash", str(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]

@@ -91,15 +91,15 @@ class TestRegimeMetrics:
         ledger = ledger_from(y_true, y_pred, start="2011-01")
         cal = load_calendar("2011-04..2011-05\n")
         report = regime_metrics(ledger, cal)
-        assert report.regime(Regime.NORMAL).mae == pytest.approx(1.0)
-        assert report.regime(Regime.CRISIS).mae == pytest.approx(3.0)
+        assert report.per_regime.get(Regime.NORMAL).mae == pytest.approx(1.0)
+        assert report.per_regime.get(Regime.CRISIS).mae == pytest.approx(3.0)
         assert report.mae_increase_pct == pytest.approx(200.0)
 
     def test_single_regime_flags_increase_undefined(self):
         ledger = ledger_from([1.0, 2.0], [0.0, 0.0])
         report = regime_metrics(ledger, EMPTY_CAL)
         assert report.mae_increase_pct is None
-        assert report.regime(Regime.CRISIS) is None
+        assert report.per_regime.get(Regime.CRISIS) is None
 
     def test_pooled_consistency_invariant(self, rng):
         y_true = rng.normal(size=30)

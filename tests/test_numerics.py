@@ -42,15 +42,14 @@ F_SF_1P7_2_17 = 0.21230460218830446
 
 class TestOls:
     def test_exact_fit(self):
-        fit = ols_fit(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]),
-                      intercept=False)
-        np.testing.assert_allclose(fit.beta, [2.0])
+        fit = ols_fit(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
+        np.testing.assert_allclose(fit.beta, [0.0, 2.0], atol=1e-12)
         assert fit.rss == pytest.approx(0.0, abs=1e-20)
 
     def test_constant_target_with_intercept(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 3))
-        fit = ols_fit(X, np.full(20, 7.5), intercept=True)
+        fit = ols_fit(X, np.full(20, 7.5))
         np.testing.assert_allclose(fit.beta, [7.5, 0, 0, 0], atol=1e-10)
         assert fit.rss == pytest.approx(0.0, abs=1e-18)
 
@@ -59,26 +58,26 @@ class TestOls:
         y = rng.normal(size=30)
         A = np.column_stack([np.ones(30), X])
         oracle = np.linalg.solve(A.T @ A, A.T @ y)
-        fit = ols_fit(X, y, intercept=True)
+        fit = ols_fit(X, y)
         np.testing.assert_allclose(fit.beta, oracle, rtol=1e-8)
 
     def test_underdetermined(self):
         with pytest.raises(Underdetermined):
-            ols_fit(np.eye(3), np.ones(3), intercept=True)
+            ols_fit(np.eye(3), np.ones(3))
 
     def test_rank_deficiency_warns_minimum_norm(self, rng):
         x = rng.normal(size=20)
         X = np.column_stack([x, x])  # duplicated column
         with pytest.warns(RankDeficientWarning):
-            fit = ols_fit(X, 3 * x, intercept=False)
+            fit = ols_fit(X, 3 * x)
         assert fit.rank_deficient
         # minimum-norm solution splits the coefficient across the twins
-        np.testing.assert_allclose(fit.beta, [1.5, 1.5], rtol=1e-8)
+        np.testing.assert_allclose(fit.beta, [0.0, 1.5, 1.5], rtol=1e-8, atol=1e-12)
 
     def test_residuals_orthogonal_to_regressors(self, rng):
         X = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
-        fit = ols_fit(X, y, intercept=True)
+        fit = ols_fit(X, y)
         A = np.column_stack([np.ones(40), X])
         bound = 1e-8 * np.linalg.norm(y)
         assert np.all(np.abs(A.T @ fit.residuals) < bound)
@@ -86,9 +85,9 @@ class TestOls:
     def test_projection_idempotence(self, rng):
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
-        fit = ols_fit(X, y, intercept=True)
+        fit = ols_fit(X, y)
         fitted = y - fit.residuals
-        refit = ols_fit(X, fitted, intercept=True)
+        refit = ols_fit(X, fitted)
         np.testing.assert_allclose(refit.beta, fit.beta, atol=1e-10)
 
 
@@ -332,8 +331,8 @@ class TestFTest:
         for _ in range(1000):
             X = rng.normal(size=(n, 3))
             y = X[:, 0] + rng.normal(size=n)  # extra columns truly irrelevant
-            full = ols_fit(X, y, intercept=True)
-            restricted = ols_fit(X[:, :1], y, intercept=True)
+            full = ols_fit(X, y)
+            restricted = ols_fit(X[:, :1], y)
             pvals.append(
                 f_test_nested(restricted.rss, full.rss, q=k_extra, n=n,
                               k_full=4).p_value

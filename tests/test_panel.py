@@ -27,8 +27,8 @@ from conftest import make_panel, month_range
 
 class TestMonthStamp:
     def test_successor_rolls_year(self):
-        assert MonthStamp(2019, 12).successor() == MonthStamp(2020, 1)
-        assert MonthStamp(2020, 5).successor() == MonthStamp(2020, 6)
+        assert MonthStamp(2019, 12).plus(1) == MonthStamp(2020, 1)
+        assert MonthStamp(2020, 5).plus(1) == MonthStamp(2020, 6)
 
     def test_total_order(self):
         assert MonthStamp(2019, 12) < MonthStamp(2020, 1) < MonthStamp(2020, 2)

@@ -334,24 +334,25 @@ def test_constant_x_or_y_reads_no_evidence_with_conditions(rng):
 
 
 def test_constant_feature_changes_no_other_selection():
-    # 16 labs with a constant column appended: every window selects and
-    # reports as it does without the column, which reads (0, 1) unselected;
-    # the other diagnostics match to rounding, as the column means of the
-    # centred lag cube may round by the cube's width
+    # 16 labs with a constant column inserted first, in the middle or last:
+    # every window selects and reports exactly as it does without the
+    # column, which reads (0, 1) unselected; no other link's r or p may
+    # depend on how many columns the panel holds
     for seed in range(16):
         base, _ = generate_svar(SvarSpec(d=8, n=70, seed=seed))
-        features = np.column_stack([base.features, np.full(len(base), 0.07)])
-        wide = make_panel(base.target, features, (*base.feature_names, "C"))
-        for n in (20, 40, 70):
-            for p in (1, 2):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", SkippedTestWarning)
-                    want = pcmci_select(base.head(n), p=p)
-                    got = pcmci_select(wide.head(n), p=p)
-                assert got.selected == want.selected
-                assert got.diagnostics["C"] == (0.0, 1.0)
-                _assert_close_records({k: v for k, v in got.diagnostics.items() if k != "C"},
-                                      want.diagnostics)
+        for at in (0, 3, 7):
+            features = np.insert(base.features, at, 0.07, axis=1)
+            names = (*base.feature_names[:at], "C", *base.feature_names[at:])
+            wide = make_panel(base.target, features, names)
+            for n in (20, 40, 70):
+                for p in (1, 2):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", SkippedTestWarning)
+                        want = pcmci_select(base.head(n), p=p)
+                        got = pcmci_select(wide.head(n), p=p)
+                    assert got.selected == want.selected
+                    assert got.diagnostics.pop("C") == (0.0, 1.0)
+                    assert got.diagnostics == want.diagnostics, (seed, at, n, p)
 
 
 @settings(max_examples=30, deadline=None)

@@ -81,7 +81,7 @@ def test_output_contained_in_every_accepted_subset():
     for size in range(0, 3):
         for subset in combinations(names, size):
             cols = [0] + design.feature_column_indices(subset)
-            fit = ols_fit(design.X[:, cols], design.y, intercept=True)
+            fit = ols_fit(design.X[:, cols], design.y)
             p = residual_invariance_p(fit.residuals, envs)
             if p > 0.05:
                 assert fs.selected <= frozenset(subset)
@@ -140,7 +140,7 @@ def per_subset_p_values(design, envs, max_subset_size):
     for size in range(max_subset_size + 1):
         for subset in combinations(design.feature_names, size):
             cols = [0] + design.feature_column_indices(subset)
-            fit = ols_fit(design.X[:, cols], design.y, intercept=True)
+            fit = ols_fit(design.X[:, cols], design.y)
             p_values[subset] = residual_invariance_p(fit.residuals, envs)
     return p_values
 

@@ -193,7 +193,7 @@ def test_duplicated_feature_warns_and_equals_ols_fit_path(rng):
     with pytest.warns(RankDeficientWarning):
         for block in np.array_split(np.arange(design.n), 5):
             train = np.setdiff1d(np.arange(design.n), block)
-            fit = ols_fit(X[train], design.y[train], intercept=True)
+            fit = ols_fit(X[train], design.y[train])
             pred = np.column_stack([np.ones(len(block)), X[block]]) @ fit.beta
             losses.append(float(((design.y[block] - pred) ** 2).mean()))
     assert got == float(np.mean(losses))

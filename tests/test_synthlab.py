@@ -22,7 +22,6 @@ from causalfs.synthlab import (
     score_graph_edges,
     score_recovery,
     simulate_svar,
-    true_parents,
 )
 
 
@@ -82,7 +81,7 @@ class TestGeneration:
                 SvarSpec(d=8, p=1, n=50, edge_density=0.3, seed=seed,
                          instantaneous=False, target_parents=3)
             )
-            assert len(true_parents(truth)) == 3
+            assert len(truth.parents_of("Y")) == 3
 
     def test_environment_shift_moves_mean(self):
         spec = SvarSpec(
@@ -218,7 +217,7 @@ class TestExportRoundTrip:
 
     def test_prices_csv_holds_each_price_as_its_repr(self):
         panel, _ = generate_svar(SvarSpec(d=3, p=1, n=30, seed=6))
-        lines = export_fredmd(panel, initial_price=100.0)[2].splitlines()
+        lines = export_fredmd(panel)[2].splitlines()
         prices = 100.0 * np.cumprod(1.0 + panel.target / 100.0)
         assert lines[:2] == ["date,close", f"{panel.dates[0].plus(-1)}-28,100.0"]
         assert lines[2:] == [f"{d}-28,{v!r}" for d, v in zip(panel.dates, prices.tolist())]
