@@ -6,10 +6,12 @@
 # must not load scipy, which only the selectors' kernels import; a tiny
 # exported panel must go through ingest, backtest and report; a price
 # CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
-# backtest whose window leaves no month to forecast must exit 2; a
-# calendar-mode seqicp backtest whose windows hold only a few crisis
-# months must test the halves there, not log a selector fallback; nor
-# may a pcmci backtest on a panel with a constant feature
+# backtest whose window leaves no month to forecast must exit 2, and so
+# must an ingest whose FRED-MD header repeats a series or whose
+# target_name names a series, with no traceback; a calendar-mode seqicp
+# backtest whose windows hold only a few crisis months must test the
+# halves there, not log a selector fallback; nor may a pcmci backtest on
+# a panel with a constant feature
 set -eo pipefail
 python -c "import sys, causalfs.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; sys.exit(f'scipy loaded: {loaded}' if loaded else 0)"
 printf 'd = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n' > ok.toml
@@ -58,3 +60,14 @@ sed 's/window = 40/window = 100/' run.toml > long_window.toml
 rc=0
 causalfs backtest --config long_window.toml || rc=$?
 test "$rc" -eq 2
+sed '1s/,X3$/,X1/' fredmd.csv > dup_fredmd.csv
+sed 's/"fredmd.csv"/"dup_fredmd.csv"/' run.toml > dup_fredmd.toml
+rc=0
+causalfs ingest --config dup_fredmd.toml --out dup_fredmd 2> dup_fredmd_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback dup_fredmd_err.txt; then exit 1; fi
+{ cat run.toml; printf 'target_name = "X2"\n'; } > series_target.toml
+rc=0
+causalfs ingest --config series_target.toml --out series_target 2> series_target_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback series_target_err.txt; then exit 1; fi

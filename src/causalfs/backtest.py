@@ -41,6 +41,8 @@ class BacktestConfig:
             raise ValueError("window must exceed p + 2")
         if self.reselect_every < 1:
             raise ValueError("reselect_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -134,7 +136,7 @@ def run_backtest(
                 )
                 fs = last_fs
             if fs is None:
-                fs = FeatureSet(frozenset(), {}, config.selector_id)
+                fs = FeatureSet(frozenset(), {})
             last_fs = fs
         selected = last_fs.ordered(panel.feature_names)
         date = panel.dates[j]
@@ -182,11 +184,11 @@ def _ledger_record(row: list[str]) -> LedgerRecord:
     )
 
 
-def ledger_from_csv(text: str, config: dict | None = None) -> BacktestLedger:
+def ledger_from_csv(text: str) -> BacktestLedger:
     rows = csv_rows(text)
     if not rows or rows[0] != _LEDGER_HEADER:
         raise MalformedCsv("not a ledger CSV")
-    return BacktestLedger(tuple(parse_rows(rows[1:], _ledger_record)), config or {})
+    return BacktestLedger(tuple(parse_rows(rows[1:], _ledger_record)), {})
 
 
 def config_hash(config: dict) -> str:

@@ -81,6 +81,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         sidecar_groups = parse_groups(sidecar.read_text())
     with _naming(fredmd):
         raw_panel, tcodes, groups = parse_fredmd(fredmd.read_text(), sidecar_groups)
+    if cfg.target_name in tcodes:
+        raise ConfigError(f"target_name {cfg.target_name!r} names a series in {fredmd}")
     transformed = transform_panel(raw_panel, tcodes)
     with _naming(prices):
         returns = prices_to_returns(load_prices(prices.read_text()))

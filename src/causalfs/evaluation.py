@@ -39,23 +39,19 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class StrategySeries:
-    """Sign-rule strategy returns; positions are -1/0/+1 for a single model
-    and fractional for weighted combinations."""
+    """Monthly strategy returns: a sign-rule book's (position -1/0/+1 times
+    the realised return) or a weighted combination of two books'."""
 
     dates: tuple[MonthStamp, ...]
     returns: np.ndarray
-    positions: np.ndarray
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float).copy()
-        positions = np.asarray(self.positions, dtype=float).copy()
-        if len(self.dates) != len(returns) or len(returns) != len(positions):
-            raise ValueError("dates, returns, positions must share length")
+        if len(self.dates) != len(returns):
+            raise ValueError("dates and returns must share length")
         returns.setflags(write=False)
-        positions.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "returns", returns)
-        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -69,7 +65,6 @@ class PortfolioStats:
     expected_return: float
     sharpe: float | None
     sortino: float | None
-    count: int
 
 
 def _mae(errors: np.ndarray) -> float:
@@ -137,12 +132,7 @@ def strategy_returns(ledger: BacktestLedger) -> StrategySeries:
     """Long when the forecast is positive, short when negative, flat at zero."""
     if len(ledger) == 0:
         raise Insufficient("empty ledger")
-    positions = np.sign(ledger.y_pred)
-    return StrategySeries(
-        dates=ledger.dates,
-        returns=positions * ledger.y_true,
-        positions=positions,
-    )
+    return StrategySeries(dates=ledger.dates, returns=np.sign(ledger.y_pred) * ledger.y_true)
 
 
 def _stats(returns: np.ndarray) -> PortfolioStats:
@@ -152,7 +142,7 @@ def _stats(returns: np.ndarray) -> PortfolioStats:
     sharpe = mean / std * ANNUALIZATION if std > 0 else None
     downside = math.sqrt(float((np.minimum(returns, 0.0) ** 2).mean()))
     sortino = mean / downside * ANNUALIZATION if downside > 0 else None
-    return PortfolioStats(expected, sharpe, sortino, len(returns))
+    return PortfolioStats(expected, sharpe, sortino)
 
 
 def portfolio_metrics(
@@ -179,11 +169,7 @@ def combine_portfolios(
     if a.dates != b.dates:
         raise Misaligned("strategy series cover different dates")
     w = float(weight_a)
-    return StrategySeries(
-        dates=a.dates,
-        returns=w * a.returns + (1.0 - w) * b.returns,
-        positions=w * a.positions + (1.0 - w) * b.positions,
-    )
+    return StrategySeries(dates=a.dates, returns=w * a.returns + (1.0 - w) * b.returns)
 
 
 def selection_stability(ledger: BacktestLedger) -> tuple[tuple[str, ...], np.ndarray]:

@@ -35,16 +35,23 @@ from .errors import (
 )
 from .panel import AlignedPanel, MonthStamp, MonthlyPanel, MonthlySeries
 
-# FRED-MD transformation codes and the length each one consumes.
-#   1 level, 2 first diff, 3 second diff, 4 log, 5 log first diff,
-#   6 log second diff, 7 first diff of percent change
-TCODE_ORDER = {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2, 7: 2}
+# FRED-MD transformation codes: code -> (months consumed, transform).
+# Codes from 4 on need strictly positive values.
+TCODES = {
+    1: (0, np.copy),                                     # level
+    2: (1, np.diff),                                     # first difference
+    3: (2, lambda x: np.diff(x, n=2)),                   # second difference
+    4: (0, np.log),                                      # log
+    5: (1, lambda x: np.diff(np.log(x))),                # log first difference
+    6: (2, lambda x: np.diff(np.log(x), n=2)),           # log second difference
+    7: (2, lambda x: np.diff(x[1:] / x[:-1] - 1.0)),     # first diff of percent change
+}
 
 STOCK_MARKET_GROUP = 6  # excluded: target return lags already cover equities
 
 
 def validate_tcode(code: int) -> int:
-    if code not in TCODE_ORDER:
+    if code not in TCODES:
         raise BadTransformCode(f"unknown transform code {code!r}")
     return code
 
@@ -148,8 +155,17 @@ def _cell_to_float(cell: str) -> float:
     return value
 
 
+def _reject_repeats(names, what: str) -> None:
+    """MalformedCsv naming the first of ``names`` that repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise MalformedCsv(f"{what} {name!r} appears twice")
+        seen.add(name)
+
+
 def parse_groups(csv_text: str) -> dict[str, int]:
-    """Parse the ``series,group`` sidecar."""
+    """Parse the ``series,group`` sidecar; a series listed twice is an error."""
     rows = csv_rows(csv_text)
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["series", "group"]:
         raise MalformedCsv("group sidecar must start with header 'series,group'")
@@ -160,7 +176,9 @@ def parse_groups(csv_text: str) -> dict[str, int]:
             raise MalformedCsv(f"group {tag} for {name} outside 1..8")
         return name, int(tag)
 
-    return dict(parse_rows(rows[1:], group_row))
+    pairs = parse_rows(rows[1:], group_row)
+    _reject_repeats((name for name, _ in pairs), "series")
+    return dict(pairs)
 
 
 def parse_fredmd(
@@ -182,6 +200,7 @@ def parse_fredmd(
     names = [c.strip() for c in header[1:]]
     if not names:
         raise MalformedCsv("no series columns found")
+    _reject_repeats(names, "series")
     trow = rows[1]
     if not trow or not trow[0].strip().lower().startswith("transform"):
         raise MalformedCsv("second row must carry the transform codes")
@@ -214,36 +233,23 @@ def parse_fredmd(
 
 
 def apply_tcode(series: np.ndarray, code: int) -> np.ndarray:
-    """Apply one FRED-MD transform; the output is shorter by its order.
+    """Apply one FRED-MD transform, the one in ``code``'s ``TCODES`` row;
+    the output is shorter by the months that row consumes.
 
     Interior NaN propagate through differences; the positivity requirement
-    of the log-based codes is checked on the non-NaN values only.
+    of codes 4 to 7 is checked on the non-NaN values only.
     """
-    validate_tcode(code)
+    order, transform = TCODES[validate_tcode(code)]
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be 1-d")
-    if len(x) <= TCODE_ORDER[code]:
+    if len(x) <= order:
         raise DomainError(f"series too short for transform {code}")
     if code >= 4:
         finite = x[~np.isnan(x)]
         if (finite <= 0).any():
             raise DomainError(f"transform {code} needs strictly positive values")
-    if code == 1:
-        return x.copy()
-    if code == 2:
-        return np.diff(x)
-    if code == 3:
-        return np.diff(x, n=2)
-    if code == 4:
-        return np.log(x)
-    if code == 5:
-        return np.diff(np.log(x))
-    if code == 6:
-        return np.diff(np.log(x), n=2)
-    # code 7: first difference of the percent change
-    pct = x[1:] / x[:-1] - 1.0
-    return np.diff(pct)
+    return transform(x)
 
 
 def transform_panel(panel: MonthlyPanel, tcodes: dict[str, int]) -> MonthlyPanel:
@@ -251,9 +257,8 @@ def transform_panel(panel: MonthlyPanel, tcodes: dict[str, int]) -> MonthlyPanel
     panel keeps one rectangular date column."""
     out = np.full_like(panel.values, np.nan)
     for j, name in enumerate(panel.names):
-        code = tcodes[name]
-        order = TCODE_ORDER[validate_tcode(code)]
-        out[order:, j] = apply_tcode(panel.values[:, j], code)
+        x = apply_tcode(panel.values[:, j], tcodes[name])
+        out[len(out) - len(x):, j] = x
     return MonthlyPanel(panel.dates, out, panel.names)
 
 
@@ -316,8 +321,11 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
     if len(rows) < 2 or len(rows[0]) < 2 or rows[0][0].strip() != "month":
         raise MalformedCsv("panel CSV needs a 'month,<target>,...' header and a data row")
     header = rows[0]
-    target_name = header[1]
+    target_name = (meta or {}).get("target_name", header[1])
     names = tuple(header[2:])
+    _reject_repeats(names, "column")
+    if target_name in names:
+        raise MalformedCsv(f"target {target_name!r} is also a feature column")
 
     def panel_row(row):
         if len(row) != len(header):
@@ -330,13 +338,12 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
     finite = np.isfinite(target) & np.isfinite(features).all(axis=1)
     if not finite.all():
         raise MalformedCsv(f"row {rows[1 + finite.argmin()][0].strip()!r}: non-finite value")
-    meta = meta or {}
     return AlignedPanel(
         dates=tuple(d for d, _, _ in parsed),
         target=target,
         features=features,
         feature_names=names,
-        target_name=meta.get("target_name", target_name),
+        target_name=target_name,
     )
 
 

@@ -46,10 +46,6 @@ class OlsFit:
     k: int
     rank: int
 
-    @property
-    def rank_deficient(self) -> bool:
-        return self.rank < self.k
-
     def predict(self, regressors: np.ndarray) -> float:
         """The fit at one row of X: intercept plus slopes @ ``regressors``."""
         x = np.asarray(regressors, dtype=float).ravel()

@@ -7,9 +7,10 @@ reject NaN, so look-ahead reasoning stays simple.
 
 The lag rule: a lag >= 1 at time t reads only rows < t. Every lagged value
 in the package (designs, the forecast's regressors, the lag matrices of
-PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it;
-VARLiNGAM and DYNOTEARS share one VAR lag stack, :func:`stack_lags`, and
-the design and the forecast's regressors one layout, :func:`design_links`.
+PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it.
+:func:`stack_lags` is the one layout of every variable at every lag, shared
+by PCMCI, VARLiNGAM and DYNOTEARS, and :func:`design_links` the one layout
+of the design and the forecast's regressors.
 """
 from __future__ import annotations
 
@@ -148,7 +149,7 @@ class AlignedPanel:
             raise ValueError("feature names must be unique")
         if self.target_name in names:
             raise ValueError("target name collides with a feature name")
-        months = [12 * d.year + d.month for d in dates]  # consecutive months differ by 1
+        months = [d.index() for d in dates]  # consecutive months differ by 1
         for i, (a, b) in enumerate(zip(months, months[1:])):
             if b != a + 1:
                 raise NonContiguous(f"gap or disorder between {dates[i]} and {dates[i + 1]}")

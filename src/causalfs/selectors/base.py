@@ -1,7 +1,7 @@
 """Shared selector output types."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class FeatureSet:
 
     selected: frozenset[str]
     diagnostics: dict[str, tuple[float, float]]
-    selector_id: str
     empty_informative: bool = False
 
     def __post_init__(self):
@@ -32,9 +31,6 @@ class FeatureSet:
     def ordered(self, all_names) -> tuple[str, ...]:
         """Selected names in the panel's column order (deterministic output)."""
         return tuple(n for n in all_names if n in self.selected)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.selected
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -83,10 +79,6 @@ class DynamicGraph:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
-
-    @property
-    def p(self) -> int:
-        return len(self.W)
 
     def index_of(self, name: str) -> int:
         try:

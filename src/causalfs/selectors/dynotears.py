@@ -144,4 +144,4 @@ def dynotears_select(graph: DynamicGraph, target_name: str) -> FeatureSet:
     weights = graph.in_weights(target_name)
     diagnostics = {name: (w, w) for name, w in weights.items()}
     selected = frozenset(n for n, w in weights.items() if w > 0.0)
-    return FeatureSet(selected, diagnostics, "dynotears")
+    return FeatureSet(selected, diagnostics)

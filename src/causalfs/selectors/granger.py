@@ -24,4 +24,4 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
                          k_full=k_cols + 1)  # intercept counted
     diagnostics = dict(zip(design.blocks, zip(test.statistic.tolist(), test.p_value.tolist())))
     selected = frozenset(name for name, (_, p) in diagnostics.items() if p < alpha)
-    return FeatureSet(selected, diagnostics, "granger")
+    return FeatureSet(selected, diagnostics)

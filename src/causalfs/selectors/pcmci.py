@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import SkippedTestWarning
 from ..numerics import centre, gram_partial_correlation, partial_correlation, pearson_tests
-from ..panel import AlignedPanel, lag_rows
+from ..panel import AlignedPanel, stack_lags
 from .base import FeatureSet
 
 Link = tuple[int, int]  # (variable index, lag >= 1)
@@ -44,18 +44,14 @@ class _LagView:
         self.max_lag = max_lag
         self.rows = data.shape[0] - max_lag
 
-    def matrix(self, links) -> np.ndarray:
-        return lag_rows(self.data, links, range(self.max_lag, len(self.data)))
-
     @cached_property
     def centred(self) -> np.ndarray:
-        """``centred[lag, var]`` is the centred column of ``(var, lag)``."""
-        m = self.data.shape[1]
-        links = [(v, lag) for lag in range(self.max_lag + 1) for v in range(m)]
+        """``centred[lag, var]`` is the centred column of ``(var, lag)``: the
+        window's rows, then ``stack_lags``'s lags 1..max_lag, lag-major."""
         # column-major, so each column's mean is one contiguous sum that does
         # not depend on how many other columns the panel holds
-        cols = centre(np.asfortranarray(self.matrix(links)))  # rows x (lag, var)
-        return cols.reshape(self.rows, self.max_lag + 1, m).transpose(1, 2, 0)
+        cols = centre(np.asfortranarray(np.hstack(stack_lags(self.data, self.max_lag))))
+        return cols.reshape(self.rows, self.max_lag + 1, self.data.shape[1]).transpose(1, 2, 0)
 
     def centred_cols(self, links) -> np.ndarray:
         """The centred columns of ``links``, one per row."""
@@ -203,4 +199,4 @@ def pcmci_select(
                 max(stats, default=0.0),
                 min(pval[link] for link in lags),
             )
-    return FeatureSet(frozenset(selected), diagnostics, "pcmci")
+    return FeatureSet(frozenset(selected), diagnostics)

@@ -141,6 +141,6 @@ def seqicp_select(
         name: (float(appearances[name]), best_p[name]) for name in names
     }
     if not accepted:
-        return FeatureSet(frozenset(), diagnostics, "seqicp", empty_informative=True)
+        return FeatureSet(frozenset(), diagnostics, empty_informative=True)
     estimate = frozenset.intersection(*accepted)
-    return FeatureSet(estimate, diagnostics, "seqicp", empty_informative=False)
+    return FeatureSet(estimate, diagnostics, empty_informative=False)

@@ -85,4 +85,4 @@ def sfs_select(
             break
         current ^= {best_name}
         current_mse = best_mse
-    return FeatureSet(frozenset(current), diagnostics, "sfs")
+    return FeatureSet(frozenset(current), diagnostics)

@@ -171,4 +171,4 @@ def varlingam_select(
         for name in panel.feature_names
     }
     selected = frozenset(n for n, w in weights.items() if w > edge_threshold)
-    return FeatureSet(selected, diagnostics, "varlingam")
+    return FeatureSet(selected, diagnostics)

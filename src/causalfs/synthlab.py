@@ -60,6 +60,8 @@ class SvarSpec:
             raise ValueError("need at least a target and one feature")
         if self.p < 1 or self.n < 1:
             raise ValueError("lag order p and length n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.noise not in ("gaussian", "uniform", "laplace"):
             raise ValueError(f"unknown noise family {self.noise!r}")
         if self.target_parents is not None and not 0 <= self.target_parents <= self.d - 1:
@@ -145,16 +147,17 @@ def simulate_svar(
     W,
     n: int,
     noise: str = "gaussian",
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     names: tuple[str, ...] | None = None,
     environment_shifts=(),
-    rng: np.random.Generator | None = None,
 ) -> tuple[AlignedPanel, DynamicGraph]:
     """Simulate a panel from explicit S and W_tau matrices (source-row).
 
     Variable 0 is the target. The instantaneous matrix must be acyclic and
     the implied reduced form stationary; use generate_svar for random,
-    auto-rescaled graphs.
+    auto-rescaled graphs. ``seed`` is an int or a ``numpy.random.Generator``;
+    a Generator is drawn from as it stands, so the noise continues its
+    stream.
     """
     S = np.asarray(S, dtype=float)
     W = [np.asarray(w, dtype=float) for w in W]
@@ -165,8 +168,7 @@ def simulate_svar(
     radius = _companion_radius(S, W)
     if radius >= 1.0:
         raise GenerationFailed(f"reduced form is explosive (radius {radius:.3f})")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     inv = np.linalg.inv(np.eye(d) - S)
     total = n + BURN_IN
     eps = _noise(rng, (total, d), noise)
@@ -221,7 +223,7 @@ def generate_svar(spec: SvarSpec) -> tuple[AlignedPanel, DynamicGraph]:
         noise=spec.noise,
         names=variable_names(spec.d),
         environment_shifts=spec.environment_shifts,
-        rng=rng,
+        seed=rng,
     )
 
 
@@ -238,15 +240,14 @@ def _prf(hits: int, n_est: int, n_true: int) -> RecoveryScore:
     return RecoveryScore(precision, recall, f1)
 
 
-def score_recovery(
-    selected: FeatureSet, truth: DynamicGraph, target: str = TARGET_NAME
-) -> RecoveryScore:
-    """Precision/recall/F1 of the selected set against the true parent set.
+def score_recovery(selected: FeatureSet, truth: DynamicGraph) -> RecoveryScore:
+    """Precision/recall/F1 of the selected set against the true parent set
+    of the target, Y.
 
     An empty selection has vacuous precision 1; an empty truth set gives
     vacuous recall 1.
     """
-    truth_set = truth.parents_of(target)
+    truth_set = truth.parents_of(TARGET_NAME)
     return _prf(len(selected.selected & truth_set), len(selected.selected), len(truth_set))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ class TestRunBacktest:
             names = panel_w.feature_names
             k = 2 if len(panel_w) < 24 else len(names)
             sel = names[:k]
-            return FeatureSet(frozenset(sel), {n: (0.0, 0.0) for n in sel}, "x")
+            return FeatureSet(frozenset(sel), {n: (0.0, 0.0) for n in sel})
 
         import causalfs.backtest as bt
 
@@ -293,7 +294,7 @@ class TestSerialization:
 
     def test_csv_round_trip(self):
         ledger = self._ledger()
-        back = ledger_from_csv(ledger_to_csv(ledger), ledger.config)
+        back = ledger_from_csv(ledger_to_csv(ledger))
         assert back.records == ledger.records
 
     @given(
@@ -347,6 +348,12 @@ class TestConfigValidation:
     def test_lag_order_at_least_one(self, p):
         with pytest.raises(ValueError, match="lag order"):
             BacktestConfig(window=10, p=p)
+
+    def test_negative_seed_rejected_at_construction(self):
+        # not at the first step, as numpy's bare error from step_seed
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            BacktestConfig(window=10, seed=-1)
+        assert BacktestConfig(window=10, seed=0).seed == 0
 
 
 # each selector called directly, with every default left to its signature
@@ -449,8 +456,12 @@ class TestSelectorRegistry:
 
 
 class TestNoLookAheadEverySelector:
+    # rows from k on are replaced by fresh noise: the selections and records
+    # dated before month k, and the selection and forecast for month k, may
+    # read only rows before k, so they must come out bit-identical
+
     @staticmethod
-    def run(monkeypatch, panel, cfg):
+    def run(panel, cfg):
         """The ledger records, and each step's selection (None if it raised)."""
         import causalfs.backtest as bt
 
@@ -467,31 +478,50 @@ class TestNoLookAheadEverySelector:
 
             return recorded
 
-        monkeypatch.setattr(bt, "make_selector", recording)
-        return run_backtest(panel, EMPTY_CAL, cfg).records, calls
+        with mock.patch.object(bt, "make_selector", recording):
+            return run_backtest(panel, EMPTY_CAL, cfg).records, calls
 
-    @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("sid", SELECTOR_IDS)
-    def test_overwritten_future_never_changes_the_past(self, monkeypatch, sid, p):
-        # rows from k on are replaced by fresh noise: the selections and
-        # records dated before month k, and the selection and forecast for
-        # month k, may read only rows before k, so they must come out
-        # bit-identical (DYNOTEARS gets a smaller panel to keep its per-step
-        # fits short)
-        d, n, window, k = (3, 30, 24, 27) if sid == "dynotears" else (4, 40, 25, 32)
-        panel, _ = generate_svar(SvarSpec(d=d, p=1, n=n, target_parents=2, seed=5,
-                                          noise="laplace", instantaneous=False))
+    def assert_past_unchanged(self, panel, k, cfg):
+        n, d = len(panel), panel.n_features + 1
         rng = np.random.default_rng(k)
         target, features = panel.target.copy(), panel.features.copy()
         target[k:] = rng.normal(size=n - k)
         features[k:] = rng.normal(size=(n - k, d - 1))
         future = dataclasses.replace(panel, target=target, features=features)
-        cfg = _config(window=window, p=p, selector_id=sid, selector_params={})
-        before, selections_before = self.run(monkeypatch, panel, cfg)
-        after, selections_after = self.run(monkeypatch, future, cfg)
-        at_k = k - window
+        before, selections_before = self.run(panel, cfg)
+        after, selections_after = self.run(future, cfg)
+        at_k = k - cfg.window
         np.testing.assert_equal(selections_after[:at_k + 1], selections_before[:at_k + 1])
         assert after[:at_k] == before[:at_k]
         assert (after[at_k].y_pred, after[at_k].selected) == (
             before[at_k].y_pred, before[at_k].selected)
         assert after[at_k + 1:] != before[at_k + 1:]  # the overwrite reached the loop
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("sid", SELECTOR_IDS)
+    def test_overwritten_future_never_changes_the_past(self, sid, p):
+        # DYNOTEARS gets a smaller panel to keep its per-step fits short
+        d, n, window, k = (3, 30, 24, 27) if sid == "dynotears" else (4, 40, 25, 32)
+        panel, _ = generate_svar(SvarSpec(d=d, p=1, n=n, target_parents=2, seed=5,
+                                          noise="laplace", instantaneous=False))
+        self.assert_past_unchanged(
+            panel, k, _config(window=window, p=p, selector_id=sid, selector_params={}))
+
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(2, 5),
+        p=st.sampled_from([1, 2]),
+        window=st.integers(20, 30),
+        offset=st.integers(0, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_overwritten_future_never_changes_the_past_on_generated_panels(
+        self, seed, d, p, window, offset
+    ):
+        # DYNOTEARS and VARLiNGAM keep the fixed panels above: their per-step
+        # fits would make each example slow
+        panel, _ = generate_svar(SvarSpec(d=d, p=1, n=window + 8, target_parents=1,
+                                          seed=seed, noise="laplace", instantaneous=False))
+        for sid in ("granger", "seqicp", "sfs", "pcmci"):
+            self.assert_past_unchanged(panel, window + offset, _config(
+                window=window, p=p, selector_id=sid, selector_params={}))

@@ -630,6 +630,46 @@ class TestMalformedCsv:
         assert "field larger than field limit" in capsys.readouterr().err
 
 
+class TestRepeatedNames:
+    """An input that repeats a series name, or a target named like a series,
+    exits 2 naming it where the input is parsed: no traceback, no silent pick."""
+
+    def exit_2_naming(self, capsys, command, workspace, name):
+        capsys.readouterr()
+        assert run_cli(command, "--config", workspace / "run.toml") == 2
+        err = capsys.readouterr().err
+        assert repr(name) in err and "Traceback" not in err
+        return err
+
+    def test_fredmd_header_repeating_a_series(self, workspace, capsys):
+        path = workspace / "fredmd.csv"
+        path.write_text(path.read_text().replace("sasdate,X1,X2,X3", "sasdate,X1,X2,X1", 1))
+        err = self.exit_2_naming(capsys, "ingest", workspace, "X1")
+        assert err.startswith(f"error: {path.resolve()}: ")
+        assert not (workspace / "out" / "panel.csv").exists()
+
+    def test_groups_sidecar_listing_a_series_twice(self, workspace, capsys):
+        path = workspace / "groups.csv"
+        path.write_text(path.read_text() + "X1,6\n")
+        err = self.exit_2_naming(capsys, "ingest", workspace, "X1")
+        assert err.startswith(f"error: {path.resolve()}: ")
+
+    def test_target_name_naming_a_series(self, workspace, capsys):
+        config = workspace / "run.toml"
+        config.write_text(config.read_text().replace('target_name = "Y"', 'target_name = "X2"'))
+        err = self.exit_2_naming(capsys, "ingest", workspace, "X2")
+        assert err.startswith("config error: ")
+        assert not (workspace / "out" / "panel.csv").exists()
+
+    def test_panel_with_a_repeated_column(self, workspace, capsys):
+        assert run_cli("ingest", "--config", workspace / "run.toml") == 0
+        path = workspace / "out" / "panel.csv"
+        path.write_text(path.read_text().replace("month,Y,X1,X2,X3", "month,Y,X1,X2,X1", 1))
+        err = self.exit_2_naming(capsys, "backtest", workspace, "X1")
+        assert err.startswith(f"error: {path.resolve()}: ")
+        assert not list(path.parent.glob("ledger_*"))
+
+
 class TestValidate:
     def test_recovery_sweep(self, tmp_path):
         spec = """

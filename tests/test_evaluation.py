@@ -121,7 +121,6 @@ class TestStrategy:
         ledger = ledger_from([-1.0, -1.0, 2.0], [2.0, -2.0, 0.0])
         series = strategy_returns(ledger)
         np.testing.assert_allclose(series.returns, [-1.0, 1.0, 0.0])
-        np.testing.assert_allclose(series.positions, [1.0, -1.0, 0.0])
 
     def test_all_correct_signs_cumulate_absolute_returns(self, rng):
         y_true = rng.normal(size=25)
@@ -133,7 +132,7 @@ class TestStrategy:
         y_true = rng.normal(size=10)
         y_pred = rng.normal(size=10)
         series = strategy_returns(ledger_from(y_true, y_pred))
-        nz = series.positions != 0
+        nz = y_pred != 0
         np.testing.assert_allclose(
             np.abs(series.returns[nz]), np.abs(y_true[nz]), rtol=1e-12
         )
@@ -142,7 +141,7 @@ class TestStrategy:
 class TestPortfolioMetrics:
     def series(self, returns, start="2015-01"):
         r = np.asarray(returns, dtype=float)
-        return StrategySeries(month_range(start, len(r)), r, np.sign(r))
+        return StrategySeries(month_range(start, len(r)), r)
 
     def test_alternating_returns_zero_mean(self):
         series = self.series([1.0, -1.0] * 12)
@@ -177,14 +176,15 @@ class TestPortfolioMetrics:
         series = self.series(r, start="2020-01")
         cal = load_calendar("2020-03..2020-08\n")
         stats = portfolio_metrics(series, cal)
-        assert stats[Regime.CRISIS].count == 6
-        assert stats[Regime.NORMAL].count == 18
+        assert stats[Regime.CRISIS].expected_return == pytest.approx(12 * r[2:8].mean())
+        normal = np.concatenate([r[:2], r[8:]])
+        assert stats[Regime.NORMAL].expected_return == pytest.approx(12 * normal.mean())
 
 
 class TestCombine:
     def series(self, returns, start="2015-01"):
         r = np.asarray(returns, dtype=float)
-        return StrategySeries(month_range(start, len(r)), r, np.sign(r))
+        return StrategySeries(month_range(start, len(r)), r)
 
     def test_self_combination_identity(self, rng):
         x = self.series(rng.normal(size=10))

@@ -20,7 +20,7 @@ from causalfs.errors import (
     UnknownSeries,
 )
 from causalfs.ingest import (
-    TCODE_ORDER,
+    TCODES,
     Regime,
     RegimeCalendar,
     apply_tcode,
@@ -73,6 +73,15 @@ class TestParseFredmd:
         with pytest.raises(BadTransformCode):
             parse_fredmd(bad, GROUPS)
 
+    def test_repeated_series_rejected_naming_it(self):
+        bad = FREDMD.replace("sasdate,RPI,CPI,SP500", "sasdate,RPI,CPI,RPI")
+        with pytest.raises(MalformedCsv, match="series 'RPI' appears twice"):
+            parse_fredmd(bad, GROUPS)
+
+    def test_sidecar_listing_a_series_twice_rejected_naming_it(self):
+        with pytest.raises(MalformedCsv, match="series 'X1' appears twice"):
+            parse_groups("series,group\nX1,1\nX2,1\nX1,6\n")
+
     def test_ragged_row(self):
         bad = FREDMD + "5/1/2020,104\n"
         with pytest.raises(MalformedCsv):
@@ -120,9 +129,39 @@ class TestApplyTcode:
     )
     @settings(max_examples=60, deadline=None)
     def test_output_length_is_input_minus_order(self, code, extra):
-        n = TCODE_ORDER[code] + 1 + extra
+        order, _ = TCODES[code]
+        n = order + 1 + extra
         x = np.linspace(1.0, 2.0, n)
-        assert len(apply_tcode(x, code)) == n - TCODE_ORDER[code]
+        assert len(apply_tcode(x, code)) == n - order
+
+    # hand-written elementwise oracles, one per code: the months the code
+    # consumes, and out[i], the transform at the input's position i + order
+    ORACLES = {
+        1: (0, lambda x, i: x[i]),
+        2: (1, lambda x, i: x[i + 1] - x[i]),
+        3: (2, lambda x, i: (x[i + 2] - x[i + 1]) - (x[i + 1] - x[i])),
+        4: (0, lambda x, i: math.log(x[i])),
+        5: (1, lambda x, i: math.log(x[i + 1]) - math.log(x[i])),
+        6: (2, lambda x, i: (math.log(x[i + 2]) - math.log(x[i + 1]))
+            - (math.log(x[i + 1]) - math.log(x[i]))),
+        7: (2, lambda x, i: (x[i + 2] / x[i + 1] - 1.0) - (x[i + 1] / x[i] - 1.0)),
+    }
+
+    @pytest.mark.parametrize("code", sorted(ORACLES))
+    def test_every_code_matches_its_elementwise_oracle(self, code, rng):
+        x = rng.uniform(0.5, 5.0, size=9).tolist()
+        order, value = self.ORACLES[code]
+        got = apply_tcode(np.array(x), code)
+        oracle = [value(x, i) for i in range(len(x) - order)]
+        assert len(got) == len(oracle)
+        if code in (4, 5, 6):  # numpy's log and math.log may differ in the last place
+            np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=1e-13)
+        else:
+            assert got.tolist() == oracle
+
+    def test_unknown_code_rejected_by_direct_callers(self):
+        with pytest.raises(BadTransformCode):
+            apply_tcode(np.array([1.0, 2.0, 3.0]), 8)
 
 
 class TestPrices:
@@ -237,6 +276,18 @@ class TestPipeline:
         text = f"month,Y,X1\n2000-01,1.0,2.0\n{row}\n"
         with pytest.raises(MalformedCsv, match="row '2000-02': non-finite value"):
             panel_from_csv(text)
+
+    def test_panel_csv_repeated_column_rejected_naming_it(self):
+        with pytest.raises(MalformedCsv, match="column 'X1' appears twice"):
+            panel_from_csv("month,Y,X1,X2,X1\n2000-01,1.0,2.0,3.0,4.0\n")
+
+    @pytest.mark.parametrize("header, meta", [
+        ("month,X1,X1,X2", None),
+        ("month,Y,X1,X2", {"target_name": "X2"}),
+    ])
+    def test_panel_csv_target_named_like_a_feature_rejected(self, header, meta):
+        with pytest.raises(MalformedCsv, match="target 'X[12]' is also a feature column"):
+            panel_from_csv(f"{header}\n2000-01,1.0,2.0,3.0\n", meta)
 
     @pytest.mark.parametrize("text", ["", "month,Y,X1\n", "month\n2000-01\n", "date,Y\n2000-01,1.0\n"])
     def test_panel_csv_without_header_or_rows_rejected(self, text):

@@ -70,7 +70,7 @@ class TestOls:
         X = np.column_stack([x, x])  # duplicated column
         with pytest.warns(RankDeficientWarning):
             fit = ols_fit(X, 3 * x)
-        assert fit.rank_deficient
+        assert fit.rank < fit.k
         # minimum-norm solution splits the coefficient across the twins
         np.testing.assert_allclose(fit.beta, [0.0, 1.5, 1.5], rtol=1e-8, atol=1e-12)
 

@@ -13,6 +13,7 @@ from causalfs.errors import (
     Underdetermined,
 )
 from causalfs.numerics import partial_correlation
+from causalfs.panel import lag_rows
 from causalfs.selectors import pcmci_select
 from causalfs.selectors.pcmci import _ci_tests, _condition_select, _LagView
 from causalfs.synthlab import SvarSpec, generate_svar
@@ -95,11 +96,15 @@ def test_deterministic(rng):
 
 # --- oracle: the re-sort loop with one partial_correlation per CI test ---
 
+def _raw_lag_columns(view, links):
+    return lag_rows(view.data, links, range(view.max_lag, len(view.data)))
+
+
 def _oracle_parcorr(view, x_link, y_var, cond_links):
-    Z = view.matrix(cond_links)
+    Z = _raw_lag_columns(view, cond_links)
     if view.rows <= Z.shape[1] + 3:
         return None
-    x, y = view.matrix([x_link, (y_var, 0)]).T
+    x, y = _raw_lag_columns(view, [x_link, (y_var, 0)]).T
     if (x == x[0]).all() or (y == y[0]).all():
         return 0.0, 1.0  # a constant column carries no evidence
     try:

@@ -25,8 +25,8 @@ from causalfs.synthlab import (
 )
 
 
-def fs(names, selector="test"):
-    return FeatureSet(frozenset(names), {n: (0.0, 0.0) for n in names}, selector)
+def fs(names):
+    return FeatureSet(frozenset(names), {n: (0.0, 0.0) for n in names})
 
 
 class TestGeneration:
@@ -112,12 +112,20 @@ class TestGeneration:
         {"environment_shifts": (EnvShift("X9", start_row=10),)},
         {"environment_shifts": (EnvShift("X1", start_row=100),)},
         {"environment_shifts": (EnvShift("X1", start_row=-1),)},
+        {"seed": -1},
     ], ids=["d-one", "p-zero", "n-zero", "noise-unknown", "target-parents-negative",
             "target-parents-above-features", "shift-unknown-variable",
-            "shift-start-past-end", "shift-start-negative"])
+            "shift-start-past-end", "shift-start-negative", "seed-negative"])
     def test_spec_rejects_what_cannot_be_generated(self, kwargs):
         with pytest.raises(ValueError):
             SvarSpec(**{"d": 4, "n": 100, **kwargs})
+
+    def test_simulate_takes_a_generator_as_its_seed(self):
+        S, W = np.zeros((3, 3)), [np.eye(3) * 0.5]
+        by_int, _ = simulate_svar(S, W, n=30, seed=11)
+        by_generator, _ = simulate_svar(S, W, n=30, seed=np.random.default_rng(11))
+        np.testing.assert_array_equal(by_generator.features, by_int.features)
+        np.testing.assert_array_equal(by_generator.target, by_int.target)
 
     def test_spec_accepts_its_bounds(self):
         spec = SvarSpec(d=4, n=100, target_parents=0,
