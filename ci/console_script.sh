@@ -11,7 +11,10 @@
 # target_name names a series, with no traceback; a calendar-mode seqicp
 # backtest whose windows hold only a few crisis months must test the
 # halves there, not log a selector fallback; nor may a pcmci backtest on
-# a panel with a constant feature
+# a panel with a constant feature; a truncated panel_meta.json must make
+# backtest exit 2, with no traceback; and after a good ingest into out/,
+# a failing ingest into the same directory must leave no panel there, so
+# that a following backtest exits 3
 set -eo pipefail
 python -c "import sys, causalfs.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; sys.exit(f'scipy loaded: {loaded}' if loaded else 0)"
 printf 'd = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n' > ok.toml
@@ -71,3 +74,16 @@ rc=0
 causalfs ingest --config series_target.toml --out series_target 2> series_target_err.txt || rc=$?
 test "$rc" -eq 2
 if grep Traceback series_target_err.txt; then exit 1; fi
+head -c 20 out/panel_meta.json > truncated_meta.json
+cp truncated_meta.json out/panel_meta.json
+rc=0
+causalfs backtest --config run.toml 2> meta_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback meta_err.txt; then exit 1; fi
+causalfs ingest --config run.toml
+rc=0
+causalfs ingest --config dup_fredmd.toml || rc=$?
+test "$rc" -eq 2
+rc=0
+causalfs backtest --config run.toml || rc=$?
+test "$rc" -eq 3

@@ -90,15 +90,17 @@ def step_seed(seed: int, step: int) -> int:
 def fit_forecast_model(
     panel: AlignedPanel, p: int, selected: tuple[str, ...]
 ) -> tuple[OlsFit, np.ndarray]:
-    """Fit the forecasting OLS of y_t on the ``design_links`` columns of
-    the selected features, in ``selected`` order, on the window, and read
-    the next-step regressor vector as the same lags at time T."""
+    """Fit the forecasting OLS of y_t on the ``design_links`` layout of the
+    target and the selected features, in ``selected`` order, and read the
+    next-step regressor vector as the same lags at time T. Only those
+    columns are stacked, so the cost does not grow with the panel's width."""
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    data = np.column_stack([panel.target, panel.features])
-    cols = [1 + panel.feature_names.index(name) for name in selected]
-    rows = lag_rows(data, design_links(cols, p), range(p, T + 1))  # time T: the next step
+    cols = [panel.feature_names.index(name) for name in selected]
+    data = np.column_stack([panel.target, panel.features[:, cols]])
+    links = design_links(range(1, len(cols) + 1), p)
+    rows = lag_rows(data, links, range(p, T + 1))  # time T: the next step
     return ols_fit(rows[:-1], panel.target[p:T]), rows[-1]
 
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,13 +30,14 @@ from .config import (
     load_run_config,
     load_validate_config,
 )
-from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed, MalformedCsv
+from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed
 from .ingest import (
     STOCK_MARKET_GROUP,
     Regime,
     RegimeCalendar,
     load_calendar,
     load_prices,
+    naming,
     parse_fredmd,
     parse_groups,
     prices_to_returns,
@@ -64,27 +64,21 @@ def _load_calendar_from(cfg: RunConfig) -> RegimeCalendar:
     return load_calendar(cfg.resolve("calendar").read_text())
 
 
-@contextmanager
-def _naming(path):
-    """Prefix a MalformedCsv raised inside with the file being parsed."""
-    try:
-        yield
-    except MalformedCsv as exc:
-        raise MalformedCsv(f"{path}: {exc}") from None
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    # a failed ingest must leave no earlier panel for backtest to run on
+    for name in ("panel.csv", "panel_meta.json", "ingest_log.json"):
+        (out / name).unlink(missing_ok=True)
     fredmd, sidecar, prices = map(cfg.resolve, ("fredmd_csv", "groups_csv", "prices_csv"))
-    with _naming(sidecar):
+    with naming(sidecar):
         sidecar_groups = parse_groups(sidecar.read_text())
-    with _naming(fredmd):
+    with naming(fredmd):
         raw_panel, tcodes, groups = parse_fredmd(fredmd.read_text(), sidecar_groups)
     if cfg.target_name in tcodes:
         raise ConfigError(f"target_name {cfg.target_name!r} names a series in {fredmd}")
     transformed = transform_panel(raw_panel, tcodes)
-    with _naming(prices):
+    with naming(prices):
         returns = prices_to_returns(load_prices(prices.read_text()))
     panel = align_and_shift(
         returns, transformed,
@@ -115,8 +109,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
     if not panel_path.exists():
         print(f"missing artifact: {panel_path} (run ingest first)", file=sys.stderr)
         return EXIT_MISSING
-    with _naming(panel_path):
-        panel = read_panel(panel_path, out / "panel_meta.json")
+    panel = read_panel(panel_path, out / "panel_meta.json")
     calendar = _load_calendar_from(cfg)
     for sid in cfg.selectors:
         bt = BacktestConfig(
@@ -166,7 +159,7 @@ def cmd_report(cfg: RunConfig) -> int:
         if not path.exists():
             print(f"missing artifact: {path}", file=sys.stderr)
             return EXIT_MISSING
-        with _naming(path):
+        with naming(path):
             ledgers[sid] = ledger_from_csv(path.read_text())
 
     table1 = []

@@ -12,7 +12,9 @@ Every CSV the commands read or write goes through ``csv_rows``, ``parse_rows``
 and ``to_csv`` here: the inputs above, the aligned panel, the backtest ledger
 (``backtest.ledger_to_csv``/``ledger_from_csv``), the report's ``table1.csv``,
 ``table2.csv``, rolling, stability and combined-portfolio series, and
-``validate``'s ``recovery_<id>.csv``.
+``validate``'s ``recovery_<id>.csv``. The one exception is the aligned panel's
+numbers, which ``panel_from_csv`` reads in one ``np.loadtxt`` pass wherever
+that pass reads them as ``float`` would.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import enum
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +99,15 @@ class RegimeCalendar:
             regime: np.array([i for i, r in enumerate(regimes) if r is regime], dtype=int)
             for regime in Regime
         }
+
+
+@contextmanager
+def naming(path):
+    """Prefix a MalformedCsv raised inside with the file being parsed."""
+    try:
+        yield
+    except MalformedCsv as exc:
+        raise MalformedCsv(f"{path}: {exc}") from None
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -316,11 +328,54 @@ def panel_to_csv(panel: AlignedPanel) -> str:
     )
 
 
+_PANEL_LAYOUT = "panel CSV needs a 'month,<target>,...' header and a data row"
+
+
+def _loadtxt_rows(body: str, width: int):
+    """The first cells, months and numbers of the data lines in ``body``, the
+    numbers read in one ``np.loadtxt`` pass; None where that pass rejects a
+    line or could read one apart from ``float``: a row of another width, a CR
+    that does not end a line, a character from 0x1C to 0x1F (space to numpy,
+    not to ``float``) or a line past csv's field size limit."""
+    if "\r" in body and body.count("\r") != body.count("\r\n"):
+        return None
+    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    pairs = [line.split(",", 1) for line in body.split("\n") if line.strip()]
+    try:
+        dates = tuple(MonthStamp.parse(first) for first, _ in pairs)  # or no comma: ValueError
+    except ValueError:
+        return None
+    rests = [rest for _, rest in pairs]
+    # an empty rest is an empty cell, which loadtxt would skip as a blank line
+    if not all(map(str.strip, rests)) or max(map(len, rests)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(rests, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(pairs), width - 1):  # a quote spanning lines joins them
+        return None
+    return [first for first, _ in pairs], dates, values
+
+
 def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
-    rows = csv_rows(csv_text)
-    if len(rows) < 2 or len(rows[0]) < 2 or rows[0][0].strip() != "month":
-        raise MalformedCsv("panel CSV needs a 'month,<target>,...' header and a data row")
-    header = rows[0]
+    """The panel in ``panel_to_csv``'s layout; ``meta["target_name"]``, when
+    given, names the target.
+
+    The header record goes through the csv module, so a name may hold a
+    quoted comma, double quote, CR or LF. The data rows are read in one
+    ``np.loadtxt`` pass; a text that pass could read apart from ``float``
+    is read cell by cell with ``float``, which names a malformed row.
+    """
+    stream = io.StringIO(csv_text)
+    try:
+        header = next((row for row in csv.reader(stream) if any(c.strip() for c in row)), [])
+    except csv.Error as exc:
+        raise MalformedCsv(str(exc)) from None
+    body = stream.read()
+    if not body.strip() or len(header) < 2 or header[0].strip() != "month":
+        raise MalformedCsv(_PANEL_LAYOUT)
     target_name = (meta or {}).get("target_name", header[1])
     names = tuple(header[2:])
     _reject_repeats(names, "column")
@@ -330,18 +385,23 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
     def panel_row(row):
         if len(row) != len(header):
             raise MalformedCsv(f"ragged panel row: {row[:3]}...")
-        return MonthStamp.parse(row[0]), float(row[1]), [float(c) for c in row[2:]]
+        return row[0], MonthStamp.parse(row[0]), [float(c) for c in row[1:]]
 
-    parsed = parse_rows(rows[1:], panel_row)
-    target = np.array([y for _, y, _ in parsed])
-    features = np.array([x for _, _, x in parsed])
-    finite = np.isfinite(target) & np.isfinite(features).all(axis=1)
+    read = _loadtxt_rows(body, len(header))
+    if read is None:
+        rows = csv_rows(body)
+        if not rows:
+            raise MalformedCsv(_PANEL_LAYOUT)
+        firsts, dates, cells = zip(*parse_rows(rows, panel_row))
+        read = firsts, dates, np.array(cells)
+    firsts, dates, values = read
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise MalformedCsv(f"row {rows[1 + finite.argmin()][0].strip()!r}: non-finite value")
+        raise MalformedCsv(f"row {firsts[finite.argmin()].strip()!r}: non-finite value")
     return AlignedPanel(
-        dates=tuple(d for d, _, _ in parsed),
-        target=target,
-        features=features,
+        dates=dates,
+        target=values[:, 0],
+        features=values[:, 1:],
         feature_names=names,
         target_name=target_name,
     )
@@ -355,14 +415,29 @@ def write_panel(panel: AlignedPanel, csv_path, meta_path) -> None:
         fh.write("\n")
 
 
+def _panel_meta(meta_path) -> dict | None:
+    """The meta file ``write_panel`` wrote, None when there is none; a
+    MalformedCsv unless it is a JSON object with a string ``target_name``."""
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:  # not JSON, or not text
+        raise MalformedCsv(f"not a JSON file: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("target_name"), str):
+        raise MalformedCsv("needs a JSON object with a string 'target_name'")
+    return meta
+
+
 def read_panel(csv_path, meta_path=None) -> AlignedPanel:
+    """The panel ``write_panel`` wrote; without a meta file the header's
+    target column names the target. A MalformedCsv names the file at fault."""
     with open(csv_path) as fh:
         text = fh.read()
     meta = None
     if meta_path is not None:
-        try:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-        except FileNotFoundError:
-            meta = None
-    return panel_from_csv(text, meta)
+        with naming(meta_path):
+            meta = _panel_meta(meta_path)
+    with naming(csv_path):
+        return panel_from_csv(text, meta)

@@ -21,7 +21,7 @@ from causalfs.backtest import (
 from causalfs.errors import BadName, InsufficientHistory, ShapeError
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
-from causalfs.panel import MonthStamp, build_design
+from causalfs.panel import MonthStamp, build_design, design_links, lag_rows
 from causalfs.selectors import (
     SELECTOR_IDS,
     Environment,
@@ -99,6 +99,22 @@ class TestFitForecastModel:
         design = build_design(panel, p)
         fit, _ = fit_forecast_model(panel, p, panel.feature_names)
         assert fit.beta.tolist() == ols_fit(design.X, design.y).beta.tolist()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_narrow_stack_matches_the_full_width_one(self, rng, p):
+        # the fit stacks only the selected columns; the full-width stack it
+        # replaced, inlined here, gives the same regressors and beta bit for bit
+        T, d = 70, 120
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, d)))
+        selected = ("X97", "X4", "X58")
+        fit, regressors = fit_forecast_model(panel, p, selected)
+
+        data = np.column_stack([panel.target, panel.features])
+        cols = [1 + panel.feature_names.index(name) for name in selected]
+        rows = lag_rows(data, design_links(cols, p), range(p, T + 1))
+        full = ols_fit(rows[:-1], panel.target[p:T])
+        assert regressors.tolist() == rows[-1].tolist()
+        assert fit.beta.tolist() == full.beta.tolist()
 
 
 def _config(**kw):

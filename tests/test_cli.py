@@ -311,6 +311,20 @@ class TestIngest:
         header = (workspace / "out" / "panel.csv").read_text().splitlines()[0]
         assert "X2" not in header.split(",")
 
+    def test_failed_ingest_leaves_no_panel_for_backtest(self, workspace, capsys):
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        path = workspace / "fredmd.csv"
+        path.write_text(path.read_text().replace("sasdate,X1,X2,X3", "sasdate,X1,X2,X1", 1))
+        assert run_cli("ingest", "--config", config) == 2
+        out = workspace / "out"
+        for name in ("panel.csv", "panel_meta.json", "ingest_log.json"):
+            assert not (out / name).exists()
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 3
+        assert "missing artifact" in capsys.readouterr().err
+        assert not list(out.glob("ledger_*"))
+
     def test_inputs_never_mutated(self, workspace):
         before = {
             name: (workspace / name).read_bytes()
@@ -326,6 +340,19 @@ class TestIngest:
 class TestBacktest:
     def test_before_ingest_exit_3(self, workspace):
         assert run_cli("backtest", "--config", workspace / "run.toml") == 3
+
+    @pytest.mark.parametrize("meta", ['{"target_name": "Y"', '["Y"]', '{"target_name": 5}'],
+                             ids=["truncated", "list", "number"])
+    def test_corrupt_panel_meta_exit_2_naming_it(self, workspace, capsys, meta):
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        path = workspace / "out" / "panel_meta.json"
+        path.write_text(meta)
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path.resolve()}: ") and "panel.csv" not in err
+        assert not list(path.parent.glob("ledger_*"))
 
     def test_ledgers_written(self, workspace):
         run_cli("ingest", "--config", workspace / "run.toml")

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,6 +324,89 @@ class TestPipeline:
         back = panel_from_csv(panel_to_csv(panel))
         assert back.feature_names == panel.feature_names
         np.testing.assert_array_equal(back.features, panel.features)
+
+
+def _float_oracle(text):
+    """The header, months and numbers of a panel CSV read row by row with
+    the csv module and ``float``, skipping blank and whitespace-only rows."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+    numbers = np.array([[float(c) for c in row[1:]] for row in rows[1:]])
+    return rows[0], tuple(MonthStamp.parse(row[0]) for row in rows[1:]), numbers
+
+
+# a number as a data cell: as written, padded with spaces or tabs, or quoted
+_number_cells = st.tuples(
+    csv_finite_floats,
+    st.sampled_from([repr, "{:.6e}".format, "{:+.3f}".format]),
+    st.sampled_from(["{}", " {}", "{} ", "\t{} ", '"{}"', '" {} "']),
+).map(lambda t: t[2].format(t[1](t[0])))
+_line_ends = st.sampled_from(["\n", "\r\n"])
+_blank_lines = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
+
+
+_NOT_A_FLOAT = "row '2000-01': could not convert string to float: "
+
+
+class TestPanelReader:
+    @given(
+        st.lists(csv_names, min_size=1, max_size=4, unique=True),
+        st.integers(1, 6),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_per_cell_float_oracle(self, names, n, data):
+        # CRLF or LF line ends, blank and whitespace-only lines, padded and
+        # quoted numbers, and names holding a quoted comma, quote, CR or LF
+        header = to_csv(["month", "Y", *names], [])[:-1]
+        text = header + data.draw(_line_ends)
+        for month in month_range("1999-11", n):
+            for blank in data.draw(_blank_lines):
+                text += blank + data.draw(_line_ends)
+            cells = data.draw(st.lists(_number_cells, min_size=len(names) + 1,
+                                       max_size=len(names) + 1))
+            text += ",".join([str(month), *cells]) + data.draw(_line_ends)
+        header_row, months, numbers = _float_oracle(text)
+        panel = panel_from_csv(text)
+        assert (panel.target_name, panel.feature_names) == (header_row[1], tuple(names))
+        assert panel.dates == months
+        np.testing.assert_array_equal(panel.target.view(np.int64), numbers[:, 0].view(np.int64))
+        np.testing.assert_array_equal(panel.features.view(np.int64), numbers[:, 1:].view(np.int64))
+
+    def test_written_panel_is_read_in_one_pass(self, rng):
+        panel = make_panel(rng.normal(size=12), rng.normal(size=(12, 5)))
+        with mock.patch("causalfs.ingest.csv_rows", side_effect=AssertionError("read per row")):
+            back = panel_from_csv(panel_to_csv(panel))
+        np.testing.assert_array_equal(back.features, panel.features)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2000-01,1.0#x,2.0", _NOT_A_FLOAT + "'1.0#x'"),
+        ("2000-01,1.0,2.0,3.0", "ragged panel row: ['2000-01', '1.0', '2.0']..."),
+        ("2000-01,1.0", "ragged panel row: ['2000-01', '1.0']..."),
+        ("2000-01,1.0,", _NOT_A_FLOAT + "''"),
+        # numpy reads 0x1C-0x1F as space around a number, float does not
+        ("2000-01,\x1c1.0,2.0", _NOT_A_FLOAT + r"'\x1c1.0'"),
+        ("2000-01,1.0\x1f,2.0", _NOT_A_FLOAT + r"'1.0\x1f'"),
+        ("2000-01\r,1.0,2.0", "new-line character seen in unquoted field"),
+        ("2000-01,1" + "0" * 200_000 + ",2.0", "field larger than field limit (131072)"),
+        ('2000-01,"1\n2000-02",2.0', _NOT_A_FLOAT + r"'1\n2000-02'"),  # a quote spans lines
+    ])
+    def test_malformed_rows_raise_the_per_row_message(self, rows, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedCsv) as exc:
+                panel_from_csv(f"month,Y,X1\n{rows}\n")
+        assert str(exc.value).startswith(message)
+
+    def test_empty_last_cell_raises_without_a_warning(self):
+        # loadtxt would skip the empty remainder as a blank line, and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedCsv, match="row '2000-01': could not convert"):
+                panel_from_csv("month,Y\n2000-01,\n")
+
+    def test_underscored_number_reads_as_float_does(self):
+        panel = panel_from_csv("month,Y,X1\n2000-01,1_000,2.0\n")
+        assert panel.target.tolist() == [1000.0]
 
 
 # cells of every kind the commands write; a text cell with a CR holds
