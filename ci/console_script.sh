@@ -12,7 +12,8 @@
 # backtest whose windows hold only a few crisis months must test the
 # halves there, not log a selector fallback; nor may a pcmci backtest on
 # a panel with a constant feature; a truncated panel_meta.json must make
-# backtest exit 2, with no traceback; and after a good ingest into out/,
+# backtest exit 2, with no traceback, and so must a FRED-MD file that ends
+# in the byte 0xE9 (not UTF-8) make ingest; and after a good ingest into out/,
 # a failing ingest into the same directory must leave no panel there, so
 # that a following backtest exits 3
 set -eo pipefail
@@ -80,6 +81,12 @@ rc=0
 causalfs backtest --config run.toml 2> meta_err.txt || rc=$?
 test "$rc" -eq 2
 if grep Traceback meta_err.txt; then exit 1; fi
+{ cat fredmd.csv; printf '\351'; } > latin1_fredmd.csv
+sed 's/"fredmd.csv"/"latin1_fredmd.csv"/' run.toml > latin1_fredmd.toml
+rc=0
+causalfs ingest --config latin1_fredmd.toml --out latin1_fredmd 2> latin1_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback latin1_err.txt; then exit 1; fi
 causalfs ingest --config run.toml
 rc=0
 causalfs ingest --config dup_fredmd.toml || rc=$?

@@ -61,7 +61,9 @@ EXIT_GENERATION = 4
 def _load_calendar_from(cfg: RunConfig) -> RegimeCalendar:
     if cfg.calendar is None:
         return RegimeCalendar(())
-    return load_calendar(cfg.resolve("calendar").read_text())
+    path = cfg.resolve("calendar")
+    with naming(path):
+        return load_calendar(path.read_text())
 
 
 def cmd_ingest(cfg: RunConfig) -> int:

@@ -105,7 +105,10 @@ def load_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             return json.loads(text)

@@ -103,10 +103,11 @@ class RegimeCalendar:
 
 @contextmanager
 def naming(path):
-    """Prefix a MalformedCsv raised inside with the file being parsed."""
+    """Prefix a MalformedCsv raised inside with the file being parsed; a
+    UnicodeDecodeError (the file is not UTF-8 text) becomes one."""
     try:
         yield
-    except MalformedCsv as exc:
+    except (MalformedCsv, UnicodeDecodeError) as exc:
         raise MalformedCsv(f"{path}: {exc}") from None
 
 
@@ -433,11 +434,9 @@ def _panel_meta(meta_path) -> dict | None:
 def read_panel(csv_path, meta_path=None) -> AlignedPanel:
     """The panel ``write_panel`` wrote; without a meta file the header's
     target column names the target. A MalformedCsv names the file at fault."""
-    with open(csv_path) as fh:
-        text = fh.read()
     meta = None
     if meta_path is not None:
         with naming(meta_path):
             meta = _panel_meta(meta_path)
-    with naming(csv_path):
-        return panel_from_csv(text, meta)
+    with naming(csv_path), open(csv_path) as fh:
+        return panel_from_csv(fh.read(), meta)

@@ -5,12 +5,11 @@ built here: :class:`AlignedPanel` for raw series and :class:`DesignMatrix`
 for lag-augmented regressions. Both are immutable after construction and
 reject NaN, so look-ahead reasoning stays simple.
 
-The lag rule: a lag >= 1 at time t reads only rows < t. Every lagged value
-in the package (designs, the forecast's regressors, the lag matrices of
-PCMCI, VARLiNGAM and DYNOTEARS) is read by :func:`lag_rows`, which guards it.
-:func:`stack_lags` is the one layout of every variable at every lag, shared
-by PCMCI, VARLiNGAM and DYNOTEARS, and :func:`design_links` the one layout
-of the design and the forecast's regressors.
+The lag rule: a lag >= 1 at time t reads only rows < t. The design and the
+forecast's regressors are read by :func:`lag_rows`, which guards it, in the
+layout of :func:`design_links`. :func:`stack_lags` is the one layout of
+every variable at every lag, shared by PCMCI, VARLiNGAM and DYNOTEARS: row
+slices that end before the row they sit beside.
 """
 from __future__ import annotations
 
@@ -308,9 +307,10 @@ def lag_rows(data: np.ndarray, links: list[tuple[int, int]], times: range) -> np
 def stack_lags(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a VAR(p) regression: ``data[p:]`` and, row for row, every
     variable at lags 1..p, lag-major (column (tau - 1) * m + j holds variable
-    j at lag tau)."""
-    links = [(j, tau) for tau in range(1, p + 1) for j in range(data.shape[1])]
-    return data[p:], lag_rows(data, links, range(p, len(data)))
+    j at lag tau). Raises ValueError for p < 1."""
+    if p < 1:
+        raise ValueError("lag order p must be >= 1")
+    return data[p:], np.hstack([data[p - tau : len(data) - tau] for tau in range(1, p + 1)])
 
 
 def design_links(columns, p: int) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
 """Shared selector output types."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,21 +12,13 @@ from ..errors import BadName
 class FeatureSet:
     """Outcome of one selector run.
 
-    ``selected`` is a subset of the candidate feature names; ``diagnostics``
-    maps every candidate to its (statistic, p-value-or-weight) pair.
-    ``empty_informative`` marks emptiness that is itself a finding (an
-    invariance rejection) rather than a lack of signal.
+    ``selected`` is a subset of the candidate feature names. ``p_values``
+    maps each feature a selector tested on its own to the p-value that
+    decided it; a selector that tests no single feature leaves it empty.
     """
 
     selected: frozenset[str]
-    diagnostics: dict[str, tuple[float, float]]
-    empty_informative: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", frozenset(self.selected))
-        missing = self.selected - set(self.diagnostics)
-        if missing:
-            raise ValueError(f"selected names missing diagnostics: {sorted(missing)}")
+    p_values: dict[str, float] = field(default_factory=dict)
 
     def ordered(self, all_names) -> tuple[str, ...]:
         """Selected names in the panel's column order (deterministic output)."""

@@ -142,6 +142,4 @@ def dynotears_select(graph: DynamicGraph, target_name: str) -> FeatureSet:
     """Features with a surviving edge into the target, at any lag or
     instantaneously; edges leaving the target do not count."""
     weights = graph.in_weights(target_name)
-    diagnostics = {name: (w, w) for name, w in weights.items()}
-    selected = frozenset(n for n, w in weights.items() if w > 0.0)
-    return FeatureSet(selected, diagnostics)
+    return FeatureSet(frozenset(n for n, w in weights.items() if w > 0.0))

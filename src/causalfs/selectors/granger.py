@@ -15,13 +15,12 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
     fits come from one factorization of the full design (``nested_rss``,
     which raises Underdetermined when the rows do not exceed the
     regressors), and one ``f_test_nested`` call scores every block.
-    Diagnostics carry every (F, p) pair.
+    ``p_values`` holds every block's F-test p.
     """
     n, k_cols = design.X.shape
     blocks = list(design.blocks.values())
     rss_full, rss_restricted = nested_rss(design.X, design.y, blocks)
     test = f_test_nested(rss_restricted, rss_full, q=[len(b) for b in blocks], n=n,
                          k_full=k_cols + 1)  # intercept counted
-    diagnostics = dict(zip(design.blocks, zip(test.statistic.tolist(), test.p_value.tolist())))
-    selected = frozenset(name for name, (_, p) in diagnostics.items() if p < alpha)
-    return FeatureSet(selected, diagnostics)
+    p_values = dict(zip(design.blocks, test.p_value.tolist()))
+    return FeatureSet(frozenset(name for name, p in p_values.items() if p < alpha), p_values)

@@ -93,9 +93,9 @@ def _condition_select(
     max_cond_dim: int,
     max_parents: int,
 ):
-    """Stage-one parent screening for variable j (PC-stable style)."""
+    """Stage-one parent screening for variable j (PC-stable style): the
+    surviving links, strongest first."""
     strength = {link: np.inf for link in candidates}  # min |r| seen so far
-    pval = {link: 0.0 for link in candidates}
     parents = list(candidates)
 
     def strongest_first(o):
@@ -120,12 +120,11 @@ def _condition_select(
                 continue  # conservative: keep the link untested
             r, p = result
             strength[link] = min(strength[link], abs(r))
-            pval[link] = max(pval[link], p)
             if p >= alpha:
                 removed.add(link)
         kept = (o for o in parents if o not in removed)
         parents = sorted(kept, key=lambda o: (-strength[o], o))[:max_parents]
-    return parents, strength, pval
+    return parents
 
 
 def pcmci_select(
@@ -140,7 +139,8 @@ def pcmci_select(
     ``p`` is the maximum lag tested. The momentary tests in stage two need
     values up to lag 2p, so the panel must be comfortably longer than that.
     The target's own lags participate in conditioning but are never reported
-    as selected features.
+    as selected features. ``p_values`` holds, for each feature with a tested
+    stage-two link, the smallest momentary-test p over its lags.
     """
     if p < 1:
         raise ValueError("lag order p must be >= 1")
@@ -150,8 +150,7 @@ def pcmci_select(
     candidates: list[Link] = [(i, tau) for i in range(m) for tau in range(1, p + 1)]
 
     # stage-one screening for the target, then for the source of every
-    # surviving link: the only parent sets stage two ever conditions on.
-    # Only the target's screening record is ever read.
+    # surviving link: the only parent sets stage two ever conditions on
     stage1_view = _LagView(data, p)
 
     def screen(j):
@@ -160,14 +159,12 @@ def pcmci_select(
             max_parents_stage1,
         )
 
-    parents, strength, pval = screen(0)
-    source_parents = {i: screen(i)[0] for i in sorted({i for i, _ in parents} - {0})}
+    parents = screen(0)
+    source_parents = {i: screen(i) for i in sorted({i for i, _ in parents} - {0})}
 
     # stage two: momentary tests for links into the target (variable 0)
     mci_view = _LagView(data, 2 * p)
-    best_stat = {name: 0.0 for name in panel.feature_names}
-    best_p = {name: 1.0 for name in panel.feature_names}
-    selected = set()
+    p_values = {}  # the smallest p over each feature's tested lags
     for link in parents:
         i, tau = link
         if i == 0:
@@ -178,25 +175,5 @@ def pcmci_select(
         [result] = _ci_tests(mci_view, [link], 0, cond_unique)
         if result is None:
             continue  # untested: never selected
-        r, pv = result
-        name = names[i]
-        if abs(r) > abs(best_stat[name]):
-            best_stat[name] = r
-        best_p[name] = min(best_p[name], pv)
-        if pv < alpha:
-            selected.add(name)
-
-    diagnostics = {}
-    linked = {i for i, _ in parents}
-    for i, name in enumerate(panel.feature_names, start=1):
-        if i in linked:
-            diagnostics[name] = (best_stat[name], best_p[name])
-        else:
-            # removed in stage one: report its screening record
-            lags = [(i, tau) for tau in range(1, p + 1)]
-            stats = [strength[link] for link in lags if np.isfinite(strength[link])]
-            diagnostics[name] = (
-                max(stats, default=0.0),
-                min(pval[link] for link in lags),
-            )
-    return FeatureSet(frozenset(selected), diagnostics)
+        p_values[names[i]] = min(p_values.get(names[i], 1.0), result[1])
+    return FeatureSet(frozenset(n for n, pv in p_values.items() if pv < alpha), p_values)

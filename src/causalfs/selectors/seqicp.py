@@ -3,9 +3,9 @@
 Every candidate predictor subset is accepted when the pooled-regression
 residuals look identically distributed across environments (equal means by
 a Chow-style F test, equal variances by Bartlett's test, combined with
-Bonferroni). The reported set is the intersection of all accepted subsets;
-when nothing is accepted, the empty result is flagged as informative -- the
-data rejected the invariance premise itself.
+Bonferroni). The reported set is the intersection of all accepted subsets,
+and empty when nothing is accepted: the data then rejected the invariance
+premise itself.
 
 The fits of all subsets of one size come from one Gram of [1, X, y] per
 window (``numerics.subset_residuals``: a stacked solve of the scaled normal
@@ -119,8 +119,6 @@ def seqicp_select(
             )
     gram = subset_gram(design.X, design.y)
     accepted: list[frozenset[str]] = []
-    appearances = {name: 0 for name in names}
-    best_p = {name: 0.0 for name in names}
     for size in range(largest + 1):
         subsets = list(combinations(names, size))
         column_sets = [
@@ -130,17 +128,5 @@ def seqicp_select(
         for part in chunk_slices(len(subsets), design.n * (len(column_sets[0]) + 2)):
             residuals = subset_residuals(gram, column_sets[part])
             p_values = residual_invariance_p(residuals, environments).tolist()
-            for subset, p in zip(subsets[part], p_values):
-                for name in subset:
-                    best_p[name] = max(best_p[name], p)
-                if p > alpha:
-                    accepted.append(frozenset(subset))
-                    for name in subset:
-                        appearances[name] += 1
-    diagnostics = {
-        name: (float(appearances[name]), best_p[name]) for name in names
-    }
-    if not accepted:
-        return FeatureSet(frozenset(), diagnostics, empty_informative=True)
-    estimate = frozenset.intersection(*accepted)
-    return FeatureSet(estimate, diagnostics, empty_informative=False)
+            accepted += [frozenset(s) for s, p in zip(subsets[part], p_values) if p > alpha]
+    return FeatureSet(frozenset.intersection(*accepted) if accepted else frozenset())

@@ -41,10 +41,9 @@ def sfs_select(
     One loop serves both directions. Forward starts empty and each step may
     add one feature from outside the current set; backward starts full and
     each step may drop one from inside it. A step scores every candidate
-    set in one ``cv_mse_sets`` call on fold Grams formed once per call,
-    records each candidate's (MSE gain, MSE), and takes the first strict
-    win in design order, so exact metric ties resolve to the lowest column
-    index. Forward stops once the best gain falls below ``tol`` or
+    set in one ``cv_mse_sets`` call on fold Grams formed once per call and
+    takes the first strict win in design order, so exact metric ties
+    resolve to the lowest column index. Forward stops once the best gain falls below ``tol`` or
     ``max_features`` is reached; backward stops once no drop gains ``tol``,
     but keeps dropping while the set holds more than ``max_features``.
     Splits are contiguous blocks (``folds`` >= 2).
@@ -57,7 +56,6 @@ def sfs_select(
     if design.n <= max_features + 1:
         raise Underdetermined(f"{design.n} rows cannot support {max_features} features")
     cv = _cv_folds(design, folds)
-    diagnostics = {name: (0.0, math.inf) for name in names}
 
     def scores(feature_sets) -> list[float]:
         """CV MSE of each feature set, with its columns in design order."""
@@ -74,7 +72,6 @@ def sfs_select(
             break
         best_name, best_mse = None, math.inf
         for name, mse in zip(candidates, scores([current ^ {n} for n in candidates])):
-            diagnostics[name] = (current_mse - mse, mse)
             if mse < best_mse:
                 best_name, best_mse = name, mse
         gain = current_mse - best_mse
@@ -85,4 +82,4 @@ def sfs_select(
             break
         current ^= {best_name}
         current_mse = best_mse
-    return FeatureSet(frozenset(current), diagnostics)
+    return FeatureSet(frozenset(current))

@@ -28,7 +28,6 @@ class VarLingamResult:
     """Full estimation output; ``variable_names[0]`` is the target."""
 
     graph: DynamicGraph  # S = A0.T, W_tau = A_tau.T
-    corr_with_target: dict[str, float]
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -40,29 +39,27 @@ class VarLingamResult:
         return tuple(self.variable_names[i] for i in _causal_order(self.graph.S.T))
 
 
-def cluster_prefilter(
-    panel: AlignedPanel, k_clusters: int, seed: int = 0
-) -> tuple[tuple[str, ...], dict[str, float]]:
-    """One representative feature per k-means cluster of standardized series.
+def cluster_prefilter(panel: AlignedPanel, k_clusters: int, seed: int = 0) -> tuple[str, ...]:
+    """The names of one representative feature per k-means cluster of
+    standardized series, in column order.
 
     Within each cluster the feature with the strongest absolute correlation
     with the target survives; ties resolve to the lowest column index. A
     constant feature, or a constant target, correlates 0.
     """
-    r, _, ok = pearson_tests(centre(panel.features).T, centre(panel.target))
-    corr = dict(zip(panel.feature_names, np.where(ok, r, 0.0).tolist()))
     if k_clusters >= panel.n_features:
-        return panel.feature_names, corr
+        return panel.feature_names
+    r, _, ok = pearson_tests(centre(panel.features).T, centre(panel.target))
+    strength = np.abs(np.where(ok, r, 0.0)).tolist()
     result = kmeans(standardize(panel.features).T, k_clusters, seed=seed)
     kept = []
     for c in range(k_clusters):
         members = [j for j in range(panel.n_features) if result.assignments[j] == c]
         if not members:
             continue
-        best = max(members, key=lambda j: (abs(corr[panel.feature_names[j]]), -j))
-        kept.append(best)
+        kept.append(max(members, key=lambda j: (strength[j], -j)))
     kept.sort()
-    return tuple(panel.feature_names[j] for j in kept), corr
+    return tuple(panel.feature_names[j] for j in kept)
 
 
 def _permute_unit_diagonal(W: np.ndarray) -> np.ndarray:
@@ -119,7 +116,7 @@ def varlingam_fit(
     """
     if k_clusters is None:
         k_clusters = panel.n_features  # every feature is kept
-    kept, corr = cluster_prefilter(panel, k_clusters, seed=seed)
+    kept = cluster_prefilter(panel, k_clusters, seed=seed)
     names = (panel.target_name, *kept)
     m = len(names)
     T = len(panel)
@@ -145,10 +142,7 @@ def varlingam_fit(
     np.fill_diagonal(A0, 0.0)
     # step 4: lag matrices A_tau = (I - A0) B_tau', instantaneous effects removed
     W = tuple(((np.eye(m) - A0) @ B[tau].T).T for tau in range(p))
-    return VarLingamResult(
-        graph=DynamicGraph(S=A0.T, W=W, variable_names=names),
-        corr_with_target=corr,
-    )
+    return VarLingamResult(DynamicGraph(S=A0.T, W=W, variable_names=names))
 
 
 def varlingam_select(
@@ -163,12 +157,5 @@ def varlingam_select(
     """Select features with an effect on the target above ``edge_threshold``
     in the instantaneous matrix or any lag matrix (switchable per kind)."""
     result = varlingam_fit(panel, p=p, k_clusters=k_clusters, seed=seed)
-    weights = result.graph.in_weights(
-        panel.target_name, use_instantaneous, use_lagged
-    )  # pre-filtered features have no edges and weigh 0
-    diagnostics = {
-        name: (abs(result.corr_with_target[name]), weights.get(name, 0.0))
-        for name in panel.feature_names
-    }
-    selected = frozenset(n for n, w in weights.items() if w > edge_threshold)
-    return FeatureSet(selected, diagnostics)
+    weights = result.graph.in_weights(panel.target_name, use_instantaneous, use_lagged)
+    return FeatureSet(frozenset(n for n, w in weights.items() if w > edge_threshold))

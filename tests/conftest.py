@@ -1,11 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from causalfs.numerics import ols_fit
 from causalfs.panel import AlignedPanel, MonthStamp
+from causalfs.selectors import residual_invariance_p
 
 # The ci profile is the default: every run draws the same examples, so a
 # failure reproduces on the next run; --hypothesis-profile=<name> overrides it
@@ -47,6 +50,18 @@ def make_panel(target, features, names=None, start="2000-01", target_name="Y"):
         feature_names=tuple(names),
         target_name=target_name,
     )
+
+
+def per_subset_p_values(design, envs, max_subset_size):
+    """seqICP's invariance p of every feature subset up to ``max_subset_size``
+    along the per-subset path: one ols_fit and one 1-D invariance test each."""
+    p_values = {}
+    for size in range(max_subset_size + 1):
+        for subset in combinations(design.feature_names, size):
+            cols = [0] + design.feature_column_indices(subset)
+            fit = ols_fit(design.X[:, cols], design.y)
+            p_values[subset] = residual_invariance_p(fit.residuals, envs)
+    return p_values
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from causalfs.synthlab import (
     simulate_svar,
 )
 
-from conftest import make_panel, month_range
+from conftest import make_panel, month_range, per_subset_p_values
 
 EMPTY_CAL = RegimeCalendar(())
 
@@ -265,22 +265,24 @@ def test_seqicp_coverage_and_rejection():
         if set(fs.selected) <= {"X1"}:  # true parent set
             covered += 1
 
-    informative = True
+    rejected = True
     for seed in range(10):
         panel, _ = simulate_svar(
             S, [W], n=800, seed=seed,
             environment_shifts=(EnvShift("Y", start_row=400, mean=4.0),),
         )
         design = build_design(panel, 1)
-        fs = seqicp_select(design, halves_environments(design.n),
-                           alpha=0.05, max_subset_size=2)
-        informative = informative and fs.selected == frozenset() and fs.empty_informative
-    ok = covered >= 95 and informative
+        envs = halves_environments(design.n)
+        fs = seqicp_select(design, envs, alpha=0.05, max_subset_size=2)
+        every_subset_rejected = all(
+            p <= 0.05 for p in per_subset_p_values(design, envs, 2).values())
+        rejected = rejected and fs.selected == frozenset() and every_subset_rejected
+    ok = covered >= 95 and rejected
     report(
         "seqicp",
         ok,
-        f"coverage {covered}/100 (>=95), target intervention -> informative "
-        f"empty set: {informative}",
+        f"coverage {covered}/100 (>=95), target intervention -> every subset "
+        f"rejected, empty set: {rejected}",
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalfs.selectors as selectors_module
 from causalfs.backtest import (
     BacktestConfig,
     BacktestLedger,
@@ -266,7 +267,7 @@ class TestRunBacktest:
             names = panel_w.feature_names
             k = 2 if len(panel_w) < 24 else len(names)
             sel = names[:k]
-            return FeatureSet(frozenset(sel), {n: (0.0, 0.0) for n in sel})
+            return FeatureSet(frozenset(sel))
 
         import causalfs.backtest as bt
 
@@ -436,15 +437,16 @@ class TestSelectorRegistry:
         crisis = design.dates[30:55]
         cal = load_calendar(f"{crisis[0]}..{crisis[-1]}\n")
         rows = np.arange(design.n)
-        expected = seqicp_select(design, [
-            Environment("normal", np.setdiff1d(rows, rows[30:55])),
-            Environment("crisis", rows[30:55]),
-        ])
+        envs = [Environment("normal", np.setdiff1d(rows, rows[30:55])),
+                Environment("crisis", rows[30:55])]
         selector = make_selector("seqicp", {"environments": "calendar"})
-        got = selector(panel, 1, 0, cal)
-        np.testing.assert_equal(vars(got), vars(expected))
-        halves = seqicp_select(design)
-        assert got.diagnostics != halves.diagnostics
+        with mock.patch.object(selectors_module, "seqicp_select", wraps=seqicp_select) as spy:
+            got = selector(panel, 1, 0, cal)
+        np.testing.assert_equal(vars(got), vars(seqicp_select(design, envs)))
+        # the calendar's regimes, not the window's halves, were tested
+        [(_, passed), _] = spy.call_args
+        assert [(e.label, e.rows.tolist()) for e in passed] == [
+            (e.label, e.rows.tolist()) for e in envs]
 
     def test_seqicp_single_regime_calendar_falls_back_to_halves(self, panel):
         design = build_design(panel, 1)

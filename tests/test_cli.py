@@ -613,7 +613,36 @@ MALFORMED_CSV = {
 }
 
 
+# One input file per case, by the command that first reads it: (command, file)
+NON_UTF8 = {
+    "fredmd": ("ingest", "fredmd.csv"),
+    "groups": ("ingest", "groups.csv"),
+    "prices": ("ingest", "prices.csv"),
+    "calendar": ("backtest", "crisis.txt"),
+    "panel": ("backtest", "out/panel.csv"),
+    "ledger": ("report", "out/ledger_granger.csv"),
+    "run-config": ("ingest", "run.toml"),
+}
+
+
 class TestMalformedCsv:
+    @pytest.mark.parametrize("case", NON_UTF8)
+    def test_non_utf8_byte_exit_2_naming_the_file(self, workspace, capsys, case):
+        command, name = NON_UTF8[case]
+        config = workspace / "run.toml"
+        steps = ("ingest", "backtest", "report")
+        for earlier in steps[: steps.index(command)]:
+            assert run_cli(earlier, "--config", config) == 0
+        path = workspace / name
+        path.write_bytes(path.read_bytes() + b"\xe9")
+        capsys.readouterr()
+        assert run_cli(command, "--config", config) == 2
+        err = capsys.readouterr().err
+        if name == "run.toml":
+            assert err.startswith(f"config error: config file {config} is not UTF-8 text: ")
+        else:
+            assert err.startswith(f"error: {path.resolve()}: 'utf-8' codec can't decode byte 0xe9")
+
     @pytest.mark.parametrize("case", MALFORMED_CSV)
     def test_exit_2_naming_the_row(self, workspace, capsys, case):
         command, name, line, edit = MALFORMED_CSV[case]

@@ -20,6 +20,7 @@ from causalfs.panel import (
     build_design,
     design_links,
     lag_rows,
+    stack_lags,
 )
 
 from conftest import make_panel, month_range
@@ -224,6 +225,22 @@ class TestLagRows:
     def test_read_outside_the_data_rejected(self, links, times):
         with pytest.raises(IndexError, match="outside the data's 6 rows x 2 columns"):
             lag_rows(np.zeros((6, 2)), links, times)
+
+
+class TestStackLags:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equals_lag_rows_over_lag_major_links(self, p):
+        data = np.random.default_rng(p).normal(size=(40, 5))
+        current, lagged = stack_lags(data, p)
+        links = [(j, tau) for tau in range(1, p + 1) for j in range(5)]
+        for got, want in [(current, lag_rows(data, [(j, 0) for j in range(5)], range(p, 40))),
+                          (lagged, lag_rows(data, links, range(p, 40)))]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_lag_order_below_one_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            stack_lags(np.zeros((6, 2)), p)
 
 
 class TestAlignedPanelInvariants:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalfs.errors import RankDeficientWarning
-from causalfs.numerics import f_sf, f_test_nested, ols_fit
+from causalfs.numerics import f_sf, f_test_nested, nested_rss, ols_fit
 from causalfs.panel import build_design
 from causalfs.selectors import granger_select
 from causalfs.synthlab import SvarSpec, generate_svar
@@ -52,21 +52,23 @@ def test_duplicated_column_warns_but_selects(rng):
     panel = make_panel(y, np.column_stack([x, x]), names=("A", "A_copy"))
     with pytest.warns(RankDeficientWarning):
         fs = granger_select(build_design(panel, 1), alpha=0.05)
-    assert set(fs.diagnostics) == {"A", "A_copy"}
+    assert set(fs.p_values) == {"A", "A_copy"}
 
 
 def test_scaling_invariance_of_statistic(rng):
     n = 300
     feats = rng.normal(size=(n, 3))
     y = rng.normal(size=n)
-    base = granger_select(build_design(make_panel(y, feats), 1), alpha=0.05)
+    base = build_design(make_panel(y, feats), 1)
     scaled = feats.copy()
     scaled[:, 1] *= 1234.5
-    resc = granger_select(build_design(make_panel(y, scaled), 1), alpha=0.05)
+    resc = build_design(make_panel(y, scaled), 1)
+    base_f, resc_f = _nested_f_tests(base), _nested_f_tests(resc)
+    base_p = granger_select(base, alpha=0.05).p_values
+    resc_p = granger_select(resc, alpha=0.05).p_values
     for name in ("X1", "X2", "X3"):
-        assert base.diagnostics[name][0] == pytest.approx(
-            resc.diagnostics[name][0], abs=1e-8, rel=1e-8
-        )
+        assert base_f[name][0] == pytest.approx(resc_f[name][0], abs=1e-8, rel=1e-8)
+        assert base_p[name] == pytest.approx(resc_p[name], abs=1e-8, rel=1e-8)
 
 
 def test_never_selects_target_lag(rng):
@@ -77,7 +79,21 @@ def test_never_selects_target_lag(rng):
     panel = make_panel(y, rng.normal(size=(n, 2)))
     fs = granger_select(build_design(panel, 1), alpha=0.05)
     assert "Y" not in fs.selected
-    assert set(fs.diagnostics) <= {"X1", "X2"}
+    assert set(fs.p_values) == {"X1", "X2"}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+def test_p_values_key_every_feature_and_decide_selection(rng, alpha):
+    n = 120
+    feats = rng.normal(size=(n, 6))
+    y = np.empty(n)
+    y[0] = 0.0
+    y[1:] = 0.3 * feats[:-1, 0] + 0.2 * feats[:-1, 3] + rng.normal(size=n - 1)
+    design = build_design(make_panel(y, feats), 2)
+    fs = granger_select(design, alpha=alpha)
+    assert tuple(fs.p_values) == design.feature_names
+    assert fs.selected == {name for name, p in fs.p_values.items() if p < alpha}
+    assert fs.p_values == {name: p for name, (_, p) in _nested_f_tests(design).items()}
 
 
 def test_joint_lag_block_q_equals_p(rng):
@@ -92,7 +108,18 @@ def test_joint_lag_block_q_equals_p(rng):
     assert "X1" in fs.selected
 
 
-def _refit_diagnostics(design, fit_rss):
+def _nested_f_tests(design):
+    """(F, p) per feature from ``f_test_nested`` on ``nested_rss``, the two
+    calls ``granger_select`` makes."""
+    n, k_cols = design.X.shape
+    blocks = list(design.blocks.values())
+    rss_full, rss_restricted = nested_rss(design.X, design.y, blocks)
+    test = f_test_nested(rss_restricted, rss_full, q=[len(b) for b in blocks], n=n,
+                         k_full=k_cols + 1)
+    return dict(zip(design.blocks, zip(test.statistic.tolist(), test.p_value.tolist())))
+
+
+def _refit_f_tests(design, fit_rss):
     """(F, p) per feature from refitting the model without its lag block."""
     n, k_cols = design.X.shape
     full = fit_rss(design.X, design.y)
@@ -120,11 +147,12 @@ def test_matches_per_feature_lstsq_refits(rng, p):
     y[:p] = 0.0
     y[p:] = 0.3 * feats[:-p, 0] - 0.25 * feats[:-p, 1] + rng.normal(size=n - p)
     design = build_design(make_panel(y, feats), p)
-    oracle = _refit_diagnostics(design, _lstsq_rss)
+    oracle = _refit_f_tests(design, _lstsq_rss)
+    got = _nested_f_tests(design)
     fs = granger_select(design, alpha=0.05)
     for name, (stat, pval) in oracle.items():
-        assert fs.diagnostics[name][0] == pytest.approx(stat, rel=1e-9)
-        assert fs.diagnostics[name][1] == pytest.approx(pval, rel=1e-9)
+        assert got[name][0] == pytest.approx(stat, rel=1e-9)
+        assert fs.p_values[name] == pytest.approx(pval, rel=1e-9)
     assert fs.selected == {name for name, (_, pv) in oracle.items() if pv < 0.05}
 
 
@@ -138,10 +166,11 @@ def test_near_collinear_full_rank_design_matches_refits(rng, p):
     y[p:] = 0.3 * feats[:-p, 0] - 0.25 * feats[:-p, 1] + rng.normal(size=n - p)
     design = build_design(make_panel(y, feats), p)
     assert 1e5 < np.linalg.cond(np.column_stack([np.ones(design.n), design.X])) < 1e7
-    oracle = _refit_diagnostics(design, _lstsq_rss)
+    oracle = _refit_f_tests(design, _lstsq_rss)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RankDeficientWarning)
         fs = granger_select(design, alpha=0.05)
+        got = _nested_f_tests(design)
     # F is a difference of two RSS values, which a float64 refit holds only
     # to ~1e-9 of the RSS at cond 1e6 (it drifts ~6e-9 from the exact F on
     # the smallest statistics here). So the refit is matched to 1e-9 of the
@@ -149,7 +178,7 @@ def test_near_collinear_full_rank_design_matches_refits(rng, p):
     df2 = design.n - design.X.shape[1] - 1
     for name, (stat, _) in oracle.items():
         tol = 1e-9 * (stat + df2 / p)
-        got_stat, got_p = fs.diagnostics[name]
+        got_stat, got_p = got[name][0], fs.p_values[name]
         assert abs(got_stat - stat) <= tol
         assert f_sf(stat + tol, p, df2) <= got_p <= f_sf(stat - tol, p, df2)
     assert fs.selected == {name for name, (_, pv) in oracle.items() if pv < 0.05}
@@ -166,5 +195,8 @@ def test_exactly_collinear_design_refits_bit_for_bit(rng):
     with pytest.warns(RankDeficientWarning):
         fs = granger_select(design, alpha=0.05)
     with pytest.warns(RankDeficientWarning):
-        oracle = _refit_diagnostics(design, lambda X, y: ols_fit(X, y).rss)
-    assert fs.diagnostics == oracle
+        got = _nested_f_tests(design)
+    with pytest.warns(RankDeficientWarning):
+        oracle = _refit_f_tests(design, lambda X, y: ols_fit(X, y).rss)
+    assert got == oracle
+    assert fs.p_values == {name: p for name, (_, p) in oracle.items()}

@@ -63,7 +63,7 @@ def test_never_selects_target_lag(rng):
     panel = make_panel(y, rng.normal(size=(n, 3)))
     fs = pcmci_select(panel, p=2, alpha=0.05)
     assert "Y" not in fs.selected
-    assert set(fs.diagnostics) == {"X1", "X2", "X3"}
+    assert set(fs.p_values) <= {"X1", "X2", "X3"}
 
 
 def test_conditioning_set_truncation_warns(rng):
@@ -91,7 +91,7 @@ def test_deterministic(rng):
     a = pcmci_select(panel, p=1, alpha=0.05)
     b = pcmci_select(panel, p=1, alpha=0.05)
     assert a.selected == b.selected
-    assert a.diagnostics == b.diagnostics
+    assert a.p_values == b.p_values
 
 
 # --- oracle: the re-sort loop with one partial_correlation per CI test ---
@@ -115,7 +115,6 @@ def _oracle_parcorr(view, x_link, y_var, cond_links):
 
 def _oracle_condition_select(view, j, candidates, alpha, max_cond_dim, max_parents):
     strength = {link: np.inf for link in candidates}
-    pval = {link: 0.0 for link in candidates}
     parents = list(candidates)
     for q in range(max_cond_dim + 1):
         if len(parents) - 1 < q:
@@ -129,18 +128,18 @@ def _oracle_condition_select(view, j, candidates, alpha, max_cond_dim, max_paren
                 continue
             r, p = result
             strength[link] = min(strength[link], abs(r))
-            pval[link] = max(pval[link], p)
             if p >= alpha:
                 removed.append(link)
         for link in removed:
             parents.remove(link)
         parents.sort(key=lambda o: (-strength[o], o))
         parents = parents[:max_parents]
-    return parents, strength, pval
+    return parents, strength
 
 
 def _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1):
-    """Stage-one parents of every screened variable, selection, diagnostics."""
+    """Stage-one parents and strengths of every screened variable, and the
+    smallest stage-two p of each feature with a tested link."""
     names = (panel.target_name, *panel.feature_names)
     data = np.column_stack([panel.target, panel.features])
     candidates = [(i, tau) for i in range(data.shape[1]) for tau in range(1, p + 1)]
@@ -151,11 +150,9 @@ def _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1):
         if i not in stage1:
             stage1[i] = _oracle_condition_select(view, i, candidates, alpha, max_cond_dim,
                                                  max_parents_stage1)
-    parents0, stat0, pval0 = stage1[0]
+    parents0 = stage1[0][0]
     mci_view = _LagView(data, 2 * p)
-    best_stat = dict.fromkeys(panel.feature_names, 0.0)
-    best_p = dict.fromkeys(panel.feature_names, 1.0)
-    selected = set()
+    p_values = {}
     for link in parents0:
         i, tau = link
         if i == 0:
@@ -166,24 +163,8 @@ def _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1):
         result = _oracle_parcorr(mci_view, link, 0, cond)
         if result is None:
             continue
-        r, pv = result
-        name = names[i]
-        if abs(r) > abs(best_stat[name]):
-            best_stat[name] = r
-        best_p[name] = min(best_p[name], pv)
-        if pv < alpha:
-            selected.add(name)
-    diagnostics = {}
-    for name in panel.feature_names:
-        i = names.index(name)
-        if any(link[0] == i for link in parents0):
-            diagnostics[name] = (best_stat[name], best_p[name])
-        else:
-            stats = [stat0[link] for link in candidates
-                     if link[0] == i and np.isfinite(stat0[link])]
-            ps = [pval0[link] for link in candidates if link[0] == i]
-            diagnostics[name] = (max(stats) if stats else 0.0, min(ps) if ps else 1.0)
-    return stage1, selected, diagnostics
+        p_values.setdefault(names[i], []).append(result[1])
+    return stage1, {name: min(ps) for name, ps in p_values.items()}
 
 
 # r and p of the Gram path may differ from the oracle's least-squares
@@ -200,21 +181,18 @@ def _assert_close_records(got, want):
 
 
 def assert_matches_oracle(panel, p, alpha=0.05, max_cond_dim=3, max_parents_stage1=10):
-    stage1, selected, diagnostics = _oracle_pcmci(
-        panel, p, alpha, max_cond_dim, max_parents_stage1)
+    stage1, p_values = _oracle_pcmci(panel, p, alpha, max_cond_dim, max_parents_stage1)
     data = np.column_stack([panel.target, panel.features])
     candidates = [(i, tau) for i in range(data.shape[1]) for tau in range(1, p + 1)]
     view = _LagView(data, p)
-    for j, (parents, strength, pval) in stage1.items():
-        got = _condition_select(view, j, list(candidates), alpha, max_cond_dim,
-                                max_parents_stage1)
-        assert got[0] == parents
-        _assert_close_records(got[1], strength)
-        _assert_close_records(got[2], pval)
+    for j, (parents, _) in stage1.items():
+        assert _condition_select(view, j, list(candidates), alpha, max_cond_dim,
+                                 max_parents_stage1) == parents
     fs = pcmci_select(panel, p=p, alpha=alpha, max_cond_dim=max_cond_dim,
                       max_parents_stage1=max_parents_stage1)
-    assert fs.selected == selected
-    _assert_close_records(fs.diagnostics, diagnostics)
+    # keys: exactly the features with a tested stage-two link
+    _assert_close_records(fs.p_values, p_values)
+    assert fs.selected == {name for name, pv in fs.p_values.items() if pv < alpha}
     return stage1
 
 
@@ -240,24 +218,22 @@ def test_matches_oracle_on_skipped_tests(rng):
 
 def test_too_few_rows_skip_every_unconditional_test(rng):
     # 4 rows at p = 1 leave 3 usable rows: each q = 0 test is skipped with one
-    # warning, so no link gets a strength or is removed
+    # warning, so no link is removed
     panel = make_panel(rng.normal(size=4), rng.normal(size=(4, 3)))
     view = _LagView(np.column_stack([panel.target, panel.features]), 1)
     candidates = [(i, 1) for i in range(4)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        parents, strength, pval = _condition_select(view, 0, candidates, 0.05, 0, 10)
+        parents = _condition_select(view, 0, candidates, 0.05, 0, 10)
     assert [(w.category, str(w.message)) for w in caught] == [
         (SkippedTestWarning, "skipping test with 0 conditions on 3 rows")] * len(candidates)
     assert parents == candidates
-    assert strength == dict.fromkeys(candidates, np.inf)
-    assert pval == dict.fromkeys(candidates, 0.0)
     # the momentary tests are skipped too, and an untested link is never
-    # selected: its feature keeps the default diagnostics
+    # selected: no feature has a p-value
     with pytest.warns(SkippedTestWarning):
         fs = pcmci_select(panel, p=1)
     assert fs.selected == set()
-    assert fs.diagnostics == dict.fromkeys(["X1", "X2", "X3"], (0.0, 1.0))
+    assert fs.p_values == {}
     with pytest.warns(SkippedTestWarning):
         assert_matches_oracle(panel, 1)
 
@@ -276,7 +252,7 @@ def test_tied_strengths_keep_parent_order():
     features = np.column_stack([np.append(v, 0.0) for v in (a, b, c)] + [noise])
     panel = make_panel(np.append(0.0, y), features)
     view = _LagView(np.column_stack([panel.target, panel.features]), 1)
-    _, strength, _ = _condition_select(view, 0, [(i, 1) for i in range(6)], 0.5, 0, 10)
+    _, strength = _oracle_condition_select(view, 0, [(i, 1) for i in range(6)], 0.5, 0, 10)
     assert strength[(1, 1)] == strength[(2, 1)] < strength[(3, 1)]
     for max_cond_dim in (0, 1, 2):
         for max_parents in (1, 2, 3):
@@ -311,11 +287,10 @@ def test_zero_variance_column_reads_no_evidence(rng, value):
     features[:, 1] = value
     panel = make_panel(rng.normal(size=60), features)
     fs = pcmci_select(panel, p=1)
-    assert "X2" not in fs.selected and fs.diagnostics["X2"] == (0.0, 1.0)
+    assert "X2" not in fs.p_values  # dropped in stage one, never tested in stage two
     without = pcmci_select(make_panel(panel.target, features[:, [0, 2]], ("X1", "X3")), p=1)
     assert fs.selected == without.selected
-    _assert_close_records({k: v for k, v in fs.diagnostics.items() if k != "X2"},
-                          without.diagnostics)
+    _assert_close_records(fs.p_values, without.p_values)
 
 
 def test_constant_column_with_rounded_mean_matches_oracle(rng):
@@ -341,8 +316,8 @@ def test_constant_x_or_y_reads_no_evidence_with_conditions(rng):
 def test_constant_feature_changes_no_other_selection():
     # 16 labs with a constant column inserted first, in the middle or last:
     # every window selects and reports exactly as it does without the
-    # column, which reads (0, 1) unselected; no other link's r or p may
-    # depend on how many columns the panel holds
+    # column, which stage one drops untested in stage two; no other link's
+    # p may depend on how many columns the panel holds
     for seed in range(16):
         base, _ = generate_svar(SvarSpec(d=8, n=70, seed=seed))
         for at in (0, 3, 7):
@@ -356,8 +331,7 @@ def test_constant_feature_changes_no_other_selection():
                         want = pcmci_select(base.head(n), p=p)
                         got = pcmci_select(wide.head(n), p=p)
                     assert got.selected == want.selected
-                    assert got.diagnostics.pop("C") == (0.0, 1.0)
-                    assert got.diagnostics == want.diagnostics, (seed, at, n, p)
+                    assert got.p_values == want.p_values, (seed, at, n, p)
 
 
 @settings(max_examples=30, deadline=None)

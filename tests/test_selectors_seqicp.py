@@ -14,7 +14,7 @@ from causalfs.panel import AlignedPanel, build_design
 from causalfs.selectors import halves_environments, residual_invariance_p, seqicp_select
 from causalfs.selectors.base import Environment
 from causalfs.synthlab import EnvShift, simulate_svar
-from conftest import month_range
+from conftest import month_range, per_subset_p_values
 
 
 def chain_fixture(seed, shift_variable="X2", n=800):
@@ -44,24 +44,24 @@ def test_identifies_invariant_parent():
     assert exact >= 90
 
 
-def test_direct_target_intervention_returns_informative_empty():
+def test_direct_target_intervention_rejects_every_subset():
     for seed in range(5):
         panel, _ = chain_fixture(seed, shift_variable="Y")
         design = build_design(panel, 1)
-        fs = seqicp_select(design, halves_environments(design.n),
-                           alpha=0.05, max_subset_size=2)
+        envs = halves_environments(design.n)
+        fs = seqicp_select(design, envs, alpha=0.05, max_subset_size=2)
         assert fs.selected == frozenset()
-        assert fs.empty_informative
+        assert all(p <= 0.05 for p in per_subset_p_values(design, envs, 2).values())
 
 
 def test_identical_environments_intersection_set_algebra():
     panel, _ = chain_fixture(11, shift_variable=None)
     design = build_design(panel, 1)
-    fs = seqicp_select(design, halves_environments(design.n),
-                       alpha=0.05, max_subset_size=2)
+    envs = halves_environments(design.n)
+    fs = seqicp_select(design, envs, alpha=0.05, max_subset_size=2)
     # with no shift everything is invariant: accepted sets abound, and the
     # intersection must sit inside every accepted subset -- notably the empty one
-    assert not fs.empty_informative
+    assert per_subset_p_values(design, envs, 2)[()] > 0.05
     assert fs.selected == frozenset()
 
 
@@ -134,17 +134,6 @@ def thirds_environments(n):
             Environment("recovery", idx[n // 2 : 2 * n // 3])]
 
 
-def per_subset_p_values(design, envs, max_subset_size):
-    # the per-subset path: one ols_fit and one 1-D invariance test per subset
-    p_values = {}
-    for size in range(max_subset_size + 1):
-        for subset in combinations(design.feature_names, size):
-            cols = [0] + design.feature_column_indices(subset)
-            fit = ols_fit(design.X[:, cols], design.y)
-            p_values[subset] = residual_invariance_p(fit.residuals, envs)
-    return p_values
-
-
 def batched_p_values(design, envs, max_subset_size):
     # the batched path: one residual call and one test call per subset size
     gram = subset_gram(design.X, design.y)
@@ -159,11 +148,6 @@ def batched_p_values(design, envs, max_subset_size):
 def assert_selects_as_per_subset(fs, p_values, alpha):
     accepted = [frozenset(s) for s, p in p_values.items() if p > alpha]
     assert fs.selected == (frozenset.intersection(*accepted) if accepted else frozenset())
-    assert fs.empty_informative == (not accepted)
-    for name, (appearances, best_p) in fs.diagnostics.items():
-        mine = [p for s, p in p_values.items() if name in s]
-        assert appearances == sum(p > alpha for p in mine)
-        np.testing.assert_allclose(best_p, max(mine, default=0.0), rtol=1e-10)
 
 
 class TestResidualInvariance:

@@ -57,7 +57,7 @@ def test_graph_rows_are_causes(seed):
 
 def test_identity_prefilter_when_k_equals_d(rng):
     panel = make_panel(rng.normal(size=50), rng.normal(size=(50, 4)))
-    kept, _ = cluster_prefilter(panel, k_clusters=4, seed=0)
+    kept = cluster_prefilter(panel, k_clusters=4, seed=0)
     assert kept == panel.feature_names
 
 
@@ -73,7 +73,7 @@ def test_prefilter_keeps_strongest_per_cluster(rng):
     f4 = other + 2.0 * rng.normal(size=n)
     target = base  # correlate with the base cluster directly
     panel = make_panel(target, np.column_stack([f1, f2, f3, f4]))
-    kept, corr = cluster_prefilter(panel, k_clusters=2, seed=1)
+    kept = cluster_prefilter(panel, k_clusters=2, seed=1)
     assert len(kept) == 2
     assert "X2" in kept  # strongest within the base cluster
 
@@ -84,9 +84,7 @@ def _assert_constant_feature_scores_zero(rng, value):
     target = rng.uniform(-1, 1, size=n)
     weak = 0.1 * target + rng.uniform(-1, 1, size=n)
     panel = make_panel(target, np.column_stack([np.full(n, value), weak]))
-    kept, corr = cluster_prefilter(panel, k_clusters=1, seed=0)
-    assert corr["X1"] == 0.0
-    assert kept == ("X2",)
+    assert cluster_prefilter(panel, k_clusters=1, seed=0) == ("X2",)
     fs = varlingam_select(panel, p=1, k_clusters=1, seed=0)
     assert "X1" not in fs.selected
 
@@ -106,10 +104,9 @@ def test_constant_feature_does_not_take_a_cluster():
     base = generate_svar(SvarSpec(d=8, n=70, instantaneous=False, target_parents=3,
                                   ar_coeff=0.3, seed=2))[0]
     panel = make_panel(base.target, np.column_stack([base.features, np.full(70, 0.07)]))
-    kept, corr = cluster_prefilter(panel.head(60), k_clusters=4, seed=2)
-    assert "X8" not in kept and corr["X8"] == 0.0
+    assert "X8" not in cluster_prefilter(panel.head(60), k_clusters=4, seed=2)
     fs = varlingam_select(panel.head(60), p=1, k_clusters=4, seed=2)
-    assert "X8" not in fs.selected and fs.diagnostics["X8"] == (0.0, 0.0)
+    assert "X8" not in fs.selected
 
 
 def test_no_dependence_mostly_empty():
@@ -132,13 +129,15 @@ def test_too_many_covariates(rng):
         varlingam_fit(panel, p=1)
 
 
-def test_diagnostics_cover_dropped_features(rng):
+def test_prefiltered_features_are_never_selected(rng):
     n = 400
     feats = rng.uniform(-1, 1, size=(n, 6))
     y = rng.uniform(-1, 1, size=n)
     panel = make_panel(y, feats)
-    fs = varlingam_select(panel, p=1, k_clusters=3, seed=0)
-    assert set(fs.diagnostics) == set(panel.feature_names)
+    kept = cluster_prefilter(panel, k_clusters=3, seed=0)
+    assert len(kept) <= 3
+    fs = varlingam_select(panel, p=1, k_clusters=3, seed=0, edge_threshold=0.0)
+    assert fs.selected <= set(kept) and fs.p_values == {}
 
 
 def test_deterministic_given_seed():
@@ -146,7 +145,6 @@ def test_deterministic_given_seed():
     a = varlingam_select(panel, p=1, seed=12)
     b = varlingam_select(panel, p=1, seed=12)
     assert a.selected == b.selected
-    assert a.diagnostics == b.diagnostics
 
 
 def test_instantaneous_and_lagged_switches():
@@ -188,7 +186,6 @@ def test_causal_order_never_computed_during_selection(monkeypatch):
         (make_selector("varlingam", {})(panel, 1, 7, cal), registry),
     ]:
         assert got.selected == want.selected
-        assert got.diagnostics == want.diagnostics
     assert run_backtest(panel, cal, cfg).records == ledger.records
 
 

@@ -26,7 +26,7 @@ from causalfs.synthlab import (
 
 
 def fs(names):
-    return FeatureSet(frozenset(names), {n: (0.0, 0.0) for n in names})
+    return FeatureSet(frozenset(names))
 
 
 class TestGeneration:
