@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # the installed entry point, which the tests call only as a function:
 # a tiny validate spec must exit 0; --selectors must pick from a
-# two-selector spec; a spec with n_seeds = 0 and a --seed of -1 must
-# exit 2 before they create an output directory; importing causalfs.cli
+# two-selector spec; a spec with n_seeds = 0, a --seed of -1 and a
+# --selectors that names granger twice must exit 2 before they create an
+# output directory, the last with no traceback; importing causalfs.cli
 # must not load scipy, which only the selectors' kernels import; a tiny
 # exported panel must go through ingest, backtest and report; a price
 # CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
 # backtest whose window leaves no month to forecast must exit 2, and so
-# must an ingest whose FRED-MD header repeats a series or whose
-# target_name names a series, with no traceback; a calendar-mode seqicp
-# backtest whose windows hold only a few crisis months must test the
-# halves there, not log a selector fallback; nor may a pcmci backtest on
-# a panel with a constant feature; a truncated panel_meta.json must make
+# must an ingest whose FRED-MD header repeats a series, whose transform
+# row holds inf or whose target_name names a series, with no traceback; a
+# calendar-mode seqicp backtest whose windows hold only a few crisis
+# months must test the halves there, not log a selector fallback; nor may
+# a pcmci backtest on a panel with a constant feature; a truncated panel_meta.json must make
 # backtest exit 2, with no traceback, and so must a FRED-MD file that ends
 # in the byte 0xE9 (not UTF-8) make ingest; and after a good ingest into out/,
 # a failing ingest into the same directory must leave no panel there, so
@@ -33,6 +34,11 @@ rc=0
 causalfs validate --config ok.toml --out neg --seed -1 || rc=$?
 test "$rc" -eq 2
 test ! -e neg
+rc=0
+causalfs validate --config ok.toml --out twice --selectors granger,granger 2> twice_err.txt || rc=$?
+test "$rc" -eq 2
+test ! -e twice
+if grep Traceback twice_err.txt; then exit 1; fi
 python -c "from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; texts = export_fredmd(generate_svar(SvarSpec(d=4, n=80, seed=3))[0]); [open(f'{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), texts)]"
 printf '2003-01..2003-06\n' > crisis.txt
 printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "out"\nwindow = 40\nselectors = ["granger"]\n' > run.toml
@@ -70,6 +76,12 @@ rc=0
 causalfs ingest --config dup_fredmd.toml --out dup_fredmd 2> dup_fredmd_err.txt || rc=$?
 test "$rc" -eq 2
 if grep Traceback dup_fredmd_err.txt; then exit 1; fi
+sed '2s/,[^,]*/,inf/' fredmd.csv > inf_tcode_fredmd.csv
+sed 's/"fredmd.csv"/"inf_tcode_fredmd.csv"/' run.toml > inf_tcode.toml
+rc=0
+causalfs ingest --config inf_tcode.toml --out inf_tcode 2> inf_tcode_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback inf_tcode_err.txt; then exit 1; fi
 { cat run.toml; printf 'target_name = "X2"\n'; } > series_target.toml
 rc=0
 causalfs ingest --config series_target.toml --out series_target 2> series_target_err.txt || rc=$?

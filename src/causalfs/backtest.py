@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BacktestAborted, CausalfsError, InsufficientHistory, MalformedCsv
 from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
 from .numerics import OlsFit, ols_fit
-from .panel import AlignedPanel, MonthStamp, design_links, lag_rows
+from .panel import AlignedPanel, MonthStamp, design_columns, stack_lags
 from .selectors import make_selector
 from .selectors.base import FeatureSet
 
@@ -90,18 +90,19 @@ def step_seed(seed: int, step: int) -> int:
 def fit_forecast_model(
     panel: AlignedPanel, p: int, selected: tuple[str, ...]
 ) -> tuple[OlsFit, np.ndarray]:
-    """Fit the forecasting OLS of y_t on the ``design_links`` layout of the
+    """Fit the forecasting OLS of y_t on the ``design_columns`` layout of the
     target and the selected features, in ``selected`` order, and read the
-    next-step regressor vector as the same lags at time T. Only those
+    next-step regressor vector as the same lags at time T: the rows T - 1
+    down to T - p, lag-major as ``stack_lags`` lays them out. Only those
     columns are stacked, so the cost does not grow with the panel's width."""
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
     cols = [panel.feature_names.index(name) for name in selected]
     data = np.column_stack([panel.target, panel.features[:, cols]])
-    links = design_links(range(1, len(cols) + 1), p)
-    rows = lag_rows(data, links, range(p, T + 1))  # time T: the next step
-    return ols_fit(rows[:-1], panel.target[p:T]), rows[-1]
+    layout = design_columns(data.shape[1], p)
+    _, lagged = stack_lags(data, p)
+    return ols_fit(lagged[:, layout], panel.target[p:T]), data[T - p :][::-1].ravel()[layout]
 
 
 def run_backtest(

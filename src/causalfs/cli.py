@@ -231,8 +231,8 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
     base_seed = flags.get("seed", cfg.spec.seed)
     out.mkdir(parents=True, exist_ok=True)
     sids = flags.get("selectors", cfg.selectors)
-    labs = []  # (spec, panel, truth) per seed, shared by all selectors; none without one
-    for k in range(cfg.n_seeds if sids else 0):
+    labs = []  # (spec, panel, truth) per seed, shared by all selectors
+    for k in range(cfg.n_seeds):
         spec = replace(cfg.spec, seed=base_seed + k)
         try:
             labs.append((spec, *synthlab.generate_svar(spec)))

@@ -129,8 +129,16 @@ def _selector_ids(value) -> list:
     ids = [value] if isinstance(value, str) else value
     if not isinstance(ids, list):
         raise TypeError(f"expected selector ids, got {ids!r}")
-    for sid in ids:
+    for i, sid in enumerate(ids):
         selector_params(sid)
+        if sid in ids[:i]:
+            raise ValueError(f"selector {sid!r} listed twice")
+    return ids
+
+
+def _selectors(value) -> list:
+    if not (ids := _selector_ids(value)):
+        raise ValueError("must list at least one selector id")
     return ids
 
 
@@ -151,7 +159,7 @@ _INPUT_FILES = dict.fromkeys(("fredmd_csv", "prices_csv", "groups_csv", "calenda
 RUN_CONFIG_KEYS = {
     **_INPUT_FILES, "output_dir": string, "window": integer, "p": at_least(1),
     "metric_window": at_least(1), "shift_months": at_least(0), "seed": at_least(0),
-    "target_name": string, "selectors": _selector_ids, "selector": _selector_tables,
+    "target_name": string, "selectors": _selectors, "selector": _selector_tables,
     "reselect_every": at_least(1), "combine": _combine, "combine_weight": number,
 }
 
@@ -165,7 +173,7 @@ def _environment_shifts(rows) -> tuple:
 # key -> coercion for a validate spec; the keys from seed on make an SvarSpec,
 # which checks what they mean. Defaults are SvarSpec's and ValidateConfig's.
 VALIDATE_KEYS = {
-    "output_dir": string, "selectors": _selector_ids, "selector": _selector_tables,
+    "output_dir": string, "selectors": _selectors, "selector": _selector_tables,
     "n_seeds": at_least(1),
     "seed": at_least(0), "d": integer, "p": integer, "n": integer,
     "edge_density": number, "coefficient_low": number, "coefficient_high": number,

@@ -222,10 +222,12 @@ def parse_fredmd(
     tcodes = {}
     for name, cell in zip(names, trow[1:]):
         try:
-            code = int(float(cell))
+            code = float(cell)
         except ValueError:
-            raise BadTransformCode(f"unreadable transform code {cell!r} for {name}")
-        tcodes[name] = validate_tcode(code)
+            code = math.nan
+        if not (code.is_integer() and int(code) in TCODES):  # nan and inf are not integers
+            raise BadTransformCode(f"transform code {cell!r} for {name} is not one of 1..7")
+        tcodes[name] = int(code)
 
     def data_row(row):
         if len(row) != len(header):

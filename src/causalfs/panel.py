@@ -5,11 +5,11 @@ built here: :class:`AlignedPanel` for raw series and :class:`DesignMatrix`
 for lag-augmented regressions. Both are immutable after construction and
 reject NaN, so look-ahead reasoning stays simple.
 
-The lag rule: a lag >= 1 at time t reads only rows < t. The design and the
-forecast's regressors are read by :func:`lag_rows`, which guards it, in the
-layout of :func:`design_links`. :func:`stack_lags` is the one layout of
-every variable at every lag, shared by PCMCI, VARLiNGAM and DYNOTEARS: row
-slices that end before the row they sit beside.
+The lag rule: a lag >= 1 at time t reads only rows < t. :func:`stack_lags`
+is the one reader of lags: every variable at lags 1..p as row slices that end
+before the row they sit beside. PCMCI, VARLiNGAM and DYNOTEARS read all of
+it; the design and the forecast's regressors read the columns that
+:func:`design_columns` lists.
 """
 from __future__ import annotations
 
@@ -192,7 +192,7 @@ class AlignedPanel:
 class DesignMatrix:
     """Lag-augmented regression design with column provenance.
 
-    Columns follow :func:`design_links`. Every regressor in the row for
+    Columns follow :func:`design_columns`. Every regressor in the row for
     date t is a panel value stamped strictly before t.
     """
 
@@ -284,39 +284,23 @@ def align_and_shift(
     )
 
 
-def lag_rows(data: np.ndarray, links: list[tuple[int, int]], times: range) -> np.ndarray:
-    """``data[t - lag, var]`` for each t in ``times`` (rows) and link ``(var, lag)`` (columns).
-    Raises ValueError on a negative lag (a read of the future) or a read before row 0 (which
-    numpy would wrap to the last row), and IndexError on any other read outside ``data``."""
-    if not links:
-        return np.empty((len(times), 0))
-    var, lag = zip(*links)
-    m, low, high = data.shape[1], min(lag), max(lag)
-    if low < 0:
-        raise ValueError(f"negative lag {low} would read the future")
-    if times.start < high:
-        raise ValueError(f"lag {high} at time {times.start} reads before row 0")
-    if times.stop - low > len(data) or not 0 <= min(var) <= max(var) < m:
-        raise IndexError(f"a link reads outside the data's {len(data)} rows x {m} columns")
-    # one copy per row shift, then a gather unless the links list every column in order
-    shifts = np.hstack([data[times.start - k : times.stop - k] for k in range(low, high + 1)])
-    cols = [(k - low) * m + v for v, k in links]
-    return shifts if cols == list(range(shifts.shape[1])) else shifts.take(cols, axis=1)
-
-
 def stack_lags(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a VAR(p) regression: ``data[p:]`` and, row for row, every
     variable at lags 1..p, lag-major (column (tau - 1) * m + j holds variable
-    j at lag tau). Raises ValueError for p < 1."""
+    j at lag tau). Raises ValueError for p < 1 and InsufficientHistory unless
+    ``data`` has more than p rows."""
     if p < 1:
         raise ValueError("lag order p must be >= 1")
+    if len(data) <= p:
+        raise InsufficientHistory(f"lag order p={p} needs more than {p} rows, have {len(data)}")
     return data[p:], np.hstack([data[p - tau : len(data) - tau] for tau in range(1, p + 1)])
 
 
-def design_links(columns, p: int) -> list[tuple[int, int]]:
-    """The design's lag layout over [target, features]: the target (column
-    0) at lag 1, then lags 1..p of each of ``columns`` as one block."""
-    return [(0, 1), *((j, lag) for j in columns for lag in range(1, p + 1))]
+def design_columns(m: int, p: int) -> list[int]:
+    """The design's layout as columns of ``stack_lags`` over m variables,
+    [target, features...]: the target at lag 1, then each feature's lags
+    1..p as one block."""
+    return [0, *((lag - 1) * m + j for j in range(1, m) for lag in range(1, p + 1))]
 
 
 def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
@@ -325,19 +309,17 @@ def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     The first p panel rows are consumed as history only, so the result has
     exactly T - p rows.
     """
-    if p < 1:
-        raise ValueError("lag order p must be >= 1")
+    _, lagged = stack_lags(np.column_stack([panel.target, panel.features]), p)
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
     names = (panel.target_name, *panel.feature_names)
-    links = design_links(range(1, len(names)), p)
-    X = lag_rows(np.column_stack([panel.target, panel.features]), links, range(p, T))
+    cols = design_columns(len(names), p)
     return DesignMatrix(
         dates=panel.dates[p:T],
         y=panel.target[p:T],
-        X=X,
-        columns=tuple((names[j], lag) for j, lag in links),
+        X=lagged if p == 1 else lagged[:, cols],  # p = 1 lists every column in order: no copy
+        columns=tuple((names[c % len(names)], c // len(names) + 1) for c in cols),
         target_name=panel.target_name,
         p=p,
     )

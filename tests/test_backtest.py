@@ -22,7 +22,7 @@ from causalfs.backtest import (
 from causalfs.errors import BadName, InsufficientHistory, ShapeError
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
-from causalfs.panel import MonthStamp, build_design, design_links, lag_rows
+from causalfs.panel import MonthStamp, build_design
 from causalfs.selectors import (
     SELECTOR_IDS,
     Environment,
@@ -103,19 +103,35 @@ class TestFitForecastModel:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_narrow_stack_matches_the_full_width_one(self, rng, p):
-        # the fit stacks only the selected columns; the full-width stack it
-        # replaced, inlined here, gives the same regressors and beta bit for bit
+        # the fit stacks only the selected columns; the same lags read by index
+        # arithmetic from the full-width data give the same regressors and beta bit for bit
         T, d = 70, 120
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, d)))
         selected = ("X97", "X4", "X58")
         fit, regressors = fit_forecast_model(panel, p, selected)
 
         data = np.column_stack([panel.target, panel.features])
-        cols = [1 + panel.feature_names.index(name) for name in selected]
-        rows = lag_rows(data, design_links(cols, p), range(p, T + 1))
+        links = [(0, 1), *((1 + panel.feature_names.index(name), lag)
+                           for name in selected for lag in range(1, p + 1))]
+        rows = np.array([[data[t - lag, var] for var, lag in links] for t in range(p, T + 1)])
         full = ols_fit(rows[:-1], panel.target[p:T])
         assert regressors.tolist() == rows[-1].tolist()
         assert fit.beta.tolist() == full.beta.tolist()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_next_step_regressors_are_the_designs_lags_at_T(self, rng, p):
+        # the design's (name, lag) layout over the target and the selected
+        # features, in selected order, read at time T: data[T - lag, var]
+        T = 30
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 5)))
+        selected = ("X4", "X1", "X5")
+        _, regressors = fit_forecast_model(panel, p, selected)
+
+        columns = build_design(panel, p).columns
+        layout = [c for name in (panel.target_name, *selected) for c in columns if c[0] == name]
+        series = {panel.target_name: panel.target,
+                  **{name: panel.column(name) for name in panel.feature_names}}
+        assert regressors.tolist() == [series[name][T - lag] for name, lag in layout]
 
 
 def _config(**kw):

@@ -325,6 +325,15 @@ class TestIngest:
         assert "missing artifact" in capsys.readouterr().err
         assert not list(out.glob("ledger_*"))
 
+    def test_inf_transform_code_exit_2_naming_the_series(self, workspace, capsys):
+        path = workspace / "fredmd.csv"
+        lines = path.read_text().split("\n")
+        lines[1] = ",".join(["Transform:", "inf", *lines[1].split(",")[2:]])
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("ingest", "--config", workspace / "run.toml") == 2
+        assert "error: transform code 'inf' for X1 is not one of 1..7" in capsys.readouterr().err
+
     def test_inputs_never_mutated(self, workspace):
         before = {
             name: (workspace / name).read_bytes()
@@ -386,6 +395,19 @@ class TestBacktest:
         assert run_cli(
             "backtest", "--config", workspace / "run.toml", "--selectors", "zzz"
         ) == 2
+
+    @pytest.mark.parametrize("flag, named", [
+        (",", "at least one selector id"), ("granger,sfs,granger", "'granger' listed twice"),
+    ], ids=["empty", "repeated"])
+    def test_selectors_flag_empty_or_repeated_exit_2_before_any_ledger(
+        self, workspace, capsys, flag, named
+    ):
+        run_cli("ingest", "--config", workspace / "run.toml")
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", workspace / "run.toml", "--selectors", flag) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not list((workspace / "out").glob("ledger_*"))
 
     def test_negative_seed_flag_exit_2_before_any_ledger(self, workspace, capsys):
         run_cli("ingest", "--config", workspace / "run.toml")
@@ -486,6 +508,10 @@ class TestBacktest:
         ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_parents_stage1 = 0"),
         ("max_features = 2", "max_features = 2\n[selector.dynotears]\nh_tol = 0.0"),
         ('combine = ["granger", "sfs"]', 'combine = ["granger", "pcmci"]'),
+        ('selectors = ["granger", "sfs"]\ncombine = ["granger", "sfs"]', "selectors = []\ncombine = []"),
+        ('selectors = ["granger", "sfs"]\ncombine = ["granger", "sfs"]',
+         'selectors = ["granger", "granger"]\ncombine = []'),
+        ('combine = ["granger", "sfs"]', 'combine = ["sfs", "sfs"]'),
     ], ids=["p-zero", "window-le-p-plus-2", "reselect-zero", "p-not-integer",
             "seed-string", "seed-negative", "seed-bool", "window-float", "metric-window-zero",
             "shift-months-negative", "combine-weight-string", "combine-one-id",
@@ -493,7 +519,8 @@ class TestBacktest:
             "k-clusters-zero", "granger-alpha-above-one", "granger-alpha-bool",
             "seqicp-alpha-zero", "seqicp-max-subset-negative", "pcmci-alpha-one",
             "pcmci-max-cond-dim-negative", "pcmci-max-parents-zero", "dynotears-h-tol-zero",
-            "combine-unlisted-selector"])
+            "combine-unlisted-selector", "selectors-empty", "selectors-repeated",
+            "combine-repeated"])
     def test_infeasible_run_config_exit_2_before_any_ledger(self, workspace, capsys, old, new):
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
         config = workspace / "run.toml"
@@ -793,13 +820,28 @@ alpha = 0.05
         assert run_cli("validate", "--config", path, "--selectors", "granger") == 0
         assert [f.name for f in (tmp_path / "out").iterdir()] == ["recovery_granger.csv"]
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--selectors", "zzz"]],
-                             ids=["seed-negative", "selector-unknown"])
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--selectors", "zzz"],
+                                       ["--selectors", ","], ["--selectors", "granger,granger"]],
+                             ids=["seed-negative", "selector-unknown", "selectors-empty",
+                                  "selector-repeated"])
     def test_bad_flag_exit_2_before_output(self, tmp_path, capsys, flags):
         path = tmp_path / "lab.toml"
         path.write_text('d = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n')
         assert run_cli("validate", "--config", path, *flags) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("selectors, named", [
+        ("[]", "at least one selector id"), ('["sfs", "granger", "sfs"]', "'sfs' listed twice"),
+    ], ids=["empty", "repeated"])
+    def test_spec_selectors_empty_or_repeated_exit_2_before_output(
+        self, tmp_path, capsys, selectors, named
+    ):
+        path = tmp_path / "lab.toml"
+        path.write_text(f"d = 4\nn = 120\nn_seeds = 2\nselectors = {selectors}\n")
+        assert run_cli("validate", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_seeds_the_lab(self, tmp_path):

@@ -63,6 +63,8 @@ class TestParseFredmd:
         # group map covers every series in the file, dropped ones included
         assert groups == {"RPI": 1, "CPI": 8, "SP500": 6}
         assert panel.dates[0] == MonthStamp(2020, 1)
+        for row in ("Transform:, 1 ,5.0,2", "Transform:,1.0,5,2.0"):
+            assert parse_fredmd(FREDMD.replace("Transform:,1,5,2", row), GROUPS)[1] == tcodes
 
     def test_stock_market_group_dropped(self):
         panel, tcodes, _ = parse_fredmd(FREDMD, GROUPS)
@@ -73,6 +75,12 @@ class TestParseFredmd:
     def test_unknown_transform_code(self):
         bad = FREDMD.replace("Transform:,1,5,2", "Transform:,1,9,2")
         with pytest.raises(BadTransformCode):
+            parse_fredmd(bad, GROUPS)
+
+    @pytest.mark.parametrize("cell", ["2.7", "inf", "-inf"])
+    def test_code_not_a_whole_number_rejected_naming_the_series(self, cell):
+        bad = FREDMD.replace("Transform:,1,5,2", f"Transform:,1,{cell},2")
+        with pytest.raises(BadTransformCode, match=f"transform code '{cell}' for CPI"):
             parse_fredmd(bad, GROUPS)
 
     def test_repeated_series_rejected_naming_it(self):

@@ -18,8 +18,7 @@ from causalfs.panel import (
     MonthlySeries,
     align_and_shift,
     build_design,
-    design_links,
-    lag_rows,
+    design_columns,
     stack_lags,
 )
 
@@ -182,12 +181,13 @@ class TestBuildDesign:
         assert design.feature_column_indices(["X3", "X1"]) == [1, 2, 5, 6]
 
     def test_layout_is_design_links(self):
-        # the target at lag 1, then each listed column's lags as one block
-        assert design_links([3, 1], 2) == [(0, 1), (3, 1), (3, 2), (1, 1), (1, 2)]
+        # the target at lag 1, then each feature's lags as one block, as
+        # columns of stack_lags over [Y, X1, X2, X3] (lag tau, variable j at 4 * (tau - 1) + j)
+        assert design_columns(4, 2) == [0, 1, 5, 2, 6, 3, 7]
+        assert design_columns(3, 1) == [0, 1, 2]
         panel = make_panel(np.zeros(12), np.zeros((12, 3)))
-        names = (panel.target_name, *panel.feature_names)
-        assert build_design(panel, p=2).columns == tuple(
-            (names[j], lag) for j, lag in design_links(range(1, 4), 2))
+        assert build_design(panel, p=2).columns == (
+            ("Y", 1), ("X1", 1), ("X1", 2), ("X2", 1), ("X2", 2), ("X3", 1), ("X3", 2))
 
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -198,49 +198,28 @@ class TestBuildDesign:
         assert build_design(panel, p).X.shape[0] == T - p
 
 
-class TestLagRows:
-    def test_values_follow_index_arithmetic(self):
-        data = np.arange(24.0).reshape(8, 3)
-        links = [(2, 1), (0, 0), (1, 3)]
-        got = lag_rows(data, links, range(3, 8))
-        assert got.shape == (5, 3)
-        for i, t in enumerate(range(3, 8)):
-            for k, (var, lag) in enumerate(links):
-                assert got[i, k] == data[t - lag, var]
-        assert lag_rows(data, [], range(3, 8)).shape == (5, 0)
-
-    def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError, match="negative lag"):
-            lag_rows(np.zeros((6, 2)), [(0, 1), (1, -1)], range(2, 5))
-
-    def test_read_before_row_zero_rejected(self):
-        # numpy would wrap row -1 to the last row, a read of the future
-        with pytest.raises(ValueError, match="before row 0"):
-            lag_rows(np.zeros((6, 2)), [(0, 1), (1, 3)], range(2, 6))
-
-    @pytest.mark.parametrize("links, times", [
-        ([(0, 1), (1, 0)], range(2, 7)),  # row 6: a slice would come back short
-        ([(0, 1), (2, 0)], range(2, 5)),  # column 2 would alias a lag-1 column
-    ])
-    def test_read_outside_the_data_rejected(self, links, times):
-        with pytest.raises(IndexError, match="outside the data's 6 rows x 2 columns"):
-            lag_rows(np.zeros((6, 2)), links, times)
-
-
 class TestStackLags:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_equals_lag_rows_over_lag_major_links(self, p):
         data = np.random.default_rng(p).normal(size=(40, 5))
         current, lagged = stack_lags(data, p)
-        links = [(j, tau) for tau in range(1, p + 1) for j in range(5)]
-        for got, want in [(current, lag_rows(data, [(j, 0) for j in range(5)], range(p, 40))),
-                          (lagged, lag_rows(data, links, range(p, 40)))]:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert current.shape == (40 - p, 5) and lagged.shape == (40 - p, 5 * p)
+        for i, t in enumerate(range(p, 40)):
+            for j in range(5):
+                assert current[i, j] == data[t, j]
+                for tau in range(1, p + 1):
+                    assert lagged[i, (tau - 1) * 5 + j] == data[t - tau, j]
 
     @pytest.mark.parametrize("p", [0, -1])
     def test_lag_order_below_one_rejected(self, p):
         with pytest.raises(ValueError, match="p must be >= 1"):
             stack_lags(np.zeros((6, 2)), p)
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_no_row_past_the_lags_rejected(self, p):
+        # p = len, len + 1, 2 len - 1 and 2 len: a slice stop below 0 would wrap
+        with pytest.raises(InsufficientHistory, match=f"p={p} needs more than {p} rows, have 3"):
+            stack_lags(np.zeros((3, 2)), p)
 
 
 class TestAlignedPanelInvariants:

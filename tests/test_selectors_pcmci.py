@@ -13,7 +13,6 @@ from causalfs.errors import (
     Underdetermined,
 )
 from causalfs.numerics import partial_correlation
-from causalfs.panel import lag_rows
 from causalfs.selectors import pcmci_select
 from causalfs.selectors.pcmci import _ci_tests, _condition_select, _LagView
 from causalfs.synthlab import SvarSpec, generate_svar
@@ -97,7 +96,10 @@ def test_deterministic(rng):
 # --- oracle: the re-sort loop with one partial_correlation per CI test ---
 
 def _raw_lag_columns(view, links):
-    return lag_rows(view.data, links, range(view.max_lag, len(view.data)))
+    # data[t - lag, var] for each row t past max_lag (rows) and link (var, lag) (columns)
+    var, lag = np.array(links, dtype=int).reshape(-1, 2).T
+    t = np.arange(view.max_lag, len(view.data))[:, None]
+    return view.data[t - lag, var]
 
 
 def _oracle_parcorr(view, x_link, y_var, cond_links):
