@@ -9,7 +9,10 @@
 # CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
 # backtest whose window leaves no month to forecast must exit 2, and so
 # must an ingest whose FRED-MD header repeats a series, whose transform
-# row holds inf or whose target_name names a series, with no traceback; a
+# row holds inf, whose target_name names a series or whose FRED-MD header
+# and sidecar name a series A;B (';' separates the ledger's selected
+# names), and any command on a run config that sets window twice, with no
+# traceback; a
 # calendar-mode seqicp backtest whose windows hold only a few crisis
 # months must test the halves there, not log a selector fallback; nor may
 # a pcmci backtest on a panel with a constant feature; a truncated panel_meta.json must make
@@ -51,7 +54,7 @@ printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "grou
 causalfs ingest --config cal.toml
 causalfs backtest --config cal.toml 2> cal_err.txt
 if grep "falling back" cal_err.txt; then exit 1; fi
-python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; p = AlignedPanel(p.dates, p.target, np.column_stack([p.features, np.full(len(p), 0.07)]), (*p.feature_names, 'CONST'), target_name=p.target_name); [open(f'const_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
+python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; p = AlignedPanel(p.dates, np.column_stack([p.data, np.full(len(p), 0.07)]), (*p.names, 'CONST')); [open(f'const_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
 printf 'fredmd_csv = "const_fredmd.csv"\nprices_csv = "const_prices.csv"\ngroups_csv = "const_groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "const"\nwindow = 40\nselectors = ["pcmci"]\n' > const.toml
 causalfs ingest --config const.toml
 causalfs backtest --config const.toml 2> const_err.txt
@@ -82,6 +85,20 @@ rc=0
 causalfs ingest --config inf_tcode.toml --out inf_tcode 2> inf_tcode_err.txt || rc=$?
 test "$rc" -eq 2
 if grep Traceback inf_tcode_err.txt; then exit 1; fi
+sed '1s/,X2,/,A;B,/' fredmd.csv > semicolon_fredmd.csv
+sed 's/^X2,/A;B,/' groups.csv > semicolon_groups.csv
+sed 's/"fredmd.csv"/"semicolon_fredmd.csv"/; s/"groups.csv"/"semicolon_groups.csv"/' run.toml > semicolon.toml
+rc=0
+causalfs ingest --config semicolon.toml --out semicolon 2> semicolon_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback semicolon_err.txt; then exit 1; fi
+grep -q "'A;B'" semicolon_err.txt
+{ cat run.toml; printf 'window = 50\n'; } > window_twice.toml
+rc=0
+causalfs backtest --config window_twice.toml 2> window_twice_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback window_twice_err.txt; then exit 1; fi
+grep -q "'window' set twice" window_twice_err.txt
 { cat run.toml; printf 'target_name = "X2"\n'; } > series_target.toml
 rc=0
 causalfs ingest --config series_target.toml --out series_target 2> series_target_err.txt || rc=$?

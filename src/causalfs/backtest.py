@@ -98,8 +98,7 @@ def fit_forecast_model(
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    cols = [panel.feature_names.index(name) for name in selected]
-    data = np.column_stack([panel.target, panel.features[:, cols]])
+    data = panel.data.take([0, *(panel.names.index(name) for name in selected)], axis=1)
     layout = design_columns(data.shape[1], p)
     _, lagged = stack_lags(data, p)
     return ols_fit(lagged[:, layout], panel.target[p:T]), data[T - p :][::-1].ravel()[layout]

@@ -76,7 +76,7 @@ def _parse_value(text: str):
 
 
 def parse_kv(text: str) -> dict:
-    """Parse the TOML-subset text into nested dicts."""
+    """Parse the TOML-subset text into nested dicts; a key set twice is an error."""
     root: dict = {}
     target = root
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,11 +94,23 @@ def parse_kv(text: str) -> dict:
         kv = _KEY_RE.match(line)
         if not kv:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if kv.group(1) in target:
+            raise ConfigError(f"line {lineno}: key {kv.group(1)!r} set twice")
         try:
             target[kv.group(1)] = _parse_value(kv.group(2))
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}")
     return root
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key set twice is a ConfigError."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise ConfigError(f"key {key!r} set twice")
+        table[key] = value
+    return table
 
 
 def load_config_file(path) -> dict:
@@ -111,7 +123,7 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON config: {exc}")
     return parse_kv(text)

@@ -168,10 +168,15 @@ def _cell_to_float(cell: str) -> float:
     return value
 
 
-def _reject_repeats(names, what: str) -> None:
-    """MalformedCsv naming the first of ``names`` that repeats."""
+def _check_names(names, what: str) -> None:
+    """MalformedCsv naming the first of ``names`` that is blank, holds a
+    ';' (the ledger's separator between selected names) or repeats."""
     seen = set()
     for name in names:
+        if not name.strip():
+            raise MalformedCsv(f"blank {what} name {name!r}")
+        if ";" in name:
+            raise MalformedCsv(f"{what} {name!r} holds ';', the ledger's name separator")
         if name in seen:
             raise MalformedCsv(f"{what} {name!r} appears twice")
         seen.add(name)
@@ -190,7 +195,7 @@ def parse_groups(csv_text: str) -> dict[str, int]:
         return name, int(tag)
 
     pairs = parse_rows(rows[1:], group_row)
-    _reject_repeats((name for name, _ in pairs), "series")
+    _check_names((name for name, _ in pairs), "series")
     return dict(pairs)
 
 
@@ -213,7 +218,7 @@ def parse_fredmd(
     names = [c.strip() for c in header[1:]]
     if not names:
         raise MalformedCsv("no series columns found")
-    _reject_repeats(names, "series")
+    _check_names(names, "series")
     trow = rows[1]
     if not trow or not trow[0].strip().lower().startswith("transform"):
         raise MalformedCsv("second row must carry the transform codes")
@@ -324,10 +329,8 @@ def load_calendar(text: str) -> RegimeCalendar:
 # --- aligned-panel round trip (output schema of the ingest command) ---
 
 def panel_to_csv(panel: AlignedPanel) -> str:
-    cells = np.column_stack([panel.target, panel.features]).tolist()
     return to_csv(
-        ["month", panel.target_name, *panel.feature_names],
-        ([d, *row] for d, row in zip(panel.dates, cells)),
+        ["month", *panel.names], ([d, *row] for d, row in zip(panel.dates, panel.data.tolist()))
     )
 
 
@@ -381,7 +384,7 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
         raise MalformedCsv(_PANEL_LAYOUT)
     target_name = (meta or {}).get("target_name", header[1])
     names = tuple(header[2:])
-    _reject_repeats(names, "column")
+    _check_names(names, "column")
     if target_name in names:
         raise MalformedCsv(f"target {target_name!r} is also a feature column")
 
@@ -401,13 +404,7 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise MalformedCsv(f"row {firsts[finite.argmin()].strip()!r}: non-finite value")
-    return AlignedPanel(
-        dates=dates,
-        target=values[:, 0],
-        features=values[:, 1:],
-        feature_names=names,
-        target_name=target_name,
-    )
+    return AlignedPanel(dates=dates, data=values, names=(target_name, *names))
 
 
 def write_panel(panel: AlignedPanel, csv_path, meta_path) -> None:

@@ -1,9 +1,11 @@
 """Date-indexed monthly panels, lag construction, and look-ahead-safe alignment.
 
 Everything downstream (selectors, backtest) consumes the two container types
-built here: :class:`AlignedPanel` for raw series and :class:`DesignMatrix`
-for lag-augmented regressions. Both are immutable after construction and
-reject NaN, so look-ahead reasoning stays simple.
+built here: :class:`AlignedPanel` for raw series, stored once as one
+[target | features] block that readers take whole or gather columns of (with
+``take``, which returns C order), and :class:`DesignMatrix` for lag-augmented
+regressions. Both are immutable after construction and reject NaN, so
+look-ahead reasoning stays simple.
 
 The lag rule: a lag >= 1 at time t reads only rows < t. :func:`stack_lags`
 is the one reader of lags: every variable at lags 1..p as row slices that end
@@ -119,88 +121,91 @@ class MonthlyPanel:
 
 @dataclass(frozen=True)
 class AlignedPanel:
-    """Post-shift, post-join panel of target plus features.
+    """Post-shift, post-join panel: one T x m block ``data`` holding the
+    target in column 0 and the features in columns 1.., named in that order
+    by ``names``.
 
     Invariants enforced at construction: dates strictly increasing with no
-    gaps, equal row counts, and no NaN or inf anywhere. The target is in
-    whatever unit its source used: percent returns from ``causalfs ingest``,
-    raw SVAR draws from ``synthlab``.
+    gaps, one unique name per column, and no NaN or inf anywhere. The target
+    is in whatever unit its source used: percent returns from ``causalfs
+    ingest``, raw SVAR draws from ``synthlab``.
     """
 
     dates: tuple[MonthStamp, ...]
-    target: np.ndarray
-    features: np.ndarray  # T x d
-    feature_names: tuple[str, ...]
-    target_name: str = "TARGET"
+    data: np.ndarray  # T x m: [target | features]
+    names: tuple[str, ...]  # names[0] is the target's
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        target = np.asarray(self.target, dtype=float).copy()
-        features = np.asarray(self.features, dtype=float).copy()
-        names = tuple(self.feature_names)
-        if features.ndim != 2:
-            raise ValueError("features must be 2-d (T x d)")
-        if not (len(dates) == target.shape[0] == features.shape[0]):
-            raise ValueError("dates, target, features must share row count")
-        if features.shape[1] != len(names):
-            raise ValueError("one name per feature column required")
+        data = np.asarray(self.data, dtype=float).copy()
+        names = tuple(self.names)
+        if data.ndim != 2 or data.shape != (len(dates), len(names)) or not names:
+            raise ValueError("data must be T x m: one date per row, one name per column")
         if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
-        if self.target_name in names:
-            raise ValueError("target name collides with a feature name")
+            raise ValueError("column names must be unique")
         months = [d.index() for d in dates]  # consecutive months differ by 1
         for i, (a, b) in enumerate(zip(months, months[1:])):
             if b != a + 1:
                 raise NonContiguous(f"gap or disorder between {dates[i]} and {dates[i + 1]}")
         if len(dates) == 0:
             raise NoOverlap("empty panel")
-        if not (np.isfinite(target).all() and np.isfinite(features).all()):
+        if not np.isfinite(data).all():
             raise ValueError("NaN and inf forbidden in an aligned panel")
-        target.setflags(write=False)
-        features.setflags(write=False)
+        data.setflags(write=False)
         object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
         return len(self.dates)
 
     @property
+    def target(self) -> np.ndarray:
+        return self.data[:, 0]
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.data[:, 1:]
+
+    @property
+    def target_name(self) -> str:
+        return self.names[0]
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.names[1:]
+
+    @property
     def n_features(self) -> int:
-        return len(self.feature_names)
+        return len(self.names) - 1
 
     def head(self, n: int) -> "AlignedPanel":
         """First ``n`` rows; the training window view used by the backtest.
 
         A row prefix of a checked panel meets every construction invariant,
-        so the view skips the checks and shares the read-only arrays.
+        so the view skips the checks and shares the read-only block.
         """
         if not 1 <= n <= len(self):
             raise ValueError(f"head({n}) outside 1..{len(self)}")
         view = copy.copy(self)
         object.__setattr__(view, "dates", self.dates[:n])
-        object.__setattr__(view, "target", self.target[:n])
-        object.__setattr__(view, "features", self.features[:n])
+        object.__setattr__(view, "data", self.data[:n])
         return view
-
-    def column(self, name: str) -> np.ndarray:
-        return self.features[:, self.feature_names.index(name)]
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Lag-augmented regression design with column provenance.
+    """Lag-augmented regression design over a panel's ``names``.
 
-    Columns follow :func:`design_columns`. Every regressor in the row for
-    date t is a panel value stamped strictly before t.
+    Columns follow :func:`design_columns` at lag order ``p``. Every
+    regressor in the row for date t is a panel value stamped strictly
+    before t.
     """
 
     dates: tuple[MonthStamp, ...]
     y: np.ndarray
     X: np.ndarray
-    columns: tuple[tuple[str, int], ...]  # (source_name, lag)
-    target_name: str
+    names: tuple[str, ...]  # the panel's, target first
     p: int = 1
 
     def __post_init__(self):
@@ -211,16 +216,21 @@ class DesignMatrix:
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[str, int], ...]:
+        """Each design column's (source_name, lag)."""
+        m = len(self.names)
+        return tuple((self.names[c % m], c // m + 1) for c in design_columns(m, self.p))
 
     @cached_property
     def blocks(self) -> dict[str, tuple[int, ...]]:
         """Each feature's design columns; the target's own lag is in none."""
         blocks: dict[str, list[int]] = {}
         for i, (name, _) in enumerate(self.columns):
-            if name != self.target_name:
+            if name != self.names[0]:
                 blocks.setdefault(name, []).append(i)
         return {name: tuple(cols) for name, cols in blocks.items()}
 
@@ -256,31 +266,17 @@ def align_and_shift(
     """
     if shift_months < 0:
         raise ValueError("shift_months must be >= 0")
-    feat_by_month = {
-        d.plus(shift_months): i for i, d in enumerate(features.dates)
-    }
-    rows = []
-    months = []
-    tvals = []
-    for i, d in enumerate(target.dates):
-        j = feat_by_month.get(d)
-        if j is None:
-            continue
-        trow = target.values[i]
-        frow = features.values[j]
-        if np.isnan(trow) or np.isnan(frow).any():
-            continue
-        months.append(d)
-        tvals.append(trow)
-        rows.append(frow)
-    if not months:
+    feat_by_month = {d.plus(shift_months): i for i, d in enumerate(features.dates)}
+    rows = np.array([i for i, d in enumerate(target.dates) if d in feat_by_month], dtype=int)
+    feat_rows = np.array([feat_by_month[target.dates[i]] for i in rows], dtype=int)
+    data = np.column_stack([target.values[rows], features.values[feat_rows]])
+    complete = ~np.isnan(data).any(axis=1)
+    if not complete.any():
         raise NoOverlap("no month with complete target and feature data")
     return AlignedPanel(
-        dates=tuple(months),
-        target=np.array(tvals),
-        features=np.vstack(rows),
-        feature_names=features.names,
-        target_name=target_name,
+        dates=tuple(target.dates[i] for i in rows[complete]),
+        data=data[complete],
+        names=(target_name, *features.names),
     )
 
 
@@ -309,17 +305,15 @@ def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     The first p panel rows are consumed as history only, so the result has
     exactly T - p rows.
     """
-    _, lagged = stack_lags(np.column_stack([panel.target, panel.features]), p)
+    _, lagged = stack_lags(panel.data, p)
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    names = (panel.target_name, *panel.feature_names)
-    cols = design_columns(len(names), p)
     return DesignMatrix(
         dates=panel.dates[p:T],
         y=panel.target[p:T],
-        X=lagged if p == 1 else lagged[:, cols],  # p = 1 lists every column in order: no copy
-        columns=tuple((names[c % len(names)], c // len(names) + 1) for c in cols),
-        target_name=panel.target_name,
+        # p = 1 lists every column in order: no gather
+        X=lagged if p == 1 else lagged.take(design_columns(len(panel.names), p), axis=1),
+        names=panel.names,
         p=p,
     )

@@ -1,6 +1,8 @@
 """Feature selectors behind one contract: panel (or design) in, FeatureSet out."""
 from __future__ import annotations
 
+import math
+
 from ..errors import BadName, Insufficient
 from ..panel import AlignedPanel, build_design
 from .base import DynamicGraph, Environment, FeatureSet
@@ -75,11 +77,13 @@ def _sfs(panel, p, seed, calendar, **kw):
 def _coercion(kind: str, *types, rule: str = "", test=lambda value: True):
     """A key-table coercion: a value not of ``types`` (a bool is no int) or
     failing ``test`` is an error, so "false" is no bool and 2.7 no int; only
-    a number for a float key is converted, to float."""
+    a number for a float key is converted, to float, and it must be finite."""
     def coerce(value):
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise TypeError(f"expected {kind}, got {value!r}")
         value = float(value) if float in types else value
+        if float in types and not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a finite number")
         if not test(value):
             raise ValueError(f"{value!r} is not {rule}")
         return value

@@ -54,8 +54,7 @@ def dynotears_fit(
     """
     import scipy.optimize as sopt  # looked up per call, so a patched minimize is seen
 
-    names = (panel.target_name, *panel.feature_names)
-    m = len(names)
+    m = len(panel.names)
     T = len(panel)
     if T <= p * m:
         warnings.warn(
@@ -64,7 +63,7 @@ def dynotears_fit(
             UserWarning,
             stacklevel=2,
         )
-    X, X_lag = stack_lags(standardize(np.column_stack([panel.target, panel.features])), p)
+    X, X_lag = stack_lags(standardize(panel.data), p)
     n_s = m * m
     n_w = p * m * m
 
@@ -130,7 +129,7 @@ def dynotears_fit(
     np.fill_diagonal(S_est, 0.0)
     W_est[np.abs(W_est) < w_threshold] = 0.0
     W_list = tuple(W_est[tau * m : (tau + 1) * m] for tau in range(p))
-    graph = DynamicGraph(S=S_est, W=W_list, variable_names=names)
+    graph = DynamicGraph(S=S_est, W=W_list, variable_names=panel.names)
     if h > h_tol:
         raise NotAcyclic(
             f"h={h:.3e} above tolerance {h_tol:.1e} at rho={rho:.0e}", graph=graph

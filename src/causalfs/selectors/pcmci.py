@@ -144,9 +144,8 @@ def pcmci_select(
     """
     if p < 1:
         raise ValueError("lag order p must be >= 1")
-    names = (panel.target_name, *panel.feature_names)
-    data = np.column_stack([panel.target, panel.features])
-    m = data.shape[1]
+    names, data = panel.names, panel.data
+    m = len(names)
     candidates: list[Link] = [(i, tau) for i in range(m) for tau in range(1, p + 1)]
 
     # stage-one screening for the target, then for the source of every

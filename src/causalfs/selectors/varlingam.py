@@ -125,7 +125,7 @@ def varlingam_fit(
             f"{T - p} usable rows for {p * m} lag regressors; "
             "reduce k_clusters or the lag order"
         )
-    X = np.column_stack([panel.target, *(panel.column(name) for name in kept)])
+    X = panel.data.take([0, *(panel.names.index(name) for name in kept)], axis=1)
     # step 1: equation-wise least squares for the lag structure
     current, lagged_X = stack_lags(X, p)
     resid = np.empty((T - p, m))

@@ -186,13 +186,7 @@ def simulate_svar(
     X = X[BURN_IN:]
     start = MonthStamp(2000, 1)
     dates = tuple(start.plus(i) for i in range(n))
-    panel = AlignedPanel(
-        dates=dates,
-        target=X[:, 0],
-        features=X[:, 1:],
-        feature_names=names[1:],
-        target_name=names[0],
-    )
+    panel = AlignedPanel(dates=dates, data=X, names=names)
     truth = DynamicGraph(S=S, W=tuple(W), variable_names=names)
     return panel, truth
 

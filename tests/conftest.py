@@ -29,6 +29,8 @@ csv_floats = st.one_of(csv_finite_floats, st.sampled_from([math.inf, -math.inf])
 # quote, carriage return, newline, tab, spaces, non-ASCII. No ';', the
 # ledger's selection separator.
 csv_names = st.text(st.sampled_from(list('Xy7 ,"\'\r\n\t.-_&\u00e9\u20ac')), min_size=1, max_size=8)
+# The names a panel CSV accepts: any of those but a blank one.
+panel_names = csv_names.filter(str.strip)
 
 
 def month_range(start: str, n: int) -> tuple[MonthStamp, ...]:
@@ -45,10 +47,8 @@ def make_panel(target, features, names=None, start="2000-01", target_name="Y"):
         names = tuple(f"X{i + 1}" for i in range(features.shape[1]))
     return AlignedPanel(
         dates=month_range(start, len(target)),
-        target=target,
-        features=features,
-        feature_names=tuple(names),
-        target_name=target_name,
+        data=np.column_stack([target, features]),
+        names=(target_name, *names),
     )
 
 

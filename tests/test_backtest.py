@@ -81,7 +81,7 @@ class TestFitForecastModel:
         cols = [np.ones(T - p), panel.target[p - 1 : T - 1]]
         x_new = [1.0, panel.target[T - 1]]
         for name in selected:
-            x = panel.column(name)
+            x = panel.data[:, panel.names.index(name)]
             cols.extend(x[p - lag : T - lag] for lag in range(1, p + 1))
             x_new.extend(x[T - lag] for lag in range(1, p + 1))
         beta = np.linalg.lstsq(np.column_stack(cols), panel.target[p:], rcond=None)[0]
@@ -129,8 +129,7 @@ class TestFitForecastModel:
 
         columns = build_design(panel, p).columns
         layout = [c for name in (panel.target_name, *selected) for c in columns if c[0] == name]
-        series = {panel.target_name: panel.target,
-                  **{name: panel.column(name) for name in panel.feature_names}}
+        series = {name: panel.data[:, j] for j, name in enumerate(panel.names)}
         assert regressors.tolist() == [series[name][T - lag] for name, lag in layout]
 
 
@@ -207,7 +206,7 @@ class TestRunBacktest:
         T = 30
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 2)))
         cfg = _config(window=12, selector_id="sfs",
-                      selector_params={"tol": float("inf")})
+                      selector_params={"tol": 1e300})  # no gain reaches it; inf is rejected
         ledger = run_backtest(panel, EMPTY_CAL, cfg)
         assert len(ledger) == T - 12
         assert all(rec.selected == () for rec in ledger.records)
@@ -521,7 +520,7 @@ class TestNoLookAheadEverySelector:
         target, features = panel.target.copy(), panel.features.copy()
         target[k:] = rng.normal(size=n - k)
         features[k:] = rng.normal(size=(n - k, d - 1))
-        future = dataclasses.replace(panel, target=target, features=features)
+        future = dataclasses.replace(panel, data=np.column_stack([target, features]))
         before, selections_before = self.run(panel, cfg)
         after, selections_after = self.run(future, cfg)
         at_k = k - cfg.window

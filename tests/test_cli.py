@@ -214,6 +214,44 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("window = 60\nwindow = 90\n", "line 2: key 'window' set twice"),
+        ("[selector.sfs]\ntol = 1\n\n[selector.sfs]\ntol = 2\n", "line 5: key 'tol' set twice"),
+    ], ids=["top-level", "same-table-twice"])
+    def test_toml_key_set_twice_rejected_naming_it(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_kv(text)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"window": 60, "window": 90}', "window"),
+        ('{"selector": {"sfs": {"tol": 1, "tol": 2}}}', "tol"),
+    ], ids=["top-level", "nested"])
+    def test_json_key_set_twice_rejected_naming_it(self, tmp_path, text, key):
+        # json.loads alone keeps the last value without a word
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"key '{key}' set twice"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("loader, name, text", [
+        (load_run_config, "run.toml", "combine_weight = nan\n"),
+        (load_run_config, "run.toml", "[selector.varlingam]\nedge_threshold = nan\n"),
+        (load_run_config, "run.toml", "[selector.sfs]\ntol = -inf\n"),
+        (load_run_config, "run.toml", "[selector.dynotears]\nh_tol = inf\n"),
+        (load_run_config, "run.json", '{"combine_weight": Infinity}'),
+        (load_validate_config, "lab.toml", "d = 4\nedge_density = nan\n"),
+        (load_validate_config, "lab.json", '{"d": 4, "ar_coeff": NaN}'),
+        (load_validate_config, "lab.json",
+         '{"d": 4, "environment_shifts": [{"variable": "X1", "start_row": 1, "scale": Infinity}]}'),
+    ], ids=["combine-weight-nan", "edge-threshold-nan", "tol-minus-inf", "h-tol-inf",
+            "json-combine-weight-inf", "edge-density-nan", "json-ar-coeff-nan",
+            "json-shift-scale-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, loader, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            loader(path)
+
     def test_selector_params_kept_as_written(self, tmp_path):
         path = tmp_path / "ok.toml"
         path.write_text(
@@ -714,8 +752,9 @@ class TestMalformedCsv:
 
 
 class TestRepeatedNames:
-    """An input that repeats a series name, or a target named like a series,
-    exits 2 naming it where the input is parsed: no traceback, no silent pick."""
+    """An input that repeats a series name, names a series blank or with a
+    ';', or names the target like a series, exits 2 naming it where the
+    input is parsed: no traceback, no silent pick."""
 
     def exit_2_naming(self, capsys, command, workspace, name):
         capsys.readouterr()
@@ -736,6 +775,15 @@ class TestRepeatedNames:
         path.write_text(path.read_text() + "X1,6\n")
         err = self.exit_2_naming(capsys, "ingest", workspace, "X1")
         assert err.startswith(f"error: {path.resolve()}: ")
+
+    def test_series_holding_a_semicolon(self, workspace, capsys):
+        # ';' separates the ledger's selected names: X2;Q would read back as X2 and Q
+        for name, old in (("fredmd.csv", "sasdate,X1,X2,X3"), ("groups.csv", "\nX2,1\n")):
+            path = workspace / name
+            path.write_text(path.read_text().replace(old, old.replace("X2", "X2;Q"), 1))
+        err = self.exit_2_naming(capsys, "ingest", workspace, "X2;Q")
+        assert err.startswith(f"error: {path.resolve()}: ")
+        assert not (workspace / "out" / "panel.csv").exists()
 
     def test_target_name_naming_a_series(self, workspace, capsys):
         config = workspace / "run.toml"

@@ -39,7 +39,7 @@ from causalfs.ingest import (
 )
 from causalfs.panel import MonthStamp, MonthlySeries, align_and_shift
 
-from conftest import csv_finite_floats, csv_names, make_panel, month_range
+from conftest import csv_finite_floats, make_panel, month_range, panel_names
 
 FREDMD = """sasdate,RPI,CPI,SP500
 Transform:,1,5,2
@@ -87,6 +87,25 @@ class TestParseFredmd:
         bad = FREDMD.replace("sasdate,RPI,CPI,SP500", "sasdate,RPI,CPI,RPI")
         with pytest.raises(MalformedCsv, match="series 'RPI' appears twice"):
             parse_fredmd(bad, GROUPS)
+
+    @pytest.mark.parametrize("name, message", [
+        ("X2;Q", "series 'X2;Q' holds ';'"),
+        ("", "blank series name ''"),
+        (" ", "blank series name ''"),  # a FRED-MD name is stripped
+    ])
+    def test_blank_or_semicolon_series_rejected_naming_it(self, name, message):
+        # ';' separates the ledger's selected names, so X2;Q would read back as X2 and Q
+        bad = FREDMD.replace("sasdate,RPI,CPI,SP500", f"sasdate,RPI,{name},SP500")
+        with pytest.raises(MalformedCsv, match=message):
+            parse_fredmd(bad, {**GROUPS, name.strip(): 1})
+
+    @pytest.mark.parametrize("row, message", [
+        ("A;B,1", "series 'A;B' holds ';'"),
+        (" ,1", "blank series name ''"),
+    ])
+    def test_sidecar_blank_or_semicolon_series_rejected(self, row, message):
+        with pytest.raises(MalformedCsv, match=message):
+            parse_groups(f"series,group\nX1,1\n{row}\n")
 
     def test_sidecar_listing_a_series_twice_rejected_naming_it(self):
         with pytest.raises(MalformedCsv, match="series 'X1' appears twice"):
@@ -291,6 +310,15 @@ class TestPipeline:
         with pytest.raises(MalformedCsv, match="column 'X1' appears twice"):
             panel_from_csv("month,Y,X1,X2,X1\n2000-01,1.0,2.0,3.0,4.0\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("month,Y, ,X2", "blank column name ' '"),
+        ("month,Y,,X2", "blank column name ''"),
+        ("month,Y,X2;Q,X3", "column 'X2;Q' holds ';'"),
+    ])
+    def test_panel_csv_blank_or_semicolon_column_rejected(self, header, message):
+        with pytest.raises(MalformedCsv, match=message):
+            panel_from_csv(f"{header}\n2000-01,1.0,2.0,3.0\n")
+
     @pytest.mark.parametrize("header, meta", [
         ("month,X1,X1,X2", None),
         ("month,Y,X1,X2", {"target_name": "X2"}),
@@ -307,7 +335,7 @@ class TestPipeline:
     @given(
         st.integers(1900 * 12, 2100 * 12),
         st.integers(1, 8),
-        st.lists(csv_names, min_size=1, max_size=4, unique=True),
+        st.lists(panel_names, min_size=1, max_size=4, unique=True),
         st.data(),
     )
     @settings(max_examples=100, deadline=None)
@@ -357,7 +385,7 @@ _NOT_A_FLOAT = "row '2000-01': could not convert string to float: "
 
 class TestPanelReader:
     @given(
-        st.lists(csv_names, min_size=1, max_size=4, unique=True),
+        st.lists(panel_names, min_size=1, max_size=4, unique=True),
         st.integers(1, 6),
         st.data(),
     )

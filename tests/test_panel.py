@@ -1,10 +1,16 @@
+import ast
 import dataclasses
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalfs
+from causalfs import backtest
 from causalfs.errors import (
     DuplicateDate,
     InsufficientHistory,
@@ -21,6 +27,9 @@ from causalfs.panel import (
     design_columns,
     stack_lags,
 )
+from causalfs.numerics import ols_fit
+from causalfs.selectors import varlingam
+from causalfs.synthlab import SvarSpec, generate_svar
 
 from conftest import make_panel, month_range
 
@@ -248,11 +257,11 @@ class TestAlignedPanelInvariants:
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_head_equals_checked_constructor(self, n):
         rng = np.random.default_rng(n)
-        panel = AlignedPanel(month_range("2001-11", 7), rng.normal(size=7),
-                             rng.normal(size=(7, 3)), ("A", "B", "C"), "R")
+        panel = AlignedPanel(month_range("2001-11", 7),
+                             np.column_stack([rng.normal(size=7), rng.normal(size=(7, 3))]),
+                             ("R", "A", "B", "C"))
         head = panel.head(n)
-        checked = AlignedPanel(panel.dates[:n], panel.target[:n], panel.features[:n],
-                               panel.feature_names, panel.target_name)
+        checked = AlignedPanel(panel.dates[:n], panel.data[:n], panel.names)
         for field in dataclasses.fields(AlignedPanel):
             got, want = getattr(head, field.name), getattr(checked, field.name)
             if isinstance(want, np.ndarray):
@@ -286,6 +295,96 @@ class TestAlignedPanelInvariants:
     def test_gap_or_disorder_rejected(self, dates, message):
         n = len(dates)
         with pytest.raises(NonContiguous) as exc:
-            AlignedPanel(tuple(MonthStamp(*d) for d in dates), np.zeros(n), np.zeros((n, 1)),
-                         ("X1",))
+            AlignedPanel(tuple(MonthStamp(*d) for d in dates), np.zeros((n, 2)), ("Y", "X1"))
         assert str(exc.value) == message
+
+
+class TestOneBlock:
+    """The panel stores [target | features] once; readers use that block."""
+
+    def test_target_and_features_are_read_only_views_of_data(self, rng):
+        panel = make_panel(rng.normal(size=6), rng.normal(size=(6, 3)))
+        assert panel.data.shape == (6, 4) and panel.names == ("Y", "X1", "X2", "X3")
+        for view in (panel.target, panel.features):
+            assert np.shares_memory(view, panel.data) and not view.flags.writeable
+        np.testing.assert_array_equal(panel.target, panel.data[:, 0])
+        np.testing.assert_array_equal(panel.features, panel.data[:, 1:])
+        assert (panel.target_name, panel.feature_names, panel.n_features) == (
+            "Y", ("X1", "X2", "X3"), 3)
+
+    def test_head_shares_the_parent_block(self, rng):
+        panel = make_panel(rng.normal(size=6), rng.normal(size=(6, 2)))
+        head = panel.head(4)
+        assert np.shares_memory(head.data, panel.data) and head.names is panel.names
+        assert np.shares_memory(head.features, panel.data)
+
+    def test_constructor_copies_its_input(self):
+        data = np.arange(6.0).reshape(3, 2)
+        panel = AlignedPanel(month_range("2000-01", 3), data, ("Y", "X1"))
+        data[0, 0] = 99.0
+        assert panel.data[0, 0] == 0.0 and panel.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("names", [("Y", "X1", "X1"), ("X1", "X1", "X2")],
+                             ids=["repeated-feature", "target-named-like-a-feature"])
+    def test_repeated_name_rejected(self, names):
+        with pytest.raises(ValueError, match="names must be unique"):
+            AlignedPanel(month_range("2000-01", 2), np.zeros((2, 3)), names)
+
+    def test_no_module_but_panel_stacks_the_target_beside_the_features(self):
+        # an array stack reading .target or .features, or (target_name,
+        # *feature_names), rebuilds the layout panel.py stores
+        stackers = {"column_stack", "hstack", "vstack", "stack", "concatenate", "block"}
+        root = Path(causalfs.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "panel.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in stackers:
+                    reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                    if reads & {"target", "features"}:
+                        found.append(f"{path.relative_to(root)}:{node.lineno}")
+                if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                    first, rest = node.elts
+                    if (getattr(first, "attr", None) == "target_name"
+                            and isinstance(rest, ast.Starred)
+                            and getattr(rest.value, "attr", None) == "feature_names"):
+                        found.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert found == []
+
+    @staticmethod
+    def stacked(panel, names):
+        """The oracle: the target beside the named features, by column_stack."""
+        return np.column_stack(
+            [panel.target, *(panel.features[:, panel.feature_names.index(n)] for n in names)])
+
+    def test_varlingam_gather_matches_a_column_stack_oracle_bit_for_bit(self):
+        # data[:, cols] would be Fortran-ordered: the lag fits' residuals then
+        # move by a few ulps, which FastICA amplifies
+        panel, _ = generate_svar(SvarSpec(d=8, p=2, n=120, noise="laplace", seed=5))
+        oracle = self.stacked(panel, varlingam.cluster_prefilter(panel, 4, seed=1))
+        seen = []
+
+        def stack_oracle(data, p):
+            seen.append(data)
+            return stack_lags(oracle, p)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = varlingam.varlingam_fit(panel, p=2, k_clusters=4, seed=1).graph
+            with mock.patch.object(varlingam, "stack_lags", stack_oracle):
+                want = varlingam.varlingam_fit(panel, p=2, k_clusters=4, seed=1).graph
+        assert seen[0].tobytes() == oracle.tobytes()
+        assert got.S.tobytes() == want.S.tobytes()
+        assert [w.tobytes() for w in got.W] == [w.tobytes() for w in want.W]
+
+    def test_forecast_gather_matches_a_column_stack_oracle_bit_for_bit(self):
+        panel, _ = generate_svar(SvarSpec(d=8, p=2, n=120, noise="laplace", seed=5))
+        selected = ("X6", "X1", "X3")
+        oracle = self.stacked(panel, selected)
+        layout = design_columns(oracle.shape[1], 2)
+        want = ols_fit(stack_lags(oracle, 2)[1][:, layout], panel.target[2:])
+        got, regressors = backtest.fit_forecast_model(panel, 2, selected)
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+        assert regressors.tolist() == oracle[-2:][::-1].ravel()[layout].tolist()

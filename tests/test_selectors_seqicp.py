@@ -119,9 +119,9 @@ def test_subset_size_above_feature_count_is_capped():
     # 3 features: sizes above 3 add no subset, so they must not add regressors
     # to the feasibility guard either (15-row environments, 2 lags)
     rng = np.random.default_rng(0)
-    panel = AlignedPanel(month_range("2000-01", 32), rng.normal(size=32),
-                         rng.normal(size=(32, 3)), ("X1", "X2", "X3"),
-                         target_name="Y")
+    panel = AlignedPanel(month_range("2000-01", 32),
+                         np.column_stack([rng.normal(size=32), rng.normal(size=(32, 3))]),
+                         ("Y", "X1", "X2", "X3"))
     design = build_design(panel, 2)
     assert seqicp_select(design, max_subset_size=9) == seqicp_select(design, max_subset_size=3)
 
@@ -227,9 +227,8 @@ class TestBatchedFits:
 
     def test_duplicated_feature_warns_through_fallback(self):
         base, _ = chain_fixture(4, n=120)
-        features = np.column_stack([base.features, base.features[:, 0]])
-        panel = AlignedPanel(base.dates, base.target, features,
-                             (*base.feature_names, "X1copy"), target_name="Y")
+        data = np.column_stack([base.data, base.features[:, 0]])
+        panel = AlignedPanel(base.dates, data, (*base.names, "X1copy"))
         design = build_design(panel, 1)
         envs = halves_environments(design.n)
         with warnings.catch_warnings():
@@ -248,8 +247,8 @@ class TestBatchedFits:
         x = rng.normal(size=(n, d))
         y = 0.5 * np.r_[0.0, x[:-1, 0]] + rng.normal(size=n)
         y[n // 2 :] *= rng.uniform(0.5, 2.0)  # a variance shift, sometimes detected
-        panel = AlignedPanel(month_range("2000-01", n), y, x, tuple(f"X{i}" for i in range(d)),
-                             target_name="Y")
+        panel = AlignedPanel(month_range("2000-01", n), np.column_stack([y, x]),
+                             ("Y", *(f"X{i}" for i in range(d))))
         design = build_design(panel, p)
         envs = (thirds_environments if three else halves_environments)(design.n)
         if min(len(e) for e in envs) <= 2 + p * min(max_subset_size, d) + 1:
@@ -266,9 +265,9 @@ def test_wide_call_memory_is_bounded():
     # 120 features, all 7140 pairs: their residuals together are 11 MB
     rng = np.random.default_rng(2)
     n, d = 200, 120
-    panel = AlignedPanel(month_range("2000-01", n + 1), rng.normal(size=n + 1),
-                         rng.normal(size=(n + 1, d)), tuple(f"X{i}" for i in range(d)),
-                         target_name="Y")
+    panel = AlignedPanel(month_range("2000-01", n + 1),
+                         np.column_stack([rng.normal(size=n + 1), rng.normal(size=(n + 1, d))]),
+                         ("Y", *(f"X{i}" for i in range(d))))
     design = build_design(panel, 1)
     tracemalloc.start()
     try:

@@ -90,7 +90,7 @@ class TestGeneration:
             environment_shifts=(EnvShift("X1", start_row=300, mean=5.0),),
         )
         panel, _ = generate_svar(spec)
-        x1 = panel.column("X1")
+        x1 = panel.data[:, panel.names.index("X1")]
         assert abs(x1[:300].mean()) < 0.5
         assert abs(x1[300:].mean() - 5.0 / (1 - 0.2)) < 0.5
 
@@ -216,8 +216,7 @@ class TestExportRoundTrip:
     def test_names_needing_quotes_round_trip(self):
         panel, _ = generate_svar(SvarSpec(d=3, p=1, n=30, seed=6))
         names = ("A,B", 'say "C"')
-        panel = AlignedPanel(panel.dates, panel.target, panel.features, names,
-                             target_name="Y")
+        panel = AlignedPanel(panel.dates, panel.data, ("Y", *names))
         fredmd_csv, groups_csv, _ = export_fredmd(panel)
         raw, _, groups = parse_fredmd(fredmd_csv, parse_groups(groups_csv))
         assert raw.names == names and tuple(groups) == names
@@ -235,8 +234,7 @@ class TestExportRoundTrip:
         panel, _ = generate_svar(SvarSpec(d=6, p=1, n=30, noise="laplace", seed=8))
         features = np.array(panel.features)
         features[0, :3] = [-0.0, 1e-300, 123456789.0]
-        panel = AlignedPanel(panel.dates, panel.target, features, panel.feature_names,
-                             target_name="Y")
+        panel = AlignedPanel(panel.dates, np.column_stack([panel.target, features]), panel.names)
         rows = export_fredmd(panel)[0].splitlines()[2:]
         assert len(rows) == len(panel)
         for d, row, text in zip(panel.dates, panel.features, rows):
