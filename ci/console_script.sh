@@ -9,10 +9,10 @@
 # CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
 # backtest whose window leaves no month to forecast must exit 2, and so
 # must an ingest whose FRED-MD header repeats a series, whose transform
-# row holds inf, whose target_name names a series or whose FRED-MD header
-# and sidecar name a series A;B (';' separates the ledger's selected
-# names), and any command on a run config that sets window twice, with no
-# traceback; a
+# row holds inf, whose target_name names a series or is A;B, or whose
+# FRED-MD header and sidecar name a series A;B (';' separates the ledger's
+# selected names), and any command on a run config that sets window twice,
+# with no traceback; a
 # calendar-mode seqicp backtest whose windows hold only a few crisis
 # months must test the halves there, not log a selector fallback; nor may
 # a pcmci backtest on a panel with a constant feature; a truncated panel_meta.json must make
@@ -104,6 +104,11 @@ rc=0
 causalfs ingest --config series_target.toml --out series_target 2> series_target_err.txt || rc=$?
 test "$rc" -eq 2
 if grep Traceback series_target_err.txt; then exit 1; fi
+{ cat run.toml; printf 'target_name = "A;B"\n'; } > semicolon_target.toml
+rc=0
+causalfs ingest --config semicolon_target.toml --out semicolon_target 2> semicolon_target_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback semicolon_target_err.txt; then exit 1; fi
 head -c 20 out/panel_meta.json > truncated_meta.json
 cp truncated_meta.json out/panel_meta.json
 rc=0

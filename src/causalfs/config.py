@@ -14,6 +14,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import BadName, ConfigError
+from .ingest import check_names
 from .selectors import (
     SELECTOR_IDS, at_least, boolean, check_keys, integer, number, selector_params, string,
 )
@@ -160,6 +161,12 @@ def _combine(value) -> list:
     return ids
 
 
+def _target_name(value) -> str:
+    """A string that names a panel column by the rule series names follow."""
+    check_names([string(value)], "target", ValueError)
+    return value
+
+
 def _selector_tables(tables) -> dict:
     check_keys({sid: partial(selector_params, sid) for sid in SELECTOR_IDS}, tables, "[selector]")
     return tables  # as written, which manifests and config hashes record
@@ -171,7 +178,7 @@ _INPUT_FILES = dict.fromkeys(("fredmd_csv", "prices_csv", "groups_csv", "calenda
 RUN_CONFIG_KEYS = {
     **_INPUT_FILES, "output_dir": string, "window": integer, "p": at_least(1),
     "metric_window": at_least(1), "shift_months": at_least(0), "seed": at_least(0),
-    "target_name": string, "selectors": _selectors, "selector": _selector_tables,
+    "target_name": _target_name, "selectors": _selectors, "selector": _selector_tables,
     "reselect_every": at_least(1), "combine": _combine, "combine_weight": number,
 }
 

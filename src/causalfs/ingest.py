@@ -168,17 +168,17 @@ def _cell_to_float(cell: str) -> float:
     return value
 
 
-def _check_names(names, what: str) -> None:
-    """MalformedCsv naming the first of ``names`` that is blank, holds a
-    ';' (the ledger's separator between selected names) or repeats."""
+def check_names(names, what: str, error=MalformedCsv) -> None:
+    """``error`` naming the first of ``names`` that is blank, holds a ';'
+    (the ledger's separator between selected names) or repeats."""
     seen = set()
     for name in names:
         if not name.strip():
-            raise MalformedCsv(f"blank {what} name {name!r}")
+            raise error(f"blank {what} name {name!r}")
         if ";" in name:
-            raise MalformedCsv(f"{what} {name!r} holds ';', the ledger's name separator")
+            raise error(f"{what} {name!r} holds ';', the ledger's name separator")
         if name in seen:
-            raise MalformedCsv(f"{what} {name!r} appears twice")
+            raise error(f"{what} {name!r} appears twice")
         seen.add(name)
 
 
@@ -195,7 +195,7 @@ def parse_groups(csv_text: str) -> dict[str, int]:
         return name, int(tag)
 
     pairs = parse_rows(rows[1:], group_row)
-    _check_names((name for name, _ in pairs), "series")
+    check_names((name for name, _ in pairs), "series")
     return dict(pairs)
 
 
@@ -218,7 +218,7 @@ def parse_fredmd(
     names = [c.strip() for c in header[1:]]
     if not names:
         raise MalformedCsv("no series columns found")
-    _check_names(names, "series")
+    check_names(names, "series")
     trow = rows[1]
     if not trow or not trow[0].strip().lower().startswith("transform"):
         raise MalformedCsv("second row must carry the transform codes")
@@ -384,9 +384,10 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
         raise MalformedCsv(_PANEL_LAYOUT)
     target_name = (meta or {}).get("target_name", header[1])
     names = tuple(header[2:])
-    _check_names(names, "column")
+    check_names(names, "column")
     if target_name in names:
         raise MalformedCsv(f"target {target_name!r} is also a feature column")
+    check_names([target_name], "target")
 
     def panel_row(row):
         if len(row) != len(header):

@@ -436,7 +436,10 @@ def gram_partial_correlation(
 
     ``G`` stacks tests x k x k Grams M'M, where M = [x, y, Z] holds the n
     centred rows of one test's columns (k - 2 conditioning columns; an
-    unconditional test goes through ``pearson_tests``). Each is scaled to
+    unconditional test goes through ``pearson_tests``). PCMCI passes every
+    test of one conditioning level at once, each Gram a block of one Gram
+    over all the level's columns; a test's r and p do not depend on the
+    other tests in the stack. Each is scaled to
     unit diagonal, C; r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes
     from ``_correlation_p``, as in ``partial_correlation``. ``ok`` is
     False, and r and p nan, for a scaled condition number above

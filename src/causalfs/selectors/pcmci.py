@@ -8,18 +8,30 @@ parents of the target plus the time-shifted parents of the source, which is
 what keeps false-positive rates near the nominal level on autocorrelated
 series.
 
-Every CI test goes through ``_ci_tests``: a test with q conditions on at
-most q + 3 rows is skipped (stage one keeps the link, stage two leaves it
-unselected). The rest read centred lag columns. A test whose x or y column
-is constant carries no evidence and reads (r, p) = (0, 1) at every q, so
-stage one's first level drops a constant feature at any alpha <= 1. Other
-tests take r and p from ``pearson_tests`` at q = 0 and from the Gram of the
-columns at q > 0, or from ``partial_correlation`` on the same columns where
-the Gram is ill-conditioned (as a constant conditioning column makes it).
+Every CI test goes through ``_ci_tests``, which takes a batch of tests: a
+test with q conditions on at most q + 3 rows is skipped (stage one keeps
+the link, stage two leaves it unselected). The rest read centred lag
+columns. A test whose x or y column is constant carries no evidence and
+reads (r, p) = (0, 1) at every q, so stage one's first level drops a
+constant feature at any alpha <= 1. Other tests take r and p from
+``pearson_tests`` at q = 0 and, at q > 0, from their (q + 2)-square block
+of one Gram, one ``gram_partial_correlation`` call per conditioning size,
+or from ``partial_correlation`` on the same columns where the block is
+ill-conditioned (as a constant conditioning column makes it).
+
+A screen forms its Gram once, after its q = 0 level, over the centred
+columns of ``(j, 0)`` and the links that level kept; later levels only drop
+links, so every test of the screen reads that Gram. Stage one's rule is
+lazy: a link's conditions are the strongest other links by the strengths
+updated so far in the level. Each level runs one batch with every link's
+conditions taken from the strengths at the level's start, then walks the
+links in order and tests again, from the same Gram, each link whose
+conditions the updates so far have changed. Stage two's tests are
+independent: they read one Gram over the union of their columns.
 """
 from __future__ import annotations
 
-import heapq
+import math
 import warnings
 from functools import cached_property
 
@@ -58,31 +70,62 @@ class _LagView:
         return self.centred[[lag for _, lag in links], [v for v, _ in links]]
 
 
-def _ci_tests(view, x_links, y_var, cond_links):
-    """(r, p) of each link in ``x_links`` against ``(y_var, 0)`` given
-    ``cond_links``, or None for a test skipped for lack of rows."""
-    q = len(cond_links)
-    if view.rows <= q + 3:
-        for _ in x_links:
+class _Gram:
+    """The Gram of the centred columns of ``links``, read block by block."""
+
+    def __init__(self, view: _LagView, links):
+        self.index = {link: i for i, link in enumerate(dict.fromkeys(links))}
+        self.cols = view.centred_cols(list(self.index))
+        self.G = self.cols @ self.cols.T
+        self.live = self.cols.any(axis=1).tolist()  # centred, a constant column is exact zeros
+
+
+def _ci_tests(view, x_links, y_var, cond_sets, gram=None):
+    """(r, p) of each ``x_links[i]`` against ``(y_var, 0)`` given
+    ``cond_sets[i]``, or None for a test skipped for lack of rows. Tests
+    with conditions read their blocks of ``gram``, by default one Gram over
+    the columns of every test."""
+    results = [None] * len(x_links)
+    by_q = {}
+    for i, cond in enumerate(cond_sets):
+        q = len(cond)
+        if view.rows <= q + 3:
             warnings.warn(
                 f"skipping test with {q} conditions on {view.rows} rows",
                 SkippedTestWarning,
                 stacklevel=3,
             )
-        return [None] * len(x_links)
-    if q == 0:  # stage one's q = 0 level passes all its links at once
-        r, p, ok = pearson_tests(view.centred_cols(x_links), view.centred[0, y_var])
-        # ok is False exactly where the x or y column is constant
-        return [(ri, pi) if good else _NO_EVIDENCE
-                for ri, pi, good in zip(r.tolist(), p.tolist(), ok.tolist())]
-    [x_link] = x_links  # a test with conditions is always passed on its own
-    M = view.centred_cols([x_link, (y_var, 0), *cond_links])
-    if not M[:2].any(axis=1).all():  # centred, a constant column is exact zeros
-        return [_NO_EVIDENCE]
-    r, p, ok = gram_partial_correlation((M @ M.T)[None], view.rows)
-    if not ok[0]:
-        return [partial_correlation(M[0], M[1], M[2:].T)]
-    return [(r.item(), p.item())]
+        else:
+            by_q.setdefault(q, []).append(i)
+    for q, tests in sorted(by_q.items()):
+        if q == 0:
+            r, p, ok = pearson_tests(
+                view.centred_cols([x_links[i] for i in tests]), view.centred[0, y_var])
+            # ok is False exactly where the x or y column is constant
+            for i, ri, pi, good in zip(tests, r.tolist(), p.tolist(), ok.tolist()):
+                results[i] = (ri, pi) if good else _NO_EVIDENCE
+            continue
+        if gram is None:
+            gram = _Gram(view, [(y_var, 0), *x_links, *(c for cond in cond_sets for c in cond)])
+        at = gram.index
+        rows = {}  # test -> its Gram indices [x, y, Z]
+        for i in tests:
+            row = [at[x_links[i]], at[y_var, 0], *(at[c] for c in cond_sets[i])]
+            if gram.live[row[0]] and gram.live[row[1]]:
+                rows[i] = row
+            else:
+                results[i] = _NO_EVIDENCE
+        if not rows:
+            continue
+        idx = np.array(list(rows.values()))
+        r, p, ok = gram_partial_correlation(gram.G[idx[:, :, None], idx[:, None, :]], view.rows)
+        for i, row, ri, pi, good in zip(rows, idx, r.tolist(), p.tolist(), ok.tolist()):
+            if good:
+                results[i] = (ri, pi)
+            else:
+                M = gram.cols[row]
+                results[i] = partial_correlation(M[0], M[1], M[2:].T)
+    return results
 
 
 def _condition_select(
@@ -97,28 +140,31 @@ def _condition_select(
     surviving links, strongest first."""
     strength = {link: np.inf for link in candidates}  # min |r| seen so far
     parents = list(candidates)
+    gram = None
 
-    def strongest_first(o):
-        return -strength[o] if np.isfinite(strength[o]) else 0.0
+    def conditions(link, q):
+        # the q strongest other links so far, an untested one as if of
+        # strength 0, ties in parents order
+        if q == 0:
+            return []
+        ranked = sorted(parents, key=lambda o: -strength[o] if math.isfinite(strength[o]) else 0.0)
+        return [o for o in ranked if o != link][:q]
 
     for q in range(max_cond_dim + 1):
         if len(parents) - 1 < q:
             break
-        if q == 0:
-            results = zip(parents, _ci_tests(view, parents, j, []))
-        else:
-            # lazy, so each link's conditions see the strengths updated so
-            # far; nsmallest equals sorted(...)[:q], ties in parents order
-            results = (
-                (link, *_ci_tests(view, [link], j, heapq.nsmallest(
-                    q, (o for o in parents if o != link), key=strongest_first)))
-                for link in parents
-            )
+        if q > 0 and gram is None:
+            gram = _Gram(view, [(j, 0), *parents])
+        conds = [conditions(link, q) for link in parents]
+        results = _ci_tests(view, parents, j, conds, gram)
         removed = set()
-        for link, result in results:
-            if result is None:
+        for k, link in enumerate(parents):
+            # lazy: a link's conditions see the strengths updated so far
+            if (cond := conditions(link, q)) != conds[k]:
+                [results[k]] = _ci_tests(view, [link], j, [cond], gram)
+            if results[k] is None:
                 continue  # conservative: keep the link untested
-            r, p = result
+            r, p = results[k]
             strength[link] = min(strength[link], abs(r))
             if p >= alpha:
                 removed.add(link)
@@ -162,17 +208,18 @@ def pcmci_select(
     source_parents = {i: screen(i) for i in sorted({i for i, _ in parents} - {0})}
 
     # stage two: momentary tests for links into the target (variable 0)
-    mci_view = _LagView(data, 2 * p)
-    p_values = {}  # the smallest p over each feature's tested lags
+    x_links, cond_sets = [], []
     for link in parents:
         i, tau = link
         if i == 0:
             continue  # own target lag: conditioning only, never a feature
         # the target's other parents, then the source's parents shifted by tau
         cond = [*parents, *((k, lag + tau) for k, lag in source_parents[i])]
-        cond_unique = [c for c in dict.fromkeys(cond) if c != link]
-        [result] = _ci_tests(mci_view, [link], 0, cond_unique)
-        if result is None:
-            continue  # untested: never selected
-        p_values[names[i]] = min(p_values.get(names[i], 1.0), result[1])
+        x_links.append(link)
+        cond_sets.append([c for c in dict.fromkeys(cond) if c != link])
+    results = _ci_tests(_LagView(data, 2 * p), x_links, 0, cond_sets)
+    p_values = {}  # the smallest p over each feature's tested lags
+    for (i, _), result in zip(x_links, results):
+        if result is not None:  # an untested link is never selected
+            p_values[names[i]] = min(p_values.get(names[i], 1.0), result[1])
     return FeatureSet(frozenset(n for n, pv in p_values.items() if pv < alpha), p_values)

@@ -337,6 +337,23 @@ class TestIngest:
         assert "config error" in err and "target_name" in err
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    @pytest.mark.parametrize("name", ["", " ", "A;B"])
+    def test_blank_or_semicolon_target_name_exit_2_at_load(self, workspace, capsys,
+                                                            command, name):
+        # the target heads panel.csv like a series, so its name follows the
+        # series rule: "" would write a blank header cell, "A;B" a name the
+        # ledger's ';' separator splits
+        config = workspace / "run.toml"
+        config.write_text(config.read_text().replace('target_name = "Y"',
+                                                     f'target_name = "{name}"'))
+        capsys.readouterr()
+        assert run_cli(command, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "target_name" in err
+        assert repr(name) in err and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
     def test_group6_series_excluded(self, workspace):
         # tag X2 as the stock-market group; ingest must drop it and log it
         (workspace / "groups.csv").write_text(

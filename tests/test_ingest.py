@@ -327,6 +327,16 @@ class TestPipeline:
         with pytest.raises(MalformedCsv, match="target 'X[12]' is also a feature column"):
             panel_from_csv(f"{header}\n2000-01,1.0,2.0,3.0\n", meta)
 
+    @pytest.mark.parametrize("header, meta, message", [
+        ("month,,X1,X2", None, "blank target name ''"),
+        ("month,Y,X1,X2", {"target_name": " "}, "blank target name ' '"),
+        ("month,Y,X1,X2", {"target_name": "A;B"}, "target 'A;B' holds ';'"),
+    ])
+    def test_panel_csv_blank_or_semicolon_target_rejected(self, header, meta, message):
+        # the target follows the same name rule as the feature columns
+        with pytest.raises(MalformedCsv, match=message):
+            panel_from_csv(f"{header}\n2000-01,1.0,2.0,3.0\n", meta)
+
     @pytest.mark.parametrize("text", ["", "month,Y,X1\n", "month\n2000-01\n", "date,Y\n2000-01,1.0\n"])
     def test_panel_csv_without_header_or_rows_rejected(self, text):
         with pytest.raises(MalformedCsv, match="header and a data row"):

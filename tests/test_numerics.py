@@ -715,3 +715,46 @@ def gram(G, d, ok):
 """
     assert _rule_sites(ast.parse(old)) == [
         ("pearson", "centring"), ("pearson", "constant"), ("pearson", "ratio"), ("gram", "ratio")]
+
+
+# what one function in pcmci.py must hold: the skip warning, both kernels
+# and the fallback
+_PCMCI_TEST_PARTS = ("SkippedTestWarning", "pearson_tests", "gram_partial_correlation",
+                     "partial_correlation")
+
+
+def _readers(tree, names):
+    """name -> the innermost enclosing functions in ``tree`` that read it."""
+    found = {name: set() for name in names}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id in found:
+            found[node.id].add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_pcmci_function_issues_every_test():
+    # PCMCI's skip rule, its two kernels and its fallback live in one
+    # function, so a hook on every CI test (a warning count, another
+    # variance estimate) has one place to go
+    path = Path(causalfs.__file__).resolve().parent / "selectors" / "pcmci.py"
+    found = _readers(ast.parse(path.read_text()), _PCMCI_TEST_PARTS)
+    assert found == {name: {"_ci_tests"} for name in _PCMCI_TEST_PARTS}
+    # the scan sees a second function that issues tests
+    split = """
+def level(view):
+    warnings.warn("skipping", SkippedTestWarning)
+    return pearson_tests(x, y)
+
+def single(view):
+    return gram_partial_correlation(G, n) or partial_correlation(x, y, Z)
+"""
+    assert _readers(ast.parse(split), _PCMCI_TEST_PARTS) == {
+        "SkippedTestWarning": {"level"}, "pearson_tests": {"level"},
+        "gram_partial_correlation": {"single"}, "partial_correlation": {"single"}}

@@ -264,6 +264,70 @@ def test_tied_strengths_keep_parent_order():
                 assert stage1[0][0][:3] == [(3, 1), (1, 1), (2, 1)][:max_parents]
 
 
+def _reorder_lab():
+    # the first links of stage one's q = 1 level lower strengths that
+    # reorder the conditions of the links after them
+    panel, _ = generate_svar(SvarSpec(
+        d=8, p=1, n=120, edge_density=0.3, target_parents=3, ar_coeff=0.3,
+        instantaneous=False, seed=1))
+    return panel, _LagView(panel.data, 1), [(i, 1) for i in range(panel.data.shape[1])]
+
+
+def _spy(monkeypatch, name, record):
+    original = getattr(pcmci_module, name)
+
+    def spy(*args, **kwargs):
+        return record(original, *args, **kwargs)
+
+    monkeypatch.setattr(pcmci_module, name, spy)
+
+
+def test_in_level_update_retests_with_the_lazy_conditions(monkeypatch):
+    panel, view, candidates = _reorder_lab()
+    batches, retests = [], []  # (x links, conditions) of each _ci_tests call
+
+    def record(original, view, x_links, y_var, cond_sets, gram=None):
+        (batches if len(x_links) > 1 else retests).append(
+            (list(x_links), [list(c) for c in cond_sets]))
+        return original(view, x_links, y_var, cond_sets, gram)
+
+    _spy(monkeypatch, "_ci_tests", record)
+    _condition_select(view, 0, candidates, 0.2, 3, 10)
+    assert retests
+    for [link], [cond] in retests:
+        # tested in its level's batch with the level-start conditions,
+        # which an update earlier in the level has changed
+        x_links, cond_sets = next(b for b in reversed(batches) if len(b[1][0]) == len(cond))
+        assert cond_sets[x_links.index(link)] != cond
+    monkeypatch.undo()
+    assert_matches_oracle(panel, 1, alpha=0.2)
+
+
+def test_one_kernel_call_per_stage_one_level(monkeypatch):
+    # each level's links, all testable here, go through one kernel call;
+    # only a re-test makes a call of its own
+    _, view, candidates = _reorder_lab()
+    kernels, levels = [], []  # (kernel, tests); (links, q, kernel calls made)
+
+    def record_kernel(original, X, *args):
+        kernels.append((original.__name__, len(X)))
+        return original(X, *args)
+
+    def record_tests(original, view, x_links, y_var, cond_sets, gram=None):
+        start = len(kernels)
+        results = original(view, x_links, y_var, cond_sets, gram)
+        levels.append((len(x_links), len(cond_sets[0]), kernels[start:]))
+        return results
+
+    for name in ("pearson_tests", "gram_partial_correlation"):
+        _spy(monkeypatch, name, record_kernel)
+    _spy(monkeypatch, "_ci_tests", record_tests)
+    _condition_select(view, 0, candidates, 0.2, 3, 10)
+    assert [(n, q) for n, q, _ in levels if n > 1] == [(8, 0), (7, 1), (6, 2), (6, 3)]
+    for n, q, calls in levels:
+        assert calls == [("gram_partial_correlation" if q else "pearson_tests", n)]
+
+
 def test_near_collinear_conditioning_takes_fallback(rng, monkeypatch):
     n = 200
     x1 = rng.normal(size=n)
@@ -311,8 +375,8 @@ def test_constant_x_or_y_reads_no_evidence_with_conditions(rng):
     data = rng.normal(size=(30, 3))
     data[:, 1] = 0.0
     view = _LagView(data, 1)
-    assert _ci_tests(view, [(1, 1)], 0, [(2, 1)]) == [(0.0, 1.0)]
-    assert _ci_tests(view, [(2, 1)], 1, [(0, 1)]) == [(0.0, 1.0)]
+    assert _ci_tests(view, [(1, 1)], 0, [[(2, 1)]]) == [(0.0, 1.0)]
+    assert _ci_tests(view, [(2, 1)], 1, [[(0, 1)]]) == [(0.0, 1.0)]
 
 
 def test_constant_feature_changes_no_other_selection():
