@@ -3,9 +3,13 @@
 # a tiny validate spec must exit 0; --selectors must pick from a
 # two-selector spec; a spec with n_seeds = 0, a --seed of -1 and a
 # --selectors that names granger twice must exit 2 before they create an
-# output directory, the last with no traceback; importing causalfs.cli
+# output directory, the last with no traceback; a validate whose second
+# selector fails on a too-short lab must exit 2 naming that selector, with
+# no traceback; importing causalfs.cli
 # must not load scipy, which only the selectors' kernels import; a tiny
-# exported panel must go through ingest, backtest and report; a price
+# exported panel must go through ingest, backtest and report, and a
+# report whose ledger is shorter than metric_window must exit 2 naming
+# metric_window, with no traceback; a price
 # CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
 # backtest whose window leaves no month to forecast must exit 2, and so
 # must an ingest whose FRED-MD header repeats a series, whose transform
@@ -42,6 +46,12 @@ causalfs validate --config ok.toml --out twice --selectors granger,granger 2> tw
 test "$rc" -eq 2
 test ! -e twice
 if grep Traceback twice_err.txt; then exit 1; fi
+printf 'd = 4\nn = 8\nn_seeds = 2\nselectors = ["pcmci", "seqicp"]\n' > tiny.toml
+rc=0
+causalfs validate --config tiny.toml --out tiny 2> tiny_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback tiny_err.txt; then exit 1; fi
+grep -q "selector seqicp" tiny_err.txt
 python -c "from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; texts = export_fredmd(generate_svar(SvarSpec(d=4, n=80, seed=3))[0]); [open(f'{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), texts)]"
 printf '2003-01..2003-06\n' > crisis.txt
 printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "out"\nwindow = 40\nselectors = ["granger"]\n' > run.toml
@@ -49,6 +59,14 @@ causalfs ingest --config run.toml
 causalfs backtest --config run.toml
 causalfs report --config run.toml
 test -s out/table1.csv
+sed 's/window = 40/window = 70/; s/"out"/"short"/' run.toml > short.toml
+causalfs ingest --config short.toml
+causalfs backtest --config short.toml
+rc=0
+causalfs report --config short.toml 2> short_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback short_err.txt; then exit 1; fi
+grep -q "metric_window" short_err.txt
 printf '2003-04..2003-12\n' > short_crisis.txt
 printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "short_crisis.txt"\noutput_dir = "cal"\nwindow = 40\nselectors = ["seqicp"]\n[selector.seqicp]\nenvironments = "calendar"\n' > cal.toml
 causalfs ingest --config cal.toml

@@ -162,7 +162,10 @@ def cmd_report(cfg: RunConfig) -> int:
             print(f"missing artifact: {path}", file=sys.stderr)
             return EXIT_MISSING
         with naming(path):
-            ledgers[sid] = ledger_from_csv(path.read_text())
+            ledgers[sid] = ledger = ledger_from_csv(path.read_text())
+        if len(ledger) < cfg.metric_window:
+            raise ConfigError(
+                f"metric_window {cfg.metric_window} exceeds the {len(ledger)} records of {path}")
 
     table1 = []
     table2 = []
@@ -243,7 +246,10 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
         runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
         for spec, panel, truth in labs:
-            fs = runner(panel, spec.p, spec.seed, None)
+            try:
+                fs = runner(panel, spec.p, spec.seed, None)
+            except CausalfsError as exc:
+                raise CausalfsError(f"selector {sid} on the lab of seed {spec.seed}: {exc}") from exc
             score = synthlab.score_recovery(fs, truth)
             rows.append((spec.seed, score.precision, score.recall, score.f1, len(fs)))
         _, precision, recall, f1, n_selected = zip(*rows)

@@ -21,17 +21,15 @@ ill-conditioned (as a constant conditioning column makes it).
 
 A screen forms its Gram once, after its q = 0 level, over the centred
 columns of ``(j, 0)`` and the links that level kept; later levels only drop
-links, so every test of the screen reads that Gram. Stage one's rule is
-lazy: a link's conditions are the strongest other links by the strengths
-updated so far in the level. Each level runs one batch with every link's
-conditions taken from the strengths at the level's start, then walks the
-links in order and tests again, from the same Gram, each link whose
-conditions the updates so far have changed. Stage two's tests are
-independent: they read one Gram over the union of their columns.
+links, so every test of the screen reads that Gram. Stage one follows
+PC1's published rule (Runge et al. 2019): at level q, each link is
+conditioned on the first q other links in the order the previous level
+left, strongest first, ties by link. No test of a level depends on
+another, so each level is one batch. Stage two's tests are independent
+too: they read one Gram over the union of their columns.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from functools import cached_property
 
@@ -141,30 +139,18 @@ def _condition_select(
     strength = {link: np.inf for link in candidates}  # min |r| seen so far
     parents = list(candidates)
     gram = None
-
-    def conditions(link, q):
-        # the q strongest other links so far, an untested one as if of
-        # strength 0, ties in parents order
-        if q == 0:
-            return []
-        ranked = sorted(parents, key=lambda o: -strength[o] if math.isfinite(strength[o]) else 0.0)
-        return [o for o in ranked if o != link][:q]
-
     for q in range(max_cond_dim + 1):
         if len(parents) - 1 < q:
             break
         if q > 0 and gram is None:
             gram = _Gram(view, [(j, 0), *parents])
-        conds = [conditions(link, q) for link in parents]
-        results = _ci_tests(view, parents, j, conds, gram)
+        # the first q other links in the order the previous level left
+        conds = [[o for o in parents[:q + 1] if o != link][:q] for link in parents]
         removed = set()
-        for k, link in enumerate(parents):
-            # lazy: a link's conditions see the strengths updated so far
-            if (cond := conditions(link, q)) != conds[k]:
-                [results[k]] = _ci_tests(view, [link], j, [cond], gram)
-            if results[k] is None:
+        for link, result in zip(parents, _ci_tests(view, parents, j, conds, gram)):
+            if result is None:
                 continue  # conservative: keep the link untested
-            r, p = results[k]
+            r, p = result
             strength[link] = min(strength[link], abs(r))
             if p >= alpha:
                 removed.add(link)

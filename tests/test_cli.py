@@ -665,6 +665,20 @@ class TestReport:
         for name, text in expected.items():
             assert (out / name).read_text() == text, name
 
+    def test_ledger_shorter_than_metric_window_exit_2_before_any_output(
+        self, golden_workspace, capsys
+    ):
+        # every ledger is checked first: sfs's 2 records fail metric_window 3
+        # before any of granger's series is written
+        out = golden_workspace / "out"
+        short = "".join(GOLDEN_LEDGERS["sfs"].splitlines(keepends=True)[:3])
+        (out / "ledger_sfs.csv").write_text(short)
+        assert run_cli("report", "--config", golden_workspace / "run.toml") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: metric_window 3 exceeds the 2 records of ")
+        assert "ledger_sfs.csv" in err
+        assert sorted(p.name for p in out.iterdir()) == ["ledger_granger.csv", "ledger_sfs.csv"]
+
     def test_crisis_free_calendar_flags_absent(self, workspace):
         (workspace / "crisis.txt").write_text("# no crises\n")
         self.run_pipeline(workspace)
@@ -958,6 +972,15 @@ alpha = 0.05
         assert run_cli("validate", "--config", path) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_selector_error_exit_2_naming_the_selector_and_seed(self, tmp_path, capsys):
+        # 8 rows pass pcmci but leave seqicp's halves too short to fit
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 4\nn = 8\nn_seeds = 2\nseed = 5\nselectors = ["pcmci", "seqicp"]\n')
+        assert run_cli("validate", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: selector seqicp on the lab of seed 5: environment ")
+        assert [f.name for f in (tmp_path / "out").iterdir()] == ["recovery_pcmci.csv"]
 
     def test_spec_keys_build_the_same_svar_spec(self, tmp_path):
         path = tmp_path / "lab.json"

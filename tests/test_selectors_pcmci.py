@@ -93,7 +93,7 @@ def test_deterministic(rng):
     assert a.p_values == b.p_values
 
 
-# --- oracle: the re-sort loop with one partial_correlation per CI test ---
+# --- oracle: PC1 as published, one partial_correlation per CI test ---
 
 def _raw_lag_columns(view, links):
     # data[t - lag, var] for each row t past max_lag (rows) and link (var, lag) (columns)
@@ -116,6 +116,9 @@ def _oracle_parcorr(view, x_link, y_var, cond_links):
 
 
 def _oracle_condition_select(view, j, candidates, alpha, max_cond_dim, max_parents):
+    # PC1's pseudo-code (Runge et al. 2019, supplementary): at level q, test
+    # each parent given the first q other parents of the list sorted at the
+    # end of level q - 1; remove the weak ones and sort only after the level
     strength = {link: np.inf for link in candidates}
     parents = list(candidates)
     for q in range(max_cond_dim + 1):
@@ -124,7 +127,6 @@ def _oracle_condition_select(view, j, candidates, alpha, max_cond_dim, max_paren
         removed = []
         for link in parents:
             others = [o for o in parents if o != link]
-            others.sort(key=lambda o: -strength[o] if np.isfinite(strength[o]) else 0.0)
             result = _oracle_parcorr(view, link, j, others[:q])
             if result is None:
                 continue
@@ -265,8 +267,9 @@ def test_tied_strengths_keep_parent_order():
 
 
 def _reorder_lab():
-    # the first links of stage one's q = 1 level lower strengths that
-    # reorder the conditions of the links after them
+    # the first links of stage one's q = 1 level lower strengths that would
+    # reorder the conditions of the links after them, were they re-ranked
+    # within the level
     panel, _ = generate_svar(SvarSpec(
         d=8, p=1, n=120, edge_density=0.3, target_parents=3, ar_coeff=0.3,
         instantaneous=False, seed=1))
@@ -282,30 +285,39 @@ def _spy(monkeypatch, name, record):
     monkeypatch.setattr(pcmci_module, name, spy)
 
 
-def test_in_level_update_retests_with_the_lazy_conditions(monkeypatch):
+def test_level_conditions_are_the_first_q_of_the_previous_order(monkeypatch):
     panel, view, candidates = _reorder_lab()
-    batches, retests = [], []  # (x links, conditions) of each _ci_tests call
+    levels = []  # (x links, conditions, results) of each _ci_tests call
 
     def record(original, view, x_links, y_var, cond_sets, gram=None):
-        (batches if len(x_links) > 1 else retests).append(
-            (list(x_links), [list(c) for c in cond_sets]))
-        return original(view, x_links, y_var, cond_sets, gram)
+        results = original(view, x_links, y_var, cond_sets, gram)
+        levels.append((list(x_links), [list(c) for c in cond_sets], results))
+        return results
 
     _spy(monkeypatch, "_ci_tests", record)
-    _condition_select(view, 0, candidates, 0.2, 3, 10)
-    assert retests
-    for [link], [cond] in retests:
-        # tested in its level's batch with the level-start conditions,
-        # which an update earlier in the level has changed
-        x_links, cond_sets = next(b for b in reversed(batches) if len(b[1][0]) == len(cond))
-        assert cond_sets[x_links.index(link)] != cond
+    parents = _condition_select(view, 0, candidates, 0.2, 3, 10)
+    strength = dict.fromkeys(candidates, np.inf)
+    order = list(candidates)
+    lazy_differs = False  # would re-ranking within a level change a condition?
+    for q, (x_links, cond_sets, results) in enumerate(levels):
+        assert x_links == order
+        assert cond_sets == [[o for o in order if o != link][:q] for link in order]
+        for link, cond, (r, _) in zip(order, cond_sets, results):
+            lazy = sorted(order, key=lambda o: -strength[o] if np.isfinite(strength[o]) else 0.0)
+            lazy_differs |= [o for o in lazy if o != link][:q] != cond
+            strength[link] = min(strength[link], abs(r))
+        kept = (o for o, (_, p) in zip(order, results) if p < 0.2)
+        order = sorted(kept, key=lambda o: (-strength[o], o))[:10]
+    assert len(levels) == 4
+    assert lazy_differs
+    assert parents == order
     monkeypatch.undo()
     assert_matches_oracle(panel, 1, alpha=0.2)
 
 
 def test_one_kernel_call_per_stage_one_level(monkeypatch):
-    # each level's links, all testable here, go through one kernel call;
-    # only a re-test makes a call of its own
+    # each level's links, all testable here, go through one _ci_tests call
+    # and one kernel call; no link is tested on its own
     _, view, candidates = _reorder_lab()
     kernels, levels = [], []  # (kernel, tests); (links, q, kernel calls made)
 
@@ -323,7 +335,7 @@ def test_one_kernel_call_per_stage_one_level(monkeypatch):
         _spy(monkeypatch, name, record_kernel)
     _spy(monkeypatch, "_ci_tests", record_tests)
     _condition_select(view, 0, candidates, 0.2, 3, 10)
-    assert [(n, q) for n, q, _ in levels if n > 1] == [(8, 0), (7, 1), (6, 2), (6, 3)]
+    assert [(n, q) for n, q, _ in levels] == [(8, 0), (7, 1), (7, 2), (6, 3)]
     for n, q, calls in levels:
         assert calls == [("gram_partial_correlation" if q else "pearson_tests", n)]
 
