@@ -5,7 +5,8 @@
 # --selectors that names granger twice must exit 2 before they create an
 # output directory, the last with no traceback; a validate whose second
 # selector fails on a too-short lab must exit 2 naming that selector, with
-# no traceback; importing causalfs.cli
+# no traceback and no output directory; a p = 2 validate must exit 0 and
+# write its recovery file; importing causalfs.cli
 # must not load scipy, which only the selectors' kernels import; a tiny
 # exported panel must go through ingest, backtest and report, and a
 # report whose ledger is shorter than metric_window must exit 2 naming
@@ -52,6 +53,10 @@ causalfs validate --config tiny.toml --out tiny 2> tiny_err.txt || rc=$?
 test "$rc" -eq 2
 if grep Traceback tiny_err.txt; then exit 1; fi
 grep -q "selector seqicp" tiny_err.txt
+test ! -e tiny
+printf 'd = 5\np = 2\nn = 150\nn_seeds = 2\nselectors = ["granger"]\n' > lag2.toml
+causalfs validate --config lag2.toml --out lag2
+test -s lag2/recovery_granger.csv
 python -c "from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; texts = export_fredmd(generate_svar(SvarSpec(d=4, n=80, seed=3))[0]); [open(f'{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), texts)]"
 printf '2003-01..2003-06\n' > crisis.txt
 printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "out"\nwindow = 40\nselectors = ["granger"]\n' > run.toml

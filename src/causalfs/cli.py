@@ -228,11 +228,12 @@ def cmd_report(cfg: RunConfig) -> int:
 
 def cmd_validate(spec_path: Path, flags: dict) -> int:
     """Run the spec's selectors on its lab; ``flags`` holds checked
-    ``VALIDATE_KEYS`` values (output_dir, seed, selectors) that override it."""
+    ``VALIDATE_KEYS`` values (output_dir, seed, selectors) that override it.
+    The output directory and every ``recovery_<id>.csv`` are written only
+    after every selector has scored every lab."""
     cfg = load_validate_config(spec_path)
     out = spec_path.resolve().parent / flags.get("output_dir", cfg.output_dir)
     base_seed = flags.get("seed", cfg.spec.seed)
-    out.mkdir(parents=True, exist_ok=True)
     sids = flags.get("selectors", cfg.selectors)
     labs = []  # (spec, panel, truth) per seed, shared by all selectors
     for k in range(cfg.n_seeds):
@@ -242,6 +243,7 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
         except GenerationFailed as exc:
             print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
             return EXIT_GENERATION
+    results = []  # (sid, recovery CSV text, summary line) per selector
     for sid in sids:
         runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
@@ -256,10 +258,12 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
         mean_f1 = sum(f1) / len(rows)
         mean_rate = sum(n_selected) / (len(rows) * (cfg.spec.d - 1))
         mean = ("mean", sum(precision) / len(rows), sum(recall) / len(rows), mean_f1, mean_rate)
-        (out / f"recovery_{sid}.csv").write_text(
-            to_csv(["seed", "precision", "recall", "f1", "n_selected"], [*rows, mean])
-        )
-        print(f"{sid}: mean F1 {mean_f1:.3f}, selection rate {mean_rate:.3f}")
+        text = to_csv(["seed", "precision", "recall", "f1", "n_selected"], [*rows, mean])
+        results.append((sid, text, f"{sid}: mean F1 {mean_f1:.3f}, selection rate {mean_rate:.3f}"))
+    out.mkdir(parents=True, exist_ok=True)
+    for sid, text, summary in results:
+        (out / f"recovery_{sid}.csv").write_text(text)
+        print(summary)
     return EXIT_OK
 
 

@@ -5,10 +5,19 @@ W_tau (source-row, dest-column), with Gaussian, uniform, or Laplace unit
 noise and optional per-variable distribution shifts partway through the
 sample. Every generated instantaneous graph is acyclic by construction and
 the reduced-form process is rescaled into stationarity.
+
+Each row is the recursion x_t' = (e_t' + x_{t-1}' W_1 + ... + x_{t-p}' W_p)
+(I - S)^{-1}, summed left to right. (I - S)^{-1} is computed once per lab:
+it serves the stationarity check, every rescaling step and every row, and
+the row loop writes each row in place through preallocated buffers. Explicit
+graphs given to ``simulate_svar`` are checked (square, finite, acyclic S;
+W the shape of S; n >= 1) before any noise is drawn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +28,7 @@ from .selectors.base import DynamicGraph, FeatureSet
 
 BURN_IN = 200
 TARGET_NAME = "Y"
+NOISE_FAMILIES = ("gaussian", "uniform", "laplace")
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ class SvarSpec:
             raise ValueError("lag order p and length n must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.noise not in ("gaussian", "uniform", "laplace"):
+        if self.noise not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.noise!r}")
         if self.target_parents is not None and not 0 <= self.target_parents <= self.d - 1:
             raise ValueError(f"target_parents must be in 0..{self.d - 1} (the features)")
@@ -120,10 +130,11 @@ def _draw_graph(spec: SvarSpec, rng) -> tuple[np.ndarray, list[np.ndarray]]:
     return S, W
 
 
-def _companion_radius(S: np.ndarray, W: list[np.ndarray]) -> float:
-    d = S.shape[0]
+def _companion_radius(W: list[np.ndarray], inv: np.ndarray) -> float:
+    """Spectral radius of the reduced form's companion matrix, given
+    ``inv`` = (I - S)^{-1}."""
+    d = inv.shape[0]
     p = len(W)
-    inv = np.linalg.inv(np.eye(d) - S)
     # reduced form: x_t' = sum_tau x_{t-tau}' W_tau (I-S)^{-1} + e_t'(I-S)^{-1}
     B = [w @ inv for w in W]
     comp = np.zeros((d * p, d * p))
@@ -134,12 +145,81 @@ def _companion_radius(S: np.ndarray, W: list[np.ndarray]) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
+def _is_acyclic(S: np.ndarray) -> bool:
+    """Whether the nonzero pattern of S (source-row) is a DAG: peel off the
+    variables with no parent left until none remains, or none can go."""
+    parents = S != 0
+    left = np.ones(len(S), dtype=bool)
+    while left.any():
+        roots = left & ~parents[left].any(axis=0)
+        if not roots.any():
+            return False
+        left &= ~roots
+    return True
+
+
 def _noise(rng, size, family):
     if family == "gaussian":
         return rng.standard_normal(size)
     if family == "uniform":
         return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=size)
     return rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=size)
+
+
+@lru_cache(maxsize=8)
+def _month_dates(n: int) -> tuple[MonthStamp, ...]:
+    """The n months from 2000-01 on. Labs of one length share one tuple,
+    which is safe because the tuple and its months are immutable."""
+    start = MonthStamp(2000, 1)
+    return tuple(start.plus(i) for i in range(n))
+
+
+def _recurse(eps: np.ndarray, W: list[np.ndarray], inv: np.ndarray) -> np.ndarray:
+    """Rows x_t' = (e_t' + x_{t-1}' W_1 + ... + x_{t-p}' W_p) (I-S)^{-1},
+    summed left to right; row t < p takes only its t available lags.
+
+    Each row is written in place through two preallocated buffers, so the
+    loop allocates no array data: at p = 1 a row is three numpy calls.
+    """
+    total, d = eps.shape
+    p = len(W)
+    X = np.empty((total, d))
+    drive = np.empty(d)
+    prod = np.empty(d)
+    matmul, add = np.matmul, np.add  # the loop is bound by call overhead
+    W1, *older_w = W
+    matmul(eps[0], inv, X[0])
+    # row k < p sees lags 1..k; every row from p on sees all p
+    for k in range(1, p + 1):
+        stop = k + 1 if k < p else total
+        # lags 2..k of each row as one tuple per row; () from the empty repeat
+        older = (zip(*(X[k - tau : stop - tau] for tau in range(2, k + 1)))
+                 if k > 1 else repeat(()))
+        for e, row, prev, older_rows in zip(eps[k:stop], X[k:stop], X[k - 1 : stop - 1], older):
+            matmul(prev, W1, prod)
+            add(e, prod, drive)
+            if older_rows:  # skipped at p = 1, where the loop is call-bound
+                for lag, w in zip(older_rows, older_w):
+                    matmul(lag, w, prod)
+                    add(drive, prod, drive)
+            matmul(drive, inv, row)
+    return X
+
+
+def _simulate(S, W, inv, n, noise, rng, names, environment_shifts):
+    """The simulation body for checked inputs: S acyclic, ``inv`` its
+    (I - S)^{-1}, the reduced form stationary."""
+    d = S.shape[0]
+    total = n + BURN_IN
+    eps = _noise(rng, (total, d), noise)
+    for shift in environment_shifts:
+        j = names.index(shift.variable)
+        start = BURN_IN + shift.start_row
+        eps[start:, j] = shift.mean + shift.scale * eps[start:, j]
+    X = _recurse(eps, W, inv)[BURN_IN:]
+    panel = AlignedPanel(dates=_month_dates(n), data=X, names=names)
+    truth = DynamicGraph(S=S, W=tuple(W), variable_names=names)
+    return panel, truth
 
 
 def simulate_svar(
@@ -153,42 +233,50 @@ def simulate_svar(
 ) -> tuple[AlignedPanel, DynamicGraph]:
     """Simulate a panel from explicit S and W_tau matrices (source-row).
 
-    Variable 0 is the target. The instantaneous matrix must be acyclic and
-    the implied reduced form stationary; use generate_svar for random,
-    auto-rescaled graphs. ``seed`` is an int or a ``numpy.random.Generator``;
-    a Generator is drawn from as it stands, so the noise continues its
-    stream.
+    Row t solves x_t' = x_t' S + x_{t-1}' W_1 + ... + x_{t-p}' W_p + e_t',
+    so x_t' = (e_t' + x_{t-1}' W_1 + ... + x_{t-p}' W_p) (I - S)^{-1}, summed
+    left to right with the one inverse; the first rows see only the lags
+    they have. ``BURN_IN`` rows are simulated and dropped; the kept n rows
+    are dated monthly from 2000-01. Variable 0 is the target.
+
+    Input rules, each a ``ValueError`` raised before any noise is drawn: S
+    is a square, finite, nonempty matrix whose nonzero pattern is acyclic;
+    W is a nonempty sequence of finite matrices the shape of S; n is an
+    integer >= 1; ``noise`` is gaussian, uniform or laplace; ``names`` are
+    unique, one per variable; every shift names a variable and starts on
+    one of the n rows. A reduced form that is not stationary raises
+    GenerationFailed; use generate_svar for random, auto-rescaled graphs.
+    ``seed`` is an int or a ``numpy.random.Generator``; a Generator is
+    drawn from as it stands, so the noise continues its stream.
     """
     S = np.asarray(S, dtype=float)
     W = [np.asarray(w, dtype=float) for w in W]
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
+        raise ValueError(f"S must be a nonempty square matrix, got shape {S.shape}")
+    if not W:
+        raise ValueError("W must hold at least one lag matrix")
+    for tau, w in enumerate(W, start=1):
+        if w.shape != S.shape:
+            raise ValueError(f"W_{tau} has shape {w.shape}, S has {S.shape}")
+    if not all(np.isfinite(m).all() for m in (S, *W)):
+        raise ValueError("S and W must be finite")
+    if not _is_acyclic(S):
+        raise ValueError("S has a cycle; the instantaneous graph must be acyclic")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"length n must be an integer >= 1, got {n!r}")
+    if noise not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {noise!r}")
     d = S.shape[0]
-    p = len(W)
     names = variable_names(d) if names is None else tuple(names)
+    if len(names) != d or len(set(names)) != d:
+        raise ValueError(f"names must be {d} unique names, one per variable, got {names}")
     _check_shifts(environment_shifts, names, n)
-    radius = _companion_radius(S, W)
+    inv = np.linalg.inv(np.eye(d) - S)
+    radius = _companion_radius(W, inv)
     if radius >= 1.0:
         raise GenerationFailed(f"reduced form is explosive (radius {radius:.3f})")
-    rng = np.random.default_rng(seed)
-    inv = np.linalg.inv(np.eye(d) - S)
-    total = n + BURN_IN
-    eps = _noise(rng, (total, d), noise)
-    for shift in environment_shifts:
-        j = names.index(shift.variable)
-        start = BURN_IN + shift.start_row
-        eps[start:, j] = shift.mean + shift.scale * eps[start:, j]
-    X = np.zeros((total, d))
-    for t in range(total):
-        drive = eps[t].copy()
-        for tau in range(1, p + 1):
-            if t - tau >= 0:
-                drive += X[t - tau] @ W[tau - 1]
-        X[t] = drive @ inv
-    X = X[BURN_IN:]
-    start = MonthStamp(2000, 1)
-    dates = tuple(start.plus(i) for i in range(n))
-    panel = AlignedPanel(dates=dates, data=X, names=names)
-    truth = DynamicGraph(S=S, W=tuple(W), variable_names=names)
-    return panel, truth
+    return _simulate(S, W, inv, n, noise, np.random.default_rng(seed), names,
+                     environment_shifts)
 
 
 def generate_svar(spec: SvarSpec) -> tuple[AlignedPanel, DynamicGraph]:
@@ -197,28 +285,23 @@ def generate_svar(spec: SvarSpec) -> tuple[AlignedPanel, DynamicGraph]:
     Deterministic given the spec's seed. Burn-in of 200 rows is discarded;
     environment shifts are indexed on the returned rows. The graph draw
     consumes the generator before the noise draw, so two specs differing
-    only in their shifts share both the graph and the base noise.
+    only in their shifts share both the graph and the base noise. Rescaling
+    shrinks only W, so (I - S)^{-1} is computed once per lab.
     """
     rng = np.random.default_rng(spec.seed)
     S, W = _draw_graph(spec, rng)
-    radius = _companion_radius(S, W)
+    inv = np.linalg.inv(np.eye(spec.d) - S)
+    radius = _companion_radius(W, inv)
     for _ in range(20):
         if radius < 0.95:
             break
         shrink = 0.9 / radius
         W = [w * shrink for w in W]
-        radius = _companion_radius(S, W)
+        radius = _companion_radius(W, inv)
     if radius >= 1.0:
         raise GenerationFailed(f"spectral radius {radius:.3f} despite rescaling")
-    return simulate_svar(
-        S,
-        W,
-        n=spec.n,
-        noise=spec.noise,
-        names=variable_names(spec.d),
-        environment_shifts=spec.environment_shifts,
-        seed=rng,
-    )
+    return _simulate(S, W, inv, spec.n, spec.noise, rng, variable_names(spec.d),
+                     spec.environment_shifts)
 
 
 def _prf(hits: int, n_est: int, n_true: int) -> RecoveryScore:

@@ -978,9 +978,11 @@ alpha = 0.05
         path = tmp_path / "lab.toml"
         path.write_text('d = 4\nn = 8\nn_seeds = 2\nseed = 5\nselectors = ["pcmci", "seqicp"]\n')
         assert run_cli("validate", "--config", path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: selector seqicp on the lab of seed 5: environment ")
-        assert [f.name for f in (tmp_path / "out").iterdir()] == ["recovery_pcmci.csv"]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: selector seqicp on the lab of seed 5: environment ")
+        # pcmci scored both labs, but nothing is written until every selector has
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_spec_keys_build_the_same_svar_spec(self, tmp_path):
         path = tmp_path / "lab.json"

@@ -12,10 +12,12 @@ from causalfs.ingest import (
     transform_panel,
 )
 from causalfs.numerics import acyclicity
-from causalfs.panel import AlignedPanel, align_and_shift
+from causalfs.panel import AlignedPanel, MonthStamp, align_and_shift
 from causalfs.selectors.base import DynamicGraph, FeatureSet
 from causalfs.synthlab import (
+    BURN_IN,
     EnvShift,
+    _draw_graph,
     SvarSpec,
     export_fredmd,
     generate_svar,
@@ -142,6 +144,31 @@ class TestGeneration:
             simulate_svar(np.zeros((3, 3)), [np.eye(3) * 0.5], n=50, seed=0,
                           environment_shifts=(shift,))
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"S": [[0, .5], [.5, 0]]}, "cycle"),
+        ({"S": [[0, 1], [1, 0]]}, "cycle"),
+        ({"S": [[.5, 0], [0, 0]]}, "cycle"),
+        ({"W": [np.eye(3) * .5]}, "W_1 has shape (3, 3)"),
+        ({"W": []}, "at least one lag matrix"),
+        ({"S": np.zeros((2, 3))}, "square"),
+        ({"S": [[0, np.nan], [0, 0]]}, "finite"),
+        ({"n": 0}, "n must be an integer >= 1"),
+        ({"n": -300}, "n must be an integer >= 1"),
+        ({"n": 5.0}, "n must be an integer >= 1"),
+        ({"noise": "cauchy"}, "unknown noise family 'cauchy'"),
+        ({"names": ("Y",)}, "2 unique names"),
+        ({"names": ("Y", "Y")}, "2 unique names"),
+    ], ids=["two-cycle", "singular-cycle", "self-loop", "W-shape", "W-empty",
+            "S-not-square", "S-nan", "n-zero", "n-negative", "n-float",
+            "noise-unknown", "names-short", "names-repeated"])
+    def test_explicit_inputs_rejected_before_noise_is_drawn(self, kwargs, named):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(named)):
+            simulate_svar(**{"S": np.zeros((2, 2)), "W": [np.eye(2) * .5], "n": 50,
+                             "seed": rng, **kwargs})
+        assert rng.bit_generator.state == state
+
     def test_explosive_explicit_graph_fails(self):
         W = np.eye(3) * 1.5
         with pytest.raises(GenerationFailed):
@@ -240,3 +267,101 @@ class TestExportRoundTrip:
         for d, row, text in zip(panel.dates, panel.features, rows):
             assert text == f"{d.month}/1/{d.year}," + ",".join(repr(float(v)) for v in row)
         assert rows[0].split(",")[1:4] == ["-0.0", "1e-300", "123456789.0"]
+
+
+def _oracle_recursion(S, W, n, noise, rng, names, shifts):
+    """The plain row-by-row simulation: a fresh drive vector and one
+    temporary product per lag and row, then one product with the inverse.
+    The optimised loop must match it bit for bit."""
+    d = S.shape[0]
+    p = len(W)
+    inv = np.linalg.inv(np.eye(d) - S)
+    total = n + BURN_IN
+    if noise == "gaussian":
+        eps = rng.standard_normal((total, d))
+    elif noise == "uniform":
+        eps = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(total, d))
+    else:
+        eps = rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(total, d))
+    for shift in shifts:
+        j = names.index(shift.variable)
+        start = BURN_IN + shift.start_row
+        eps[start:, j] = shift.mean + shift.scale * eps[start:, j]
+    X = np.zeros((total, d))
+    for t in range(total):
+        drive = eps[t].copy()
+        for tau in range(1, p + 1):
+            if t - tau >= 0:
+                drive += X[t - tau] @ W[tau - 1]
+        X[t] = drive @ inv
+    return X[BURN_IN:]
+
+
+def _oracle_generate(spec):
+    """generate_svar computed plainly: its own inverse of I - S for every
+    spectral radius, then the row loop above."""
+    def radius(S, W):
+        d, p = S.shape[0], len(W)
+        inv = np.linalg.inv(np.eye(d) - S)
+        comp = np.zeros((d * p, d * p))
+        for tau, w in enumerate(W):
+            comp[:d, tau * d : (tau + 1) * d] = (w @ inv).T
+        if p > 1:
+            comp[d:, : d * (p - 1)] = np.eye(d * (p - 1))
+        return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+    rng = np.random.default_rng(spec.seed)
+    S, W = _draw_graph(spec, rng)
+    for _ in range(20):
+        rho = radius(S, W)
+        if rho < 0.95:
+            break
+        W = [w * (0.9 / rho) for w in W]
+    names = ("Y", *[f"X{i}" for i in range(1, spec.d)])
+    X = _oracle_recursion(S, W, spec.n, spec.noise, rng, names, spec.environment_shifts)
+    return X, W
+
+
+def _assert_dates(panel):
+    start = MonthStamp(2000, 1)
+    assert panel.dates == tuple(start.plus(i) for i in range(len(panel)))
+
+
+class TestSimulationMatchesRowLoopOracle:
+    """Bytes, not a tolerance: a stored digest would pin one BLAS build,
+    while the oracle runs on the same one as the code under test."""
+
+    @pytest.mark.parametrize("n", [1, 3, 500])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("noise", ["gaussian", "uniform", "laplace"])
+    def test_generated_panel(self, noise, p, n):
+        for instantaneous in (True, False):
+            for shifts in ((), (EnvShift("X2", n // 2, mean=1.5, scale=2.0),)):
+                spec = SvarSpec(d=5, p=p, n=n, edge_density=0.4, noise=noise,
+                                instantaneous=instantaneous, environment_shifts=shifts,
+                                seed=7 * p + n)
+                panel, truth = generate_svar(spec)
+                expected, W = _oracle_generate(spec)
+                assert [w.tobytes() for w in truth.W] == [w.tobytes() for w in W]
+                assert panel.data.tobytes() == expected.tobytes()
+                _assert_dates(panel)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_explicit_graph_continues_a_generator(self, p):
+        spec = SvarSpec(d=4, p=p, n=40, edge_density=0.5, seed=2)
+        _, truth = generate_svar(spec)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for n in (40, 1, 25):
+            panel, _ = simulate_svar(truth.S, truth.W, n=n, noise="laplace", seed=ours)
+            expected = _oracle_recursion(truth.S, truth.W, n, "laplace", theirs,
+                                         panel.names, ())
+            assert panel.data.tobytes() == expected.tobytes()
+            _assert_dates(panel)
+
+    def test_backtest_wide_spec(self):
+        spec = SvarSpec(d=121, p=1, n=170, edge_density=0.02, instantaneous=False,
+                        target_parents=3, ar_coeff=0.3, seed=5)
+        panel, _ = generate_svar(spec)
+        expected, _ = _oracle_generate(spec)
+        assert panel.data.tobytes() == expected.tobytes()
+        _assert_dates(panel)
