@@ -8,6 +8,7 @@ are never modified.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -285,9 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves the parser
+    unchanged, and an in-process caller may run ``main`` many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         flags = {"seed": args.seed, "output_dir": args.out, "selectors": args.selectors}
         if args.selectors is not None:

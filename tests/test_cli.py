@@ -168,6 +168,21 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def test_parser_built_once_and_bad_flag_exits_2_with_usage_each_time(monkeypatch, capsys):
+    build = causalfs.cli.build_parser
+    built = []
+    monkeypatch.setattr(causalfs.cli, "build_parser", lambda: built.append(1) or build())
+    causalfs.cli._parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("validate", "--config", "lab.toml", "--bogus")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: causalfs ")
+        assert "unrecognized arguments: --bogus" in err
+    assert built == [1]
+
+
 class TestConfigFormat:
     def test_kv_parsing(self):
         parsed = parse_kv(

@@ -118,6 +118,18 @@ class TestNestedRss:
                   for b in blocks]
         np.testing.assert_allclose(restricted, oracle, rtol=1e-9)
 
+    def test_blocks_of_mixed_widths_match_lstsq_oracle(self, rng):
+        n = 80
+        X = rng.normal(size=(n, 7))
+        y = X[:, :3] @ np.array([0.5, -1.0, 0.3]) + rng.normal(size=n)
+        blocks = [[0], [1, 2], [3, 4, 5], [6], [5, 2]]
+        A = np.column_stack([np.ones(n), X])
+        rss_full, restricted = nested_rss(X, y, blocks)
+        assert rss_full == pytest.approx(_lstsq_rss(A, y), rel=1e-9)
+        oracle = [_lstsq_rss(np.delete(A, [1 + c for c in b], axis=1), y)
+                  for b in blocks]
+        np.testing.assert_allclose(restricted, oracle, rtol=1e-9)
+
     def test_rank_deficient_design_refits_each_block(self, rng):
         n = 60
         X = rng.normal(size=(n, 4))

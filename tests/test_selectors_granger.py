@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalfs.errors import RankDeficientWarning
-from causalfs.numerics import f_sf, f_test_nested, nested_rss, ols_fit
+from causalfs.numerics import _GRAM_COND_MAX, f_sf, f_test_nested, nested_rss, ols_fit
 from causalfs.panel import build_design
 from causalfs.selectors import granger_select
 from causalfs.synthlab import SvarSpec, generate_svar
@@ -200,3 +200,76 @@ def test_exactly_collinear_design_refits_bit_for_bit(rng):
         oracle = _refit_f_tests(design, lambda X, y: ols_fit(X, y).rss)
     assert got == oracle
     assert fs.p_values == {name: p for name, (_, p) in oracle.items()}
+
+
+def _svd_spy(monkeypatch):
+    """A list that gains one entry per ``np.linalg.svd`` call."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    return calls
+
+
+def _near_copy_design(sigma, n=150, d=6, p=1):
+    """A lag design whose last feature copies the one before it plus noise
+    of sd ``sigma``."""
+    rng = np.random.default_rng(7)
+    feats = rng.normal(size=(n, d))
+    feats[:, -1] = feats[:, -2] + sigma * rng.normal(size=n)
+    y = np.empty(n)
+    y[:p] = 0.0
+    y[p:] = (0.3 * feats[:-p, 0] - 0.25 * feats[:-p, 1] + 0.2 * feats[:-p, -2]
+             + rng.normal(size=n - p))
+    return build_design(make_panel(y, feats), p)
+
+
+def _scaled_gram_cond(design):
+    A = np.column_stack([np.ones(design.n), design.X])
+    G = A.T @ A
+    scale = np.sqrt(np.diag(G))
+    w = np.linalg.eigvalsh(G / scale[:, None] / scale)
+    return w[-1] / w[0]
+
+
+@pytest.mark.parametrize("sigma, cond_range, svd_calls", [
+    (2.0e-3, (0.8 * _GRAM_COND_MAX, _GRAM_COND_MAX), 0),
+    (1.8e-3, (_GRAM_COND_MAX, 1.25 * _GRAM_COND_MAX), 1),
+], ids=["below-cap", "above-cap"])
+def test_both_sides_of_the_gram_guard_match_refits(monkeypatch, sigma, cond_range, svd_calls):
+    design = _near_copy_design(sigma)
+    assert cond_range[0] < _scaled_gram_cond(design) < cond_range[1]
+    oracle = _refit_f_tests(design, _lstsq_rss)
+    calls = _svd_spy(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankDeficientWarning)
+        fs = granger_select(design, alpha=0.05)
+    assert len(calls) == svd_calls
+    got = _nested_f_tests(design)
+    # the refit band of test_near_collinear_full_rank_design_matches_refits
+    df2 = design.n - design.X.shape[1] - 1
+    for name, (stat, _) in oracle.items():
+        tol = 1e-9 * (stat + df2)
+        assert abs(got[name][0] - stat) <= tol
+        assert f_sf(stat + tol, 1, df2) <= fs.p_values[name] <= f_sf(stat - tol, 1, df2)
+    assert fs.selected == {name for name, (_, pv) in oracle.items() if pv < 0.05}
+
+
+# near-square: rows = regressors + 9, the shape of a width-120 backtest's
+# first Granger month (131 rows for 122 regressors)
+@pytest.mark.parametrize("n, d, p, dof", [(150, 6, 3, 127), (52, 40, 1, 9)],
+                         ids=["q3-blocks", "near-square"])
+def test_q_by_q_blocks_and_near_square_designs_match_refits(rng, monkeypatch, n, d, p, dof):
+    feats = rng.normal(size=(n, d))
+    y = np.empty(n)
+    y[:p] = 0.0
+    y[p:] = 0.4 * feats[:-p, 0] - 0.3 * feats[:-p, 1] + rng.normal(size=n - p)
+    design = build_design(make_panel(y, feats), p)
+    assert design.n - design.X.shape[1] - 1 == dof
+    oracle = _refit_f_tests(design, _lstsq_rss)
+    calls = _svd_spy(monkeypatch)
+    fs = granger_select(design, alpha=0.05)
+    got = _nested_f_tests(design)
+    assert calls == []
+    for name, (stat, pval) in oracle.items():
+        assert got[name][0] == pytest.approx(stat, rel=1e-9)
+        assert fs.p_values[name] == pytest.approx(pval, rel=1e-9)
+    assert fs.selected == {name for name, (_, pv) in oracle.items() if pv < 0.05}
