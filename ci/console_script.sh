@@ -6,7 +6,10 @@
 # output directory, the last with no traceback; a validate whose second
 # selector fails on a too-short lab must exit 2 naming that selector, with
 # no traceback and no output directory; a p = 2 validate must exit 0 and
-# write its recovery file; importing causalfs.cli
+# write its recovery file; a varlingam validate on Laplace labs, run twice
+# with DeprecationWarning raised as an error (FastICA's loop must call no
+# deprecated numpy form), must exit 0 both times and write byte-identical
+# recovery files; importing causalfs.cli
 # must not load scipy, which only the selectors' kernels import; a tiny
 # exported panel must go through ingest, backtest and report, and a
 # report whose ledger is shorter than metric_window must exit 2 naming
@@ -61,6 +64,10 @@ test ! -e tiny
 printf 'd = 5\np = 2\nn = 150\nn_seeds = 2\nselectors = ["granger"]\n' > lag2.toml
 causalfs validate --config lag2.toml --out lag2
 test -s lag2/recovery_granger.csv
+printf 'd = 6\nn = 300\nnoise = "laplace"\ninstantaneous = true\nn_seeds = 2\nselectors = ["varlingam"]\n' > ica.toml
+PYTHONWARNINGS=error::DeprecationWarning causalfs validate --config ica.toml --out ica1
+PYTHONWARNINGS=error::DeprecationWarning causalfs validate --config ica.toml --out ica2
+cmp ica1/recovery_varlingam.csv ica2/recovery_varlingam.csv
 python -c "from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; texts = export_fredmd(generate_svar(SvarSpec(d=4, n=80, seed=3))[0]); [open(f'{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), texts)]"
 printf '2003-01..2003-06\n' > crisis.txt
 printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "out"\nwindow = 40\nselectors = ["granger"]\n' > run.toml

@@ -16,6 +16,9 @@ from causalfs.errors import (
     Underdetermined,
 )
 from causalfs import numerics
+from causalfs.selectors import varlingam as varlingam_module
+from causalfs.selectors.varlingam import varlingam_fit
+from causalfs.synthlab import SvarSpec, generate_svar
 from causalfs.numerics import (
     _correlation_p,
     acyclicity,
@@ -610,6 +613,138 @@ class TestFastIca:
         X = rng.normal(size=(500, 3))
         with pytest.warns(NotConvergedWarning):
             fastica(X, seed=0, max_iter=2)
+
+    def test_cap_below_one_rejected_before_whitening(self):
+        X = np.random.default_rng(13).normal(size=(50, 3))
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                fastica(X, max_iter=cap)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_whitening(self, bad):
+        X = np.random.default_rng(13).normal(size=(50, 3))
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fastica(X)
+
+    def test_no_warning_but_the_cap(self):
+        """Only the cap warns: a deprecated call in the loop (say a
+        positional ``out`` to np.maximum) would warn on every iteration."""
+        spec = SvarSpec(d=8, p=1, n=500, noise="laplace", instantaneous=True,
+                        target_parents=3, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.simplefilter("always", NotConvergedWarning)
+            panel, _ = generate_svar(spec)
+            for cap in (1, 3):
+                assert not fastica(panel.data, seed=0, max_iter=cap).converged
+        assert [w.category for w in caught] == [NotConvergedWarning] * 2
+
+
+def _oracle_sym_decorrelate(W):
+    vals, vecs = np.linalg.eigh(W @ W.T)
+    vals = np.clip(vals, 1e-12, None)
+    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ W
+
+
+def _oracle_fastica(X, seed=0, max_iter=500, tol=1e-5):
+    """The fixed-point loop written plainly, one fresh array per step; the
+    buffered loop in ``fastica`` must match it bit for bit."""
+    X = np.asarray(X, dtype=float)
+    n, m = X.shape
+    Xc = centre(X)
+    cov = (Xc.T @ Xc) / (n - 1)
+    vals, vecs = np.linalg.eigh(cov)
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    K = vecs[:, order] / np.sqrt(vals)
+    Z = Xc @ K
+    rng = np.random.default_rng(seed)
+    W = _oracle_sym_decorrelate(rng.standard_normal((m, m)))
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        U = Z @ W.T
+        G = np.tanh(U)
+        g_prime = 1.0 - G * G
+        W_new = _oracle_sym_decorrelate((G.T @ Z) / n - g_prime.mean(axis=0)[:, None] * W)
+        delta = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", W_new, W)) - 1.0)))
+        W = W_new
+        if delta < tol:
+            converged = True
+            break
+    return W @ K.T, Z @ W.T, converged, it
+
+
+def _ica_inputs(monkeypatch, panel, heads, seed):
+    """The residuals VARLiNGAM hands FastICA on each head of ``panel``, as
+    in a backtest with ``k_clusters=8``."""
+    captured = []
+    real = varlingam_module.fastica
+
+    def capture(X, seed=0):
+        captured.append(np.array(X))
+        return real(X, seed=seed)
+
+    monkeypatch.setattr(varlingam_module, "fastica", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotConvergedWarning)
+        for T in heads:
+            varlingam_fit(panel.head(T), k_clusters=8, seed=seed)
+    monkeypatch.undo()
+    return captured
+
+
+class TestFastIcaMatchesPlainLoopOracle:
+    """Bytes, not a tolerance, as for the lab's row loop: the oracle runs
+    on the same BLAS build as the code under test."""
+
+    @staticmethod
+    def _assert_matches(X, seed, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)
+            got = fastica(X, seed=seed, **kwargs)
+            unmixing, sources, converged, n_iter = _oracle_fastica(X, seed, **kwargs)
+        assert got.unmixing.tobytes() == unmixing.tobytes()
+        assert got.sources.tobytes() == sources.tobytes()
+        assert (got.converged, got.n_iter) == (converged, n_iter)
+        return got
+
+    def test_backtest_small_windows(self, monkeypatch):
+        panel, _ = generate_svar(SvarSpec(d=12, p=1, n=70, noise="gaussian",
+                                          instantaneous=False, target_parents=3,
+                                          ar_coeff=0.3, seed=3))
+        inputs = _ica_inputs(monkeypatch, panel, range(60, 70), seed=3)
+        assert [X.shape for X in inputs] == [(n, 9) for n in range(59, 69)]
+        for X in inputs:
+            self._assert_matches(X, seed=3)
+
+    def test_backtest_wide_windows(self, monkeypatch):
+        panel, _ = generate_svar(SvarSpec(d=121, p=1, n=170, edge_density=0.02,
+                                          instantaneous=False, target_parents=3,
+                                          ar_coeff=0.3, seed=5))
+        inputs = _ica_inputs(monkeypatch, panel, (60, 132, 169), seed=5)
+        assert [X.shape for X in inputs] == [(59, 9), (131, 9), (168, 9)]
+        for X in inputs:
+            self._assert_matches(X, seed=5)
+
+    def test_validate_sweep_lab_converges(self):
+        panel, _ = generate_svar(SvarSpec(d=8, p=1, n=500, noise="laplace",
+                                          instantaneous=True, target_parents=3, seed=0))
+        assert self._assert_matches(panel.data, seed=0).converged
+
+    def test_two_sources(self):
+        X = np.random.default_rng(21).laplace(size=(300, 2)) @ np.array([[1.0, 0.4], [0.3, 1.0]])
+        assert self._assert_matches(X, seed=4).converged
+
+    def test_capped_run(self):
+        X = np.random.default_rng(22).normal(size=(64, 9))
+        assert self._assert_matches(X, seed=1, max_iter=3).n_iter == 3
+
+    def test_memory_order_of_the_input(self):
+        X = np.random.default_rng(23).laplace(size=(61, 9))
+        for ordered in (np.ascontiguousarray(X), np.asfortranarray(X)):
+            self._assert_matches(ordered, seed=2)
 
 
 class TestAcyclicity:
