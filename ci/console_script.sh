@@ -23,11 +23,13 @@
 # with no traceback; a
 # calendar-mode seqicp backtest whose windows hold only a few crisis
 # months must test the halves there, not log a selector fallback; nor may
-# a pcmci backtest on a panel with a constant feature; a granger backtest
-# on a panel whose last feature nearly copies its first (noise 1e-5 of its
-# sd, so the first window's scaled Gram fails the condition guard and the
-# F tests take the SVD form) must exit 0, log no selector fallback and
-# write its ledger; a truncated panel_meta.json must make
+# a pcmci backtest on a panel with a constant feature; granger, seqicp, sfs
+# and pcmci backtests on a panel whose last feature nearly copies X3, the
+# feature sfs picks (noise 1e-5 of its sd, so the first window's scaled
+# Gram fails the condition guard: the F tests take the SVD form, seqicp's
+# subsets and sfs's folds holding both are refit by least squares, and
+# PCMCI's tests of one given the other go to partial_correlation), must
+# exit 0, log no selector fallback and write their ledgers; a truncated panel_meta.json must make
 # backtest exit 2, with no traceback, and so must a FRED-MD file that ends
 # in the byte 0xE9 (not UTF-8) make ingest; and after a good ingest into out/,
 # a failing ingest into the same directory must leave no panel there, so
@@ -93,13 +95,13 @@ printf 'fredmd_csv = "const_fredmd.csv"\nprices_csv = "const_prices.csv"\ngroups
 causalfs ingest --config const.toml
 causalfs backtest --config const.toml 2> const_err.txt
 if grep "falling back" const_err.txt; then exit 1; fi
-python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; x = p.data[:, 1]; p = AlignedPanel(p.dates, np.column_stack([p.data, x + 1e-5 * x.std() * np.random.default_rng(0).normal(size=len(x))]), (*p.names, 'X1_COPY')); [open(f'copy_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
-printf 'fredmd_csv = "copy_fredmd.csv"\nprices_csv = "copy_prices.csv"\ngroups_csv = "copy_groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "copy"\nwindow = 40\nselectors = ["granger"]\n' > copy.toml
+python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; x = p.data[:, 3]; p = AlignedPanel(p.dates, np.column_stack([p.data, x + 1e-5 * x.std() * np.random.default_rng(0).normal(size=len(x))]), (*p.names, 'X3_COPY')); [open(f'copy_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
+printf 'fredmd_csv = "copy_fredmd.csv"\nprices_csv = "copy_prices.csv"\ngroups_csv = "copy_groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "copy"\nwindow = 40\nselectors = ["granger", "seqicp", "sfs", "pcmci"]\n' > copy.toml
 causalfs ingest --config copy.toml
-python -c "import numpy as np; from causalfs.ingest import read_panel; from causalfs.numerics import _ScaledSystems; from causalfs.panel import build_design; d = build_design(read_panel('copy/panel.csv', 'copy/panel_meta.json').head(40), 1); A = np.column_stack([np.ones(d.n), d.X]); assert not _ScaledSystems(A.T @ A).ok"
+python -c "from causalfs.ingest import read_panel; from causalfs.numerics import _ScaledSystems, subset_gram; from causalfs.panel import build_design; d = build_design(read_panel('copy/panel.csv', 'copy/panel_meta.json').head(40), 1); assert not _ScaledSystems(subset_gram(d.X, d.y).gram[:-1, :-1]).ok"
 causalfs backtest --config copy.toml 2> copy_err.txt
 if grep "falling back" copy_err.txt; then exit 1; fi
-test -s copy/ledger_granger.csv
+for sid in granger seqicp sfs pcmci; do test -s "copy/ledger_$sid.csv"; done
 sed '3s/,.*/,abc/' prices.csv > bad_prices.csv
 sed 's/"prices.csv"/"bad_prices.csv"/' run.toml > bad_prices.toml
 rc=0

@@ -16,6 +16,7 @@ import numpy as np
 from .backtest import BacktestLedger
 from .errors import Insufficient, Misaligned, WindowTooLong
 from .ingest import Regime, RegimeCalendar, to_csv
+from .numerics import centre
 from .panel import MonthStamp
 
 ANNUALIZATION = math.sqrt(12.0)
@@ -138,7 +139,7 @@ def strategy_returns(ledger: BacktestLedger) -> StrategySeries:
 def _stats(returns: np.ndarray) -> PortfolioStats:
     mean = float(returns.mean())
     expected = 12.0 * mean
-    std = float(returns.std(ddof=1))
+    std = float(returns.std(ddof=1)) if centre(returns).any() else 0.0  # all equal: no spread
     sharpe = mean / std * ANNUALIZATION if std > 0 else None
     downside = math.sqrt(float((np.minimum(returns, 0.0) ** 2).mean()))
     sortino = mean / downside * ANNUALIZATION if downside > 0 else None

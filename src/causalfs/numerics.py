@@ -1,10 +1,14 @@
 """Statistical and optimization kernels shared by all selectors.
 
-Least squares and the F machinery are thin, contract-checked wrappers over
-LAPACK (via numpy/scipy); k-means and FastICA are implemented here because
-the selectors depend on their exact seeding, repair, and convergence
-behaviour being reproducible. scipy is imported inside the functions that
-call it, so a command that never calls them does not load it.
+Least squares behind Granger, seqICP, SFS and PCMCI is one normal-equations
+engine: one Gram (``subset_gram``, Z'Z of Z = [1, X, y]), one condition
+guard (``_ScaledSystems``, which also reads PCMCI's Grams of centred
+columns) and one refit of a subset or fold past it (``_refit_residuals``);
+past it, Granger takes the SVD Wald form and PCMCI ``partial_correlation``.
+k-means and FastICA are implemented here because the selectors depend on
+their exact seeding, repair, and convergence behaviour being reproducible.
+scipy is imported inside the functions that call it, so a command that never
+calls them does not load it.
 
 ``f_sf`` is the package's one F tail, read by the nested F test, the
 correlation tests (as the F(1, dof) tail of t^2) and seqICP's equal-mean
@@ -114,13 +118,12 @@ def nested_rss(
     is the full RSS plus a Wald gap: dropping block B adds
     beta_B' (C_BB)^-1 beta_B, where C = (A'A)^-1 and A = [1, X].
 
-    A design whose scaled Gram passes the ``_ScaledSystems`` guard reads C
-    from that one Gram: the inverse of the unit-diagonal Gram, rescaled.
-    beta = C A'y, the full RSS comes from the residuals y - A beta (not
-    from the Gram, which would cancel), a one-column block's gap is
-    beta_j^2 / C_jj, and the q x q blocks of wider ones are solved in one
-    stack. Forming the Gram squares the design's condition number; see
-    _GRAM_COND_MAX for how far p moves against the SVD form below.
+    A'A and A'y are blocks of ``subset_gram``'s Z'Z. Where A'A passes the
+    ``_ScaledSystems`` guard, C is its ``inverse``, beta = C A'y, the full
+    RSS comes from the residuals y - A beta (not from the Gram, which would
+    cancel), a one-column block's gap is beta_j^2 / C_jj, and the q x q
+    blocks of wider ones are solved in one stack. See _GRAM_COND_MAX for how
+    far p moves against the SVD form below.
 
     A design that fails the guard takes one SVD A = U S V'. With
     W = V S^-1, C = W W' and beta = W U'y, so a block's gap is the squared
@@ -131,19 +134,12 @@ def nested_rss(
     path valid for a rank-deficient design, which warns
     RankDeficientWarning.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("rows(X) must equal len(y)")
-    A = np.column_stack([np.ones(len(y)), X])
-    n, k = A.shape
-    if n <= k:
-        raise Underdetermined(f"{n} rows for {k} regressors")
-    systems = _ScaledSystems(A.T @ A)
+    sg = subset_gram(X, y, fit_all=True)
+    A, y = sg.Z[:, :-1], sg.Z[:, -1]
+    systems = _ScaledSystems(sg.gram[:-1, :-1])
     if systems.ok:
-        scale = systems.scale
-        C = np.linalg.inv(systems.G) / scale[:, None] / scale
-        beta = C @ (A.T @ y)
+        C = systems.inverse()
+        beta = C @ sg.gram[:-1, -1]
         residuals = y - A @ beta
         rss_full = float(residuals @ residuals)
         gaps = np.empty(len(blocks))
@@ -158,7 +154,7 @@ def nested_rss(
                 gaps[members] = np.einsum("bq,bq->b", b, solved[..., 0])
         return rss_full, rss_full + gaps
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= np.finfo(float).eps * max(n, k) * s[0]:
+    if s[-1] <= np.finfo(float).eps * max(A.shape) * s[0]:
         rss_full = ols_fit(X, y).rss
         restricted = [ols_fit(np.delete(X, b, axis=1), y).rss for b in blocks]
         return rss_full, np.array(restricted)
@@ -178,10 +174,10 @@ def nested_rss(
     return rss_full, rss_full + gaps
 
 
-# A Gram whose unit-diagonal scaling has a condition number above this is
-# left to least squares: sfs folds and seqicp subsets are refit with
-# ols_fit, PCMCI tests go to partial_correlation, and Granger's block tests
-# (nested_rss) take the SVD Wald form. Forming the Gram squares
+# A Gram whose unit-diagonal scaling has a condition number above this fails
+# the one guard, _ScaledSystems: sfs folds and seqicp subsets are refit by
+# _refit_residuals, PCMCI tests go to partial_correlation, and Granger's
+# block tests (nested_rss) take the SVD Wald form. Forming the Gram squares
 # the design's condition number, and the normal equations lose about
 # cond * eps. Against the least-squares path, on random designs with one
 # near-copied column: sfs out-of-block MSE (80 rows) moved by up to 1.5e-11
@@ -191,7 +187,7 @@ def nested_rss(
 # without the step); PCMCI r (100 rows, 1 to 5 conditioning columns, one a
 # noisy copy of x) by 3.4e-14 at 1e2-1e3, 3.9e-12 at 1e4-1e5, 3.7e-11
 # (p by 9.3e-11) at 1e5-1e6 and 3.2e-9 at 1e7-1e8; Granger p-values against
-# the SVD Wald form by at most 1.8e-12 relative over the 1,120 Granger
+# the SVD Wald form by at most 2.1e-12 relative over the 1,120 Granger
 # designs of the three benchmark workloads at two seeds (scaled Gram
 # condition up to 5.5e4, median 30), with no selection moved at 0.05.
 _GRAM_COND_MAX = 1e6
@@ -209,10 +205,10 @@ def chunk_slices(count: int, entries_each: int) -> list[slice]:
 
 
 class _ScaledSystems:
-    """Stacked normal equations G beta = rhs (G is ... x k x k), solved
-    through G scaled to unit diagonal. ``ok`` is False where the scaled
-    condition number is above _GRAM_COND_MAX; ``solve`` leaves beta zero
-    there, and the caller refits those systems with ``ols_fit``."""
+    """Stacked normal equations G beta = rhs (G is ... x k x k), read through
+    G scaled to unit diagonal. ``ok`` is False where the scaled condition
+    number is above _GRAM_COND_MAX, as a zero row always makes it; there
+    ``solve`` gives beta 0 and ``inverse`` nan, and the caller refits."""
 
     def __init__(self, G: np.ndarray):
         scale = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
@@ -229,6 +225,15 @@ class _ScaledSystems:
         beta[ok] = np.linalg.solve(self.G[ok], rhs[ok][..., None])[..., 0] / scale[ok]
         return beta
 
+    def inverse(self) -> np.ndarray:
+        """G^-1: the inverse of the unit-diagonal G, rescaled; nan where not ok."""
+        if self.ok.all():  # skips the masked copies, about 0.2 ms at k = 122
+            unit = np.linalg.inv(self.G)
+        else:
+            unit = np.full(self.G.shape, np.nan)
+            unit[self.ok] = np.linalg.inv(self.G[self.ok])
+        return unit / self.scale[..., :, None] / self.scale[..., None, :]
+
 
 @dataclass(frozen=True)
 class SubsetGram:
@@ -239,14 +244,29 @@ class SubsetGram:
     gram: np.ndarray
 
 
-def subset_gram(X: np.ndarray, y: np.ndarray) -> SubsetGram:
-    """Form Z'Z of Z = [1, X, y] once per design."""
+def subset_gram(X: np.ndarray, y: np.ndarray, fit_all: bool = False) -> SubsetGram:
+    """Form Z'Z of Z = [1, X, y] once per design; with ``fit_all`` (one fit
+    on all of [1, X]), first raise Underdetermined unless rows exceed its columns."""
     y = np.asarray(y, dtype=float).ravel()
     X = np.asarray(X, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError("rows(X) must equal len(y)")
     Z = np.column_stack([np.ones(len(y)), X, y])
+    if fit_all and len(Z) < Z.shape[1]:
+        raise Underdetermined(f"{len(Z)} rows for {Z.shape[1] - 1} regressors")
     return SubsetGram(Z, Z.T @ Z)
+
+
+def _refit_residuals(Z: np.ndarray, cols, held_out=None) -> np.ndarray:
+    """The one refit past the ``_ScaledSystems`` guard: ``ols_fit`` of Z's
+    last column on its columns ``cols`` (into [1, X], 0 first) over the rows
+    not ``held_out``, and its residuals on ``held_out`` (all rows by default)."""
+    X, y = Z[:, cols[1:]], Z[:, -1]
+    rows = train = slice(None)
+    if held_out is not None:
+        rows, train = held_out, np.setdiff1d(np.arange(len(Z)), held_out)
+    fit = ols_fit(X[train], y[train])
+    return y[rows] - np.column_stack([np.ones(len(y[rows])), X[rows]]) @ fit.beta
 
 
 def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
@@ -254,12 +274,11 @@ def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
 
     ``column_sets`` holds one or more equal-length lists of column indices
     into X. The coefficients solve each set's normal equations, read from
-    ``sg.gram``, in one stacked solve (``_ScaledSystems``, shared with
-    ``cv_mse_sets``), and one step of iterative refinement solves them
-    again for the residuals' own cross-products: forming the Gram loses
-    about cond * eps in beta, and the refinement wins most of it back. A
-    set whose scaled Gram has condition number above _GRAM_COND_MAX is refit
-    with ``ols_fit`` (minimum-norm SVD, which warns RankDeficientWarning).
+    ``sg.gram``, in one stacked solve (``_ScaledSystems``), and one step of
+    iterative refinement solves them again for the residuals' own
+    cross-products: forming the Gram loses about cond * eps in beta, and the
+    refinement wins most of it back. A set that fails the guard is refit by
+    ``_refit_residuals``.
     """
     sets = np.asarray(column_sets, dtype=int).reshape(len(column_sets), -1)
     n, k = sg.Z.shape[0], sets.shape[1] + 1
@@ -268,12 +287,11 @@ def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
     cols = np.column_stack([np.zeros(len(sets), dtype=int), sets + 1])  # into [1, X]
     systems = _ScaledSystems(sg.gram[cols[:, :, None], cols[:, None, :]])
     A = sg.Z[:, cols]  # n x sets x k
-    y = sg.Z[:, -1]
-    residuals = y - np.einsum("nsk,sk->sn", A, systems.solve(sg.gram[cols, -1]))
+    residuals = sg.Z[:, -1] - np.einsum("nsk,sk->sn", A, systems.solve(sg.gram[cols, -1]))
     step = systems.solve(np.einsum("nsk,sn->sk", A, residuals))
     residuals -= np.einsum("nsk,sk->sn", A, step)
     for i in np.flatnonzero(~systems.ok):
-        residuals[i] = ols_fit(sg.Z[:, cols[i, 1:]], y).residuals
+        residuals[i] = _refit_residuals(sg.Z, cols[i])
     return residuals
 
 
@@ -281,14 +299,13 @@ def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
 class CvFolds:
     """Cross-products for block cross-validation of y on [1, X].
 
-    With Z = [1, X, y], ``grams[f]`` is fold f's training Gram
-    Z'Z - Z_b'Z_b, where Z_b holds the rows of validation block
-    ``blocks[f]``. ``z_val[f]`` holds those rows, zero-padded to the
+    ``Z`` is ``subset_gram``'s [1, X, y], and ``grams[f]`` is fold f's
+    training Gram Z'Z - Z_b'Z_b, where Z_b holds the rows of validation
+    block ``blocks[f]``. ``z_val[f]`` holds those rows, zero-padded to the
     longest block.
     """
 
-    X: np.ndarray
-    y: np.ndarray
+    Z: np.ndarray
     blocks: tuple[np.ndarray, ...]
     grams: np.ndarray  # folds x (m + 2) x (m + 2)
     z_val: np.ndarray  # folds x max block length x (m + 2)
@@ -305,7 +322,7 @@ def cv_folds(X: np.ndarray, y: np.ndarray, blocks) -> CvFolds:
         z_val[f, : len(block)] = Z[block]
     grams = full.gram - np.transpose(z_val, (0, 2, 1)) @ z_val
     n_val = np.array([len(b) for b in blocks])
-    return CvFolds(Z[:, 1:-1], Z[:, -1], blocks, grams, z_val, n_val)
+    return CvFolds(Z, blocks, grams, z_val, n_val)
 
 
 def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
@@ -316,14 +333,13 @@ def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
     taken from ``cv.grams``, in one stacked solve over folds x sets
     (``_ScaledSystems``); the loss comes from the validation residuals
     y_b - [1, X_b[:, S]] beta themselves, so a perfect fit scores ~0. A
-    fold whose scaled Gram has condition number above _GRAM_COND_MAX is
-    refit on its training rows with ``ols_fit`` (minimum-norm SVD, which
-    warns RankDeficientWarning). A set with no more training rows than
-    regressors in some fold scores inf, as its fit is underdetermined.
+    fold that fails the guard is refit on its training rows by
+    ``_refit_residuals``. A set with no more training rows than regressors
+    in some fold scores inf, as its fit is underdetermined.
     """
     sets = np.asarray(column_sets, dtype=int).reshape(len(column_sets), -1)
     n_sets, k = sets.shape[0], sets.shape[1] + 1
-    if (len(cv.y) - cv.n_val).min() <= k:
+    if (len(cv.Z) - cv.n_val).min() <= k:
         return np.full(n_sets, math.inf)
     cols = np.column_stack([np.zeros(n_sets, dtype=int), sets + 1])  # into [1, X]
     folds, rows = cv.z_val.shape[:2]
@@ -335,18 +351,9 @@ def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
         resid = cv.z_val[:, None, :, -1] - pred  # padded rows give 0 - 0
         losses[:, part] = (resid * resid).sum(axis=2) / cv.n_val[:, None]
         for f, i in zip(*np.nonzero(~systems.ok)):
-            losses[f, part.start + i] = _ols_fold_mse(cv, f, sets[part.start + i])
+            resid = _refit_residuals(cv.Z, c[i], cv.blocks[f])
+            losses[f, part.start + i] = float((resid ** 2).mean())
     return losses.mean(axis=0)
-
-
-def _ols_fold_mse(cv: CvFolds, f: int, columns: np.ndarray) -> float:
-    """Fold f's out-of-block MSE from an ``ols_fit`` on its training rows."""
-    block = cv.blocks[f]
-    train = np.setdiff1d(np.arange(len(cv.y)), block)
-    X = cv.X[:, columns]
-    fit = ols_fit(X[train], cv.y[train])
-    pred = np.column_stack([np.ones(len(block)), X[block]]) @ fit.beta
-    return float(((cv.y[block] - pred) ** 2).mean())
 
 
 def f_sf(x, df1, df2):
@@ -474,15 +481,12 @@ def gram_partial_correlation(
 
     ``G`` stacks tests x k x k Grams M'M, where M = [x, y, Z] holds the n
     centred rows of one test's columns (k - 2 conditioning columns; an
-    unconditional test goes through ``pearson_tests``). PCMCI passes every
-    test of one conditioning level at once, each Gram a block of one Gram
-    over all the level's columns; a test's r and p do not depend on the
-    other tests in the stack. Each is scaled to
-    unit diagonal, C; r = -P01 / sqrt(P00 P11) with P = C^-1, and p comes
-    from ``_correlation_p``, as in ``partial_correlation``. ``ok`` is
-    False, and r and p nan, for a scaled condition number above
-    _GRAM_COND_MAX, which a zero-variance column (a zero row and column of
-    C) always has: the caller must take those tests through
+    unconditional test goes through ``pearson_tests``); a test's r and p do
+    not depend on the other tests in the stack. r = -P01 / sqrt(P00 P11)
+    with P = G^-1 from ``_ScaledSystems``, and p comes from
+    ``_correlation_p``, as in ``partial_correlation``. ``ok`` is the guard's,
+    and r and p are nan where it fails, as it always does for a
+    zero-variance column: the caller must take those tests through
     ``partial_correlation``, which raises DegenerateInput and warns
     RankDeficientWarning where they are due.
     """
@@ -490,16 +494,10 @@ def gram_partial_correlation(
     dof = n - G.shape[-1]
     if dof < 1:
         raise ValueError("not enough observations for the t transform")
-    d = np.diagonal(G, axis1=1, axis2=2)
-    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))  # C stays finite where not ok
-    w, V = np.linalg.eigh(G * s[:, :, None] * s[:, None, :])
-    ok = w[:, 0] > w[:, -1] / _GRAM_COND_MAX
-    # rows x and y of C^-1 = V diag(1/w) V'
-    U = V[:, :2] / np.sqrt(np.where(ok[:, None], w, 1.0))[:, None, :]
-    P = U @ U.transpose(0, 2, 1)
-    r = -P[:, 0, 1] / np.sqrt(P[:, 0, 0] * P[:, 1, 1])
-    r = np.where(ok, np.clip(r, -1.0, 1.0), np.nan)
-    return r, _correlation_p(r, dof), ok
+    systems = _ScaledSystems(G)
+    P = systems.inverse()  # nan where not ok, and so are r and p
+    r = np.clip(-P[:, 0, 1] / np.sqrt(P[:, 0, 0] * P[:, 1, 1]), -1.0, 1.0)
+    return r, _correlation_p(r, dof), systems.ok
 
 
 @dataclass(frozen=True)

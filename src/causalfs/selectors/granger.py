@@ -12,11 +12,11 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
     For each feature the full model (target lag plus all feature lags) is
     compared against the model with that feature's p lags removed; the
     feature is kept when the F test rejects at level alpha. Every
-    restricted RSS comes from the full design at once (``nested_rss``: one
-    scaled Gram, the SVD Wald form where its condition guard fails, refits
-    where the design is rank-deficient; Underdetermined when the rows do not
-    exceed the regressors), and one ``f_test_nested`` call scores every
-    block. ``p_values`` holds every block's F-test p.
+    restricted RSS comes from the full design at once (``nested_rss``: the
+    one Gram behind the one condition guard, the SVD Wald form past it, and
+    ``ols_fit`` refits where the design is rank-deficient; Underdetermined
+    when the rows do not exceed the regressors), and one ``f_test_nested``
+    call scores every block. ``p_values`` holds every block's F-test p.
     """
     n, k_cols = design.X.shape
     blocks = list(design.blocks.values())

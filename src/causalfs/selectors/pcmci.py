@@ -16,8 +16,8 @@ reads (r, p) = (0, 1) at every q, so stage one's first level drops a
 constant feature at any alpha <= 1. Other tests take r and p from
 ``pearson_tests`` at q = 0 and, at q > 0, from their (q + 2)-square block
 of one Gram, one ``gram_partial_correlation`` call per conditioning size,
-or from ``partial_correlation`` on the same columns where the block is
-ill-conditioned (as a constant conditioning column makes it).
+or from ``partial_correlation`` on the same columns where the block fails
+the one condition guard (as a constant conditioning column makes it).
 
 A screen forms its Gram once, after its q = 0 level, over the centred
 columns of ``(j, 0)`` and the links that level kept; later levels only drop

@@ -7,12 +7,12 @@ Bonferroni). The reported set is the intersection of all accepted subsets,
 and empty when nothing is accepted: the data then rejected the invariance
 premise itself.
 
-The fits of all subsets of one size come from one Gram of [1, X, y] per
-window (``numerics.subset_residuals``: a stacked solve of the scaled normal
-equations and one refinement step, with an ``ols_fit`` refit where the
-scaled Gram's condition number is above 1e6), and both tests run over all
-of their residual rows at once. Each p-value agrees with a per-subset
-``ols_fit`` within 1e-10 relative on designs below that condition number.
+The fits of all subsets of one size come from the one Gram of [1, X, y] per
+window (``numerics.subset_residuals``: a stacked solve of the systems that
+pass the one condition guard, a scaled condition number of at most 1e6,
+one refinement step, and a least-squares refit past it), and both tests
+run over all of their residual rows at once. Each p-value agrees with a
+per-subset ``ols_fit`` within 1e-10 relative on designs that pass it.
 """
 from __future__ import annotations
 

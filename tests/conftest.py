@@ -52,6 +52,23 @@ def make_panel(target, features, names=None, start="2000-01", target_name="Y"):
     )
 
 
+def near_copy_panel(sigma):
+    """A panel whose last feature copies the one before it plus noise of sd
+    ``sigma``, and whose target loads on lag 1 of three features. Sigma
+    2.0e-3 puts the scaled Gram of every least-squares system on all of its
+    lag-1 columns within 0.8-1.0 times the condition cap, and sigma 1.8e-3
+    within 1.0-1.25 times."""
+    n = 150
+    rng = np.random.default_rng(7)
+    feats = rng.normal(size=(n, 6))
+    feats[:, -1] = feats[:, -2] + sigma * rng.normal(size=n)
+    y = np.empty(n)
+    y[0] = 0.0
+    y[1:] = (0.3 * feats[:-1, 0] - 0.25 * feats[:-1, 1] + 0.2 * feats[:-1, -2]
+             + rng.normal(size=n - 1))
+    return make_panel(y, feats)
+
+
 def per_subset_p_values(design, envs, max_subset_size):
     """seqICP's invariance p of every feature subset up to ``max_subset_size``
     along the per-subset path: one ols_fit and one 1-D invariance test each."""

@@ -167,6 +167,14 @@ class TestPortfolioMetrics:
         assert stats.sharpe == pytest.approx(sharpe, abs=1e-10)
         assert stats.sortino == pytest.approx(sortino, abs=1e-10)
 
+    @pytest.mark.parametrize("returns", [[0.1] * 3, [0.7] * 12], ids=["0.1x3", "0.7x12"])
+    def test_constant_returns_have_no_sharpe(self, returns):
+        # their std rounds to 1.7e-17 and 1.2e-16, which gave Sharpes of ~1e16
+        assert np.asarray(returns).std(ddof=1) > 0.0
+        stats = portfolio_metrics(self.series(returns), EMPTY_CAL)[Regime.NORMAL]
+        assert stats.sharpe is None
+        assert stats.expected_return == pytest.approx(12 * returns[0])
+
     def test_insufficient(self):
         with pytest.raises(Insufficient):
             portfolio_metrics(self.series([1.0]), EMPTY_CAL)

@@ -16,7 +16,10 @@ from causalfs.errors import (
     Underdetermined,
 )
 from causalfs import numerics
+from causalfs.panel import build_design
+from causalfs.selectors import pcmci as pcmci_module
 from causalfs.selectors import varlingam as varlingam_module
+from causalfs.selectors.pcmci import _ci_tests, _LagView
 from causalfs.selectors.varlingam import varlingam_fit
 from causalfs.synthlab import SvarSpec, generate_svar
 from causalfs.numerics import (
@@ -38,6 +41,8 @@ from causalfs.numerics import (
     subset_gram,
     subset_residuals,
 )
+
+from conftest import near_copy_panel
 
 # frozen from an independent quadrature of the F(2, 17) density over [1.7, inf)
 F_SF_1P7_2_17 = 0.21230460218830446
@@ -505,6 +510,89 @@ class TestGramPartialCorrelation:
         assert not ok[0] and np.isnan(r[0])
 
 
+def _scaled_cond(G):
+    s = np.sqrt(np.diag(G))
+    w = np.linalg.eigvalsh(G / s[:, None] / s)
+    return w[-1] / w[0]
+
+
+def _lstsq_beta(A, y):
+    return np.linalg.lstsq(A, y, rcond=None)[0]
+
+
+@pytest.mark.parametrize("sigma, above", [(2.0e-3, False), (1.8e-3, True)],
+                         ids=["below-cap", "above-cap"])
+def test_every_gram_consumer_switches_at_the_same_cap(monkeypatch, sigma, above):
+    # Granger's nested_rss, seqicp's subset_residuals, sfs's cv_mse_sets and
+    # PCMCI's _ci_tests, each on all lag-1 columns of the near-copy panel:
+    # every system sits just below or just above the cap, and each consumer
+    # takes its least-squares path exactly above it
+    panel = near_copy_panel(sigma)
+    design = build_design(panel, 1)
+    X, y, n = design.X, design.y, design.n
+    A = np.column_stack([np.ones(n), X])
+    every = list(range(X.shape[1]))
+    blocks = np.array_split(np.arange(n), 3)
+    trains = [np.setdiff1d(np.arange(n), block) for block in blocks]
+    view = _LagView(panel.data, 1)
+    m = panel.data.shape[1]
+    links = [(m - 1, 1), (0, 0), *((v, 1) for v in range(m - 1))]  # x: the copy
+    M = view.centred_cols(links)
+    conds = [_scaled_cond(A.T @ A), *(_scaled_cond(A[t].T @ A[t]) for t in trains),
+             _scaled_cond(M @ M.T)]
+    low, high = (1.0, 1.25) if above else (0.8, 1.0)
+    assert all(low * numerics._GRAM_COND_MAX < c < high * numerics._GRAM_COND_MAX
+               for c in conds)
+
+    calls = {"svd": 0, "ols_fit": 0, "partial_correlation": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(numerics, "ols_fit", spy("ols_fit", ols_fit))
+    monkeypatch.setattr(pcmci_module, "partial_correlation",
+                        spy("partial_correlation", partial_correlation))
+    taken = {}
+
+    def counting(consumer, fn, *args):
+        before = dict(calls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficientWarning)
+            result = fn(*args)
+        taken[consumer] = {k: calls[k] - before[k] for k in calls if calls[k] > before[k]}
+        return result
+
+    rss_full, restricted = counting("nested_rss", nested_rss, X, y, [[j] for j in every])
+    residuals = counting("subset_residuals", subset_residuals, subset_gram(X, y), [every])
+    mse = counting("cv_mse_sets", cv_mse_sets, cv_folds(X, y, blocks), [every])
+    (r, p), = counting("_ci_tests", _ci_tests, view, [links[0]], 0, [links[2:]])
+    fallbacks = {"nested_rss": {"svd": 1}, "subset_residuals": {"ols_fit": 1},
+                 "cv_mse_sets": {"ols_fit": len(blocks)},
+                 "_ci_tests": {"partial_correlation": 1, "ols_fit": 2}}
+    assert taken == (fallbacks if above else {name: {} for name in fallbacks})
+
+    # each result within its oracle band: TestNestedRss, TestSubsetResiduals,
+    # TestCvMseSets and PCMCI's _oracle_condition_select
+    oracle = y - A @ _lstsq_beta(A, y)
+    assert rss_full == pytest.approx(oracle @ oracle, rel=1e-9)
+    for j, got in zip(every, restricted):
+        B = np.delete(A, j + 1, axis=1)
+        resid = y - B @ _lstsq_beta(B, y)
+        assert got == pytest.approx(resid @ resid, rel=1e-9)
+    np.testing.assert_allclose(residuals[0], oracle, rtol=0, atol=1e-10 * np.linalg.norm(y))
+    losses = [float(((y[b] - A[b] @ _lstsq_beta(A[t], y[t])) ** 2).mean())
+              for b, t in zip(blocks, trains)]
+    assert mse[0] == pytest.approx(np.mean(losses), rel=1e-10)
+    rx, ry = (M[i] - M[2:].T @ _lstsq_beta(M[2:].T, M[i]) for i in (0, 1))
+    want = rx @ ry / np.sqrt((rx @ rx) * (ry @ ry))
+    np.testing.assert_allclose([r, p], [want, _correlation_p(want, view.rows - len(links))],
+                               rtol=0, atol=1e-10)
+
+
 class TestKMeans:
     def test_separated_clouds(self, rng):
         a = rng.normal(size=(20, 2))
@@ -862,6 +950,97 @@ def gram(G, d, ok):
 """
     assert _rule_sites(ast.parse(old)) == [
         ("pearson", "centring"), ("pearson", "constant"), ("pearson", "ratio"), ("gram", "ratio")]
+
+
+def _engine_sites(tree):
+    """(function, part) for each read of the condition cap, of eigvalsh, eigh
+    and ols_fit, and for each self-product M'M or M M' (``@`` or
+    ``np.dot``) in ``tree``, named by the innermost enclosing function (as
+    ``Class.method`` for a method)."""
+    sites = []
+
+    def untransposed(node):
+        return ast.dump(node.value) if isinstance(node, ast.Attribute) and node.attr == "T" else None
+
+    def self_product(a, b):
+        return ast.dump(a) == untransposed(b) or untransposed(a) == ast.dump(b)
+
+    def visit(node, where, cls):
+        if isinstance(node, ast.ClassDef):
+            where, cls = node.name, node.name
+        elif isinstance(node, ast.FunctionDef):
+            where, cls = f"{cls}.{node.name}" if cls else node.name, None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            part = {"_GRAM_COND_MAX": "cap", "ols_fit": "ols_fit"}.get(node.id)
+            if part:
+                sites.append((where, part))
+        if isinstance(node, ast.Attribute) and node.attr in ("eigvalsh", "eigh"):
+            sites.append((where, node.attr))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if self_product(node.left, node.right):
+                sites.append((where, "gram"))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dot":
+            if len(node.args) >= 2 and self_product(*node.args[:2]):
+                sites.append((where, "gram"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, cls)
+
+    visit(tree, "<module>", None)
+    return sites
+
+
+def test_one_normal_equations_engine():
+    # one guard: the 1e6 cap and its eigvalsh live in _ScaledSystems, and
+    # eigh only in FastICA; one Gram formation: the design's Gram is formed
+    # in subset_gram, and the other self-products in src/ are FastICA's
+    # whitening covariance and decorrelation and PCMCI's Gram of centred lag
+    # columns; one refit: in numerics, a system past the guard is refit in
+    # _refit_residuals, a rank-deficient Granger design in nested_rss, and a
+    # PCMCI test in partial_correlation
+    src = Path(causalfs.__file__).resolve().parent
+    sites = sorted((str(p.relative_to(src)), *site) for p in sorted(src.rglob("*.py"))
+                   for site in _engine_sites(ast.parse(p.read_text()))
+                   if site[1] != "ols_fit" or p.name == "numerics.py")
+    assert sites == [
+        ("numerics.py", "_ScaledSystems.__init__", "cap"),
+        ("numerics.py", "_ScaledSystems.__init__", "eigvalsh"),
+        ("numerics.py", "_refit_residuals", "ols_fit"),
+        ("numerics.py", "_sym_decorrelate", "eigh"),
+        ("numerics.py", "_sym_decorrelate", "gram"),
+        ("numerics.py", "fastica", "eigh"),
+        ("numerics.py", "fastica", "gram"),
+        ("numerics.py", "nested_rss", "ols_fit"),
+        ("numerics.py", "nested_rss", "ols_fit"),
+        ("numerics.py", "partial_correlation", "ols_fit"),
+        ("numerics.py", "partial_correlation", "ols_fit"),
+        ("numerics.py", "subset_gram", "gram"),
+        ("selectors/pcmci.py", "_Gram.__init__", "gram"),
+    ]
+
+
+def test_engine_scan_finds_the_old_copies():
+    # the scan above sees a second Gram formation, a second guard with its
+    # own eigh, and the refits that _refit_residuals replaced
+    old = """
+def nested_rss(X, y):
+    A = np.column_stack([np.ones(len(y)), X])
+    systems = _ScaledSystems(A.T @ A)
+
+def gram_partial_correlation(G, n):
+    w, V = np.linalg.eigh(G)
+    ok = w[:, 0] > w[:, -1] / _GRAM_COND_MAX
+
+def _ols_fold_mse(cv, f, columns):
+    fit = ols_fit(X[train], cv.y[train])
+
+class _Gram:
+    def __init__(self, cols):
+        self.G = np.dot(cols, cols.T)
+"""
+    assert _engine_sites(ast.parse(old)) == [
+        ("nested_rss", "gram"), ("gram_partial_correlation", "eigh"),
+        ("gram_partial_correlation", "cap"), ("_ols_fold_mse", "ols_fit"),
+        ("_Gram.__init__", "gram")]
 
 
 # what one function in pcmci.py must hold: the skip warning, both kernels

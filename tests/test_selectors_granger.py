@@ -9,7 +9,7 @@ from causalfs.panel import build_design
 from causalfs.selectors import granger_select
 from causalfs.synthlab import SvarSpec, generate_svar
 
-from conftest import make_panel
+from conftest import make_panel, near_copy_panel
 
 
 def test_detects_single_lagged_driver():
@@ -209,19 +209,6 @@ def _svd_spy(monkeypatch):
     return calls
 
 
-def _near_copy_design(sigma, n=150, d=6, p=1):
-    """A lag design whose last feature copies the one before it plus noise
-    of sd ``sigma``."""
-    rng = np.random.default_rng(7)
-    feats = rng.normal(size=(n, d))
-    feats[:, -1] = feats[:, -2] + sigma * rng.normal(size=n)
-    y = np.empty(n)
-    y[:p] = 0.0
-    y[p:] = (0.3 * feats[:-p, 0] - 0.25 * feats[:-p, 1] + 0.2 * feats[:-p, -2]
-             + rng.normal(size=n - p))
-    return build_design(make_panel(y, feats), p)
-
-
 def _scaled_gram_cond(design):
     A = np.column_stack([np.ones(design.n), design.X])
     G = A.T @ A
@@ -235,7 +222,7 @@ def _scaled_gram_cond(design):
     (1.8e-3, (_GRAM_COND_MAX, 1.25 * _GRAM_COND_MAX), 1),
 ], ids=["below-cap", "above-cap"])
 def test_both_sides_of_the_gram_guard_match_refits(monkeypatch, sigma, cond_range, svd_calls):
-    design = _near_copy_design(sigma)
+    design = build_design(near_copy_panel(sigma), 1)
     assert cond_range[0] < _scaled_gram_cond(design) < cond_range[1]
     oracle = _refit_f_tests(design, _lstsq_rss)
     calls = _svd_spy(monkeypatch)
