@@ -14,7 +14,9 @@
 # exported panel must go through ingest, backtest and report, and a
 # report whose ledger is shorter than metric_window must exit 2 naming
 # metric_window, with no traceback; a price
-# CSV with a non-numeric close, a FRED-MD file with an inf cell, and a
+# CSV with a non-numeric close, a price CSV that skips the month after its
+# first row (exit 2 naming the file, no traceback and no panel.csv), a
+# FRED-MD file with an inf cell, and a
 # backtest whose window leaves no month to forecast must exit 2, and so
 # must an ingest whose FRED-MD header repeats a series, whose transform
 # row holds inf, whose target_name names a series or is A;B, or whose
@@ -98,7 +100,7 @@ if grep "falling back" const_err.txt; then exit 1; fi
 python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; x = p.data[:, 3]; p = AlignedPanel(p.dates, np.column_stack([p.data, x + 1e-5 * x.std() * np.random.default_rng(0).normal(size=len(x))]), (*p.names, 'X3_COPY')); [open(f'copy_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
 printf 'fredmd_csv = "copy_fredmd.csv"\nprices_csv = "copy_prices.csv"\ngroups_csv = "copy_groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "copy"\nwindow = 40\nselectors = ["granger", "seqicp", "sfs", "pcmci"]\n' > copy.toml
 causalfs ingest --config copy.toml
-python -c "from causalfs.ingest import read_panel; from causalfs.numerics import _ScaledSystems, subset_gram; from causalfs.panel import build_design; d = build_design(read_panel('copy/panel.csv', 'copy/panel_meta.json').head(40), 1); assert not _ScaledSystems(subset_gram(d.X, d.y).gram[:-1, :-1]).ok"
+python -c "from causalfs.ingest import read_panel; from causalfs.numerics import _ScaledSystems; from causalfs.panel import build_design; d = build_design(read_panel('copy/panel.csv', 'copy/panel_meta.json').head(40), 1); assert not _ScaledSystems(d.engine.gram[:-1, :-1]).ok"
 causalfs backtest --config copy.toml 2> copy_err.txt
 if grep "falling back" copy_err.txt; then exit 1; fi
 for sid in granger seqicp sfs pcmci; do test -s "copy/ledger_$sid.csv"; done
@@ -107,6 +109,14 @@ sed 's/"prices.csv"/"bad_prices.csv"/' run.toml > bad_prices.toml
 rc=0
 causalfs ingest --config bad_prices.toml --out bad_prices || rc=$?
 test "$rc" -eq 2
+sed '3d' prices.csv > gap_prices.csv
+sed 's/"prices.csv"/"gap_prices.csv"/' run.toml > gap_prices.toml
+rc=0
+causalfs ingest --config gap_prices.toml --out gap_prices 2> gap_prices_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback gap_prices_err.txt; then exit 1; fi
+grep -q "gap_prices.csv: month .* missing between" gap_prices_err.txt
+test ! -e gap_prices/panel.csv
 sed '3s/,[^,]*/,inf/' fredmd.csv > inf_fredmd.csv
 sed 's/"fredmd.csv"/"inf_fredmd.csv"/' run.toml > inf_fredmd.toml
 rc=0

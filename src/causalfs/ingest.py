@@ -168,6 +168,15 @@ def _cell_to_float(cell: str) -> float:
     return value
 
 
+def _consecutive(series):
+    """``series`` if no month is missing between its dates, else MalformedCsv
+    naming the two months around the first gap."""
+    for a, b in zip(series.dates, series.dates[1:]):
+        if b.index() != a.index() + 1:
+            raise MalformedCsv(f"month {a.plus(1)} missing between {a} and {b}")
+    return series
+
+
 def check_names(names, what: str, error=MalformedCsv) -> None:
     """``error`` naming the first of ``names`` that is blank, holds a ';'
     (the ledger's separator between selected names) or repeats."""
@@ -202,8 +211,8 @@ def parse_groups(csv_text: str) -> dict[str, int]:
 def parse_fredmd(
     csv_text: str, sidecar: dict[str, int]
 ) -> tuple[MonthlyPanel, dict[str, int], dict[str, int]]:
-    """Parse a FRED-MD-format CSV; ``sidecar`` is its group sidecar as
-    ``parse_groups`` returns it.
+    """Parse a FRED-MD-format CSV with no month missing; ``sidecar`` is its
+    group sidecar as ``parse_groups`` returns it.
 
     Returns the raw (still untransformed, NaN-bearing) panel, the per-series
     transform codes for the kept series, and the group tags for every series
@@ -248,7 +257,7 @@ def parse_fredmd(
     keep = [i for i, name in enumerate(names) if groups[name] != STOCK_MARKET_GROUP]
     kept_names = tuple(names[i] for i in keep)
     values = np.array(data, dtype=float)[:, keep]
-    panel = MonthlyPanel(dates=dates, values=values, names=kept_names)
+    panel = _consecutive(MonthlyPanel(dates=dates, values=values, names=kept_names))
     return panel, {n: tcodes[n] for n in kept_names}, groups
 
 
@@ -283,7 +292,7 @@ def transform_panel(panel: MonthlyPanel, tcodes: dict[str, int]) -> MonthlyPanel
 
 
 def load_prices(csv_text: str) -> MonthlySeries:
-    """Parse the ``date,close`` price CSV; one row per month expected."""
+    """Parse the ``date,close`` price CSV: one row per month, none missing."""
     rows = csv_rows(csv_text)
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["date", "close"]:
         raise MalformedCsv("price CSV must start with header 'date,close'")
@@ -296,7 +305,8 @@ def load_prices(csv_text: str) -> MonthlySeries:
         return MonthStamp(int(parts[0]), int(parts[1])), float(close)
 
     parsed = parse_rows(rows[1:], price_row)
-    return MonthlySeries(tuple(m for m, _ in parsed), np.array([v for _, v in parsed]))
+    prices = MonthlySeries(tuple(m for m, _ in parsed), np.array([v for _, v in parsed]))
+    return _consecutive(prices)
 
 
 def prices_to_returns(prices: MonthlySeries) -> MonthlySeries:

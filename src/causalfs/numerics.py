@@ -1,14 +1,14 @@
 """Statistical and optimization kernels shared by all selectors.
 
 Least squares behind Granger, seqICP, SFS and PCMCI is one normal-equations
-engine: one Gram (``subset_gram``, Z'Z of Z = [1, X, y]), one condition
-guard (``_ScaledSystems``, which also reads PCMCI's Grams of centred
-columns) and one refit of a subset or fold past it (``_refit_residuals``);
-past it, Granger takes the SVD Wald form and PCMCI ``partial_correlation``.
-k-means and FastICA are implemented here because the selectors depend on
-their exact seeding, repair, and convergence behaviour being reproducible.
-scipy is imported inside the functions that call it, so a command that never
-calls them does not load it.
+engine: one block Z = [1, X, y] per design (``subset_gram``; Z'Z on first
+read), one condition guard (``_ScaledSystems``, which also reads PCMCI's
+Grams of centred columns) and one refit of a subset or fold past it
+(``_refit_residuals``); past it, Granger takes the SVD Wald form and PCMCI
+``partial_correlation``. k-means and FastICA are implemented here because
+the selectors depend on their exact seeding, repair, and convergence
+behaviour being reproducible. scipy is imported inside the functions that
+call it, so a command that never calls them does not load it.
 
 ``f_sf`` is the package's one F tail, read by the nested F test, the
 correlation tests (as the F(1, dof) tail of t^2) and seqICP's equal-mean
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,16 +110,15 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OlsFit:
     )
 
 
-def nested_rss(
-    X: np.ndarray, y: np.ndarray, blocks
-) -> tuple[float, np.ndarray]:
-    """RSS of y on [1, X], and the RSS with each column block of X dropped.
+def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
+    """RSS of y on [1, X], and the RSS with each column block of X dropped,
+    for ``sg``'s Z = [1, X, y]; Underdetermined unless rows exceed regressors.
 
     ``blocks`` holds lists of column indices into X. Every restricted RSS
     is the full RSS plus a Wald gap: dropping block B adds
     beta_B' (C_BB)^-1 beta_B, where C = (A'A)^-1 and A = [1, X].
 
-    A'A and A'y are blocks of ``subset_gram``'s Z'Z. Where A'A passes the
+    A'A and A'y are blocks of ``sg.gram``, Z'Z. Where A'A passes the
     ``_ScaledSystems`` guard, C is its ``inverse``, beta = C A'y, the full
     RSS comes from the residuals y - A beta (not from the Gram, which would
     cancel), a one-column block's gap is beta_j^2 / C_jj, and the q x q
@@ -134,8 +134,9 @@ def nested_rss(
     path valid for a rank-deficient design, which warns
     RankDeficientWarning.
     """
-    sg = subset_gram(X, y, fit_all=True)
-    A, y = sg.Z[:, :-1], sg.Z[:, -1]
+    if len(sg.Z) < sg.Z.shape[1]:  # before the Gram is formed
+        raise Underdetermined(f"{len(sg.Z)} rows for {sg.Z.shape[1] - 1} regressors")
+    A, X, y = sg.Z[:, :-1], sg.Z[:, 1:-1], sg.Z[:, -1]
     systems = _ScaledSystems(sg.gram[:-1, :-1])
     if systems.ok:
         C = systems.inverse()
@@ -237,24 +238,21 @@ class _ScaledSystems:
 
 @dataclass(frozen=True)
 class SubsetGram:
-    """Z = [1, X, y] and Z'Z, from which the least-squares fit of y on any
-    column subset of [1, X] reads its normal equations."""
+    """The read-only block Z = [1, X, y]; fits of y on column subsets of
+    [1, X] read their normal equations from ``gram``, Z'Z on first read."""
 
     Z: np.ndarray
-    gram: np.ndarray
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.Z.T @ self.Z
 
 
-def subset_gram(X: np.ndarray, y: np.ndarray, fit_all: bool = False) -> SubsetGram:
-    """Form Z'Z of Z = [1, X, y] once per design; with ``fit_all`` (one fit
-    on all of [1, X]), first raise Underdetermined unless rows exceed its columns."""
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("rows(X) must equal len(y)")
+def subset_gram(X: np.ndarray, y: np.ndarray) -> SubsetGram:
+    """Stack Z = [1, X, y] once per design, read-only, in float64."""
     Z = np.column_stack([np.ones(len(y)), X, y])
-    if fit_all and len(Z) < Z.shape[1]:
-        raise Underdetermined(f"{len(Z)} rows for {Z.shape[1] - 1} regressors")
-    return SubsetGram(Z, Z.T @ Z)
+    Z.setflags(write=False)
+    return SubsetGram(Z)
 
 
 def _refit_residuals(Z: np.ndarray, cols, held_out=None) -> np.ndarray:
@@ -299,7 +297,7 @@ def subset_residuals(sg: SubsetGram, column_sets) -> np.ndarray:
 class CvFolds:
     """Cross-products for block cross-validation of y on [1, X].
 
-    ``Z`` is ``subset_gram``'s [1, X, y], and ``grams[f]`` is fold f's
+    ``Z`` is a ``SubsetGram``'s [1, X, y], and ``grams[f]`` is fold f's
     training Gram Z'Z - Z_b'Z_b, where Z_b holds the rows of validation
     block ``blocks[f]``. ``z_val[f]`` holds those rows, zero-padded to the
     longest block.
@@ -312,15 +310,14 @@ class CvFolds:
     n_val: np.ndarray  # rows per block
 
 
-def cv_folds(X: np.ndarray, y: np.ndarray, blocks) -> CvFolds:
-    """Form Z'Z of Z = [1, X, y] once and downdate it by each block."""
-    full = subset_gram(X, y)
-    Z = full.Z
+def cv_folds(sg: SubsetGram, blocks) -> CvFolds:
+    """Downdate ``sg``'s Gram Z'Z by each block's rows of Z."""
+    Z = sg.Z
     blocks = tuple(np.asarray(b, dtype=int) for b in blocks)
     z_val = np.zeros((len(blocks), max(len(b) for b in blocks), Z.shape[1]))
     for f, block in enumerate(blocks):
         z_val[f, : len(block)] = Z[block]
-    grams = full.gram - np.transpose(z_val, (0, 2, 1)) @ z_val
+    grams = sg.gram - np.transpose(z_val, (0, 2, 1)) @ z_val
     n_val = np.array([len(b) for b in blocks])
     return CvFolds(Z, blocks, grams, z_val, n_val)
 
@@ -359,7 +356,7 @@ def cv_mse_sets(cv: CvFolds, column_sets) -> np.ndarray:
 def f_sf(x, df1, df2):
     """Upper tail of the F(df1, df2) distribution at x, elementwise, via the
     regularized incomplete beta function; x = 0 gives exactly 1 and x = inf
-    exactly 0. Every p-value in the package comes from this tail."""
+    exactly 0."""
     from scipy.special import betainc
 
     return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x))

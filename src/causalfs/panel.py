@@ -28,6 +28,7 @@ from .errors import (
     NoOverlap,
     NonContiguous,
 )
+from .numerics import SubsetGram, subset_gram
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -199,25 +200,21 @@ class DesignMatrix:
 
     Columns follow :func:`design_columns` at lag order ``p``. Every
     regressor in the row for date t is a panel value stamped strictly
-    before t.
+    before t. ``X`` and ``y`` are read-only views of ``engine.Z`` = [1, X, y].
     """
 
     dates: tuple[MonthStamp, ...]
-    y: np.ndarray
-    X: np.ndarray
+    engine: SubsetGram
     names: tuple[str, ...]  # the panel's, target first
     p: int = 1
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).copy()
-        X = np.asarray(self.X, dtype=float).copy()
-        if X.shape != (len(self.dates), len(self.columns)) or y.shape[0] != X.shape[0]:
-            raise ValueError("design shape mismatch")
-        y.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
+    @property
+    def X(self) -> np.ndarray:
+        return self.engine.Z[:, 1:-1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.engine.Z[:, -1]
 
     @cached_property
     def columns(self) -> tuple[tuple[str, int], ...]:
@@ -244,7 +241,7 @@ class DesignMatrix:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return len(self.engine.Z)
 
 
 def align_and_shift(
@@ -303,17 +300,12 @@ def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:
     """Build the lag-p design: y_t on [Y_{t-1}, X_{i,t-1..t-p} for all i].
 
     The first p panel rows are consumed as history only, so the result has
-    exactly T - p rows.
+    exactly T - p rows, stacked once into the design's engine block.
     """
     _, lagged = stack_lags(panel.data, p)
     T = len(panel)
     if T <= p + 1:
         raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    return DesignMatrix(
-        dates=panel.dates[p:T],
-        y=panel.target[p:T],
-        # p = 1 lists every column in order: no gather
-        X=lagged if p == 1 else lagged.take(design_columns(len(panel.names), p), axis=1),
-        names=panel.names,
-        p=p,
-    )
+    # p = 1 lists every column in order: no gather
+    X = lagged if p == 1 else lagged.take(design_columns(len(panel.names), p), axis=1)
+    return DesignMatrix(panel.dates[p:T], subset_gram(X, panel.target[p:]), panel.names, p)

@@ -96,6 +96,7 @@ boolean = _coercion("true or false", bool)
 string = _coercion("a string", str, rule="printable", test=str.isprintable)
 _ALPHA = _coercion("a number", int, float, rule="in (0, 1)", test=lambda value: 0 < value < 1)
 _POSITIVE = _coercion("a number", int, float, rule="> 0", test=lambda value: value > 0)
+_NON_NEGATIVE = _coercion("a number", int, float, rule=">= 0", test=lambda value: value >= 0)
 
 
 def at_least(low: int):
@@ -114,12 +115,12 @@ SELECTORS = {
                          "environments": _one_of("halves", "calendar")}),
     "varlingam": (_varlingam, {"k_clusters": at_least(1), "edge_threshold": number,
                                "use_instantaneous": boolean, "use_lagged": boolean}),
-    "dynotears": (_dynotears, {"lambda_w": number, "lambda_s": number,
+    "dynotears": (_dynotears, {"lambda_w": _NON_NEGATIVE, "lambda_s": _NON_NEGATIVE,
                                "h_tol": _POSITIVE, "w_threshold": number}),
     "pcmci": (_pcmci, {"alpha": _ALPHA, "max_cond_dim": at_least(0),
                        "max_parents_stage1": at_least(1)}),
     "sfs": (_sfs, {"direction": _one_of("forward", "backward"), "tol": number,
-                   "max_features": integer, "folds": at_least(2)}),
+                   "max_features": at_least(0), "folds": at_least(2)}),
 }
 SELECTOR_IDS = tuple(SELECTORS)
 

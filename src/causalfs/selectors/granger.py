@@ -20,7 +20,7 @@ def granger_select(design: DesignMatrix, alpha: float = 0.05) -> FeatureSet:
     """
     n, k_cols = design.X.shape
     blocks = list(design.blocks.values())
-    rss_full, rss_restricted = nested_rss(design.X, design.y, blocks)
+    rss_full, rss_restricted = nested_rss(design.engine, blocks)
     test = f_test_nested(rss_restricted, rss_full, q=[len(b) for b in blocks], n=n,
                          k_full=k_cols + 1)  # intercept counted
     p_values = dict(zip(design.blocks, test.p_value.tolist()))

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import Insufficient, NeedEnvironments
-from ..numerics import chunk_slices, f_sf, subset_gram, subset_residuals
+from ..numerics import chunk_slices, f_sf, subset_residuals
 from ..panel import DesignMatrix
 from .base import Environment, FeatureSet
 
@@ -117,7 +117,6 @@ def seqicp_select(
                 f"environment {env.label!r} has {len(env)} rows for up to "
                 f"{max_cols} regressors"
             )
-    gram = subset_gram(design.X, design.y)
     accepted: list[frozenset[str]] = []
     for size in range(largest + 1):
         subsets = list(combinations(names, size))
@@ -126,7 +125,7 @@ def seqicp_select(
         ]
         # per subset: n residuals and the n x k columns of [1, X_S] they come from
         for part in chunk_slices(len(subsets), design.n * (len(column_sets[0]) + 2)):
-            residuals = subset_residuals(gram, column_sets[part])
+            residuals = subset_residuals(design.engine, column_sets[part])
             p_values = residual_invariance_p(residuals, environments).tolist()
             accepted += [frozenset(s) for s, p in zip(subsets[part], p_values) if p > alpha]
     return FeatureSet(frozenset.intersection(*accepted) if accepted else frozenset())

@@ -16,7 +16,7 @@ def _cv_folds(design: DesignMatrix, folds: int) -> CvFolds:
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     blocks = [b for b in np.array_split(np.arange(design.n), folds) if len(b)]
-    return cv_folds(design.X, design.y, blocks)
+    return cv_folds(design.engine, blocks)
 
 
 def cv_mse(design: DesignMatrix, feature_names, folds: int) -> float:

@@ -432,6 +432,9 @@ class TestSelectorRegistry:
         pytest.param("granger", {"alpha": 1.0}, id="alpha-one"),
         pytest.param("varlingam", {"k_clusters": 0}, id="k-clusters-zero"),
         pytest.param("dynotears", {"h_tol": -1e-8}, id="h-tol-negative"),
+        pytest.param("dynotears", {"lambda_w": -0.1}, id="lambda-w-negative"),
+        pytest.param("dynotears", {"lambda_s": -1.0}, id="lambda-s-negative"),
+        pytest.param("sfs", {"max_features": -1}, id="max-features-negative"),
         pytest.param("pcmci", [("alpha", 0.1)], id="not-a-table"),
     ])
     def test_bad_params_rejected_before_any_call(self, sid, params):
@@ -446,6 +449,9 @@ class TestSelectorRegistry:
         assert selector_params("varlingam", {"use_lagged": False, "k_clusters": 1}) == {
             "use_lagged": False, "k_clusters": 1}
         assert selector_params("pcmci", {"max_cond_dim": 0}) == {"max_cond_dim": 0}
+        assert selector_params("sfs", {"max_features": 0}) == {"max_features": 0}
+        assert selector_params("dynotears", {"lambda_w": 0, "lambda_s": 0.0}) == {
+            "lambda_w": 0.0, "lambda_s": 0.0}
 
     def test_seqicp_calendar_environments(self, panel):
         design = build_design(panel, 1)

@@ -577,6 +577,10 @@ class TestBacktest:
         ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_cond_dim = -1"),
         ("max_features = 2", "max_features = 2\n[selector.pcmci]\nmax_parents_stage1 = 0"),
         ("max_features = 2", "max_features = 2\n[selector.dynotears]\nh_tol = 0.0"),
+        ("max_features = 2", "max_features = -1"),
+        ("max_features = 2", 'max_features = -3\ndirection = "backward"'),
+        ("max_features = 2", "max_features = 2\n[selector.dynotears]\nlambda_w = -0.1"),
+        ("max_features = 2", "max_features = 2\n[selector.dynotears]\nlambda_s = -1.0"),
         ('combine = ["granger", "sfs"]', 'combine = ["granger", "pcmci"]'),
         ('selectors = ["granger", "sfs"]\ncombine = ["granger", "sfs"]', "selectors = []\ncombine = []"),
         ('selectors = ["granger", "sfs"]\ncombine = ["granger", "sfs"]',
@@ -589,6 +593,8 @@ class TestBacktest:
             "k-clusters-zero", "granger-alpha-above-one", "granger-alpha-bool",
             "seqicp-alpha-zero", "seqicp-max-subset-negative", "pcmci-alpha-one",
             "pcmci-max-cond-dim-negative", "pcmci-max-parents-zero", "dynotears-h-tol-zero",
+            "sfs-max-features-negative", "sfs-backward-max-features-negative",
+            "dynotears-lambda-w-negative", "dynotears-lambda-s-negative",
             "combine-unlisted-selector", "selectors-empty", "selectors-repeated",
             "combine-repeated"])
     def test_infeasible_run_config_exit_2_before_any_ledger(self, workspace, capsys, old, new):
@@ -736,6 +742,14 @@ NON_UTF8 = {
 }
 
 
+def _month_of(date: str) -> str:
+    """YYYY-MM of a price file's YYYY-MM-DD or a FRED-MD file's M/D/YYYY."""
+    if "/" in date:
+        month, _, year = date.split("/")
+        return f"{year}-{int(month):02d}"
+    return date[:7]
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize("case", NON_UTF8)
     def test_non_utf8_byte_exit_2_naming_the_file(self, workspace, capsys, case):
@@ -753,6 +767,24 @@ class TestMalformedCsv:
             assert err.startswith(f"config error: config file {config} is not UTF-8 text: ")
         else:
             assert err.startswith(f"error: {path.resolve()}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("name, line", [("prices.csv", 2), ("prices.csv", 30),
+                                            ("fredmd.csv", 3), ("fredmd.csv", 30)],
+                             ids=["prices-second-row", "prices-mid-file",
+                                  "fredmd-second-row", "fredmd-mid-file"])
+    def test_missing_month_exit_2_naming_the_file(self, workspace, capsys, name, line):
+        # a return or difference across the gap would span two months
+        path = workspace / name
+        lines = path.read_text().split("\n")
+        months = [_month_of(lines[i].split(",")[0]) for i in (line - 1, line, line + 1)]
+        del lines[line]
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("ingest", "--config", workspace / "run.toml") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path.resolve()}: month {months[1]} missing between "
+                       f"{months[0]} and {months[2]}\n")
+        assert not (workspace / "out" / "panel.csv").exists()
 
     @pytest.mark.parametrize("case", MALFORMED_CSV)
     def test_exit_2_naming_the_row(self, workspace, capsys, case):

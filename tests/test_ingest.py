@@ -132,6 +132,16 @@ class TestParseFredmd:
             parse_fredmd(text, GROUPS)
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("2/1/2020,101,2.1,3050\n", "month 2020-02 missing between 2020-01 and 2020-03"),
+        ("3/1/2020,102,2.2,2500\n", "month 2020-03 missing between 2020-02 and 2020-04"),
+    ], ids=["after-first-row", "mid-file"])
+    def test_missing_month_rejected_naming_both_months(self, row, message):
+        # a code-2 difference across the gap would span two months
+        with pytest.raises(MalformedCsv, match=f"^{message}$"):
+            parse_fredmd(FREDMD.replace(row, ""), GROUPS)
+
+
 class TestApplyTcode:
     def test_level_identity(self):
         x = np.array([3.0, 1.0, 4.0])
@@ -215,6 +225,20 @@ class TestPrices:
         prices = MonthlySeries(month_range("2020-01", 2), np.array([100.0, 0.0]))
         with pytest.raises(DomainError):
             prices_to_returns(prices)
+
+    @pytest.mark.parametrize("months, message", [
+        ((1, 3, 4, 5), "month 2000-02 missing between 2000-01 and 2000-03"),
+        ((1, 2, 4, 5), "month 2000-03 missing between 2000-02 and 2000-04"),
+    ], ids=["after-first-row", "mid-file"])
+    def test_load_prices_missing_month_rejected_naming_both_months(self, months, message):
+        # 100 then 121 two months later is a two-month return of 21%, not a monthly one
+        rows = "".join(f"2000-{m:02d}-28,{p}\n" for m, p in zip(months, (100, 121, 133.1, 146.41)))
+        with pytest.raises(MalformedCsv, match=f"^{message}$"):
+            load_prices("date,close\n" + rows)
+
+    def test_load_prices_in_any_row_order(self):
+        text = "date,close\n2000-02-28,110\n2000-01-31,100\n"
+        assert prices_to_returns(load_prices(text)).values.tolist() == [pytest.approx(10.0)]
 
     def test_load_prices_duplicate_month(self):
         text = "date,close\n2020-01-15,100\n2020-01-31,101\n"

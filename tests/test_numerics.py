@@ -120,7 +120,7 @@ class TestNestedRss:
             assert 1e5 < np.linalg.cond(A) < 1e7
         with warnings.catch_warnings():
             warnings.simplefilter("error", RankDeficientWarning)
-            rss_full, restricted = nested_rss(X, y, blocks)
+            rss_full, restricted = nested_rss(subset_gram(X, y), blocks)
         assert rss_full == pytest.approx(_lstsq_rss(A, y), rel=1e-9)
         oracle = [_lstsq_rss(np.delete(A, [1 + c for c in b], axis=1), y)
                   for b in blocks]
@@ -132,7 +132,7 @@ class TestNestedRss:
         y = X[:, :3] @ np.array([0.5, -1.0, 0.3]) + rng.normal(size=n)
         blocks = [[0], [1, 2], [3, 4, 5], [6], [5, 2]]
         A = np.column_stack([np.ones(n), X])
-        rss_full, restricted = nested_rss(X, y, blocks)
+        rss_full, restricted = nested_rss(subset_gram(X, y), blocks)
         assert rss_full == pytest.approx(_lstsq_rss(A, y), rel=1e-9)
         oracle = [_lstsq_rss(np.delete(A, [1 + c for c in b], axis=1), y)
                   for b in blocks]
@@ -145,7 +145,7 @@ class TestNestedRss:
         y = X[:, 0] + rng.normal(size=n)
         blocks = [[0], [1], [2], [3]]
         with pytest.warns(RankDeficientWarning):
-            rss_full, restricted = nested_rss(X, y, blocks)
+            rss_full, restricted = nested_rss(subset_gram(X, y), blocks)
         with pytest.warns(RankDeficientWarning):
             oracle = [ols_fit(X[:, [i for i in range(4) if i not in block]], y).rss
                       for block in blocks]
@@ -154,7 +154,7 @@ class TestNestedRss:
 
     def test_underdetermined(self, rng):
         with pytest.raises(Underdetermined):
-            nested_rss(rng.normal(size=(5, 4)), rng.normal(size=5), [[0]])
+            nested_rss(subset_gram(rng.normal(size=(5, 4)), rng.normal(size=5)), [[0]])
 
 
 def _lstsq_cv_mse(X, y, cols, blocks):
@@ -190,7 +190,7 @@ class TestCvMseSets:
                 for drop in range(n_blocks)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RankDeficientWarning)
-            got = cv_mse_sets(cv_folds(X, y, blocks), sets)
+            got = cv_mse_sets(cv_folds(subset_gram(X, y), blocks), sets)
         oracle = [_lstsq_cv_mse(X, y, s, blocks) for s in sets]
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
 
@@ -202,7 +202,7 @@ class TestCvMseSets:
         blocks = np.array_split(np.arange(n), 5)
         sets = [[0, 2, 3], [1, 2, 3], [0, 1, 3]]
         monkeypatch.setattr(numerics, "ols_fit", _no_ols_fit)
-        got = cv_mse_sets(cv_folds(X, y, blocks), sets)
+        got = cv_mse_sets(cv_folds(subset_gram(X, y), blocks), sets)
         oracle = [_lstsq_cv_mse(X, y, s, blocks) for s in sets]
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
 
@@ -218,7 +218,7 @@ class TestCvMseSets:
             return ols_fit(*args, **kwargs)
 
         monkeypatch.setattr(numerics, "ols_fit", counting)
-        cv_mse_sets(cv_folds(X, y, np.array_split(np.arange(n), 4)), [[0, 1], [1, 2]])
+        cv_mse_sets(cv_folds(subset_gram(X, y), np.array_split(np.arange(n), 4)), [[0, 1], [1, 2]])
         assert len(calls) == 4  # every fold of the collinear set, none of the other
 
     def test_exact_duplicate_warns_and_equals_ols_fit_path(self, rng):
@@ -228,7 +228,7 @@ class TestCvMseSets:
         y = X[:, 0] + rng.normal(size=n)
         blocks = np.array_split(np.arange(n), 5)
         with pytest.warns(RankDeficientWarning):
-            got = cv_mse_sets(cv_folds(X, y, blocks), [[0, 1, 2]])
+            got = cv_mse_sets(cv_folds(subset_gram(X, y), blocks), [[0, 1, 2]])
         losses = []
         with pytest.warns(RankDeficientWarning):
             for block in blocks:
@@ -242,7 +242,7 @@ class TestCvMseSets:
         n = 70
         X = rng.normal(size=(n, 6))
         y = X[:, 0] + rng.normal(size=n)
-        cv = cv_folds(X, y, np.array_split(np.arange(n), 5))
+        cv = cv_folds(subset_gram(X, y), np.array_split(np.arange(n), 5))
         sets = [[c for c in range(6) if c != drop] for drop in range(6)]
         whole = cv_mse_sets(cv, sets)
         monkeypatch.setattr(numerics, "_CV_CHUNK_ENTRIES", 1)  # one set per chunk
@@ -252,7 +252,7 @@ class TestCvMseSets:
         n, width = 200, 121
         X = rng.normal(size=(n, width))
         y = X[:, 0] + rng.normal(size=n)
-        cv = cv_folds(X, y, np.array_split(np.arange(n), 5))
+        cv = cv_folds(subset_gram(X, y), np.array_split(np.arange(n), 5))
         sets = [[c for c in range(width) if c != drop] for drop in range(1, width)]
         tracemalloc.start()
         try:
@@ -265,7 +265,7 @@ class TestCvMseSets:
 
     def test_underdetermined_fold_scores_inf(self, rng):
         X = rng.normal(size=(10, 6))
-        cv = cv_folds(X, rng.normal(size=10), np.array_split(np.arange(10), 2))
+        cv = cv_folds(subset_gram(X, rng.normal(size=10)), np.array_split(np.arange(10), 2))
         assert cv_mse_sets(cv, [[0, 1, 2, 3], [1, 2, 3, 4]]).tolist() == [math.inf] * 2
 
 
@@ -566,9 +566,9 @@ def test_every_gram_consumer_switches_at_the_same_cap(monkeypatch, sigma, above)
         taken[consumer] = {k: calls[k] - before[k] for k in calls if calls[k] > before[k]}
         return result
 
-    rss_full, restricted = counting("nested_rss", nested_rss, X, y, [[j] for j in every])
+    rss_full, restricted = counting("nested_rss", nested_rss, subset_gram(X, y), [[j] for j in every])
     residuals = counting("subset_residuals", subset_residuals, subset_gram(X, y), [every])
-    mse = counting("cv_mse_sets", cv_mse_sets, cv_folds(X, y, blocks), [every])
+    mse = counting("cv_mse_sets", cv_mse_sets, cv_folds(subset_gram(X, y), blocks), [every])
     (r, p), = counting("_ci_tests", _ci_tests, view, [links[0]], 0, [links[2:]])
     fallbacks = {"nested_rss": {"svd": 1}, "subset_residuals": {"ols_fit": 1},
                  "cv_mse_sets": {"ols_fit": len(blocks)},
@@ -992,7 +992,7 @@ def _engine_sites(tree):
 def test_one_normal_equations_engine():
     # one guard: the 1e6 cap and its eigvalsh live in _ScaledSystems, and
     # eigh only in FastICA; one Gram formation: the design's Gram is formed
-    # in subset_gram, and the other self-products in src/ are FastICA's
+    # in SubsetGram.gram, and the other self-products in src/ are FastICA's
     # whitening covariance and decorrelation and PCMCI's Gram of centred lag
     # columns; one refit: in numerics, a system past the guard is refit in
     # _refit_residuals, a rank-deficient Granger design in nested_rss, and a
@@ -1002,6 +1002,7 @@ def test_one_normal_equations_engine():
                    for site in _engine_sites(ast.parse(p.read_text()))
                    if site[1] != "ols_fit" or p.name == "numerics.py")
     assert sites == [
+        ("numerics.py", "SubsetGram.gram", "gram"),
         ("numerics.py", "_ScaledSystems.__init__", "cap"),
         ("numerics.py", "_ScaledSystems.__init__", "eigvalsh"),
         ("numerics.py", "_refit_residuals", "ols_fit"),
@@ -1013,7 +1014,6 @@ def test_one_normal_equations_engine():
         ("numerics.py", "nested_rss", "ols_fit"),
         ("numerics.py", "partial_correlation", "ols_fit"),
         ("numerics.py", "partial_correlation", "ols_fit"),
-        ("numerics.py", "subset_gram", "gram"),
         ("selectors/pcmci.py", "_Gram.__init__", "gram"),
     ]
 

@@ -312,6 +312,18 @@ class TestOneBlock:
         assert (panel.target_name, panel.feature_names, panel.n_features) == (
             "Y", ("X1", "X2", "X3"), 3)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_design_X_and_y_are_read_only_views_of_the_engine_block(self, rng, p):
+        panel = make_panel(rng.normal(size=8), rng.normal(size=(8, 3)))
+        design = build_design(panel, p)
+        Z = design.engine.Z
+        assert Z.shape == (8 - p, 1 + len(design.columns) + 1) and not Z.flags.writeable
+        for view in (design.X, design.y):
+            assert np.shares_memory(view, Z) and not view.flags.writeable
+        np.testing.assert_array_equal(Z[:, 0], 1.0)
+        np.testing.assert_array_equal(design.X, Z[:, 1:-1])
+        np.testing.assert_array_equal(design.y, panel.target[p:])
+
     def test_head_shares_the_parent_block(self, rng):
         panel = make_panel(rng.normal(size=6), rng.normal(size=(6, 2)))
         head = panel.head(4)

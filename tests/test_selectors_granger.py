@@ -3,13 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from causalfs.errors import RankDeficientWarning
+from causalfs.errors import RankDeficientWarning, Underdetermined
 from causalfs.numerics import _GRAM_COND_MAX, f_sf, f_test_nested, nested_rss, ols_fit
 from causalfs.panel import build_design
 from causalfs.selectors import granger_select
 from causalfs.synthlab import SvarSpec, generate_svar
 
 from conftest import make_panel, near_copy_panel
+
+
+def test_wide_window_with_too_few_rows_raises_before_forming_the_gram(rng):
+    # width 121 (the target's lag and 120 features) on 100 rows
+    panel = make_panel(rng.normal(size=101), rng.normal(size=(101, 120)))
+    design = build_design(panel, 1)
+    assert design.X.shape == (100, 121)
+    with pytest.raises(Underdetermined, match="100 rows for 122 regressors"):
+        granger_select(design)
+    assert "gram" not in vars(design.engine)
 
 
 def test_detects_single_lagged_driver():
@@ -113,7 +123,7 @@ def _nested_f_tests(design):
     calls ``granger_select`` makes."""
     n, k_cols = design.X.shape
     blocks = list(design.blocks.values())
-    rss_full, rss_restricted = nested_rss(design.X, design.y, blocks)
+    rss_full, rss_restricted = nested_rss(design.engine, blocks)
     test = f_test_nested(rss_restricted, rss_full, q=[len(b) for b in blocks], n=n,
                          k_full=k_cols + 1)
     return dict(zip(design.blocks, zip(test.statistic.tolist(), test.p_value.tolist())))
