@@ -35,8 +35,13 @@
 # backtest exit 2, with no traceback, and so must a FRED-MD file that ends
 # in the byte 0xE9 (not UTF-8) make ingest; and after a good ingest into out/,
 # a failing ingest into the same directory must leave no panel there, so
-# that a following backtest exits 3
+# that a following backtest exits 3; and each of the four demos/ scripts,
+# run with RuntimeWarning raised as an error, must exit 0 and print its
+# stated line: the walkthrough its rolling RMSE for granger, the FRED-MD
+# pipeline its aligned panel of 119 rows, the structure-learning demo its
+# ICA-based causal order, and the selector tour its pcmci row
 set -eo pipefail
+demos="$(cd "$(dirname "$0")/../demos" && pwd)"
 python -c "import sys, causalfs.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; sys.exit(f'scipy loaded: {loaded}' if loaded else 0)"
 printf 'd = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n' > ok.toml
 causalfs validate --config ok.toml --out ok
@@ -181,3 +186,11 @@ test "$rc" -eq 2
 rc=0
 causalfs backtest --config run.toml || rc=$?
 test "$rc" -eq 3
+python -W error::RuntimeWarning "$demos/backtest_walkthrough.py" > walkthrough.txt
+grep -q "^rolling RMSE (h=12) for granger: first " walkthrough.txt
+python -W error::RuntimeWarning "$demos/fredmd_pipeline.py" > fredmd_pipeline.txt
+grep -q "^aligned panel: 119 rows, 4 features, " fredmd_pipeline.txt
+python -W error::RuntimeWarning "$demos/structure_learning.py" > structure_learning.txt
+grep -q "^ICA-based causal order: " structure_learning.txt
+python -W error::RuntimeWarning "$demos/synthetic_selector_tour.py" > selector_tour.txt
+grep -q "^pcmci " selector_tour.txt

@@ -14,6 +14,7 @@ from causalfs import (
     combine_portfolios,
     generate_svar,
     load_calendar,
+    mae_increase_pct,
     portfolio_metrics,
     regime_metrics,
     rolling_rmse,
@@ -47,11 +48,11 @@ for selector_id, params in (
 
 print(f"{'model':<9} {'MAE norm':>9} {'MAE crisis':>11} {'increase %':>11}")
 for name, ledger in ledgers.items():
-    rep = regime_metrics(ledger, calendar)
-    normal = rep.per_regime.get(Regime.NORMAL)
-    crisis = rep.per_regime.get(Regime.CRISIS)
-    inc = f"{rep.mae_increase_pct:.1f}" if rep.mae_increase_pct is not None else "n/a"
-    print(f"{name:<9} {normal.mae:>9.3f} {crisis.mae:>11.3f} {inc:>11}")
+    errors = regime_metrics(ledger, calendar)
+    increase = mae_increase_pct(errors)
+    inc = f"{increase:.1f}" if increase is not None else "n/a"
+    print(f"{name:<9} {errors[Regime.NORMAL]['mae']:>9.3f} "
+          f"{errors[Regime.CRISIS]['mae']:>11.3f} {inc:>11}")
 
 print("\nsign-rule strategy, annualized:")
 series = {name: strategy_returns(ledger) for name, ledger in ledgers.items()}
@@ -60,8 +61,8 @@ print(f"{'book':<9} {'E[R] norm':>10} {'Sharpe norm':>12} {'Sortino norm':>13}")
 for name, s in series.items():
     stats = portfolio_metrics(s, calendar)[Regime.NORMAL]
     fmt = lambda v: f"{v:.2f}" if v is not None else "n/a"
-    print(f"{name:<9} {fmt(stats.expected_return):>10} "
-          f"{fmt(stats.sharpe):>12} {fmt(stats.sortino):>13}")
+    print(f"{name:<9} {fmt(stats['er']):>10} "
+          f"{fmt(stats['sharpe']):>12} {fmt(stats['sortino']):>13}")
 
 dates, values = rolling_rmse(ledgers["granger"], h=12)
 print(f"\nrolling RMSE (h=12) for granger: first {values[0]:.3f} "

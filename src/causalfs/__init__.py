@@ -10,9 +10,9 @@ command drives batch runs.
 from . import errors
 from .backtest import BacktestConfig, BacktestLedger, run_backtest
 from .evaluation import (
-    MetricsReport,
     StrategySeries,
     combine_portfolios,
+    mae_increase_pct,
     portfolio_metrics,
     regime_metrics,
     rolling_mae,
@@ -85,7 +85,6 @@ __all__ = [
     "Environment",
     "FTestResult",
     "FeatureSet",
-    "MetricsReport",
     "MonthStamp",
     "MonthlyPanel",
     "MonthlySeries",
@@ -110,6 +109,7 @@ __all__ = [
     "kmeans",
     "load_calendar",
     "load_prices",
+    "mae_increase_pct",
     "make_selector",
     "ols_fit",
     "parse_fredmd",

@@ -34,7 +34,6 @@ from .config import (
 from .errors import BacktestAborted, CausalfsError, ConfigError, GenerationFailed
 from .ingest import (
     STOCK_MARKET_GROUP,
-    Regime,
     RegimeCalendar,
     load_calendar,
     load_prices,
@@ -139,22 +138,13 @@ def cmd_backtest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fmt(value) -> float | None:
-    """A report table cell: rounded to 10 digits, blank when missing."""
-    return None if value is None else round(float(value), 10)
-
-
-def _by_regime(values: dict, *fields) -> list:
-    """Cells of ``fields`` read from ``values[regime]``, field-major and
-    normal then crisis; blank where a regime or a value is missing."""
-    return [
-        _fmt(getattr(values.get(regime), name, None))
-        for name in fields for regime in (Regime.NORMAL, Regime.CRISIS)
-    ]
-
-
 def cmd_report(cfg: RunConfig) -> int:
+    """Score every ledger and book, then write the tables, ``metrics.json``
+    and the series files; an error while reading or scoring writes nothing."""
     out = cfg.out_dir
+    if cfg.combine and not set(cfg.combine) <= set(cfg.selectors):
+        print("combine refers to selectors without ledgers", file=sys.stderr)
+        return EXIT_MISSING
     calendar = _load_calendar_from(cfg)
     ledgers = {}
     for sid in cfg.selectors:
@@ -163,66 +153,47 @@ def cmd_report(cfg: RunConfig) -> int:
             print(f"missing artifact: {path}", file=sys.stderr)
             return EXIT_MISSING
         with naming(path):
-            ledgers[sid] = ledger = ledger_from_csv(path.read_text())
+            ledger = ledger_from_csv(path.read_text())
+        ledgers[sid] = path, ledger
         if len(ledger) < cfg.metric_window:
             raise ConfigError(
                 f"metric_window {cfg.metric_window} exceeds the {len(ledger)} records of {path}")
+        for r in ledger.records:
+            if r.regime is not calendar.classify(r.date):
+                raise ConfigError(
+                    f"{path} marks {r.date} {r.regime}, but the calendar makes it "
+                    f"{calendar.classify(r.date)}: report with the backtest's calendar")
 
-    table1 = []
-    table2 = []
+    scores = {}  # model -> {"errors", "mae_increase_pct", "book"}; metrics.json's content
     strategies = {}
-    metrics_json = {}
-    for sid, ledger in ledgers.items():
-        report = evaluation.regime_metrics(ledger, calendar)
-        table1.append(
-            [sid, *_by_regime(report.per_regime, "mae", "rmse"), _fmt(report.mae_increase_pct)]
-        )
-        series = evaluation.strategy_returns(ledger)
-        strategies[sid] = series
-        table2.append([
-            sid, *_by_regime(evaluation.portfolio_metrics(series, calendar),
-                             "expected_return", "sharpe", "sortino"),
-        ])
-        for name, rolling in (("rmse", evaluation.rolling_rmse), ("mae", evaluation.rolling_mae)):
-            (out / f"rolling_{name}_{sid}.csv").write_text(
-                evaluation.series_to_csv(*rolling(ledger, cfg.metric_window))
-            )
-        (out / f"stability_{sid}.csv").write_text(evaluation.stability_to_csv(ledger))
-        metrics_json[sid] = {
-            "errors": {
-                str(regime): {"mae": e.mae, "rmse": e.rmse, "count": e.count}
-                for regime, e in report.per_regime.items()
-            },
-            "mae_increase_pct": report.mae_increase_pct,
-        }
-
+    files = {}
+    for sid, (path, ledger) in ledgers.items():
+        try:
+            errors = evaluation.regime_metrics(ledger, calendar)
+            strategies[sid] = series = evaluation.strategy_returns(ledger)
+            scores[sid] = {
+                "errors": errors,
+                "mae_increase_pct": evaluation.mae_increase_pct(errors),
+                "book": evaluation.portfolio_metrics(series, calendar),
+            }
+            for name, rolling in (("rmse", evaluation.rolling_rmse),
+                                  ("mae", evaluation.rolling_mae)):
+                files[f"rolling_{name}_{sid}.csv"] = evaluation.series_to_csv(
+                    *rolling(ledger, cfg.metric_window))
+            files[f"stability_{sid}.csv"] = evaluation.stability_to_csv(ledger)
+        except CausalfsError as exc:
+            raise CausalfsError(f"{path}: {exc}") from exc
     if cfg.combine:
         a, b = cfg.combine
-        if a in strategies and b in strategies:
-            combined = evaluation.combine_portfolios(
-                strategies[a], strategies[b], cfg.combine_weight
-            )
-            table2.append([
-                f"combined({a},{b})",
-                *_by_regime(evaluation.portfolio_metrics(combined, calendar),
-                            "expected_return", "sharpe", "sortino"),
-            ])
-            (out / "combined_portfolio.csv").write_text(
-                evaluation.series_to_csv(combined.dates, combined.returns)
-            )
-        else:
-            print("combine refers to selectors without ledgers", file=sys.stderr)
-            return EXIT_MISSING
-
-    (out / "table1.csv").write_text(to_csv(
-        ["model", "mae_normal", "mae_crisis", "rmse_normal", "rmse_crisis",
-         "mae_increase_pct"], table1))
-    (out / "table2.csv").write_text(to_csv(
-        ["model", "er_normal", "er_crisis", "sharpe_normal", "sharpe_crisis",
-         "sortino_normal", "sortino_crisis"], table2))
-    (out / "metrics.json").write_text(
-        json.dumps(metrics_json, indent=2, sort_keys=True) + "\n"
-    )
+        combined = evaluation.combine_portfolios(strategies[a], strategies[b], cfg.combine_weight)
+        scores[f"combined({a},{b})"] = {"book": evaluation.portfolio_metrics(combined, calendar)}
+        files["combined_portfolio.csv"] = evaluation.series_to_csv(combined.dates, combined.returns)
+    files["table1.csv"] = evaluation.scores_to_csv(
+        scores, "errors", evaluation.ERROR_COLUMNS, ("mae_increase_pct",))
+    files["table2.csv"] = evaluation.scores_to_csv(scores, "book", evaluation.BOOK_COLUMNS)
+    files["metrics.json"] = evaluation.scores_to_json(scores)
+    for name, text in files.items():
+        (out / name).write_text(text)
     print(f"wrote {out / 'table1.csv'} and {out / 'table2.csv'}")
     return EXIT_OK
 

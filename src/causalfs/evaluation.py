@@ -3,11 +3,14 @@
 Conventions, stated once: returns are monthly and in percent, annualization
 uses sqrt(12) with a zero risk-free rate, the Sortino denominator is the
 root mean square of the negative returns (target 0), and a zero forecast
-maps to a flat position. Every per-regime figure takes its months from
-``RegimeCalendar.split``, the one rule for which month is normal or crisis.
+maps to a flat position. Every per-regime figure comes from ``by_regime``,
+whose ``RegimeCalendar.split`` is the one rule for which month is normal or
+crisis, over the columns declared once in ``ERROR_COLUMNS`` and
+``BOOK_COLUMNS``; ``scores_to_csv`` and ``scores_to_json`` write them.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -20,22 +23,6 @@ from .numerics import centre
 from .panel import MonthStamp
 
 ANNUALIZATION = math.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class RegimeErrors:
-    mae: float
-    rmse: float
-    count: int
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Per-regime error metrics plus the crisis-over-normal MAE increase
-    in percent (None whenever one of the regimes is empty)."""
-
-    per_regime: dict[Regime, RegimeErrors]
-    mae_increase_pct: float | None
 
 
 @dataclass(frozen=True)
@@ -58,22 +45,47 @@ class StrategySeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class PortfolioStats:
-    """Annualized mean return, Sharpe, Sortino; None marks an undefined
-    metric (zero denominator)."""
-
-    expected_return: float
-    sharpe: float | None
-    sortino: float | None
-
-
 def _mae(errors: np.ndarray) -> float:
     return float(np.abs(errors).mean())
 
 
 def _rmse(errors: np.ndarray) -> float:
     return math.sqrt(float((errors * errors).mean()))
+
+
+def _sharpe(returns: np.ndarray) -> float | None:
+    std = float(returns.std(ddof=1)) if centre(returns).any() else 0.0  # all equal: no spread
+    return float(returns.mean()) / std * ANNUALIZATION if std > 0 else None
+
+
+def _sortino(returns: np.ndarray) -> float | None:
+    downside = math.sqrt(float((np.minimum(returns, 0.0) ** 2).mean()))
+    return float(returns.mean()) / downside * ANNUALIZATION if downside > 0 else None
+
+
+# name -> (the figure of one regime's values, the fewest months it needs);
+# a figure is None where it is undefined (a zero denominator)
+ERROR_COLUMNS = {"mae": (_mae, 1), "rmse": (_rmse, 1)}
+BOOK_COLUMNS = {
+    "er": (lambda returns: 12.0 * float(returns.mean()), 2),
+    "sharpe": (_sharpe, 2),
+    "sortino": (_sortino, 2),
+}
+
+
+def by_regime(dates, values: np.ndarray, calendar: RegimeCalendar, columns) -> dict:
+    """``{regime: {"count": months, name: figure}}`` for each regime with
+    months, normal then crisis, over ``columns`` (``ERROR_COLUMNS`` or
+    ``BOOK_COLUMNS``); a figure is None where the regime has fewer months
+    than its column needs."""
+    return {
+        regime: {"count": len(rows), **{
+            name: figure(values[rows]) if len(rows) >= need else None
+            for name, (figure, need) in columns.items()
+        }}
+        for regime, rows in calendar.split(dates).items()
+        if len(rows)
+    }
 
 
 def rolling_rmse(ledger: BacktestLedger, h: int = 12):
@@ -101,32 +113,21 @@ def _rolling(ledger, h, fn):
     return tuple(out_dates), np.array(values)
 
 
-def regime_metrics(ledger: BacktestLedger, calendar: RegimeCalendar) -> MetricsReport:
-    """MAE/RMSE split by regime, with the crisis-over-normal MAE increase.
-
-    The increase is ``mae_increase_pct`` and is flagged None when either
-    regime has no records or the normal MAE is 0.
-    """
+def regime_metrics(ledger: BacktestLedger, calendar: RegimeCalendar) -> dict:
+    """MAE and RMSE by regime: ``by_regime`` of the forecast errors over
+    ``ERROR_COLUMNS``. A regime without records is absent."""
     if len(ledger) == 0:
         raise Insufficient("empty ledger")
-    errors = ledger.errors
-    per_regime = {}
-    for regime, rows in calendar.split(ledger.dates).items():
-        if len(rows):
-            e = errors[rows]
-            per_regime[regime] = RegimeErrors(mae=_mae(e), rmse=_rmse(e), count=len(e))
-    normal = per_regime.get(Regime.NORMAL)
-    crisis = per_regime.get(Regime.CRISIS)
-    if normal is None or crisis is None or normal.mae == 0.0:
-        increase = None
-    else:
-        increase = mae_increase_pct(normal.mae, crisis.mae)
-    return MetricsReport(per_regime, increase)
+    return by_regime(ledger.dates, ledger.errors, calendar, ERROR_COLUMNS)
 
 
-def mae_increase_pct(normal_mae: float, crisis_mae: float) -> float:
-    """The Crisis/Normal-1 column, in percent."""
-    return (crisis_mae / normal_mae - 1.0) * 100.0
+def mae_increase_pct(errors: dict) -> float | None:
+    """The Crisis/Normal-1 column, in percent, of ``regime_metrics``'s
+    mapping; None when either regime is absent or the normal MAE is 0."""
+    normal, crisis = errors.get(Regime.NORMAL), errors.get(Regime.CRISIS)
+    if normal is None or crisis is None or normal["mae"] == 0.0:
+        return None
+    return (crisis["mae"] / normal["mae"] - 1.0) * 100.0
 
 
 def strategy_returns(ledger: BacktestLedger) -> StrategySeries:
@@ -136,31 +137,13 @@ def strategy_returns(ledger: BacktestLedger) -> StrategySeries:
     return StrategySeries(dates=ledger.dates, returns=np.sign(ledger.y_pred) * ledger.y_true)
 
 
-def _stats(returns: np.ndarray) -> PortfolioStats:
-    mean = float(returns.mean())
-    expected = 12.0 * mean
-    std = float(returns.std(ddof=1)) if centre(returns).any() else 0.0  # all equal: no spread
-    sharpe = mean / std * ANNUALIZATION if std > 0 else None
-    downside = math.sqrt(float((np.minimum(returns, 0.0) ** 2).mean()))
-    sortino = mean / downside * ANNUALIZATION if downside > 0 else None
-    return PortfolioStats(expected, sharpe, sortino)
-
-
-def portfolio_metrics(
-    series: StrategySeries, calendar: RegimeCalendar
-) -> dict[Regime, PortfolioStats]:
-    """Annualized E[R], Sharpe, Sortino per regime.
-
-    Regimes with fewer than two observations are omitted; an entirely
-    too-short series raises Insufficient.
-    """
+def portfolio_metrics(series: StrategySeries, calendar: RegimeCalendar) -> dict:
+    """Annualized E[R], Sharpe and Sortino by regime: ``by_regime`` of the
+    returns over ``BOOK_COLUMNS``. A regime of one month has its count and
+    None figures; a series shorter than two months raises Insufficient."""
     if len(series) < 2:
         raise Insufficient("need at least two strategy returns")
-    return {
-        regime: _stats(series.returns[rows])
-        for regime, rows in calendar.split(series.dates).items()
-        if len(rows) >= 2
-    }
+    return by_regime(series.dates, series.returns, calendar, BOOK_COLUMNS)
 
 
 def combine_portfolios(
@@ -205,3 +188,30 @@ def stability_to_csv(ledger: BacktestLedger) -> str:
 
 def series_to_csv(dates, values) -> str:
     return to_csv(["date", "value"], zip(dates, np.asarray(values, dtype=float).tolist()))
+
+
+def scores_to_csv(scores: dict, part: str, columns, extra=()) -> str:
+    """CSV of a row per model in ``scores`` that has ``part``, a ``by_regime``
+    mapping: a cell per column and regime, headed ``{name}_{regime}``
+    (``mae_normal``, ``mae_crisis``, ...), then the model's ``extra``
+    figures. A cell is rounded to 10 digits, and blank where its regime or
+    figure is missing or None."""
+    def cell(value):
+        return None if value is None else round(float(value), 10)
+
+    header = [f"{name}_{regime}" for name in columns for regime in Regime]
+    rows = (
+        [model,
+         *(cell(score[part].get(regime, {}).get(name)) for name in columns for regime in Regime),
+         *(cell(score[key]) for key in extra)]
+        for model, score in scores.items() if part in score
+    )
+    return to_csv(["model", *header, *extra], rows)
+
+
+def scores_to_json(scores: dict) -> str:
+    """``scores`` as JSON text, unrounded, every key (a Regime too) by name."""
+    def named(value):
+        return {str(k): named(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+    return json.dumps(named(scores), indent=2, sort_keys=True) + "\n"

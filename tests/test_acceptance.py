@@ -15,6 +15,7 @@ from causalfs.backtest import (
     run_backtest,
 )
 from causalfs.evaluation import (
+    mae_increase_pct,
     portfolio_metrics,
     regime_metrics,
     rolling_rmse,
@@ -74,7 +75,7 @@ def test_table1_arithmetic():
             for d, v in zip(dates, y_true)
         )
         rep = regime_metrics(BacktestLedger(records, {}), cal)
-        checks.append(abs(rep.mae_increase_pct - expected) <= 0.05)
+        checks.append(abs(mae_increase_pct(rep) - expected) <= 0.05)
     report(
         "table1-arithmetic",
         all(checks),
@@ -357,7 +358,7 @@ def test_evaluation_oracles():
     sharpe = r.mean() / r.std(ddof=1) * math.sqrt(12)
     sortino = r.mean() / math.sqrt(np.mean(np.minimum(r, 0.0) ** 2)) * math.sqrt(12)
     ratio_ok = (
-        abs(stats.sharpe - sharpe) <= 1e-10 and abs(stats.sortino - sortino) <= 1e-10
+        abs(stats["sharpe"] - sharpe) <= 1e-10 and abs(stats["sortino"] - sortino) <= 1e-10
     )
     ok = rmse_ok and cum_ok and ratio_ok
     report(

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -115,7 +116,37 @@ GOLDEN_REPORT_FILES = {
     "combined_portfolio.csv": "date,value\n2020-01,1.5\n2020-02,0.375\n2020-03,2.0\n"
     "2020-04,1.625\n2020-05,-0.25\n2020-06,0.25\n",
     "metrics.json": """{
+  "combined(granger,sfs)": {
+    "book": {
+      "crisis": {
+        "count": 2,
+        "er": 21.75,
+        "sharpe": 23.678400846904054,
+        "sortino": null
+      },
+      "normal": {
+        "count": 4,
+        "er": 5.625,
+        "sharpe": 2.1983938593571417,
+        "sortino": 12.990381056766578
+      }
+    }
+  },
   "granger": {
+    "book": {
+      "crisis": {
+        "count": 2,
+        "er": -7.5,
+        "sharpe": -0.5832118435198043,
+        "sortino": -0.9421114395319916
+      },
+      "normal": {
+        "count": 4,
+        "er": 6.75,
+        "sharpe": 2.0180747504302268,
+        "sortino": 5.196152422706632
+      }
+    },
     "errors": {
       "crisis": {
         "count": 2,
@@ -131,6 +162,20 @@ GOLDEN_REPORT_FILES = {
     "mae_increase_pct": 204.0
   },
   "sfs": {
+    "book": {
+      "crisis": {
+        "count": 2,
+        "er": 31.5,
+        "sharpe": 10.287856919689347,
+        "sortino": null
+      },
+      "normal": {
+        "count": 4,
+        "er": 5.25,
+        "sharpe": 1.7320508075688772,
+        "sortino": 6.06217782649107
+      }
+    },
     "errors": {
       "crisis": {
         "count": 2,
@@ -647,7 +692,7 @@ class TestReport:
         row = (out / "table1.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "granger"
         assert float(row[1]) == pytest.approx(
-            report.per_regime.get(Regime.NORMAL).mae, abs=1e-9
+            report[Regime.NORMAL]["mae"], abs=1e-9
         )
 
     def test_combine_outside_selectors_flag_exit_3(self, workspace, capsys):
@@ -676,15 +721,79 @@ class TestReport:
         for name, text in GOLDEN_REPORT_FILES.items():
             assert (out / name).read_text() == text, name
 
-    def test_combine_exit_3_writes_series_but_no_tables(self, golden_workspace):
+    def test_combine_exit_3_writes_nothing(self, golden_workspace):
         config = golden_workspace / "run.toml"
         assert run_cli("report", "--config", config, "--selectors", "granger") == 3
         out = golden_workspace / "out"
-        written = {p.name for p in out.iterdir()} - {f"ledger_{s}.csv" for s in GOLDEN_LEDGERS}
-        expected = {k: v for k, v in GOLDEN_SELECTOR_FILES.items() if k.endswith("granger.csv")}
-        assert written == set(expected)
-        for name, text in expected.items():
-            assert (out / name).read_text() == text, name
+        assert sorted(p.name for p in out.iterdir()) == ["ledger_granger.csv", "ledger_sfs.csv"]
+
+    def test_scoring_error_exit_2_naming_the_ledger_and_writing_nothing(
+        self, golden_workspace, capsys
+    ):
+        # with metric_window 1, sfs's one record passes the window check and
+        # fails only when its book is scored, after granger's scored fine
+        out = golden_workspace / "out"
+        config = golden_workspace / "run.toml"
+        config.write_text(config.read_text().replace("metric_window = 3", "metric_window = 1"))
+        short = out / "ledger_sfs.csv"
+        short.write_text("".join(GOLDEN_LEDGERS["sfs"].splitlines(keepends=True)[:2]))
+        capsys.readouterr()
+        assert run_cli("report", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {short}: need at least two strategy returns\n"
+        assert sorted(p.name for p in out.iterdir()) == ["ledger_granger.csv", "ledger_sfs.csv"]
+
+    def test_ledger_of_another_calendar_exit_2_naming_it_and_the_month(
+        self, golden_workspace, capsys
+    ):
+        # both ledgers mark 2020-03..2020-04 crisis; this calendar moves the
+        # crisis a month later, so 2020-03 is the first month that disagrees
+        (golden_workspace / "crisis.txt").write_text("2020-04..2020-05\n")
+        capsys.readouterr()
+        assert run_cli("report", "--config", golden_workspace / "run.toml") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "ledger_granger.csv marks 2020-03 crisis" in err
+        assert "makes it normal" in err
+        out = golden_workspace / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["ledger_granger.csv", "ledger_sfs.csv"]
+
+    @pytest.mark.parametrize("one_month", [False, True], ids=["golden", "one-crisis-month"])
+    def test_table_cells_are_metrics_json_rounded(self, golden_workspace, one_month):
+        # one score behind both: each table cell is its metrics.json value
+        # rounded to 10 digits, blank exactly where that value is absent or null
+        out = golden_workspace / "out"
+        if one_month:  # 2020-04 turns normal, so each book's crisis has one month
+            (golden_workspace / "crisis.txt").write_text("2020-03..2020-03\n")
+            for sid, text in GOLDEN_LEDGERS.items():
+                lines = text.splitlines(keepends=True)
+                lines[4] = lines[4].replace(",crisis,", ",normal,")
+                (out / f"ledger_{sid}.csv").write_text("".join(lines))
+        assert run_cli("report", "--config", golden_workspace / "run.toml") == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        blank = []
+        for table, part in (("table1.csv", "errors"), ("table2.csv", "book")):
+            with open(out / table, newline="") as f:
+                for row in csv.DictReader(f):
+                    model = row.pop("model")
+                    for name, cell in row.items():
+                        if name == "mae_increase_pct":
+                            value = metrics[model][name]
+                        else:
+                            figure, regime = name.split("_")
+                            value = metrics[model][part].get(regime, {}).get(figure)
+                        if value is None:
+                            blank.append((model, name))
+                            assert cell == ""
+                        else:
+                            assert float(cell) == round(value, 10), (model, name)
+        books = ("granger", "sfs", "combined(granger,sfs)")
+        if one_month:
+            assert metrics["granger"]["book"]["crisis"] == {
+                "count": 1, "er": None, "sharpe": None, "sortino": None}
+            assert blank == [(m, f"{f}_crisis") for m in books for f in ("er", "sharpe", "sortino")]
+        else:
+            assert blank == [(m, "sortino_crisis") for m in books[1:]]
 
     def test_ledger_shorter_than_metric_window_exit_2_before_any_output(
         self, golden_workspace, capsys

@@ -80,9 +80,13 @@ class TestRolling:
 
 class TestRegimeMetrics:
     def test_table_arithmetic_frozen_values(self):
-        assert mae_increase_pct(3.39, 4.80) == pytest.approx(41.59, abs=0.05)
-        assert mae_increase_pct(3.52, 4.98) == pytest.approx(41.48, abs=0.05)
-        assert mae_increase_pct(3.19, 4.52) == pytest.approx(41.69, abs=0.05)
+        def increase(normal, crisis):
+            return mae_increase_pct(
+                {Regime.NORMAL: {"mae": normal}, Regime.CRISIS: {"mae": crisis}})
+
+        assert increase(3.39, 4.80) == pytest.approx(41.59, abs=0.05)
+        assert increase(3.52, 4.98) == pytest.approx(41.48, abs=0.05)
+        assert increase(3.19, 4.52) == pytest.approx(41.69, abs=0.05)
 
     def test_split_and_increase(self):
         # 3 normal months with |err| 1, then 2 crisis months with |err| 3
@@ -91,15 +95,15 @@ class TestRegimeMetrics:
         ledger = ledger_from(y_true, y_pred, start="2011-01")
         cal = load_calendar("2011-04..2011-05\n")
         report = regime_metrics(ledger, cal)
-        assert report.per_regime.get(Regime.NORMAL).mae == pytest.approx(1.0)
-        assert report.per_regime.get(Regime.CRISIS).mae == pytest.approx(3.0)
-        assert report.mae_increase_pct == pytest.approx(200.0)
+        assert report[Regime.NORMAL]["mae"] == pytest.approx(1.0)
+        assert report[Regime.CRISIS]["mae"] == pytest.approx(3.0)
+        assert mae_increase_pct(report) == pytest.approx(200.0)
 
     def test_single_regime_flags_increase_undefined(self):
         ledger = ledger_from([1.0, 2.0], [0.0, 0.0])
         report = regime_metrics(ledger, EMPTY_CAL)
-        assert report.mae_increase_pct is None
-        assert report.per_regime.get(Regime.CRISIS) is None
+        assert mae_increase_pct(report) is None
+        assert report.get(Regime.CRISIS) is None
 
     def test_pooled_consistency_invariant(self, rng):
         y_true = rng.normal(size=30)
@@ -109,9 +113,9 @@ class TestRegimeMetrics:
         report = regime_metrics(ledger, cal)
         total = 0.0
         count = 0
-        for stats in report.per_regime.values():
-            total += stats.mae * stats.count
-            count += stats.count
+        for stats in report.values():
+            total += stats["mae"] * stats["count"]
+            count += stats["count"]
         pooled = np.abs(y_true - y_pred).mean()
         assert total / count == pytest.approx(pooled, abs=1e-10)
 
@@ -146,14 +150,14 @@ class TestPortfolioMetrics:
     def test_alternating_returns_zero_mean(self):
         series = self.series([1.0, -1.0] * 12)
         stats = portfolio_metrics(series, EMPTY_CAL)[Regime.NORMAL]
-        assert stats.expected_return == pytest.approx(0.0)
-        assert stats.sharpe == pytest.approx(0.0)
+        assert stats["er"] == pytest.approx(0.0)
+        assert stats["sharpe"] == pytest.approx(0.0)
 
     def test_all_positive_flags_sortino_undefined(self):
         series = self.series([1.0, 2.0, 0.5, 1.5])
         stats = portfolio_metrics(series, EMPTY_CAL)[Regime.NORMAL]
-        assert stats.sortino is None
-        assert stats.sharpe is not None
+        assert stats["sortino"] is None
+        assert stats["sharpe"] is not None
 
     def test_matches_direct_formula_recomputation(self, rng):
         r = rng.normal(size=120)
@@ -163,17 +167,17 @@ class TestPortfolioMetrics:
         er = 12 * mean
         sharpe = mean / r.std(ddof=1) * math.sqrt(12)
         sortino = mean / math.sqrt(np.mean(np.minimum(r, 0.0) ** 2)) * math.sqrt(12)
-        assert stats.expected_return == pytest.approx(er, abs=1e-10)
-        assert stats.sharpe == pytest.approx(sharpe, abs=1e-10)
-        assert stats.sortino == pytest.approx(sortino, abs=1e-10)
+        assert stats["er"] == pytest.approx(er, abs=1e-10)
+        assert stats["sharpe"] == pytest.approx(sharpe, abs=1e-10)
+        assert stats["sortino"] == pytest.approx(sortino, abs=1e-10)
 
     @pytest.mark.parametrize("returns", [[0.1] * 3, [0.7] * 12], ids=["0.1x3", "0.7x12"])
     def test_constant_returns_have_no_sharpe(self, returns):
         # their std rounds to 1.7e-17 and 1.2e-16, which gave Sharpes of ~1e16
         assert np.asarray(returns).std(ddof=1) > 0.0
         stats = portfolio_metrics(self.series(returns), EMPTY_CAL)[Regime.NORMAL]
-        assert stats.sharpe is None
-        assert stats.expected_return == pytest.approx(12 * returns[0])
+        assert stats["sharpe"] is None
+        assert stats["er"] == pytest.approx(12 * returns[0])
 
     def test_insufficient(self):
         with pytest.raises(Insufficient):
@@ -184,9 +188,9 @@ class TestPortfolioMetrics:
         series = self.series(r, start="2020-01")
         cal = load_calendar("2020-03..2020-08\n")
         stats = portfolio_metrics(series, cal)
-        assert stats[Regime.CRISIS].expected_return == pytest.approx(12 * r[2:8].mean())
+        assert stats[Regime.CRISIS]["er"] == pytest.approx(12 * r[2:8].mean())
         normal = np.concatenate([r[:2], r[8:]])
-        assert stats[Regime.NORMAL].expected_return == pytest.approx(12 * normal.mean())
+        assert stats[Regime.NORMAL]["er"] == pytest.approx(12 * normal.mean())
 
 
 class TestCombine:
@@ -218,7 +222,7 @@ class TestCombine:
         b = self.series(rng.normal(size=36))
         w = 0.5
         combo = combine_portfolios(a, b, w)
-        er = lambda s: portfolio_metrics(s, EMPTY_CAL)[Regime.NORMAL].expected_return
+        er = lambda s: portfolio_metrics(s, EMPTY_CAL)[Regime.NORMAL]["er"]
         assert er(combo) == pytest.approx(w * er(a) + (1 - w) * er(b), abs=1e-10)
 
     def test_date_mismatch(self, rng):
