@@ -24,7 +24,11 @@
 # selected names), and any command on a run config that sets window twice,
 # with no traceback; a
 # calendar-mode seqicp backtest whose windows hold only a few crisis
-# months must test the halves there, not log a selector fallback; nor may
+# months must test the halves there, not log a selector fallback; a
+# calendar-mode seqicp backtest whose run config sets no calendar, and a
+# calendar-mode seqicp validate (a lab has no calendar), must exit 2
+# naming environments, with no traceback, and write no ledger or output
+# directory; nor may
 # a pcmci backtest on a panel with a constant feature; granger, seqicp, sfs
 # and pcmci backtests on a panel whose last feature nearly copies X3, the
 # feature sfs picks (noise 1e-5 of its sd, so the first window's scaled
@@ -97,6 +101,21 @@ printf 'fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\ngroups_csv = "grou
 causalfs ingest --config cal.toml
 causalfs backtest --config cal.toml 2> cal_err.txt
 if grep "falling back" cal_err.txt; then exit 1; fi
+causalfs ingest --config cal.toml --out nocal
+grep -v '^calendar' cal.toml | sed 's/"cal"/"nocal"/' > nocal.toml
+rc=0
+causalfs backtest --config nocal.toml 2> nocal_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback nocal_err.txt; then exit 1; fi
+grep -q "environments" nocal_err.txt
+if ls nocal/ledger_* 2> /dev/null; then exit 1; fi
+printf 'd = 5\nn = 120\nn_seeds = 2\nselectors = ["seqicp"]\n[selector.seqicp]\nenvironments = "calendar"\n' > calval.toml
+rc=0
+causalfs validate --config calval.toml --out calval 2> calval_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback calval_err.txt; then exit 1; fi
+grep -q "environments" calval_err.txt
+test ! -e calval
 python -c "import numpy as np; from causalfs import AlignedPanel; from causalfs.synthlab import SvarSpec, export_fredmd, generate_svar; p = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]; p = AlignedPanel(p.dates, np.column_stack([p.data, np.full(len(p), 0.07)]), (*p.names, 'CONST')); [open(f'const_{name}.csv', 'w').write(text) for name, text in zip(('fredmd', 'groups', 'prices'), export_fredmd(p))]"
 printf 'fredmd_csv = "const_fredmd.csv"\nprices_csv = "const_prices.csv"\ngroups_csv = "const_groups.csv"\ncalendar = "crisis.txt"\noutput_dir = "const"\nwindow = 40\nselectors = ["pcmci"]\n' > const.toml
 causalfs ingest --config const.toml

@@ -54,6 +54,7 @@ from .selectors import (
     DynamicGraph,
     Environment,
     FeatureSet,
+    Step,
     dynotears_fit,
     dynotears_select,
     granger_select,
@@ -92,6 +93,7 @@ __all__ = [
     "RecoveryScore",
     "Regime",
     "RegimeCalendar",
+    "Step",
     "StrategySeries",
     "SvarSpec",
     "acyclicity",

@@ -19,8 +19,7 @@ from .errors import BacktestAborted, CausalfsError, InsufficientHistory, Malform
 from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
 from .numerics import OlsFit, ols_fit
 from .panel import AlignedPanel, MonthStamp, design_columns, stack_lags
-from .selectors import make_selector
-from .selectors.base import FeatureSet
+from .selectors import FeatureSet, Step, make_selector
 
 log = logging.getLogger(__name__)
 
@@ -124,22 +123,17 @@ def run_backtest(
         raise InsufficientHistory(f"panel length {T} must exceed window+1={w + 1}")
     selector = make_selector(config.selector_id, config.selector_params)
     records = []
-    last_fs: FeatureSet | None = None
+    last_fs = FeatureSet(frozenset())
     for j in range(w, T):
         window = panel.head(j)
-        due = last_fs is None or (j - w) % config.reselect_every == 0
-        if due:
+        if (j - w) % config.reselect_every == 0:
             try:
-                fs = selector(window, config.p, step_seed(config.seed, j), calendar)
+                last_fs = selector(Step(window, config.p, step_seed(config.seed, j), calendar))
             except (CausalfsError, np.linalg.LinAlgError) as exc:
                 log.warning(
                     "%s failed at %s (%s: %s); falling back",
                     config.selector_id, panel.dates[j], type(exc).__name__, exc,
                 )
-                fs = last_fs
-            if fs is None:
-                fs = FeatureSet(frozenset(), {})
-            last_fs = fs
         selected = last_fs.ordered(panel.feature_names)
         date = panel.dates[j]
         try:

@@ -47,7 +47,7 @@ from .ingest import (
     write_panel,
 )
 from .panel import align_and_shift
-from .selectors import make_selector
+from .selectors import Step, make_selector
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +64,14 @@ def _load_calendar_from(cfg: RunConfig) -> RegimeCalendar:
     path = cfg.resolve("calendar")
     with naming(path):
         return load_calendar(path.read_text())
+
+
+def _require_calendar(sids, selector_params: dict, missing: str) -> None:
+    """ConfigError when seqicp runs with ``environments = "calendar"`` where
+    there is no calendar (``missing`` says why)."""
+    if "seqicp" in sids and selector_params.get("seqicp", {}).get("environments") == "calendar":
+        raise ConfigError(f'[selector.seqicp] environments = "calendar" needs a calendar, '
+                          f"but {missing}")
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -106,6 +114,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
+    if cfg.calendar is None:
+        _require_calendar(cfg.selectors, cfg.selector_params, "the run config sets no calendar")
     out = cfg.out_dir
     panel_path = out / "panel.csv"
     if not panel_path.exists():
@@ -207,25 +217,27 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
     out = spec_path.resolve().parent / flags.get("output_dir", cfg.output_dir)
     base_seed = flags.get("seed", cfg.spec.seed)
     sids = flags.get("selectors", cfg.selectors)
-    labs = []  # (spec, panel, truth) per seed, shared by all selectors
+    _require_calendar(sids, cfg.selector_params, "a validate lab has none")
+    labs = []  # (step, truth) per seed: every selector reads one Step, so one lag design
     for k in range(cfg.n_seeds):
         spec = replace(cfg.spec, seed=base_seed + k)
         try:
-            labs.append((spec, *synthlab.generate_svar(spec)))
+            panel, truth = synthlab.generate_svar(spec)
         except GenerationFailed as exc:
             print(f"generation failed at seed {spec.seed}: {exc}", file=sys.stderr)
             return EXIT_GENERATION
+        labs.append((Step(panel, spec.p, spec.seed), truth))
     results = []  # (sid, recovery CSV text, summary line) per selector
     for sid in sids:
         runner = make_selector(sid, cfg.selector_params.get(sid, {}))
         rows = []
-        for spec, panel, truth in labs:
+        for step, truth in labs:
             try:
-                fs = runner(panel, spec.p, spec.seed, None)
+                fs = runner(step)
             except CausalfsError as exc:
-                raise CausalfsError(f"selector {sid} on the lab of seed {spec.seed}: {exc}") from exc
+                raise CausalfsError(f"selector {sid} on the lab of seed {step.seed}: {exc}") from exc
             score = synthlab.score_recovery(fs, truth)
-            rows.append((spec.seed, score.precision, score.recall, score.f1, len(fs)))
+            rows.append((step.seed, score.precision, score.recall, score.f1, len(fs)))
         _, precision, recall, f1, n_selected = zip(*rows)
         mean_f1 = sum(f1) / len(rows)
         mean_rate = sum(n_selected) / (len(rows) * (cfg.spec.d - 1))

@@ -1,11 +1,11 @@
-"""Feature selectors behind one contract: panel (or design) in, FeatureSet out."""
+"""Feature selectors behind one contract: a ``Step`` in, a FeatureSet out."""
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from ..errors import BadName, Insufficient
-from ..panel import AlignedPanel, build_design
-from .base import DynamicGraph, Environment, FeatureSet
+from .base import DynamicGraph, Environment, FeatureSet, Step
 from .dynotears import dynotears_fit, dynotears_select
 from .granger import granger_select
 from .pcmci import pcmci_select
@@ -19,6 +19,7 @@ __all__ = [
     "DynamicGraph",
     "Environment",
     "FeatureSet",
+    "Step",
     "VarLingamResult",
     "check_keys",
     "cluster_prefilter",
@@ -38,40 +39,39 @@ __all__ = [
 ]
 
 
-# Adapters to the uniform ``(panel, p, seed, calendar, **params)`` form. They
-# pass on only the params a config sets, so each default lives in one place:
-# the selector function's signature.
+# Adapters to the uniform ``(step, **params)`` form. They pass on only the
+# params a config sets, so each default lives in one place: the selector
+# function's signature.
 
-def _granger(panel, p, seed, calendar, **kw):
-    return granger_select(build_design(panel, p), **kw)
+def _granger(step, **kw):
+    return granger_select(step.design, **kw)
 
 
-def _seqicp(panel, p, seed, calendar, environments="halves", **kw):
-    design = build_design(panel, p)
-    if environments == "calendar" and calendar is not None:
+def _seqicp(step, environments="halves", **kw):
+    if environments == "calendar":
         envs = [Environment(str(regime), rows)
-                for regime, rows in calendar.split(design.dates).items()]
+                for regime, rows in step.calendar.split(step.design.dates).items()]
         try:
-            return seqicp_select(design, envs, **kw)
+            return seqicp_select(step.design, envs, **kw)
         except Insufficient:
             pass  # a regime too short to fit (or empty): test the window's halves
-    return seqicp_select(design, None, **kw)
+    return seqicp_select(step.design, None, **kw)
 
 
-def _varlingam(panel, p, seed, calendar, **kw):
-    return varlingam_select(panel, p=p, seed=seed, **kw)
+def _varlingam(step, **kw):
+    return varlingam_select(step.panel, p=step.p, seed=step.seed, **kw)
 
 
-def _dynotears(panel, p, seed, calendar, **kw):
-    return dynotears_select(dynotears_fit(panel, p=p, **kw), panel.target_name)
+def _dynotears(step, **kw):
+    return dynotears_select(dynotears_fit(step.panel, p=step.p, **kw), step.panel.target_name)
 
 
-def _pcmci(panel, p, seed, calendar, **kw):
-    return pcmci_select(panel, p=p, **kw)
+def _pcmci(step, **kw):
+    return pcmci_select(step.panel, p=step.p, **kw)
 
 
-def _sfs(panel, p, seed, calendar, **kw):
-    return sfs_select(build_design(panel, p), **kw)
+def _sfs(step, **kw):
+    return sfs_select(step.design, **kw)
 
 
 def _coercion(kind: str, *types, rule: str = "", test=lambda value: True):
@@ -153,15 +153,7 @@ def selector_params(selector_id: str, params: dict | None = None) -> dict:
 
 
 def make_selector(selector_id: str, params: dict | None = None):
-    """Build the uniform callable used by the backtest engine.
-
-    The callable signature is ``(panel, p, seed, calendar=None) -> FeatureSet``;
-    design-based selectors build their lag design internally.
-    """
+    """The uniform callable the backtest engine and validate use: one
+    ``Step`` in, a FeatureSet out; the params are checked here, once."""
     kwargs = selector_params(selector_id, params)
-    adapter = SELECTORS[selector_id][0]
-
-    def run(panel: AlignedPanel, p: int, seed: int, calendar=None) -> FeatureSet:
-        return adapter(panel, p, seed, calendar, **kwargs)
-
-    return run
+    return partial(SELECTORS[selector_id][0], **kwargs)

@@ -1,11 +1,29 @@
-"""Shared selector output types."""
+"""Shared selector input and output types."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import BadName
+from ..ingest import RegimeCalendar
+from ..panel import AlignedPanel, DesignMatrix, build_design
+
+
+@dataclass(frozen=True)
+class Step:
+    """One selector call's input. ``design`` is the window's lag design,
+    built on first read and shared by every adapter that reads it."""
+
+    panel: AlignedPanel
+    p: int
+    seed: int = 0
+    calendar: RegimeCalendar = RegimeCalendar(())
+
+    @cached_property
+    def design(self) -> DesignMatrix:
+        return build_design(self.panel, self.p)
 
 
 @dataclass(frozen=True)

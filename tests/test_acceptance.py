@@ -26,6 +26,7 @@ from causalfs.numerics import acyclicity, fastica, ols_fit, standardize
 from causalfs.panel import AlignedPanel, MonthStamp, build_design, stack_lags
 from causalfs.selectors import (
     SELECTOR_IDS,
+    Step,
     dynotears_fit,
     granger_select,
     make_selector,
@@ -239,7 +240,7 @@ def null_panels():
 def test_null_calibration(null_panels, sid):
     # one fit per lab with default params; dynotears is left out for its run time
     selector = make_selector(sid)
-    kept = sum(len(selector(panel, 1, seed)) for seed, panel in enumerate(null_panels))
+    kept = sum(len(selector(Step(panel, 1, seed))) for seed, panel in enumerate(null_panels))
     possible = 11 * len(null_panels)
     if sid == "sfs":  # CV-based selection keeps a fifth of them, pinned
         report("null sfs", kept == 44, f"{kept}/{possible} null features kept (== 44)")

@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import inspect
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalfs
 import causalfs.selectors as selectors_module
 from causalfs.backtest import (
     BacktestConfig,
@@ -25,7 +29,9 @@ from causalfs.numerics import ols_fit
 from causalfs.panel import MonthStamp, build_design
 from causalfs.selectors import (
     SELECTOR_IDS,
+    SELECTORS,
     Environment,
+    Step,
     dynotears_fit,
     dynotears_select,
     granger_select,
@@ -177,7 +183,7 @@ class TestRunBacktest:
         preds = []
         for j in range(25, len(panel)):
             window = panel.head(j)
-            fs = selector(window, 1, step_seed(5, j), None)
+            fs = selector(Step(window, 1, step_seed(5, j)))
             chosen = tuple(n for n in panel.feature_names if n in fs.selected)
             design = build_design(window, 1)
             cols = [0] + design.feature_column_indices(chosen)
@@ -237,7 +243,7 @@ class TestRunBacktest:
                                                       monkeypatch):
         import causalfs.backtest as bt
 
-        def broken(panel_w, p, seed, calendar=None):
+        def broken(step):
             raise TypeError("bug inside a selector")
 
         T = 30
@@ -257,9 +263,9 @@ class TestRunBacktest:
 
         real = make_selector("granger", {})
 
-        def counting(panel_w, p, seed, calendar=None):
-            calls.append(len(panel_w))
-            return real(panel_w, p, seed, calendar)
+        def counting(step):
+            calls.append(len(step.panel))
+            return real(step)
 
         orig = bt.make_selector
         bt.make_selector = lambda sid, params: counting
@@ -278,9 +284,9 @@ class TestRunBacktest:
 
         # selection outgrows the window midway: steps before that succeed,
         # then the forecast fit becomes underdetermined and must abort
-        def greedy(panel_w, p, seed, calendar=None):
-            names = panel_w.feature_names
-            k = 2 if len(panel_w) < 24 else len(names)
+        def greedy(step):
+            names = step.panel.feature_names
+            k = 2 if len(step.panel) < 24 else len(names)
             sel = names[:k]
             return FeatureSet(frozenset(sel))
 
@@ -414,8 +420,36 @@ class TestSelectorRegistry:
 
     @pytest.mark.parametrize("sid", sorted(DIRECT))
     def test_empty_params_use_signature_defaults(self, panel, sid):
-        got = make_selector(sid, {})(panel, 1, 9, EMPTY_CAL)
+        got = make_selector(sid, {})(Step(panel, 1, 9, EMPTY_CAL))
         np.testing.assert_equal(vars(got), vars(DIRECT[sid](panel, 9)))
+
+    def test_one_selector_call_contract(self):
+        # every adapter takes one Step (and the params a config sets), and
+        # the one lag-design build in src/ is Step.design's
+        for sid, (adapter, _) in SELECTORS.items():
+            *named, rest = inspect.signature(adapter).parameters.values()
+            assert [p.name for p in named if p.default is p.empty] == ["step"], sid
+            assert rest.kind is inspect.Parameter.VAR_KEYWORD, sid
+        selector = make_selector("granger", {"alpha": 0.1})
+        assert (selector.func, selector.args, selector.keywords) == (
+            SELECTORS["granger"][0], (), {"alpha": 0.1})
+        src = Path(causalfs.__file__).resolve().parent
+        sites = []
+
+        def visit(node, where):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                where = f"{where}.{node.name}" if where else node.name
+                if node.name == "build_design":
+                    sites.append((path.name, where, "def"))
+            if isinstance(node, ast.Call) and "build_design" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                sites.append((path.name, where, "call"))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted(src.rglob("*.py")):
+            visit(ast.parse(path.read_text()), "")
+        assert sites == [("panel.py", "build_design", "def"), ("base.py", "Step.design", "call")]
 
     @pytest.mark.parametrize("sid, params", [
         pytest.param("nope", {}, id="unknown-selector"),
@@ -462,7 +496,7 @@ class TestSelectorRegistry:
                 Environment("crisis", rows[30:55])]
         selector = make_selector("seqicp", {"environments": "calendar"})
         with mock.patch.object(selectors_module, "seqicp_select", wraps=seqicp_select) as spy:
-            got = selector(panel, 1, 0, cal)
+            got = selector(Step(panel, 1, 0, cal))
         np.testing.assert_equal(vars(got), vars(seqicp_select(design, envs)))
         # the calendar's regimes, not the window's halves, were tested
         [(_, passed), _] = spy.call_args
@@ -473,7 +507,8 @@ class TestSelectorRegistry:
         design = build_design(panel, 1)
         selector = make_selector("seqicp", {"environments": "calendar"})
         for cal in (EMPTY_CAL, load_calendar(f"{design.dates[0]}..{design.dates[-1]}\n")):
-            np.testing.assert_equal(vars(selector(panel, 1, 0, cal)), vars(seqicp_select(design)))
+            np.testing.assert_equal(vars(selector(Step(panel, 1, 0, cal))),
+                                    vars(seqicp_select(design)))
 
     def test_seqicp_short_regime_falls_back_to_halves(self, caplog):
         # windows ending 2005-01..2005-03 hold 3 to 5 crisis rows: too few
@@ -490,7 +525,7 @@ class TestSelectorRegistry:
         selector = make_selector("seqicp", params)
         for month in ("2005-01", "2005-02", "2005-03"):
             window = panel.head(panel.dates.index(MonthStamp.parse(month)))
-            np.testing.assert_equal(vars(selector(window, 1, 0, cal)),
+            np.testing.assert_equal(vars(selector(Step(window, 1, 0, cal))),
                                     vars(seqicp_select(build_design(window, 1))))
 
 
@@ -509,9 +544,9 @@ class TestNoLookAheadEverySelector:
         def recording(sid, params):
             selector = real(sid, params)
 
-            def recorded(window, p, seed, calendar=None):
+            def recorded(step):
                 calls.append(None)
-                fs = selector(window, p, seed, calendar)
+                fs = selector(step)
                 calls[-1] = vars(fs)
                 return fs
 

@@ -478,6 +478,17 @@ class TestBacktest:
         assert err.startswith(f"error: {path.resolve()}: ") and "panel.csv" not in err
         assert not list(path.parent.glob("ledger_*"))
 
+    def test_calendar_environments_without_calendar_exit_2(self, workspace, capsys):
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        text = config.read_text().replace('calendar = "crisis.txt"\n', "")
+        config.write_text(text + '[selector.seqicp]\nenvironments = "calendar"\n')
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config, "--selectors", "seqicp") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "environments" in err and "calendar" in err
+        assert not list((workspace / "out").glob("ledger_*"))
+
     def test_ledgers_written(self, workspace):
         run_cli("ingest", "--config", workspace / "run.toml")
         assert run_cli("backtest", "--config", workspace / "run.toml") == 0
@@ -543,7 +554,7 @@ class TestBacktest:
     def test_selector_programming_error_raises_out_of_main(self, workspace, monkeypatch):
         import causalfs.backtest as bt
 
-        def broken(panel_w, p, seed, calendar=None):
+        def broken(step):
             raise TypeError("bug inside a selector")
 
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
@@ -1043,6 +1054,29 @@ alpha = 0.05
             stdout.append(capsys.readouterr().out)
         assert len(seeds) == 4 + 3 * 4
         assert combined == "".join(stdout)
+
+    def test_calendar_environments_exit_2_before_any_lab(self, tmp_path, capsys, monkeypatch):
+        from causalfs import synthlab
+
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 5\nn = 120\nn_seeds = 2\nselectors = ["seqicp"]\n'
+                        '[selector.seqicp]\nenvironments = "calendar"\n')
+        monkeypatch.setattr(synthlab, "generate_svar", pytest.fail)
+        assert run_cli("validate", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "environments" in err and "calendar" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_lab_design_built_once_for_all_selectors(self, tmp_path, monkeypatch):
+        from causalfs.selectors import base
+
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 5\nn = 120\nn_seeds = 3\nselectors = ["granger", "seqicp", "sfs"]\n')
+        built = []
+        build = base.build_design
+        monkeypatch.setattr(base, "build_design", lambda *args: built.append(args) or build(*args))
+        assert run_cli("validate", "--config", path) == 0
+        assert len(built) == 3
 
     def test_unknown_selector_exit_2(self, tmp_path):
         path = tmp_path / "lab.toml"

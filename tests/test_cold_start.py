@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import causalfs
-from causalfs.selectors import make_selector
+from causalfs.selectors import Step, make_selector
 from causalfs.synthlab import SvarSpec, generate_svar
 
 SRC = Path(causalfs.__file__).resolve().parents[1]
@@ -65,18 +65,18 @@ def test_pipeline_without_scipy(tmp_path):
 def test_selector_loads_scipy_on_first_use(sid, module):
     got = fresh(f"""
         import json, sys
-        from causalfs.selectors import make_selector
+        from causalfs.selectors import Step, make_selector
         from causalfs.synthlab import SvarSpec, generate_svar
 
         panel, _ = generate_svar(SvarSpec(**{SPEC!r}))
         before = {LOADED}
-        fs = make_selector(sys.argv[1])(panel, 1, 0, None)
+        fs = make_selector(sys.argv[1])(Step(panel, 1, 0))
         print(json.dumps({{"before": before, "after": {LOADED},
                           "selected": sorted(fs.selected), "p_values": fs.p_values}}))
     """, sid)
     assert got["before"] == []
     assert module in got["after"]
     panel, _ = generate_svar(SvarSpec(**SPEC))
-    fs = make_selector(sid)(panel, 1, 0, None)
+    fs = make_selector(sid)(Step(panel, 1, 0))
     assert got["selected"] == sorted(fs.selected)
     assert got["p_values"] == fs.p_values

@@ -8,6 +8,7 @@ from causalfs.errors import TooManyCovariates
 from causalfs.ingest import RegimeCalendar
 from causalfs.selectors import (
     cluster_prefilter,
+    Step,
     make_selector,
     varlingam_fit,
     varlingam_select,
@@ -174,7 +175,7 @@ def test_causal_order_never_computed_during_selection(monkeypatch):
     cal = RegimeCalendar(())
     cfg = BacktestConfig(window=290, selector_id="varlingam", seed=2)
     direct = varlingam_select(panel, p=1, seed=7)
-    registry = make_selector("varlingam", {})(panel, 1, 7, cal)
+    registry = make_selector("varlingam", {})(Step(panel, 1, 7, cal))
     ledger = run_backtest(panel, cal, cfg)
 
     def boom(B0):
@@ -183,7 +184,7 @@ def test_causal_order_never_computed_during_selection(monkeypatch):
     monkeypatch.setattr(varlingam_mod, "_causal_order", boom)
     for got, want in [
         (varlingam_select(panel, p=1, seed=7), direct),
-        (make_selector("varlingam", {})(panel, 1, 7, cal), registry),
+        (make_selector("varlingam", {})(Step(panel, 1, 7, cal)), registry),
     ]:
         assert got.selected == want.selected
     assert run_backtest(panel, cal, cfg).records == ledger.records
