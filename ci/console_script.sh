@@ -15,9 +15,11 @@
 # report whose ledger is shorter than metric_window must exit 2 naming
 # metric_window, with no traceback; a price
 # CSV with a non-numeric close, a price CSV that skips the month after its
-# first row (exit 2 naming the file, no traceback and no panel.csv), a
-# FRED-MD file with an inf cell, and a
-# backtest whose window leaves no month to forecast must exit 2, and so
+# first row and one that repeats a month (each exit 2 naming the file, no
+# traceback and no panel.csv), a FRED-MD file with an inf cell, and a
+# backtest whose window leaves no month to forecast must exit 2, the last
+# leaving no ledger of the good backtest before it, so that a following
+# report exits 3; and so
 # must an ingest whose FRED-MD header repeats a series, whose transform
 # row holds inf, whose target_name names a series or is A;B, or whose
 # FRED-MD header and sidecar name a series A;B (';' separates the ledger's
@@ -141,6 +143,14 @@ test "$rc" -eq 2
 if grep Traceback gap_prices_err.txt; then exit 1; fi
 grep -q "gap_prices.csv: month .* missing between" gap_prices_err.txt
 test ! -e gap_prices/panel.csv
+sed '3p' prices.csv > dup_prices.csv
+sed 's/"prices.csv"/"dup_prices.csv"/' run.toml > dup_prices.toml
+rc=0
+causalfs ingest --config dup_prices.toml --out dup_prices 2> dup_prices_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback dup_prices_err.txt; then exit 1; fi
+grep -q "dup_prices.csv: month .* appears twice" dup_prices_err.txt
+test ! -e dup_prices/panel.csv
 sed '3s/,[^,]*/,inf/' fredmd.csv > inf_fredmd.csv
 sed 's/"fredmd.csv"/"inf_fredmd.csv"/' run.toml > inf_fredmd.toml
 rc=0
@@ -150,6 +160,11 @@ sed 's/window = 40/window = 100/' run.toml > long_window.toml
 rc=0
 causalfs backtest --config long_window.toml || rc=$?
 test "$rc" -eq 2
+test ! -e out/ledger_granger.csv
+rc=0
+causalfs report --config run.toml 2> stale_err.txt || rc=$?
+test "$rc" -eq 3
+grep -q "missing artifact: .*ledger_granger.csv" stale_err.txt
 sed '1s/,X3$/,X1/' fredmd.csv > dup_fredmd.csv
 sed 's/"fredmd.csv"/"dup_fredmd.csv"/' run.toml > dup_fredmd.toml
 rc=0

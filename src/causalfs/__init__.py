@@ -10,7 +10,6 @@ command drives batch runs.
 from . import errors
 from .backtest import BacktestConfig, BacktestLedger, run_backtest
 from .evaluation import (
-    StrategySeries,
     combine_portfolios,
     mae_increase_pct,
     portfolio_metrics,
@@ -94,7 +93,6 @@ __all__ = [
     "Regime",
     "RegimeCalendar",
     "Step",
-    "StrategySeries",
     "SvarSpec",
     "acyclicity",
     "align_and_shift",

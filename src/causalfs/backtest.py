@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BacktestAborted, CausalfsError, InsufficientHistory, MalformedCsv
 from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
 from .numerics import OlsFit, ols_fit
-from .panel import AlignedPanel, MonthStamp, design_columns, stack_lags
+from .panel import AlignedPanel, MonthStamp, design_columns, first_gap, stack_lags
 from .selectors import FeatureSet, Step, make_selector
 
 log = logging.getLogger(__name__)
@@ -181,10 +181,17 @@ def _ledger_record(row: list[str]) -> LedgerRecord:
 
 
 def ledger_from_csv(text: str) -> BacktestLedger:
+    """A ledger's CSV: a MalformedCsv names the first row whose month does
+    not follow the month above it."""
     rows = csv_rows(text)
     if not rows or rows[0] != _LEDGER_HEADER:
         raise MalformedCsv("not a ledger CSV")
-    return BacktestLedger(tuple(parse_rows(rows[1:], _ledger_record)), {})
+    ledger = BacktestLedger(tuple(parse_rows(rows[1:], _ledger_record)), {})
+    if (i := first_gap(ledger.dates)) is not None:
+        a, b = ledger.dates[i : i + 2]
+        raise MalformedCsv(f"row {rows[i + 2][0].strip()!r}: expected month {a.plus(1)} "
+                           f"after {a}, got {b}")
+    return ledger
 
 
 def config_hash(config: dict) -> str:

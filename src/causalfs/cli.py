@@ -117,6 +117,10 @@ def cmd_backtest(cfg: RunConfig) -> int:
     if cfg.calendar is None:
         _require_calendar(cfg.selectors, cfg.selector_params, "the run config sets no calendar")
     out = cfg.out_dir
+    # a failed backtest must leave no earlier ledger for report to score
+    for sid in cfg.selectors:
+        for name in (f"ledger_{sid}.csv", f"manifest_{sid}.json", f"ledger_{sid}.csv.partial"):
+            (out / name).unlink(missing_ok=True)
     panel_path = out / "panel.csv"
     if not panel_path.exists():
         print(f"missing artifact: {panel_path} (run ingest first)", file=sys.stderr)
@@ -197,7 +201,7 @@ def cmd_report(cfg: RunConfig) -> int:
         a, b = cfg.combine
         combined = evaluation.combine_portfolios(strategies[a], strategies[b], cfg.combine_weight)
         scores[f"combined({a},{b})"] = {"book": evaluation.portfolio_metrics(combined, calendar)}
-        files["combined_portfolio.csv"] = evaluation.series_to_csv(combined.dates, combined.returns)
+        files["combined_portfolio.csv"] = evaluation.series_to_csv(combined.dates, combined.values)
     files["table1.csv"] = evaluation.scores_to_csv(
         scores, "errors", evaluation.ERROR_COLUMNS, ("mae_increase_pct",))
     files["table2.csv"] = evaluation.scores_to_csv(scores, "book", evaluation.BOOK_COLUMNS)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +19,9 @@ from .backtest import BacktestLedger
 from .errors import Insufficient, Misaligned, WindowTooLong
 from .ingest import Regime, RegimeCalendar, to_csv
 from .numerics import centre
-from .panel import MonthStamp
+from .panel import MonthlySeries
 
 ANNUALIZATION = math.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class StrategySeries:
-    """Monthly strategy returns: a sign-rule book's (position -1/0/+1 times
-    the realised return) or a weighted combination of two books'."""
-
-    dates: tuple[MonthStamp, ...]
-    returns: np.ndarray
-
-    def __post_init__(self):
-        returns = np.asarray(self.returns, dtype=float).copy()
-        if len(self.dates) != len(returns):
-            raise ValueError("dates and returns must share length")
-        returns.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "returns", returns)
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 def _mae(errors: np.ndarray) -> float:
@@ -130,30 +109,30 @@ def mae_increase_pct(errors: dict) -> float | None:
     return (crisis["mae"] / normal["mae"] - 1.0) * 100.0
 
 
-def strategy_returns(ledger: BacktestLedger) -> StrategySeries:
+def strategy_returns(ledger: BacktestLedger) -> MonthlySeries:
     """Long when the forecast is positive, short when negative, flat at zero."""
     if len(ledger) == 0:
         raise Insufficient("empty ledger")
-    return StrategySeries(dates=ledger.dates, returns=np.sign(ledger.y_pred) * ledger.y_true)
+    return MonthlySeries(ledger.dates, np.sign(ledger.y_pred) * ledger.y_true)
 
 
-def portfolio_metrics(series: StrategySeries, calendar: RegimeCalendar) -> dict:
+def portfolio_metrics(series: MonthlySeries, calendar: RegimeCalendar) -> dict:
     """Annualized E[R], Sharpe and Sortino by regime: ``by_regime`` of the
     returns over ``BOOK_COLUMNS``. A regime of one month has its count and
     None figures; a series shorter than two months raises Insufficient."""
     if len(series) < 2:
         raise Insufficient("need at least two strategy returns")
-    return by_regime(series.dates, series.returns, calendar, BOOK_COLUMNS)
+    return by_regime(series.dates, series.values, calendar, BOOK_COLUMNS)
 
 
 def combine_portfolios(
-    a: StrategySeries, b: StrategySeries, weight_a: float = 0.5
-) -> StrategySeries:
+    a: MonthlySeries, b: MonthlySeries, weight_a: float = 0.5
+) -> MonthlySeries:
     """Weighted book of two strategies over identical dates."""
     if a.dates != b.dates:
         raise Misaligned("strategy series cover different dates")
     w = float(weight_a)
-    return StrategySeries(dates=a.dates, returns=w * a.returns + (1.0 - w) * b.returns)
+    return MonthlySeries(a.dates, w * a.values + (1.0 - w) * b.values)
 
 
 def selection_stability(ledger: BacktestLedger) -> tuple[tuple[str, ...], np.ndarray]:

@@ -32,11 +32,12 @@ from .errors import (
     BadRange,
     BadTransformCode,
     DomainError,
+    DuplicateDate,
     MalformedCsv,
     OverlappingRanges,
     UnknownSeries,
 )
-from .panel import AlignedPanel, MonthStamp, MonthlyPanel, MonthlySeries
+from .panel import AlignedPanel, MonthStamp, MonthlyPanel, MonthlySeries, first_gap
 
 # FRED-MD transformation codes: code -> (months consumed, transform).
 # Codes from 4 on need strictly positive values.
@@ -103,11 +104,11 @@ class RegimeCalendar:
 
 @contextmanager
 def naming(path):
-    """Prefix a MalformedCsv raised inside with the file being parsed; a
-    UnicodeDecodeError (the file is not UTF-8 text) becomes one."""
+    """Prefix a MalformedCsv, DuplicateDate (a month on two rows) or
+    UnicodeDecodeError (not UTF-8 text) raised inside with the file, as a MalformedCsv."""
     try:
         yield
-    except (MalformedCsv, UnicodeDecodeError) as exc:
+    except (MalformedCsv, DuplicateDate, UnicodeDecodeError) as exc:
         raise MalformedCsv(f"{path}: {exc}") from None
 
 
@@ -171,9 +172,9 @@ def _cell_to_float(cell: str) -> float:
 def _consecutive(series):
     """``series`` if no month is missing between its dates, else MalformedCsv
     naming the two months around the first gap."""
-    for a, b in zip(series.dates, series.dates[1:]):
-        if b.index() != a.index() + 1:
-            raise MalformedCsv(f"month {a.plus(1)} missing between {a} and {b}")
+    if (i := first_gap(series.dates)) is not None:
+        a, b = series.dates[i : i + 2]
+        raise MalformedCsv(f"month {a.plus(1)} missing between {a} and {b}")
     return series
 
 

@@ -63,6 +63,14 @@ class MonthStamp:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+def first_gap(dates) -> int | None:
+    """The index of the first pair of ``dates`` whose second month is not the
+    first plus one (a gap, a repeat or a step back), else None: the one
+    contiguity rule of panels, input files and ledgers."""
+    months = [d.index() for d in dates]
+    return next((i for i, (a, b) in enumerate(zip(months, months[1:])) if b != a + 1), None)
+
+
 def _store_month_ordered(series, dates: tuple, values: np.ndarray) -> None:
     """Set ``series.dates`` and ``series.values`` to ``dates`` and the rows of
     ``values``, stable-sorted by month, the rows as a read-only copy. Raises
@@ -81,7 +89,8 @@ def _store_month_ordered(series, dates: tuple, values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MonthlySeries:
-    """A single dated series. NaN allowed (resolved later by alignment)."""
+    """A single dated series (prices, returns, a strategy book), read-only.
+    NaN allowed (resolved later by alignment)."""
 
     dates: tuple[MonthStamp, ...]
     values: np.ndarray
@@ -144,10 +153,8 @@ class AlignedPanel:
             raise ValueError("data must be T x m: one date per row, one name per column")
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
-        months = [d.index() for d in dates]  # consecutive months differ by 1
-        for i, (a, b) in enumerate(zip(months, months[1:])):
-            if b != a + 1:
-                raise NonContiguous(f"gap or disorder between {dates[i]} and {dates[i + 1]}")
+        if (i := first_gap(dates)) is not None:
+            raise NonContiguous(f"gap or disorder between {dates[i]} and {dates[i + 1]}")
         if len(dates) == 0:
             raise NoOverlap("empty panel")
         if not np.isfinite(data).all():

@@ -352,7 +352,7 @@ def test_evaluation_oracles():
 
     correct_pred = np.sign(y_true) * rng.uniform(0.5, 2.0, size=60)
     series = strategy_returns(ledger_from(y_true, correct_pred))
-    cum_ok = abs(series.returns.sum() - np.abs(y_true).sum()) <= 1e-10
+    cum_ok = abs(series.values.sum() - np.abs(y_true).sum()) <= 1e-10
 
     stats = portfolio_metrics(strategy_returns(ledger), EMPTY_CAL)[Regime.NORMAL]
     r = np.sign(y_pred) * y_true

@@ -23,7 +23,7 @@ from causalfs.backtest import (
     run_manifest,
     step_seed,
 )
-from causalfs.errors import BadName, InsufficientHistory, ShapeError
+from causalfs.errors import BadName, InsufficientHistory, MalformedCsv, ShapeError
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
 from causalfs.panel import MonthStamp, build_design
@@ -358,6 +358,22 @@ class TestSerialization:
             np.array([[r.y_true, r.y_pred] for r in back.records]).view(np.int64),
             np.array([[r.y_true, r.y_pred] for r in records]).view(np.int64),
         )
+
+    @pytest.mark.parametrize("months, message", [
+        (("2020-01", "2020-02", "2020-02"), "row '2020-02': expected month 2020-03 after 2020-02, "
+                                            "got 2020-02"),
+        (("2020-01", "2020-03", "2020-04"), "row '2020-03': expected month 2020-02 after 2020-01, "
+                                            "got 2020-03"),
+        (("2020-12", "2021-01", "2020-11"), "row '2020-11': expected month 2021-02 after 2021-01, "
+                                            "got 2020-11"),
+    ], ids=["repeated", "skipped", "backwards"])
+    def test_csv_months_out_of_step_rejected_naming_the_row(self, months, message):
+        # a ledger holds one row per month, in order, as run_backtest wrote it
+        text = "date,y_true,y_pred,regime,selected\n" + "".join(
+            f"{m},1.0,0.5,normal,X1\n" for m in months)
+        with pytest.raises(MalformedCsv) as exc:
+            ledger_from_csv(text)
+        assert str(exc.value) == message
 
     def test_manifest_hash_stable(self):
         ledger = self._ledger()

@@ -551,6 +551,25 @@ class TestBacktest:
         assert "must exceed window+1=101" in capsys.readouterr().err
         assert not list((workspace / "out").glob("ledger_*"))
 
+    def test_failed_backtest_leaves_no_earlier_ledger_for_report(self, workspace, capsys):
+        # the failing run removes the files of the selectors it runs, and only those
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        assert run_cli("backtest", "--config", config) == 0
+        out = workspace / "out"
+        (out / "ledger_granger.csv.partial").write_text("")  # an earlier abort's
+        sfs_ledger = (out / "ledger_sfs.csv").read_text()
+        config.write_text(config.read_text().replace("window = 40", "window = 100"))
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config, "--selectors", "granger") == 2
+        assert "must exceed window+1=101" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("*_*")) == [
+            "ingest_log.json", "ledger_sfs.csv", "manifest_sfs.json", "panel_meta.json"]
+        assert (out / "ledger_sfs.csv").read_text() == sfs_ledger
+        assert run_cli("report", "--config", config) == 3
+        assert capsys.readouterr().err == f"missing artifact: {out / 'ledger_granger.csv'}\n"
+        assert not (out / "table1.csv").exists()
+
     def test_selector_programming_error_raises_out_of_main(self, workspace, monkeypatch):
         import causalfs.backtest as bt
 
@@ -769,6 +788,24 @@ class TestReport:
         out = golden_workspace / "out"
         assert sorted(p.name for p in out.iterdir()) == ["ledger_granger.csv", "ledger_sfs.csv"]
 
+    @pytest.mark.parametrize("old, new, row, expected", [
+        ("2020-04,", "2020-03,", "2020-03", "expected month 2020-04 after 2020-03, got 2020-03"),
+        ("2020-03,-2.0,-0.75,crisis,X1;X3\n", "", "2020-04",
+         "expected month 2020-03 after 2020-02, got 2020-04"),
+        ("2020-05,", "2020-01,", "2020-01", "expected month 2020-05 after 2020-04, got 2020-01"),
+    ], ids=["repeated", "skipped", "backwards"])
+    def test_ledger_months_out_of_step_exit_2_naming_it_and_writing_nothing(
+        self, golden_workspace, capsys, old, new, row, expected
+    ):
+        out = golden_workspace / "out"
+        bad = out / "ledger_sfs.csv"
+        assert old in bad.read_text()
+        bad.write_text(bad.read_text().replace(old, new))
+        capsys.readouterr()
+        assert run_cli("report", "--config", golden_workspace / "run.toml") == 2
+        assert capsys.readouterr().err == f"error: {bad}: row '{row}': {expected}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["ledger_granger.csv", "ledger_sfs.csv"]
+
     @pytest.mark.parametrize("one_month", [False, True], ids=["golden", "one-crisis-month"])
     def test_table_cells_are_metrics_json_rounded(self, golden_workspace, one_month):
         # one score behind both: each table cell is its metrics.json value
@@ -904,6 +941,21 @@ class TestMalformedCsv:
         err = capsys.readouterr().err
         assert err == (f"error: {path.resolve()}: month {months[1]} missing between "
                        f"{months[0]} and {months[2]}\n")
+        assert not (workspace / "out" / "panel.csv").exists()
+
+    @pytest.mark.parametrize("name, line", [("prices.csv", 2), ("prices.csv", 30),
+                                            ("fredmd.csv", 3), ("fredmd.csv", 30)],
+                             ids=["prices-second-row", "prices-mid-file",
+                                  "fredmd-second-row", "fredmd-mid-file"])
+    def test_repeated_month_exit_2_naming_the_file(self, workspace, capsys, name, line):
+        path = workspace / name
+        lines = path.read_text().split("\n")
+        lines.insert(line, lines[line])
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("ingest", "--config", workspace / "run.toml") == 2
+        month = _month_of(lines[line].split(",")[0])
+        assert capsys.readouterr().err == f"error: {path.resolve()}: month {month} appears twice\n"
         assert not (workspace / "out" / "panel.csv").exists()
 
     @pytest.mark.parametrize("case", MALFORMED_CSV)

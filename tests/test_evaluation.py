@@ -6,7 +6,6 @@ import pytest
 from causalfs.backtest import BacktestLedger, LedgerRecord
 from causalfs.errors import Insufficient, Misaligned, WindowTooLong
 from causalfs.evaluation import (
-    StrategySeries,
     combine_portfolios,
     mae_increase_pct,
     portfolio_metrics,
@@ -18,7 +17,7 @@ from causalfs.evaluation import (
     strategy_returns,
 )
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
-from causalfs.panel import MonthStamp
+from causalfs.panel import MonthlySeries, MonthStamp
 
 from conftest import month_range
 
@@ -124,13 +123,13 @@ class TestStrategy:
     def test_sign_rule(self):
         ledger = ledger_from([-1.0, -1.0, 2.0], [2.0, -2.0, 0.0])
         series = strategy_returns(ledger)
-        np.testing.assert_allclose(series.returns, [-1.0, 1.0, 0.0])
+        np.testing.assert_allclose(series.values, [-1.0, 1.0, 0.0])
 
     def test_all_correct_signs_cumulate_absolute_returns(self, rng):
         y_true = rng.normal(size=25)
         y_pred = np.sign(y_true) * rng.uniform(0.5, 2.0, size=25)
         series = strategy_returns(ledger_from(y_true, y_pred))
-        assert series.returns.sum() == pytest.approx(np.abs(y_true).sum(), rel=1e-12)
+        assert series.values.sum() == pytest.approx(np.abs(y_true).sum(), rel=1e-12)
 
     def test_position_magnitude_matches_return(self, rng):
         y_true = rng.normal(size=10)
@@ -138,14 +137,14 @@ class TestStrategy:
         series = strategy_returns(ledger_from(y_true, y_pred))
         nz = y_pred != 0
         np.testing.assert_allclose(
-            np.abs(series.returns[nz]), np.abs(y_true[nz]), rtol=1e-12
+            np.abs(series.values[nz]), np.abs(y_true[nz]), rtol=1e-12
         )
 
 
 class TestPortfolioMetrics:
     def series(self, returns, start="2015-01"):
         r = np.asarray(returns, dtype=float)
-        return StrategySeries(month_range(start, len(r)), r)
+        return MonthlySeries(month_range(start, len(r)), r)
 
     def test_alternating_returns_zero_mean(self):
         series = self.series([1.0, -1.0] * 12)
@@ -196,25 +195,25 @@ class TestPortfolioMetrics:
 class TestCombine:
     def series(self, returns, start="2015-01"):
         r = np.asarray(returns, dtype=float)
-        return StrategySeries(month_range(start, len(r)), r)
+        return MonthlySeries(month_range(start, len(r)), r)
 
     def test_self_combination_identity(self, rng):
         x = self.series(rng.normal(size=10))
         combo = combine_portfolios(x, x, 0.5)
-        np.testing.assert_allclose(combo.returns, x.returns)
+        np.testing.assert_allclose(combo.values, x.values)
 
     def test_weight_one_returns_first(self, rng):
         a = self.series(rng.normal(size=10))
         b = self.series(rng.normal(size=10))
         combo = combine_portfolios(a, b, 1.0)
-        np.testing.assert_allclose(combo.returns, a.returns)
+        np.testing.assert_allclose(combo.values, a.values)
 
     def test_elementwise_average_oracle(self, rng):
         a = self.series(rng.normal(size=14))
         b = self.series(rng.normal(size=14))
         combo = combine_portfolios(a, b, 0.25)
         np.testing.assert_allclose(
-            combo.returns, 0.25 * a.returns + 0.75 * b.returns, rtol=1e-12
+            combo.values, 0.25 * a.values + 0.75 * b.values, rtol=1e-12
         )
 
     def test_expected_return_combines_linearly(self, rng):

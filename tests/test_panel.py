@@ -25,6 +25,7 @@ from causalfs.panel import (
     align_and_shift,
     build_design,
     design_columns,
+    first_gap,
     stack_lags,
 )
 from causalfs.numerics import ols_fit
@@ -297,6 +298,75 @@ class TestAlignedPanelInvariants:
         with pytest.raises(NonContiguous) as exc:
             AlignedPanel(tuple(MonthStamp(*d) for d in dates), np.zeros((n, 2)), ("Y", "X1"))
         assert str(exc.value) == message
+
+
+class TestOneMonthRule:
+    @pytest.mark.parametrize("months, gap", [
+        ((), None),
+        (("2020-01",), None),
+        (("2019-11", "2019-12", "2020-01"), None),
+        (("2019-12", "2020-02"), 0),
+        (("2020-01", "2020-02", "2020-02", "2020-04"), 1),
+        (("2020-01", "2020-02", "2020-03", "2020-01"), 2),
+    ], ids=["empty", "one", "across-year", "skip", "first-of-two", "backwards"])
+    def test_first_gap(self, months, gap):
+        assert first_gap([MonthStamp.parse(m) for m in months]) == gap
+
+    @staticmethod
+    def month_step_sites(tree):
+        """The innermost function around each (in)equality of a value with
+        one more than another (``b != a + 1``, ``b == a.plus(1)``,
+        ``b - a != 1``): the shape of a check that one month follows another."""
+        def one(node):
+            return isinstance(node, ast.Constant) and node.value == 1
+
+        def step(side, other):
+            if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add):
+                return one(side.left) or one(side.right)
+            if isinstance(side, ast.Call) and getattr(side.func, "attr", None) == "plus":
+                return len(side.args) == 1 and one(side.args[0])
+            return isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub) and one(other)
+
+        sites = []
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = node.name
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
+                left, right = node.left, node.comparators[0]
+                if step(left, right) or step(right, left):
+                    sites.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, "<module>")
+        return sites
+
+    def test_one_function_compares_adjacent_months(self):
+        # panels, input files and ledgers check their dates through first_gap
+        root = Path(causalfs.__file__).parent
+        sites = [(str(path.relative_to(root)), where) for path in sorted(root.rglob("*.py"))
+                 for where in self.month_step_sites(ast.parse(path.read_text()))]
+        assert sites == [("panel.py", "first_gap")]
+
+    def test_scan_finds_the_old_copies(self):
+        old = """
+class AlignedPanel:
+    def __post_init__(self):
+        for i, (a, b) in enumerate(zip(months, months[1:])):
+            if b != a + 1:
+                raise NonContiguous
+
+def _consecutive(series):
+    for a, b in zip(series.dates, series.dates[1:]):
+        if b.index() != a.index() + 1:
+            raise MalformedCsv
+
+def ledger_check(dates):
+    return all(b == a.plus(1) for a, b in zip(dates, dates[1:])) or 1 == b - a
+"""
+        assert self.month_step_sites(ast.parse(old)) == [
+            "__post_init__", "_consecutive", "ledger_check", "ledger_check"]
 
 
 class TestOneBlock:
