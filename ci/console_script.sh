@@ -11,15 +11,19 @@
 # deprecated numpy form), must exit 0 both times and write byte-identical
 # recovery files; importing causalfs.cli
 # must not load scipy, which only the selectors' kernels import; a tiny
-# exported panel must go through ingest, backtest and report, and a
-# report whose ledger is shorter than metric_window must exit 2 naming
-# metric_window, with no traceback; a price
+# exported panel must go through ingest, backtest and report; a
+# reselect_every = 12 backtest of three selectors on that panel, run
+# twice, must write byte-identical ledgers; a report whose ledger is
+# shorter than metric_window must exit 2 naming metric_window, with no
+# traceback; a price
 # CSV with a non-numeric close, a price CSV that skips the month after its
 # first row and one that repeats a month (each exit 2 naming the file, no
 # traceback and no panel.csv), a FRED-MD file with an inf cell, and a
 # backtest whose window leaves no month to forecast must exit 2, the last
 # leaving no ledger of the good backtest before it, so that a following
-# report exits 3; and so
+# report exits 3 and leaves no table1.csv of the report before it; a
+# panel.csv that repeats a month must make backtest exit 2 naming
+# panel.csv, with no traceback; and so
 # must an ingest whose FRED-MD header repeats a series, whose transform
 # row holds inf, whose target_name names a series or is A;B, or whose
 # FRED-MD header and sidecar name a series A;B (';' separates the ledger's
@@ -90,6 +94,13 @@ causalfs ingest --config run.toml
 causalfs backtest --config run.toml
 causalfs report --config run.toml
 test -s out/table1.csv
+sed 's/"out"/"runs1"/; s/selectors = \["granger"\]/selectors = ["granger", "sfs", "pcmci"]/' run.toml > runs.toml
+printf 'reselect_every = 12\n' >> runs.toml
+causalfs ingest --config runs.toml
+cp -r runs1 runs2
+causalfs backtest --config runs.toml
+causalfs backtest --config runs.toml --out runs2
+for sid in granger sfs pcmci; do cmp "runs1/ledger_$sid.csv" "runs2/ledger_$sid.csv"; done
 sed 's/window = 40/window = 70/; s/"out"/"short"/' run.toml > short.toml
 causalfs ingest --config short.toml
 causalfs backtest --config short.toml
@@ -165,6 +176,14 @@ rc=0
 causalfs report --config run.toml 2> stale_err.txt || rc=$?
 test "$rc" -eq 3
 grep -q "missing artifact: .*ledger_granger.csv" stale_err.txt
+test ! -e out/table1.csv
+causalfs ingest --config run.toml --out dup_panel
+sed -i '6p' dup_panel/panel.csv
+rc=0
+causalfs backtest --config run.toml --out dup_panel 2> dup_panel_err.txt || rc=$?
+test "$rc" -eq 2
+if grep Traceback dup_panel_err.txt; then exit 1; fi
+grep -q "dup_panel/panel.csv: gap or disorder between" dup_panel_err.txt
 sed '1s/,X3$/,X1/' fredmd.csv > dup_fredmd.csv
 sed 's/"fredmd.csv"/"dup_fredmd.csv"/' run.toml > dup_fredmd.toml
 rc=0

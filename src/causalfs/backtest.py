@@ -15,9 +15,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BacktestAborted, CausalfsError, InsufficientHistory, MalformedCsv
+from .errors import (
+    BacktestAborted,
+    CausalfsError,
+    InsufficientHistory,
+    MalformedCsv,
+    Underdetermined,
+)
 from .ingest import Regime, RegimeCalendar, csv_rows, parse_rows, to_csv
-from .numerics import OlsFit, ols_fit
+from .numerics import SubsetGram, prefix_betas, subset_gram
 from .panel import AlignedPanel, MonthStamp, design_columns, first_gap, stack_lags
 from .selectors import FeatureSet, Step, make_selector
 
@@ -86,21 +92,52 @@ def step_seed(seed: int, step: int) -> int:
     return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
 
 
-def fit_forecast_model(
-    panel: AlignedPanel, p: int, selected: tuple[str, ...]
-) -> tuple[OlsFit, np.ndarray]:
-    """Fit the forecasting OLS of y_t on the ``design_columns`` layout of the
-    target and the selected features, in ``selected`` order, and read the
-    next-step regressor vector as the same lags at time T: the rows T - 1
-    down to T - p, lag-major as ``stack_lags`` lays them out. Only those
-    columns are stacked, so the cost does not grow with the panel's width."""
-    T = len(panel)
-    if T <= p + 1:
-        raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {T}")
-    data = panel.data.take([0, *(panel.names.index(name) for name in selected)], axis=1)
+def _check_forecast_rows(month: int, p: int, width: int) -> None:
+    """Raise what the forecast fit for row ``month`` on ``width`` selected
+    features would: InsufficientHistory unless more than p + 1 rows come
+    before it, Underdetermined unless its month - p rows exceed its
+    2 + p * width regressors, the intercept included."""
+    if month <= p + 1:
+        raise InsufficientHistory(f"need more than p+1={p + 1} rows, have {month}")
+    n, k = month - p, 2 + p * width
+    if n <= k:
+        raise Underdetermined(f"{n} rows for {k} regressors")
+
+
+def forecast_block(
+    panel: AlignedPanel, p: int, selected: tuple[str, ...], months
+) -> tuple[SubsetGram, np.ndarray]:
+    """The forecast's block Z = [1 | target lag | selected lags | y] over the
+    rows before the last of ``months``, in the ``design_columns`` layout of
+    the target and the selected features, in ``selected`` order, and each
+    month's next-step regressors: the same lags at that month, the rows
+    month - 1 down to month - p, lag-major as ``stack_lags`` lays them out.
+    Only those columns are stacked, so the cost does not grow with the
+    panel's width."""
+    months = np.asarray(months, dtype=int)
+    data = panel.data[: months[-1]].take(
+        [0, *(panel.names.index(name) for name in selected)], axis=1)
     layout = design_columns(data.shape[1], p)
-    _, lagged = stack_lags(data, p)
-    return ols_fit(lagged[:, layout], panel.target[p:T]), data[T - p :][::-1].ravel()[layout]
+    y, lagged = stack_lags(data, p)
+    lags = data[np.subtract.outer(months, np.arange(1, p + 1))].reshape(len(months), -1)
+    # take returns C order: a regressor row is one contiguous vector whatever the run's length
+    return subset_gram(lagged[:, layout], y[:, 0]), lags.take(layout, axis=1)
+
+
+def fit_forecast_model(
+    panel: AlignedPanel, p: int, selected: tuple[str, ...], months
+) -> np.ndarray:
+    """One-step forecasts of the target at each row index in ``months``
+    (ascending, each at most ``len(panel)``): the OLS fit of y_t on the
+    ``forecast_block`` layout over the rows before that month, read at its
+    next-step regressors. One block serves every month, and each month's
+    beta comes from ``prefix_betas``, so a forecast depends only on its own
+    rows and a one-month call gives the same bits."""
+    months = np.asarray(months, dtype=int)
+    _check_forecast_rows(months[0], p, len(selected))
+    sg, regressors = forecast_block(panel, p, selected, months)
+    betas = prefix_betas(sg, months - p)
+    return np.array([beta[0] + beta[1:] @ x for beta, x in zip(betas, regressors)])
 
 
 def run_backtest(
@@ -112,10 +149,17 @@ def run_backtest(
     falls back to the previous FeatureSet -- or to no features at the
     start -- with a logged warning naming the error class; an empty
     selection degrades the model to intercept plus target lag. Any other
-    exception from a selector is a programming error and propagates; a
-    forecast fit that raises either of those errors aborts with the partial
-    ledger. A panel of at most ``window + 1`` months raises
-    InsufficientHistory before any selector call.
+    exception from a selector is a programming error and propagates. A
+    panel of at most ``window + 1`` months raises InsufficientHistory
+    before any selector call.
+
+    Consecutive months that share one selection form a run, opened at a
+    reselect month whose selection differs from the open run's, and
+    ``fit_forecast_model`` forecasts each run in one call when the next
+    opens. A forecast fit that raises either of those errors aborts with
+    the ledger before its month: an underdetermined one when its run
+    opens, before the next selector call, and any other at its own month,
+    after the selector calls of that run's later reselect months.
     """
     T = len(panel)
     w = config.window
@@ -123,37 +167,63 @@ def run_backtest(
         raise InsufficientHistory(f"panel length {T} must exceed window+1={w + 1}")
     selector = make_selector(config.selector_id, config.selector_params)
     records = []
+
+    def aborted(j, exc):
+        return BacktestAborted(
+            f"hard error at {panel.dates[j]}: {exc}",
+            partial=BacktestLedger(tuple(records), config.snapshot()),
+            cause=exc,
+        )
+
+    def forecasts(run, selected):
+        """The run's forecasts from one call; if it raises, month by month (the
+        same bits), so that the month that raises aborts after every record
+        before it."""
+        try:
+            yield from fit_forecast_model(panel, config.p, selected, run)
+            return
+        except (CausalfsError, np.linalg.LinAlgError):
+            pass
+        for j in run:
+            try:
+                yield fit_forecast_model(panel, config.p, selected, [j])[0]
+            except (CausalfsError, np.linalg.LinAlgError) as exc:
+                raise aborted(j, exc) from exc
+
+    def forecast(run, selected):
+        for j, y_pred in zip(run, forecasts(run, selected)):
+            records.append(
+                LedgerRecord(
+                    date=panel.dates[j],
+                    y_true=float(panel.target[j]),
+                    y_pred=float(y_pred),
+                    selected=selected,
+                    regime=calendar.classify(panel.dates[j]),
+                )
+            )
+
     last_fs = FeatureSet(frozenset())
+    run, selected = [], None
     for j in range(w, T):
-        window = panel.head(j)
         if (j - w) % config.reselect_every == 0:
             try:
-                last_fs = selector(Step(window, config.p, step_seed(config.seed, j), calendar))
+                step = Step(panel.head(j), config.p, step_seed(config.seed, j), calendar)
+                last_fs = selector(step)
             except (CausalfsError, np.linalg.LinAlgError) as exc:
                 log.warning(
                     "%s failed at %s (%s: %s); falling back",
                     config.selector_id, panel.dates[j], type(exc).__name__, exc,
                 )
-        selected = last_fs.ordered(panel.feature_names)
-        date = panel.dates[j]
-        try:
-            fit, regressors = fit_forecast_model(window, config.p, selected)
-            y_pred = fit.predict(regressors)
-        except (CausalfsError, np.linalg.LinAlgError) as exc:
-            raise BacktestAborted(
-                f"hard error at {date}: {exc}",
-                partial=BacktestLedger(tuple(records), config.snapshot()),
-                cause=exc,
-            ) from exc
-        records.append(
-            LedgerRecord(
-                date=date,
-                y_true=float(panel.target[j]),
-                y_pred=float(y_pred),
-                selected=selected,
-                regime=calendar.classify(date),
-            )
-        )
+            if (chosen := last_fs.ordered(panel.feature_names)) != selected:
+                if run:
+                    forecast(run, selected)
+                run, selected = [], chosen
+                try:
+                    _check_forecast_rows(j, config.p, len(selected))
+                except CausalfsError as exc:
+                    raise aborted(j, exc) from exc
+        run.append(j)
+    forecast(run, selected)
     return BacktestLedger(tuple(records), config.snapshot())
 
 

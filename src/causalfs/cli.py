@@ -156,6 +156,11 @@ def cmd_report(cfg: RunConfig) -> int:
     """Score every ledger and book, then write the tables, ``metrics.json``
     and the series files; an error while reading or scoring writes nothing."""
     out = cfg.out_dir
+    # a failed report must leave no earlier report of ledgers that may be gone
+    series = (f"{kind}_{sid}.csv" for sid in cfg.selectors
+              for kind in ("rolling_rmse", "rolling_mae", "stability"))
+    for name in ("table1.csv", "table2.csv", "metrics.json", "combined_portfolio.csv", *series):
+        (out / name).unlink(missing_ok=True)
     if cfg.combine and not set(cfg.combine) <= set(cfg.selectors):
         print("combine refers to selectors without ledgers", file=sys.stderr)
         return EXIT_MISSING

@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     DuplicateDate,
     MalformedCsv,
+    NonContiguous,
     OverlappingRanges,
     UnknownSeries,
 )
@@ -104,11 +105,12 @@ class RegimeCalendar:
 
 @contextmanager
 def naming(path):
-    """Prefix a MalformedCsv, DuplicateDate (a month on two rows) or
-    UnicodeDecodeError (not UTF-8 text) raised inside with the file, as a MalformedCsv."""
+    """Prefix a MalformedCsv, DuplicateDate (a month on two rows),
+    NonContiguous (a panel's months out of step) or UnicodeDecodeError (not
+    UTF-8 text) raised inside with the file, as a MalformedCsv."""
     try:
         yield
-    except (MalformedCsv, DuplicateDate, UnicodeDecodeError) as exc:
+    except (MalformedCsv, DuplicateDate, NonContiguous, UnicodeDecodeError) as exc:
         raise MalformedCsv(f"{path}: {exc}") from None
 
 

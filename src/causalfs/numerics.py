@@ -1,14 +1,16 @@
 """Statistical and optimization kernels shared by all selectors.
 
-Least squares behind Granger, seqICP, SFS and PCMCI is one normal-equations
-engine: one block Z = [1, X, y] per design (``subset_gram``; Z'Z on first
-read), one condition guard (``_ScaledSystems``, which also reads PCMCI's
-Grams of centred columns) and one refit of a subset or fold past it
-(``_refit_residuals``); past it, Granger takes the SVD Wald form and PCMCI
-``partial_correlation``. k-means and FastICA are implemented here because
-the selectors depend on their exact seeding, repair, and convergence
-behaviour being reproducible. scipy is imported inside the functions that
-call it, so a command that never calls them does not load it.
+Least squares behind Granger, seqICP, SFS, PCMCI and the backtest's
+forecasts is one normal-equations engine: one block Z = [1, X, y] per
+design (``subset_gram``; Z'Z on first read), one condition guard
+(``_ScaledSystems``, which also reads PCMCI's Grams of centred columns) and
+one refit of a subset or fold past it (``_refit_residuals``); past it,
+Granger takes the SVD Wald form, PCMCI ``partial_correlation`` and a
+forecast's fit (``prefix_betas``) ``ols_fit``. k-means and FastICA are
+implemented here because the selectors depend on their exact seeding,
+repair, and convergence behaviour being reproducible. scipy is imported
+inside the functions that call it, so a command that never calls them does
+not load it.
 
 ``f_sf`` is the package's one F tail, read by the nested F test, the
 correlation tests (as the F(1, dof) tail of t^2) and seqICP's equal-mean
@@ -190,7 +192,11 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
 # (p by 9.3e-11) at 1e5-1e6 and 3.2e-9 at 1e7-1e8; Granger p-values against
 # the SVD Wald form by at most 2.1e-12 relative over the 1,120 Granger
 # designs of the three benchmark workloads at two seeds (scaled Gram
-# condition up to 5.5e4, median 30), with no selection moved at 0.05.
+# condition up to 5.5e4, median 30), with no selection moved at 0.05;
+# backtest forecasts (prefix_betas) against a per-month SVD by at most
+# 1.9e-14 of their backtest's largest |y_pred| (9.3e-12 relative at a
+# forecast of 3.5e-4) over the 696 backtests of both backtest workloads at
+# seeds 0 and 4099.
 _GRAM_COND_MAX = 1e6
 # Cap on the float64 entries of one chunk of stacked systems or residuals
 # (2 MB), so a backward step at width 120 does not stack all its
@@ -255,10 +261,35 @@ def subset_gram(X: np.ndarray, y: np.ndarray) -> SubsetGram:
     return SubsetGram(Z)
 
 
+def prefix_betas(sg: SubsetGram, lengths) -> np.ndarray:
+    """beta of y on [1, X] over the first n rows of ``sg.Z``, one row per n
+    in ``lengths``, each n more than the regressors, the intercept included.
+
+    Each fit's Gram is ``SubsetGram(Z[:n]).gram``, formed from exactly its
+    own rows, and the stacked normal equations are solved through
+    ``_ScaledSystems`` in chunks of at most _CV_CHUNK_ENTRIES, so a beta
+    does not depend on the other lengths or on the rows after its own. A
+    fit that fails the guard is refit by ``ols_fit``: the minimum-norm
+    beta, with RankDeficientWarning where the rank falls short.
+    """
+    Z, lengths = sg.Z, np.asarray(lengths, dtype=int)
+    k = Z.shape[1] - 1
+    betas = np.empty((len(lengths), k))
+    for part in chunk_slices(len(lengths), (k + 1) ** 2):
+        grams = np.stack([SubsetGram(Z[:n]).gram for n in lengths[part]])
+        systems = _ScaledSystems(grams[:, :-1, :-1])
+        betas[part] = systems.solve(grams[:, :-1, -1])
+        for i in np.flatnonzero(~systems.ok):
+            n = lengths[part][i]
+            betas[part.start + i] = ols_fit(Z[:n, 1:-1], Z[:n, -1]).beta
+    return betas
+
+
 def _refit_residuals(Z: np.ndarray, cols, held_out=None) -> np.ndarray:
-    """The one refit past the ``_ScaledSystems`` guard: ``ols_fit`` of Z's
-    last column on its columns ``cols`` (into [1, X], 0 first) over the rows
-    not ``held_out``, and its residuals on ``held_out`` (all rows by default)."""
+    """The refit of a subset or fold past the ``_ScaledSystems`` guard:
+    ``ols_fit`` of Z's last column on its columns ``cols`` (into [1, X], 0
+    first) over the rows not ``held_out``, and its residuals on ``held_out``
+    (all rows by default)."""
     X, y = Z[:, cols[1:]], Z[:, -1]
     rows = train = slice(None)
     if held_out is not None:

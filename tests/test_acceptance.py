@@ -312,9 +312,9 @@ def test_backtest_no_lookahead_and_length():
     bit_exact = True
     for k in picks:
         rec = ledger.records[k]
-        window = panel.head(date_to_row[rec.date])  # strictly prior rows only
-        fit, regressors = fit_forecast_model(window, 1, rec.selected)
-        bit_exact = bit_exact and fit.predict(regressors) == rec.y_pred
+        j = date_to_row[rec.date]
+        window = panel.head(j)  # strictly prior rows only
+        bit_exact = bit_exact and fit_forecast_model(window, 1, rec.selected, [j])[0] == rec.y_pred
     ok = lengths_ok and bit_exact
     report(
         "backtest-no-lookahead",

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalfs
+import causalfs.numerics as numerics
 import causalfs.selectors as selectors_module
 from causalfs.backtest import (
     BacktestConfig,
@@ -17,13 +19,21 @@ from causalfs.backtest import (
     LedgerRecord,
     config_hash,
     fit_forecast_model,
+    forecast_block,
     ledger_from_csv,
     ledger_to_csv,
     run_backtest,
     run_manifest,
     step_seed,
 )
-from causalfs.errors import BadName, InsufficientHistory, MalformedCsv, ShapeError
+from causalfs.errors import (
+    BacktestAborted,
+    BadName,
+    InsufficientHistory,
+    MalformedCsv,
+    RankDeficientWarning,
+    ShapeError,
+)
 from causalfs.ingest import Regime, RegimeCalendar, load_calendar
 from causalfs.numerics import ols_fit
 from causalfs.panel import MonthStamp, build_design
@@ -75,68 +85,137 @@ class TestForecastNext:
             fit.predict(np.ones(3))
 
 
+# a forecast solves the normal equations, and an independent lstsq fit of
+# the same design agrees to this tolerance, relative to the largest forecast
+FORECAST_REL = 1e-10
+
+
+def assert_forecasts_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= FORECAST_REL * np.abs(want).max()
+
+
+def lstsq_forecasts(panel, p, selected, months):
+    """The oracle: per month j, lstsq of y_t on [1, y_{t-1}, lags 1..p of each
+    selected feature] over t = p..j-1, read at the same lags at t = j."""
+    preds = []
+    for j in months:
+        cols = [np.ones(j - p), panel.target[p - 1 : j - 1]]
+        x_new = [1.0, panel.target[j - 1]]
+        for name in selected:
+            x = panel.data[:, panel.names.index(name)]
+            cols.extend(x[p - lag : j - lag] for lag in range(1, p + 1))
+            x_new.extend(x[j - lag] for lag in range(1, p + 1))
+        beta = np.linalg.lstsq(np.column_stack(cols), panel.target[p:j], rcond=None)[0]
+        preds.append(float(beta @ np.array(x_new)))
+    return np.array(preds)
+
+
+def one_month_forecasts(panel, p, selected, months):
+    """Each month's forecast from a one-month call on the rows before it."""
+    return np.array([fit_forecast_model(panel.head(j), p, selected, [j])[0] for j in months])
+
+
 class TestFitForecastModel:
     @pytest.mark.parametrize("p", [1, 2])
     def test_shuffled_selection_matches_lstsq(self, rng, p):
         T = 40
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 4)))
         selected = ("X3", "X1", "X4")
-        fit, regressors = fit_forecast_model(panel, p, selected)
-
-        # independent fit on [1, y_{t-1}, lags 1..p of each selected feature]
-        cols = [np.ones(T - p), panel.target[p - 1 : T - 1]]
-        x_new = [1.0, panel.target[T - 1]]
-        for name in selected:
-            x = panel.data[:, panel.names.index(name)]
-            cols.extend(x[p - lag : T - lag] for lag in range(1, p + 1))
-            x_new.extend(x[T - lag] for lag in range(1, p + 1))
-        beta = np.linalg.lstsq(np.column_stack(cols), panel.target[p:], rcond=None)[0]
-        oracle = float(beta @ np.array(x_new))
-        assert fit.predict(regressors) == pytest.approx(oracle, rel=1e-12)
+        months = range(15, T + 1)
+        got = fit_forecast_model(panel, p, selected, months)
+        assert_forecasts_close(got, lstsq_forecasts(panel, p, selected, months))
 
     def test_insufficient_history(self, rng):
         panel = make_panel(rng.normal(size=3), rng.normal(size=(3, 2)))
         with pytest.raises(InsufficientHistory):
-            fit_forecast_model(panel, 2, ("X1",))
+            fit_forecast_model(panel, 2, ("X1",), [3])
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_every_feature_in_order_fits_the_design(self, rng, p):
-        # one layout: the forecast model on all features is the design's fit, bit for bit
-        panel = make_panel(rng.normal(size=30), rng.normal(size=(30, 3)))
+        # one layout: the forecast's block on all features is the design's, bit for bit
+        T = 30
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 3)))
         design = build_design(panel, p)
-        fit, _ = fit_forecast_model(panel, p, panel.feature_names)
-        assert fit.beta.tolist() == ols_fit(design.X, design.y).beta.tolist()
+        block, regressors = forecast_block(panel, p, panel.feature_names, [T])
+        assert block.Z.tobytes() == design.engine.Z.tobytes()
+        got = fit_forecast_model(panel, p, panel.feature_names, [T])
+        assert_forecasts_close(got, [ols_fit(design.X, design.y).predict(regressors[0])])
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_narrow_stack_matches_the_full_width_one(self, rng, p):
-        # the fit stacks only the selected columns; the same lags read by index
-        # arithmetic from the full-width data give the same regressors and beta bit for bit
+        # the block stacks only the selected columns; the same lags read by index
+        # arithmetic from the full-width data give the same rows bit for bit
         T, d = 70, 120
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, d)))
         selected = ("X97", "X4", "X58")
-        fit, regressors = fit_forecast_model(panel, p, selected)
+        months = [60, 66, T]
+        block, regressors = forecast_block(panel, p, selected, months)
 
         data = np.column_stack([panel.target, panel.features])
         links = [(0, 1), *((1 + panel.feature_names.index(name), lag)
                            for name in selected for lag in range(1, p + 1))]
         rows = np.array([[data[t - lag, var] for var, lag in links] for t in range(p, T + 1)])
-        full = ols_fit(rows[:-1], panel.target[p:T])
-        assert regressors.tolist() == rows[-1].tolist()
-        assert fit.beta.tolist() == full.beta.tolist()
+        assert block.Z[:, 1:-1].tolist() == rows[:-1].tolist()
+        assert block.Z[:, -1].tolist() == panel.target[p:T].tolist()
+        assert regressors.tolist() == rows[np.array(months) - p].tolist()
+        want = [ols_fit(rows[: j - p], panel.target[p:j]).predict(rows[j - p]) for j in months]
+        assert_forecasts_close(fit_forecast_model(panel, p, selected, months), want)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_next_step_regressors_are_the_designs_lags_at_T(self, rng, p):
         # the design's (name, lag) layout over the target and the selected
-        # features, in selected order, read at time T: data[T - lag, var]
+        # features, in selected order, read at each month j: data[j - lag, var]
         T = 30
         panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 5)))
         selected = ("X4", "X1", "X5")
-        _, regressors = fit_forecast_model(panel, p, selected)
+        months = [20, 27, T]
+        _, regressors = forecast_block(panel, p, selected, months)
 
         columns = build_design(panel, p).columns
         layout = [c for name in (panel.target_name, *selected) for c in columns if c[0] == name]
         series = {name: panel.data[:, j] for j, name in enumerate(panel.names)}
-        assert regressors.tolist() == [series[name][T - lag] for name, lag in layout]
+        assert regressors.tolist() == [
+            [series[name][j - lag] for name, lag in layout] for j in months]
+
+    def test_stack_larger_than_one_chunk_gives_the_one_month_bytes(self, rng, monkeypatch):
+        T, p = 60, 2
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 6)))
+        selected = ("X5", "X2", "X6")
+        k = 2 + p * len(selected)
+        monkeypatch.setattr(numerics, "_CV_CHUNK_ENTRIES", 3 * (k + 1) ** 2)
+        months = range(20, T + 1)
+        assert len(numerics.chunk_slices(len(months), (k + 1) ** 2)) == 14
+        got = fit_forecast_model(panel, p, selected, months)
+        assert got.tobytes() == one_month_forecasts(panel, p, selected, months).tobytes()
+
+    @pytest.mark.parametrize("case", ["near-copy", "rank-deficient-copy", "constant"])
+    def test_guard_failing_months_match_ols_fit_bit_for_bit(self, rng, case):
+        # each such month is refit by ols_fit: its bits, and one
+        # RankDeficientWarning per month whose rank falls short
+        T = 40
+        x = rng.normal(size=T)
+        second = {"near-copy": x + 1e-9 * rng.normal(size=T),
+                  "rank-deficient-copy": 3.0 * x,
+                  "constant": np.full(T, 0.07)}[case]
+        panel = make_panel(rng.normal(size=T), np.column_stack([x, second, rng.normal(size=T)]))
+        selected, months = ("X1", "X2", "X3"), range(12, T + 1)
+        block, regressors = forecast_block(panel, 1, selected, months)
+        with warnings.catch_warnings(record=True) as oracle_warnings:
+            warnings.simplefilter("always")
+            fits = [ols_fit(block.Z[: j - 1, 1:-1], block.Z[: j - 1, -1]) for j in months]
+        want = np.array([fit.predict(x_new) for fit, x_new in zip(fits, regressors)])
+        with mock.patch.object(numerics, "ols_fit", wraps=ols_fit) as refit:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = fit_forecast_model(panel, 1, selected, months)
+        assert refit.call_count == len(months)  # every month failed the guard
+        assert got.tobytes() == want.tobytes()
+        deficient = sum(fit.rank < fit.k for fit in fits)
+        assert deficient == (0 if case == "near-copy" else len(months))
+        assert [w.category for w in caught] == [RankDeficientWarning] * deficient
+        assert len(oracle_warnings) == deficient
 
 
 def _config(**kw):
@@ -193,7 +272,7 @@ class TestRunBacktest:
                 k = panel.feature_names.index(name)
                 regressors.append(window.features[-1, k])
             preds.append(fit.beta[0] + float(fit.beta[1:] @ np.array(regressors)))
-        np.testing.assert_array_equal(ledger.y_pred, np.array(preds))
+        assert_forecasts_close(ledger.y_pred, preds)
 
     def test_no_lookahead_recompute_prior_data_only(self):
         panel, _ = generate_svar(
@@ -205,8 +284,47 @@ class TestRunBacktest:
         for rec in ledger.records:
             j = date_to_row[rec.date]
             window = panel.head(j)  # rows strictly before the record date
-            fit, regressors = fit_forecast_model(window, 1, rec.selected)
-            assert fit.predict(regressors) == rec.y_pred
+            assert fit_forecast_model(window, 1, rec.selected, [j])[0] == rec.y_pred
+
+    @pytest.mark.parametrize("reselect_every", [1, 5])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("sid", SELECTOR_IDS)
+    def test_every_month_equals_its_one_month_recompute(self, sid, p, reselect_every):
+        # a run's forecasts come from one block, yet each is its month's own fit
+        d, n, window = (3, 32, 24) if sid == "dynotears" else (4, 40, 25)
+        panel, _ = generate_svar(SvarSpec(d=d, p=1, n=n, target_parents=2, seed=5,
+                                          noise="laplace", instantaneous=False))
+        cfg = _config(window=window, p=p, selector_id=sid, selector_params={},
+                      reselect_every=reselect_every)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # FastICA's NotConvergedWarning
+            ledger = run_backtest(panel, EMPTY_CAL, cfg)
+        months = [panel.dates.index(rec.date) for rec in ledger.records]
+        assert months == list(range(window, n))
+        for j, rec in zip(months, ledger.records):
+            assert fit_forecast_model(panel.head(j), p, rec.selected, [j])[0] == rec.y_pred
+
+    def test_selection_too_wide_for_the_first_window_aborts_there(self, rng):
+        # 30 features at lag 1 need 32 regressors; the first window's 19 rows
+        # cannot hold them, so the run aborts as it opens, before a second call
+        from causalfs.selectors.base import FeatureSet
+
+        T = 30
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 30)))
+        calls = []
+
+        def everything(step):
+            calls.append(len(step.panel))
+            return FeatureSet(frozenset(step.panel.feature_names))
+
+        import causalfs.backtest as bt
+
+        with mock.patch.object(bt, "make_selector", lambda sid, params: everything):
+            with pytest.raises(BacktestAborted) as excinfo:
+                run_backtest(panel, EMPTY_CAL, _config(window=20))
+        assert str(excinfo.value) == f"hard error at {panel.dates[20]}: 19 rows for 32 regressors"
+        assert len(excinfo.value.partial) == 0
+        assert calls == [20]
 
     def test_empty_selection_falls_back_to_target_lag(self, rng):
         T = 30
@@ -276,7 +394,6 @@ class TestRunBacktest:
         assert calls == [20, 24, 28]
 
     def test_hard_error_aborts_with_partial_ledger(self, rng):
-        from causalfs.errors import BacktestAborted
         from causalfs.selectors.base import FeatureSet
 
         T = 30
@@ -302,6 +419,33 @@ class TestRunBacktest:
         partial = excinfo.value.partial
         assert partial is not None
         assert 0 < len(partial) < T - 20
+
+    def test_fit_error_inside_a_run_aborts_at_its_own_month(self, rng, monkeypatch):
+        # one selection for all ten months: a fit error at the fourth keeps the
+        # three records before it, though the run is forecast at its close
+        import causalfs.backtest as bt
+        from causalfs.selectors.base import FeatureSet
+
+        T = 30
+        panel = make_panel(rng.normal(size=T), rng.normal(size=(T, 3)))
+        monkeypatch.setattr(bt, "make_selector",
+                            lambda sid, params: lambda step: FeatureSet(frozenset({"X2"})))
+        cfg = _config(window=20, reselect_every=5)
+        full = run_backtest(panel, EMPTY_CAL, cfg)
+        fit, runs = bt.fit_forecast_model, []
+
+        def failing(panel, p, selected, months):
+            runs.append(list(months))
+            if 23 in months:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return fit(panel, p, selected, months)
+
+        monkeypatch.setattr(bt, "fit_forecast_model", failing)
+        with pytest.raises(BacktestAborted) as excinfo:
+            run_backtest(panel, EMPTY_CAL, cfg)
+        assert runs == [list(range(20, 30)), [20], [21], [22], [23]]
+        assert str(excinfo.value) == f"hard error at {panel.dates[23]}: SVD did not converge"
+        assert excinfo.value.partial.records == full.records[:3]
 
     def test_regime_labels_recorded(self, rng):
         T = 20

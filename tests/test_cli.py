@@ -597,10 +597,10 @@ class TestBacktest:
             path.unlink()
         fit = bt.fit_forecast_model
 
-        def failing(window, p, selected):
-            if len(window) == 40 + abort_step:  # forecasting month 40 + abort_step
+        def failing(panel, p, selected, months):
+            if 40 + abort_step in months:  # a run that forecasts month 40 + abort_step
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return fit(window, p, selected)
+            return fit(panel, p, selected, months)
 
         monkeypatch.setattr(bt, "fit_forecast_model", failing)
         capsys.readouterr()
@@ -733,6 +733,23 @@ class TestReport:
         config = workspace / "run.toml"
         assert run_cli("report", "--config", config, "--selectors", "granger") == 3
         assert "combine refers to selectors without ledgers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("break_run, code", [
+        (lambda out, config: (out / "ledger_granger.csv").unlink(), 3),
+        (lambda out, config: config.write_text(
+            config.read_text().replace("metric_window = 6", "metric_window = 999")), 2),
+    ], ids=["missing-ledger", "metric-window"])
+    def test_failed_report_leaves_no_earlier_report(self, workspace, break_run, code):
+        config, out = workspace / "run.toml", workspace / "out"
+        self.run_pipeline(workspace)
+        before = {p.name for p in out.iterdir()}
+        assert run_cli("report", "--config", config) == 0
+        written = {p.name for p in out.iterdir()} - before
+        assert {"table1.csv", "table2.csv", "metrics.json", "combined_portfolio.csv",
+                "rolling_rmse_sfs.csv", "stability_granger.csv"} <= written
+        break_run(out, config)
+        assert run_cli("report", "--config", config) == code
+        assert not written & {p.name for p in out.iterdir()}
 
     def test_combine_outside_selectors_rejected_at_load(self, workspace):
         config = workspace / "run.toml"
@@ -957,6 +974,26 @@ class TestMalformedCsv:
         month = _month_of(lines[line].split(",")[0])
         assert capsys.readouterr().err == f"error: {path.resolve()}: month {month} appears twice\n"
         assert not (workspace / "out" / "panel.csv").exists()
+
+    @pytest.mark.parametrize("edit, between", [
+        (lambda lines: lines.insert(5, lines[5]), (5, 5)),
+        (lambda lines: lines.insert(6, lines.pop(5)), (4, 6)),
+    ], ids=["repeated", "backwards"])
+    def test_panel_months_out_of_step_exit_2_naming_the_file(
+        self, workspace, capsys, edit, between
+    ):
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        path = workspace / "out" / "panel.csv"
+        lines = path.read_text().split("\n")
+        a, b = (lines[i].split(",")[0] for i in between)
+        edit(lines)
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path.resolve()}: gap or disorder between {a} and {b}\n")
+        assert not list((workspace / "out").glob("ledger_*"))
 
     @pytest.mark.parametrize("case", MALFORMED_CSV)
     def test_exit_2_naming_the_row(self, workspace, capsys, case):

@@ -995,8 +995,8 @@ def test_one_normal_equations_engine():
     # in SubsetGram.gram, and the other self-products in src/ are FastICA's
     # whitening covariance and decorrelation and PCMCI's Gram of centred lag
     # columns; one refit: in numerics, a system past the guard is refit in
-    # _refit_residuals, a rank-deficient Granger design in nested_rss, and a
-    # PCMCI test in partial_correlation
+    # _refit_residuals, a forecast's in prefix_betas, a rank-deficient
+    # Granger design in nested_rss, and a PCMCI test in partial_correlation
     src = Path(causalfs.__file__).resolve().parent
     sites = sorted((str(p.relative_to(src)), *site) for p in sorted(src.rglob("*.py"))
                    for site in _engine_sites(ast.parse(p.read_text()))
@@ -1014,6 +1014,7 @@ def test_one_normal_equations_engine():
         ("numerics.py", "nested_rss", "ols_fit"),
         ("numerics.py", "partial_correlation", "ols_fit"),
         ("numerics.py", "partial_correlation", "ols_fit"),
+        ("numerics.py", "prefix_betas", "ols_fit"),
         ("selectors/pcmci.py", "_Gram.__init__", "gram"),
     ]
 

@@ -28,7 +28,7 @@ from causalfs.panel import (
     first_gap,
     stack_lags,
 )
-from causalfs.numerics import ols_fit
+from causalfs.numerics import subset_gram
 from causalfs.selectors import varlingam
 from causalfs.synthlab import SvarSpec, generate_svar
 
@@ -465,8 +465,9 @@ class TestOneBlock:
         selected = ("X6", "X1", "X3")
         oracle = self.stacked(panel, selected)
         layout = design_columns(oracle.shape[1], 2)
-        want = ols_fit(stack_lags(oracle, 2)[1][:, layout], panel.target[2:])
-        got, regressors = backtest.fit_forecast_model(panel, 2, selected)
-        assert got.beta.tobytes() == want.beta.tobytes()
-        assert got.residuals.tobytes() == want.residuals.tobytes()
-        assert regressors.tolist() == oracle[-2:][::-1].ravel()[layout].tolist()
+        want = subset_gram(stack_lags(oracle, 2)[1][:, layout], panel.target[2:])
+        months = [len(panel) - 10, len(panel)]
+        got, regressors = backtest.forecast_block(panel, 2, selected, months)
+        assert got.Z.tobytes() == want.Z.tobytes()
+        assert regressors.tolist() == [
+            oracle[j - 2 : j][::-1].ravel()[layout].tolist() for j in months]
