@@ -227,6 +227,9 @@ def cmd_validate(spec_path: Path, flags: dict) -> int:
     base_seed = flags.get("seed", cfg.spec.seed)
     sids = flags.get("selectors", cfg.selectors)
     _require_calendar(sids, cfg.selector_params, "a validate lab has none")
+    # a failed validate must leave no earlier recovery file of its selectors
+    for sid in sids:
+        (out / f"recovery_{sid}.csv").unlink(missing_ok=True)
     labs = []  # (step, truth) per seed: every selector reads one Step, so one lag design
     for k in range(cfg.n_seeds):
         spec = replace(cfg.spec, seed=base_seed + k)

@@ -24,16 +24,17 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_\-]+)\s*=\s*(.+)$")
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """``text`` split at every ``sep`` outside double quotes."""
+    parts, start, quoted = [], 0, False
+    for i, ch in enumerate(text):
         if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+            quoted = not quoted
+        elif ch == sep and not quoted:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def _parse_scalar(text: str):
@@ -60,19 +61,7 @@ def _parse_value(text: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        parts = []
-        current = ""
-        in_string = False
-        for ch in inner:
-            if ch == '"':
-                in_string = not in_string
-            if ch == "," and not in_string:
-                parts.append(current)
-                current = ""
-                continue
-            current += ch
-        parts.append(current)
-        return [_parse_scalar(p) for p in parts]
+        return [_parse_scalar(p) for p in _split_unquoted(inner, ",")]
     return _parse_scalar(text)
 
 
@@ -81,7 +70,7 @@ def parse_kv(text: str) -> dict:
     root: dict = {}
     target = root
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
         section = _SECTION_RE.match(line)
@@ -172,7 +161,8 @@ def _selector_tables(tables) -> dict:
     return tables  # as written, which manifests and config hashes record
 
 
-# paths relative to the config's directory; ingest requires every one
+# paths relative to the config's directory; ingest requires every one but
+# the calendar, which only backtest and report read
 _INPUT_FILES = dict.fromkeys(("fredmd_csv", "prices_csv", "groups_csv", "calendar"), string)
 # key -> coercion for a run config; defaults are RunConfig's
 RUN_CONFIG_KEYS = {
@@ -237,8 +227,8 @@ class RunConfig:
 def load_run_config(path, require_inputs: bool = False) -> RunConfig:
     """Load a run config whose keys pass ``RUN_CONFIG_KEYS``, whose
     ``window`` exceeds ``p + 2`` and whose ``combine`` names only ids in its
-    own ``selectors``; when ``require_inputs`` is set, every referenced
-    input file must exist."""
+    own ``selectors``; when ``require_inputs`` is set, the FRED-MD, price
+    and groups files must exist, and so must the calendar if one is set."""
     values = check_config(RUN_CONFIG_KEYS, load_config_file(path), "run config")
     base = Path(path).resolve().parent
     cfg = RunConfig(base_dir=base, selector_params=values.pop("selector", {}), **values)
@@ -248,6 +238,8 @@ def load_run_config(path, require_inputs: bool = False) -> RunConfig:
         raise ConfigError(f"combine names {missing} missing from selectors {cfg.selectors}")
     if require_inputs:
         for key in _INPUT_FILES:
+            if key == "calendar" and cfg.calendar is None:
+                continue  # no crisis months
             p = cfg.resolve(key)
             if not p.exists():
                 raise ConfigError(f"{key} file {p} does not exist")

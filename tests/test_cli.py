@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import causalfs
+from causalfs import AlignedPanel
+from causalfs.backtest import ledger_from_csv
 from causalfs.cli import main
 from causalfs.config import (
     RUN_CONFIG_KEYS,
@@ -20,7 +22,10 @@ from causalfs.config import (
     load_validate_config,
     parse_kv,
 )
-from causalfs.errors import ConfigError
+from causalfs.errors import ConfigError, GenerationFailed
+from causalfs.ingest import Regime, read_panel
+from causalfs.numerics import _ScaledSystems
+from causalfs.panel import build_design
 from causalfs.selectors import SELECTORS
 from causalfs.synthlab import EnvShift, SvarSpec, export_fredmd, generate_svar
 
@@ -213,6 +218,26 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def exported_run(tmp_path, panel, selectors, extra=""):
+    """``panel``'s exported input files and a run config over them, with
+    window 40, a 2003-01..2003-06 crisis and ``extra`` appended."""
+    for name, text in zip(("fredmd", "groups", "prices"), export_fredmd(panel)):
+        (tmp_path / f"{name}.csv").write_text(text)
+    (tmp_path / "crisis.txt").write_text("2003-01..2003-06\n")
+    config = tmp_path / "run.toml"
+    config.write_text('fredmd_csv = "fredmd.csv"\nprices_csv = "prices.csv"\n'
+                      'groups_csv = "groups.csv"\ncalendar = "crisis.txt"\n'
+                      f"window = 40\nselectors = {json.dumps(selectors)}\n{extra}")
+    return config
+
+
+def lab_with(column, name):
+    """The d=4 lab of seed 3 with ``column(panel)`` appended as feature ``name``."""
+    panel = generate_svar(SvarSpec(d=4, n=80, seed=3))[0]
+    return AlignedPanel(panel.dates, np.column_stack([panel.data, column(panel)]),
+                        (*panel.names, name))
+
+
 def test_parser_built_once_and_bad_flag_exits_2_with_usage_each_time(monkeypatch, capsys):
     build = causalfs.cli.build_parser
     built = []
@@ -232,13 +257,27 @@ class TestConfigFormat:
     def test_kv_parsing(self):
         parsed = parse_kv(
             'a = 1\nb = "text" # comment\nc = [1, 2, 3]\nflag = true\n'
+            'hash = "a # b" # comment\nnames = ["a,b", "c"] # a, b\n'
             "[sec.sub]\nx = 2.5\n"
         )
         assert parsed["a"] == 1
         assert parsed["b"] == "text"
         assert parsed["c"] == [1, 2, 3]
+        assert parsed["hash"] == "a # b"  # a '#' or ',' inside quotes separates nothing
+        assert parsed["names"] == ["a,b", "c"]
         assert parsed["flag"] is True
         assert parsed["sec"]["sub"]["x"] == 2.5
+
+    @pytest.mark.parametrize("command", ["ingest", "backtest", "report"])
+    def test_window_set_twice_exit_2_naming_it(self, workspace, capsys, command):
+        config = workspace / "run.toml"
+        config.write_text("window = 50\n" + config.read_text())
+        capsys.readouterr()
+        assert run_cli(command, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'window' set twice" in err
+        assert "Traceback" not in err
+        assert not (workspace / "out").exists()
 
     def test_json_alternative(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -414,6 +453,16 @@ class TestIngest:
         assert repr(name) in err and "Traceback" not in err
         assert not (workspace / "out").exists()
 
+    def test_run_without_calendar_has_only_normal_months(self, workspace):
+        config = workspace / "run.toml"
+        config.write_text(config.read_text().replace('calendar = "crisis.txt"\n', ""))
+        (workspace / "crisis.txt").unlink()  # no command may look for it
+        for command in ("ingest", "backtest", "report"):
+            assert run_cli(command, "--config", config) == 0
+        for sid in ("granger", "sfs"):
+            ledger = ledger_from_csv((workspace / "out" / f"ledger_{sid}.csv").read_text())
+            assert {r.regime for r in ledger.records} == {Regime.NORMAL}
+
     def test_group6_series_excluded(self, workspace):
         # tag X2 as the stock-market group; ingest must drop it and log it
         (workspace / "groups.csv").write_text(
@@ -488,6 +537,57 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "environments" in err and "calendar" in err
         assert not list((workspace / "out").glob("ledger_*"))
+
+    def test_calendar_removed_after_ingest_exit_2_naming_it(self, workspace, capsys):
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        (workspace / "crisis.txt").unlink()
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("missing file: ") and "crisis.txt" in err
+        assert not list((workspace / "out").glob("ledger_*"))
+
+    def test_reselect_every_12_rerun_byte_identical(self, tmp_path):
+        sids = ["granger", "sfs", "pcmci"]
+        config = exported_run(tmp_path, generate_svar(SvarSpec(d=4, n=80, seed=3))[0], sids,
+                              "reselect_every = 12\n")
+        assert run_cli("ingest", "--config", config) == 0
+        runs = []
+        for _ in range(2):
+            assert run_cli("backtest", "--config", config) == 0
+            runs.append([(tmp_path / "out" / f"ledger_{sid}.csv").read_bytes() for sid in sids])
+        assert runs[0] == runs[1]
+
+    def backtest_logs_no_fallback(self, config, sids, caplog):
+        with caplog.at_level("WARNING"):
+            assert run_cli("backtest", "--config", config) == 0
+        assert not any("falling back" in r.getMessage() for r in caplog.records)
+        for sid in sids:
+            assert (config.parent / "out" / f"ledger_{sid}.csv").stat().st_size > 0
+
+    def test_constant_feature_pcmci_logs_no_fallback(self, tmp_path, caplog):
+        panel = lab_with(lambda p: np.full(len(p), 0.07), "CONST")
+        config = exported_run(tmp_path, panel, ["pcmci"])
+        assert run_cli("ingest", "--config", config) == 0
+        self.backtest_logs_no_fallback(config, ["pcmci"], caplog)
+
+    def test_near_copy_failing_the_guard_logs_no_fallback(self, tmp_path, caplog):
+        # the last feature nearly copies X3, which sfs picks (noise 1e-5 of its
+        # sd): the F tests take the SVD form, seqicp's subsets and sfs's folds
+        # holding both are refit by least squares, and PCMCI's tests of one
+        # given the other go to partial_correlation
+        def near_copy(panel):
+            x = panel.data[:, 3]
+            return x + 1e-5 * x.std() * np.random.default_rng(0).normal(size=len(x))
+
+        sids = ["granger", "seqicp", "sfs", "pcmci"]
+        config = exported_run(tmp_path, lab_with(near_copy, "X3_COPY"), sids)
+        assert run_cli("ingest", "--config", config) == 0
+        out = tmp_path / "out"
+        first = build_design(read_panel(out / "panel.csv", out / "panel_meta.json").head(40), 1)
+        assert not _ScaledSystems(first.engine.gram[:-1, :-1]).ok
+        self.backtest_logs_no_fallback(config, sids, caplog)
 
     def test_ledgers_written(self, workspace):
         run_cli("ingest", "--config", workspace / "run.toml")
@@ -1167,6 +1267,50 @@ alpha = 0.05
         assert run_cli("validate", "--config", path) == 0
         assert len(built) == 3
 
+    def test_lag_order_two_writes_its_recovery_file(self, tmp_path):
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 5\np = 2\nn = 150\nn_seeds = 2\nselectors = ["granger"]\n')
+        assert run_cli("validate", "--config", path) == 0
+        rows = (tmp_path / "out" / "recovery_granger.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "mean"]
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_varlingam_on_laplace_labs_rerun_byte_identical(self, tmp_path):
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 6\nn = 300\nnoise = "laplace"\ninstantaneous = true\n'
+                        'n_seeds = 2\nselectors = ["varlingam"]\n')
+        for out in ("ica1", "ica2"):
+            assert run_cli("validate", "--config", path, "--out", out) == 0
+        first, second = ((tmp_path / out / "recovery_varlingam.csv").read_bytes()
+                         for out in ("ica1", "ica2"))
+        assert first == second
+
+    def test_generation_failure_exit_4_before_output(self, tmp_path, capsys, monkeypatch):
+        from causalfs import synthlab
+
+        def fail(spec):
+            raise GenerationFailed("no stable draw")
+
+        path = tmp_path / "lab.toml"
+        path.write_text('d = 4\nn = 120\nn_seeds = 2\nselectors = ["granger"]\n')
+        monkeypatch.setattr(synthlab, "generate_svar", fail)
+        capsys.readouterr()
+        assert run_cli("validate", "--config", path, "--seed", "5") == 4
+        assert capsys.readouterr().err == "generation failed at seed 5: no stable draw\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_validate_leaves_no_earlier_recovery_file_of_its_selectors(
+        self, tmp_path, capsys
+    ):
+        good, bad = tmp_path / "good.toml", tmp_path / "bad.toml"
+        good.write_text('d = 4\nn = 120\nn_seeds = 2\nselectors = ["granger", "sfs"]\n')
+        bad.write_text('d = 4\nn = 8\nn_seeds = 2\nselectors = ["granger", "seqicp"]\n')
+        assert run_cli("validate", "--config", good, "--out", "o") == 0
+        capsys.readouterr()
+        assert run_cli("validate", "--config", bad, "--out", "o") == 2
+        assert "selector seqicp" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["recovery_sfs.csv"]
+
     def test_unknown_selector_exit_2(self, tmp_path):
         path = tmp_path / "lab.toml"
         path.write_text('d = 4\nselectors = ["bogus"]\n')
@@ -1296,8 +1440,8 @@ alpha = 0.05
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 def test_console_script_checks_pass(tmp_path):
-    # CI's console-script step, run here with shims for the installed
-    # ``causalfs`` entry point and ``python``
+    # CI's smoke run of the installed entry point, run here with shims for
+    # ``causalfs`` and ``python``
     script = Path(__file__).resolve().parents[1] / "ci" / "console_script.sh"
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
