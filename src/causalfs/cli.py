@@ -78,7 +78,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     # a failed ingest must leave no earlier panel for backtest to run on
-    for name in ("panel.csv", "panel_meta.json", "ingest_log.json"):
+    for name in ("panel.csv", "panel.npy", "panel_meta.json", "ingest_log.json"):
         (out / name).unlink(missing_ok=True)
     fredmd, sidecar, prices = map(cfg.resolve, ("fredmd_csv", "groups_csv", "prices_csv"))
     with naming(sidecar):

@@ -13,18 +13,22 @@ and ``to_csv`` here: the inputs above, the aligned panel, the backtest ledger
 (``backtest.ledger_to_csv``/``ledger_from_csv``), the report's ``table1.csv``,
 ``table2.csv``, rolling, stability and combined-portfolio series, and
 ``validate``'s ``recovery_<id>.csv``. The one exception is the aligned panel's
-numbers, which ``panel_from_csv`` reads in one ``np.loadtxt`` pass wherever
-that pass reads them as ``float`` would.
+numbers: ``read_panel`` takes them from the binary copy ``write_panel`` saves
+next to the CSV when the meta file's digests match both files, and otherwise
+``panel_from_csv`` reads them in one ``np.loadtxt`` pass wherever that pass
+reads them as ``float`` would.
 """
 from __future__ import annotations
 
 import csv
 import enum
+import hashlib
 import io
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -378,29 +382,10 @@ def _loadtxt_rows(body: str, width: int):
     return [first for first, _ in pairs], dates, values
 
 
-def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
-    """The panel in ``panel_to_csv``'s layout; ``meta["target_name"]``, when
-    given, names the target.
-
-    The header record goes through the csv module, so a name may hold a
-    quoted comma, double quote, CR or LF. The data rows are read in one
-    ``np.loadtxt`` pass; a text that pass could read apart from ``float``
-    is read cell by cell with ``float``, which names a malformed row.
-    """
-    stream = io.StringIO(csv_text)
-    try:
-        header = next((row for row in csv.reader(stream) if any(c.strip() for c in row)), [])
-    except csv.Error as exc:
-        raise MalformedCsv(str(exc)) from None
-    body = stream.read()
-    if not body.strip() or len(header) < 2 or header[0].strip() != "month":
-        raise MalformedCsv(_PANEL_LAYOUT)
-    target_name = (meta or {}).get("target_name", header[1])
-    names = tuple(header[2:])
-    check_names(names, "column")
-    if target_name in names:
-        raise MalformedCsv(f"target {target_name!r} is also a feature column")
-    check_names([target_name], "target")
+def _parsed_rows(body: str, header: list[str]):
+    """The months and numbers of the data rows in ``body``: one
+    ``np.loadtxt`` pass, or, for a text that pass could read apart from
+    ``float``, cell by cell with ``float``, which names a malformed row."""
 
     def panel_row(row):
         if len(row) != len(header):
@@ -418,14 +403,75 @@ def panel_from_csv(csv_text: str, meta: dict | None = None) -> AlignedPanel:
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise MalformedCsv(f"row {firsts[finite.argmin()].strip()!r}: non-finite value")
+    return dates, values
+
+
+def _block_rows(body: str, block: np.ndarray, width: int):
+    """The months and numbers of the data rows in ``body``, as
+    ``write_panel`` wrote them, with the numbers taken from ``block``: the
+    months run from the first row's, one per line. None unless ``block`` is
+    finite float64 with one row per line and ``width - 1`` columns."""
+    try:
+        first = MonthStamp.parse(body[: body.index(",")])
+    except ValueError:
+        return None
+    rows = body.count("\n")
+    if (block.dtype != np.float64 or block.shape != (rows, width - 1)
+            or not np.isfinite(block).all()):
+        return None
+    return tuple(first.plus(i) for i in range(rows)), block
+
+
+def panel_from_csv(csv_text: str, meta: dict | None = None,
+                   block: np.ndarray | None = None) -> AlignedPanel:
+    """The panel in ``panel_to_csv``'s layout; ``meta["target_name"]``, when
+    given, names the target.
+
+    The header record goes through the csv module, so a name may hold a
+    quoted comma, double quote, CR or LF. ``block``, when given, is the
+    data rows' numbers as ``write_panel`` saved them next to exactly this
+    text; otherwise, or where it does not fit the text, the data rows are
+    parsed (``_parsed_rows``).
+    """
+    stream = io.StringIO(csv_text)
+    try:
+        header = next((row for row in csv.reader(stream) if any(c.strip() for c in row)), [])
+    except csv.Error as exc:
+        raise MalformedCsv(str(exc)) from None
+    body = stream.read()
+    if not body.strip() or len(header) < 2 or header[0].strip() != "month":
+        raise MalformedCsv(_PANEL_LAYOUT)
+    target_name = (meta or {}).get("target_name", header[1])
+    names = tuple(header[2:])
+    check_names(names, "column")
+    if target_name in names:
+        raise MalformedCsv(f"target {target_name!r} is also a feature column")
+    check_names([target_name], "target")
+    read = None if block is None else _block_rows(body, block, len(header))
+    dates, values = _parsed_rows(body, header) if read is None else read
     return AlignedPanel(dates=dates, data=values, names=(target_name, *names))
 
 
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
 def write_panel(panel: AlignedPanel, csv_path, meta_path) -> None:
+    """``panel.csv`` at ``csv_path``; then its data block, as ``np.save``
+    writes it, next to it with the suffix ``.npy``; last the meta file: the
+    target name and the sha256 of both files' bytes, which ``read_panel``
+    checks before it reads the block instead of parsing the CSV."""
+    csv_path = Path(csv_path)
     with open(csv_path, "w") as fh:
         fh.write(panel_to_csv(panel))
+    buffer = io.BytesIO()
+    np.save(buffer, panel.data, allow_pickle=False)
+    blob = buffer.getvalue()
+    csv_path.with_suffix(".npy").write_bytes(blob)
+    meta = {"target_name": panel.target_name, "csv_sha256": _sha256(csv_path.read_bytes()),
+            "npy_sha256": _sha256(blob)}
     with open(meta_path, "w") as fh:
-        json.dump({"target_name": panel.target_name}, fh, indent=2)
+        json.dump(meta, fh, indent=2)
         fh.write("\n")
 
 
@@ -444,12 +490,37 @@ def _panel_meta(meta_path) -> dict | None:
     return meta
 
 
+def _binary_copy(raw: bytes, npy_path: Path, meta: dict | None) -> np.ndarray | None:
+    """The block ``write_panel`` saved at ``npy_path``, when ``meta`` holds
+    the sha256 of ``raw`` (the CSV's bytes) and of that file's bytes; None
+    otherwise: no digests, an edited CSV, or a missing or other ``.npy``."""
+    if meta is None or "npy_sha256" not in meta or meta.get("csv_sha256") != _sha256(raw):
+        return None
+    try:
+        blob = npy_path.read_bytes()
+    except FileNotFoundError:
+        return None
+    if meta["npy_sha256"] != _sha256(blob):
+        return None
+    try:
+        return np.lib.format.read_array(io.BytesIO(blob), allow_pickle=False)
+    except ValueError:  # digests of a file that is not an .npy array
+        return None
+
+
 def read_panel(csv_path, meta_path=None) -> AlignedPanel:
     """The panel ``write_panel`` wrote; without a meta file the header's
-    target column names the target. A MalformedCsv names the file at fault."""
+    target column names the target. A MalformedCsv names the file at fault.
+
+    The numbers come from the ``.npy`` copy next to the CSV when the meta
+    file's digests match both files; otherwise the CSV's data rows are
+    parsed. Either way the CSV's text is decoded as ``open`` decodes it."""
     meta = None
     if meta_path is not None:
         with naming(meta_path):
             meta = _panel_meta(meta_path)
-    with naming(csv_path), open(csv_path) as fh:
-        return panel_from_csv(fh.read(), meta)
+    path = Path(csv_path)
+    with naming(csv_path):
+        raw = path.read_bytes()
+        block = _binary_copy(raw, path.with_suffix(".npy"), meta)
+        return panel_from_csv(io.TextIOWrapper(io.BytesIO(raw)).read(), meta, block)

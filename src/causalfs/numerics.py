@@ -196,7 +196,10 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
 # backtest forecasts (prefix_betas) against a per-month SVD by at most
 # 1.9e-14 of their backtest's largest |y_pred| (9.3e-12 relative at a
 # forecast of 3.5e-4) over the 696 backtests of both backtest workloads at
-# seeds 0 and 4099.
+# seeds 0 and 4099. The guard is decided by a Cholesky certificate: a
+# factor of the scaled G - (2k/cap) I proves the condition below the cap,
+# and only a stack it does not certify is decided by eigvalsh, so the mask
+# is the eigenvalue rule's.
 _GRAM_COND_MAX = 1e6
 # Cap on the float64 entries of one chunk of stacked systems or residuals
 # (2 MB), so a backward step at width 120 does not stack all its
@@ -215,15 +218,32 @@ class _ScaledSystems:
     """Stacked normal equations G beta = rhs (G is ... x k x k), read through
     G scaled to unit diagonal. ``ok`` is False where the scaled condition
     number is above _GRAM_COND_MAX, as a zero row always makes it; there
-    ``solve`` gives beta 0 and ``inverse`` nan, and the caller refits."""
+    ``solve`` gives beta 0 and ``inverse`` nan, and the caller refits.
+
+    One Cholesky factor of the shifted stack certifies every system at
+    once (the whole guard at k = 122: about 0.14 ms, against 0.65 ms with
+    eigvalsh, on a 2-core VM); only a stack it does not certify pays for
+    its eigenvalues, and the mask is the one they give."""
 
     def __init__(self, G: np.ndarray):
         scale = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
         scale[scale == 0.0] = 1.0
         self.scale = scale
         self.G = G / scale[..., :, None] / scale[..., None, :]
-        w = np.linalg.eigvalsh(self.G)
-        self.ok = w[..., 0] > w[..., -1] / _GRAM_COND_MAX
+        cap, k = _GRAM_COND_MAX, G.shape[-1]
+        try:
+            # lambda_max <= trace = k, so a Cholesky factor of G - (2k/cap) I
+            # proves lambda_min > 2 lambda_max / cap for every system: the
+            # eigenvalue rule passes with a factor 2 to spare for rounding.
+            # A nan factors without LinAlgError, hence the finite check.
+            certified = np.isfinite(np.linalg.cholesky(self.G - 2 * k / cap * np.eye(k))).all()
+        except np.linalg.LinAlgError:
+            certified = False
+        if certified:
+            self.ok = np.ones(G.shape[:-2], dtype=bool)
+        else:
+            w = np.linalg.eigvalsh(self.G)
+            self.ok = w[..., 0] > w[..., -1] / cap
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         ok, scale = self.ok, self.scale

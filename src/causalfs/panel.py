@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import copy
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -226,17 +228,13 @@ class DesignMatrix:
     @cached_property
     def columns(self) -> tuple[tuple[str, int], ...]:
         """Each design column's (source_name, lag)."""
-        m = len(self.names)
-        return tuple((self.names[c % m], c // m + 1) for c in design_columns(m, self.p))
+        return _design_layout(self.names, self.p)[0]
 
     @cached_property
-    def blocks(self) -> dict[str, tuple[int, ...]]:
-        """Each feature's design columns; the target's own lag is in none."""
-        blocks: dict[str, list[int]] = {}
-        for i, (name, _) in enumerate(self.columns):
-            if name != self.names[0]:
-                blocks.setdefault(name, []).append(i)
-        return {name: tuple(cols) for name, cols in blocks.items()}
+    def blocks(self) -> Mapping[str, tuple[int, ...]]:
+        """Each feature's design columns, read-only; the target's own lag is
+        in none."""
+        return _design_layout(self.names, self.p)[1]
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -301,6 +299,20 @@ def design_columns(m: int, p: int) -> list[int]:
     [target, features...]: the target at lag 1, then each feature's lags
     1..p as one block."""
     return [0, *((lag - 1) * m + j for j in range(1, m) for lag in range(1, p + 1))]
+
+
+@lru_cache(maxsize=16)
+def _design_layout(names: tuple[str, ...], p: int):
+    """A design's ``columns`` and ``blocks`` over ``names`` at lag order
+    ``p``, built once per pair from :func:`design_columns` and shared by
+    every window's design, so both are read-only."""
+    m = len(names)
+    columns = tuple((names[c % m], c // m + 1) for c in design_columns(m, p))
+    blocks: dict[str, list[int]] = {}
+    for i, (name, _) in enumerate(columns):
+        if name != names[0]:
+            blocks.setdefault(name, []).append(i)
+    return columns, MappingProxyType({name: tuple(cols) for name, cols in blocks.items()})
 
 
 def build_design(panel: AlignedPanel, p: int = 1) -> DesignMatrix:

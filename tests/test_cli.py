@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -414,7 +415,11 @@ class TestIngest:
         assert run_cli("ingest", "--config", workspace / "run.toml") == 0
         out = workspace / "out"
         assert (out / "panel.csv").exists()
-        assert json.loads((out / "panel_meta.json").read_text()) == {"target_name": "Y"}
+        assert json.loads((out / "panel_meta.json").read_text()) == {
+            "target_name": "Y",
+            "csv_sha256": hashlib.sha256((out / "panel.csv").read_bytes()).hexdigest(),
+            "npy_sha256": hashlib.sha256((out / "panel.npy").read_bytes()).hexdigest(),
+        }
         log = json.loads((out / "ingest_log.json").read_text())
         assert log["rows"] > 0
 
@@ -482,7 +487,7 @@ class TestIngest:
         path.write_text(path.read_text().replace("sasdate,X1,X2,X3", "sasdate,X1,X2,X1", 1))
         assert run_cli("ingest", "--config", config) == 2
         out = workspace / "out"
-        for name in ("panel.csv", "panel_meta.json", "ingest_log.json"):
+        for name in ("panel.csv", "panel.npy", "panel_meta.json", "ingest_log.json"):
             assert not (out / name).exists()
         capsys.readouterr()
         assert run_cli("backtest", "--config", config) == 3
@@ -526,6 +531,34 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path.resolve()}: ") and "panel.csv" not in err
         assert not list(path.parent.glob("ledger_*"))
+
+    def test_meta_target_named_like_a_feature_exit_2_naming_it(self, workspace, capsys):
+        # the digests still match both panel files, so the binary copy is
+        # read, and the target's name checks run as on the CSV path
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        out = workspace / "out"
+        meta = json.loads((out / "panel_meta.json").read_text())
+        (out / "panel_meta.json").write_text(json.dumps({**meta, "target_name": "X1"}))
+        capsys.readouterr()
+        assert run_cli("backtest", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {(out / 'panel.csv').resolve()}: "
+                       "target 'X1' is also a feature column\n")
+        assert not list(out.glob("ledger_*"))
+
+    def test_run_dir_without_binary_copy_backtests_to_the_same_bytes(self, workspace):
+        # an output directory of an older ingest: no panel.npy, and a meta
+        # file holding only target_name
+        config = workspace / "run.toml"
+        assert run_cli("ingest", "--config", config) == 0
+        assert run_cli("backtest", "--config", config) == 0
+        out = workspace / "out"
+        ledgers = {p.name: p.read_bytes() for p in out.glob("ledger_*")}
+        (out / "panel.npy").unlink()
+        (out / "panel_meta.json").write_text('{"target_name": "Y"}\n')
+        assert run_cli("backtest", "--config", config) == 0
+        assert {p.name: p.read_bytes() for p in out.glob("ledger_*")} == ledgers
 
     def test_calendar_environments_without_calendar_exit_2(self, workspace, capsys):
         config = workspace / "run.toml"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalfs
+from causalfs import ingest
 from causalfs.errors import (
     BadRange,
     BadTransformCode,
@@ -36,6 +38,7 @@ from causalfs.ingest import (
     read_panel,
     to_csv,
     transform_panel,
+    write_panel,
 )
 from causalfs.panel import MonthStamp, MonthlySeries, align_and_shift
 
@@ -477,6 +480,85 @@ class TestPanelReader:
     def test_underscored_number_reads_as_float_does(self):
         panel = panel_from_csv("month,Y,X1\n2000-01,1_000,2.0\n")
         assert panel.target.tolist() == [1000.0]
+
+
+def _written(tmp_path, panel):
+    """``panel`` as ``write_panel`` leaves it: the CSV, meta and npy paths."""
+    paths = tmp_path / "panel.csv", tmp_path / "panel_meta.json", tmp_path / "panel.npy"
+    write_panel(panel, *paths[:2])
+    return paths
+
+
+def _parses(expected: bool):
+    """Asserts, on exit, whether the CSV's data rows were parsed."""
+    return mock.patch("causalfs.ingest._loadtxt_rows", **(
+        {"wraps": ingest._loadtxt_rows} if expected
+        else {"side_effect": AssertionError("parsed the CSV")}))
+
+
+class TestBinaryPanelCopy:
+    @pytest.fixture
+    def panel(self, rng):
+        # awkward numbers and names holding a quoted comma, quote and LF
+        data = rng.normal(size=(30, 4)) * np.logspace(-300, 300, 4)
+        data[0] = [-0.0, 1 / 3, 5e-324, -1.7976931348623157e308]
+        return make_panel(data[:, 0], data[:, 1:], names=("X,1", 'X"2', "X\n3"),
+                          start="1999-11")
+
+    def test_binary_and_csv_paths_read_bit_identical_panels(self, tmp_path, panel):
+        csv_path, meta_path, _ = _written(tmp_path, panel)
+        with _parses(False):
+            binary = read_panel(csv_path, meta_path)
+        parsed = panel_from_csv(csv_path.read_text(), {"target_name": "Y"})
+        for back in (binary, parsed):
+            assert (back.dates, back.names) == (panel.dates, panel.names)
+            np.testing.assert_array_equal(back.data.view(np.int64), panel.data.view(np.int64))
+        assert not binary.data.flags.writeable
+
+    def test_edited_csv_cell_is_read(self, tmp_path, panel):
+        csv_path, meta_path, _ = _written(tmp_path, panel)
+        lines = csv_path.read_text().split("\n")
+        first = lines[2].split(",")  # the header spans two lines
+        lines[2] = ",".join([first[0], "42.0", *first[2:]])
+        csv_path.write_text("\n".join(lines))
+        with _parses(True) as parse:
+            back = read_panel(csv_path, meta_path)
+        assert parse.called and back.target[0] == 42.0
+        np.testing.assert_array_equal(back.data[1:], panel.data[1:])
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "foreign", "not-npy"])
+    def test_damaged_binary_copy_falls_back_to_the_csv(self, tmp_path, panel, damage):
+        csv_path, meta_path, npy_path = _written(tmp_path, panel)
+        if damage == "deleted":
+            npy_path.unlink()
+        elif damage == "truncated":
+            npy_path.write_bytes(npy_path.read_bytes()[:-8])
+        elif damage == "foreign":  # same shape, other values
+            np.save(npy_path, panel.data + 1.0, allow_pickle=False)
+        else:  # a meta file whose digest matches bytes np.save did not write
+            npy_path.write_bytes(b"not an array")
+            meta = json.loads(meta_path.read_text())
+            meta["npy_sha256"] = hashlib.sha256(b"not an array").hexdigest()
+            meta_path.write_text(json.dumps(meta))
+        with _parses(True) as parse:
+            back = read_panel(csv_path, meta_path)
+        assert parse.called
+        np.testing.assert_array_equal(back.data, panel.data)
+
+    def test_meta_with_only_target_name_reads_the_csv(self, tmp_path, panel):
+        csv_path, meta_path, _ = _written(tmp_path, panel)
+        meta_path.write_text('{"target_name": "R"}')
+        with _parses(True) as parse:
+            back = read_panel(csv_path, meta_path)
+        assert parse.called and back.names == ("R", *panel.feature_names)
+        np.testing.assert_array_equal(back.data, panel.data)
+
+    def test_meta_target_named_like_a_feature_rejected(self, tmp_path, panel):
+        csv_path, meta_path, _ = _written(tmp_path, panel)
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "target_name": "X,1"}))
+        with pytest.raises(MalformedCsv, match=f"{csv_path}: target 'X,1' is also a feature"):
+            read_panel(csv_path, meta_path)
 
 
 # cells of every kind the commands write; a text cell with a CR holds

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from causalfs.selectors.pcmci import _ci_tests, _LagView
 from causalfs.selectors.varlingam import varlingam_fit
 from causalfs.synthlab import SvarSpec, generate_svar
 from causalfs.numerics import (
+    _ScaledSystems,
     _correlation_p,
     acyclicity,
     centre,
@@ -592,6 +594,54 @@ def test_every_gram_consumer_switches_at_the_same_cap(monkeypatch, sigma, above)
     np.testing.assert_allclose([r, p], [want, _correlation_p(want, view.rows - len(links))],
                                rtol=0, atol=1e-10)
 
+
+
+def _eigvalsh_guard(G):
+    """The guard's rule: the scaled Gram's eigenvalues against the cap."""
+    scale = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
+    scale[scale == 0.0] = 1.0
+    w = np.linalg.eigvalsh(G / scale[..., :, None] / scale[..., None, :])
+    return w[..., 0] > w[..., -1] / numerics._GRAM_COND_MAX
+
+
+def _gram_of_cond(rng, k, cond):
+    """A k x k Gram with eigenvalues from 1 down to 1/cond, rows scaled apart."""
+    Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    d = np.exp(rng.uniform(-3.0, 3.0, size=k))
+    return d[:, None] * (Q * np.logspace(0, -np.log10(cond), k)) @ Q.T * d
+
+
+class TestGuardCertificate:
+    # the Cholesky certificate decides the mask the eigenvalue rule gives
+    @pytest.mark.parametrize("k", [2, 5, 13, 40])
+    def test_mask_is_the_eigenvalue_rule_across_the_cap(self, rng, k):
+        conds = np.logspace(3, 8, 21)
+        G = np.stack([_gram_of_cond(rng, k, c) for c in conds])
+        ok = _ScaledSystems(G).ok
+        np.testing.assert_array_equal(ok, _eigvalsh_guard(G))
+        assert ok[:2].all() and not ok[-2:].any()
+
+    def test_well_conditioned_stack_is_certified_without_eigenvalues(self, rng, monkeypatch):
+        G = np.stack([_gram_of_cond(rng, 13, c) for c in np.logspace(0, 5, 55)])
+        monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
+        assert _ScaledSystems(G).ok.all()
+
+    def test_one_failing_member_leaves_the_others_ok(self, rng):
+        G = np.stack([_gram_of_cond(rng, 6, c) for c in (1e2, 1e4, 1e7, 1e3)])
+        np.testing.assert_array_equal(_ScaledSystems(G).ok, [True, True, False, True])
+
+    def test_zero_row_fails(self, rng):
+        G = _gram_of_cond(rng, 5, 10.0)
+        G[2] = G[:, 2] = 0.0
+        stack = np.stack([G, _gram_of_cond(rng, 5, 10.0)])
+        np.testing.assert_array_equal(_ScaledSystems(stack).ok, [False, True])
+        assert not _ScaledSystems(G).ok
+
+    @pytest.mark.parametrize("cond, ok", [(1e3, True), (1e8, False)])
+    def test_single_system(self, rng, cond, ok):
+        G = _gram_of_cond(rng, 7, cond)
+        got = _ScaledSystems(G).ok
+        assert got.shape == () and bool(got) is ok and got == _eigvalsh_guard(G)
 
 class TestKMeans:
     def test_separated_clouds(self, rng):
