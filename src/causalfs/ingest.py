@@ -433,12 +433,19 @@ def panel_from_csv(csv_text: str, meta: dict | None = None,
     text; otherwise, or where it does not fit the text, the data rows are
     parsed (``_parsed_rows``).
     """
-    stream = io.StringIO(csv_text)
+    end = 0  # where the lines the csv reader has taken end
+
+    def lines():  # as io.StringIO(csv_text) yields them, without copying the text
+        nonlocal end
+        while end < len(csv_text):
+            start, end = end, csv_text.find("\n", end) + 1 or len(csv_text)
+            yield csv_text[start:end]
+
     try:
-        header = next((row for row in csv.reader(stream) if any(c.strip() for c in row)), [])
+        header = next((row for row in csv.reader(lines()) if any(c.strip() for c in row)), [])
     except csv.Error as exc:
         raise MalformedCsv(str(exc)) from None
-    body = stream.read()
+    body = csv_text[end:]
     if not body.strip() or len(header) < 2 or header[0].strip() != "month":
         raise MalformedCsv(_PANEL_LAYOUT)
     target_name = (meta or {}).get("target_name", header[1])

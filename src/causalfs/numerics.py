@@ -121,11 +121,13 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
     beta_B' (C_BB)^-1 beta_B, where C = (A'A)^-1 and A = [1, X].
 
     A'A and A'y are blocks of ``sg.gram``, Z'Z. Where A'A passes the
-    ``_ScaledSystems`` guard, C is its ``inverse``, beta = C A'y, the full
-    RSS comes from the residuals y - A beta (not from the Gram, which would
-    cancel), a one-column block's gap is beta_j^2 / C_jj, and the q x q
-    blocks of wider ones are solved in one stack. See _GRAM_COND_MAX for how
-    far p moves against the SVD form below.
+    ``_ScaledSystems`` guard, C is read through its ``inverse_factor`` R,
+    C = R'R, and never formed: beta = R'(R A'y), the full RSS comes from the
+    residuals y - A beta (not from the Gram, which would cancel), a
+    one-column block's gap is beta_j^2 / ||R[:, j]||^2, and a q-column
+    block's C_BB = R[:, B]' R[:, B] is solved, all blocks of one width in
+    one stack. See _GRAM_COND_MAX for how far p moves against the SVD form
+    below.
 
     A design that fails the guard takes one SVD A = U S V'. With
     W = V S^-1, C = W W' and beta = W U'y, so a block's gap is the squared
@@ -141,8 +143,8 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
     A, X, y = sg.Z[:, :-1], sg.Z[:, 1:-1], sg.Z[:, -1]
     systems = _ScaledSystems(sg.gram[:-1, :-1])
     if systems.ok:
-        C = systems.inverse()
-        beta = C @ sg.gram[:-1, -1]
+        R = systems.inverse_factor()  # C = R'R
+        beta = R.T @ (R @ sg.gram[:-1, -1])
         residuals = y - A @ beta
         rss_full = float(residuals @ residuals)
         gaps = np.empty(len(blocks))
@@ -151,9 +153,11 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
             rows = np.array([blocks[i] for i in members], dtype=int).reshape(-1, q) + 1
             b = beta[rows]  # members x q; column 0 of A is the intercept
             if q == 1:
-                gaps[members] = b[:, 0] ** 2 / C[rows[:, 0], rows[:, 0]]
+                gaps[members] = b[:, 0] ** 2 / np.einsum("ij,ij->j", R, R)[rows[:, 0]]
             else:
-                solved = np.linalg.solve(C[rows[:, :, None], rows[:, None, :]], b[..., None])
+                R_B = R[:, rows]  # k x members x q
+                C_BB = np.einsum("imq,imr->mqr", R_B, R_B)
+                solved = np.linalg.solve(C_BB, b[..., None])
                 gaps[members] = np.einsum("bq,bq->b", b, solved[..., 0])
         return rss_full, rss_full + gaps
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -189,10 +193,12 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
 # by 1.6e-13 relative at 1e4-1e5 and 5.0e-12 at 1e5-1e6 (2.8e-10 there
 # without the step); PCMCI r (100 rows, 1 to 5 conditioning columns, one a
 # noisy copy of x) by 3.4e-14 at 1e2-1e3, 3.9e-12 at 1e4-1e5, 3.7e-11
-# (p by 9.3e-11) at 1e5-1e6 and 3.2e-9 at 1e7-1e8; Granger p-values against
-# the SVD Wald form by at most 2.1e-12 relative over the 1,120 Granger
-# designs of the three benchmark workloads at two seeds (scaled Gram
-# condition up to 5.5e4, median 30), with no selection moved at 0.05;
+# (p by 9.3e-11) at 1e5-1e6 and 3.2e-9 at 1e7-1e8; Granger p-values, whose
+# Wald gaps come from the triangular factor of the inverse
+# (_ScaledSystems.inverse_factor), against the SVD Wald form by at most
+# 1.8e-12 relative over the 1,120 Granger designs of the three benchmark
+# workloads at two seeds (scaled Gram condition up to 5.5e4, median 30),
+# with no selection moved at 0.05;
 # backtest forecasts (prefix_betas) against a per-month SVD by at most
 # 1.9e-14 of their backtest's largest |y_pred| (9.3e-12 relative at a
 # forecast of 3.5e-4) over the 696 backtests of both backtest workloads at
@@ -219,6 +225,8 @@ class _ScaledSystems:
     G scaled to unit diagonal. ``ok`` is False where the scaled condition
     number is above _GRAM_COND_MAX, as a zero row always makes it; there
     ``solve`` gives beta 0 and ``inverse`` nan, and the caller refits.
+    ``inverse_factor`` gives, for one system that passes, a triangular R
+    with G^-1 = R'R: Granger's Wald gaps read it in place of ``inverse``.
 
     One Cholesky factor of the shifted stack certifies every system at
     once (the whole guard at k = 122: about 0.14 ms, against 0.65 ms with
@@ -260,6 +268,21 @@ class _ScaledSystems:
             unit = np.full(self.G.shape, np.nan)
             unit[self.ok] = np.linalg.inv(self.G[self.ok])
         return unit / self.scale[..., :, None] / self.scale[..., None, :]
+
+    def inverse_factor(self) -> np.ndarray:
+        """R with G^-1 = R'R, for one k x k system that is ok: the inverse of
+        the Cholesky factor L of the unit-diagonal G (G = L L'), its columns
+        divided by scale. One factor and one triangular inverse: about
+        0.2 ms at k = 122, against 0.5 ms for ``np.linalg.inv`` (2-core VM,
+        one BLAS thread)."""
+        from scipy.linalg.lapack import dtrtri
+
+        # inverting the upper factor L' gives R' = (L^-1)'; L' is
+        # Fortran-ordered, so LAPACK reads it without a copy
+        R_t, info = dtrtri(np.linalg.cholesky(self.G).T, lower=0)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtri: info {info}")
+        return R_t.T / self.scale
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ def test_pipeline_without_scipy(tmp_path):
 
 @pytest.mark.parametrize("sid, module", [
     ("granger", "scipy.special"),
+    ("granger", "scipy.linalg"),
     ("seqicp", "scipy.special"),
     ("pcmci", "scipy.special"),
     ("varlingam", "scipy.optimize"),

@@ -420,6 +420,20 @@ _blank_lines = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
 _NOT_A_FLOAT = "row '2000-01': could not convert string to float: "
 
 
+def _header_error(text):
+    """The MalformedCsv message due for the header record of ``text`` and
+    the text after it, as the csv module reads them from a stream; None
+    where they fit the panel layout."""
+    stream = io.StringIO(text)
+    try:
+        header = next((row for row in csv.reader(stream) if any(c.strip() for c in row)), [])
+    except csv.Error as exc:
+        return str(exc)
+    if not stream.read().strip() or len(header) < 2 or header[0].strip() != "month":
+        return ingest._PANEL_LAYOUT
+    return None
+
+
 class TestPanelReader:
     @given(
         st.lists(panel_names, min_size=1, max_size=4, unique=True),
@@ -444,6 +458,34 @@ class TestPanelReader:
         assert panel.dates == months
         np.testing.assert_array_equal(panel.target.view(np.int64), numbers[:, 0].view(np.int64))
         np.testing.assert_array_equal(panel.features.view(np.int64), numbers[:, 1:].view(np.int64))
+
+    @pytest.mark.parametrize("text", [
+        "\n \n\t,\nmonth,Y,X1\n2000-01,1.0,2.0\n",
+        'month,Y,"X\n1",X2\n2000-01,1.0,2.0,3.0\n',
+        'month,Y,"X,1"\n2000-01,1.0,2.0\n',
+        'month,"Y""",X1\n\n2000-01,1.0,2.0\n',
+        'month,Y,"X\r1"\n2000-01,1.0,2.0\n',
+        "month,Y,X1\n2000-01,1.0,2.0\n2000-02,3.0,4.0",
+        "month,Y,X1\n",
+        "month,Y,X1",
+        "",
+        " \n\t\n  ",
+        "date,Y\n2000-01,1.0\n",
+        "month,Y,X\r1\n2000-01,1.0,2.0\n",
+    ], ids=["blank-lines-first", "quoted-lf", "quoted-comma", "quoted-quote", "quoted-cr",
+            "no-trailing-newline", "header-only", "header-only-no-newline", "empty",
+            "whitespace-only", "bad-first-cell", "bare-cr-in-header"])
+    def test_header_record_is_read_as_from_a_stream(self, text):
+        error = _header_error(text)
+        if error is not None:
+            with pytest.raises(MalformedCsv) as exc:
+                panel_from_csv(text)
+            assert str(exc.value) == error
+            return
+        header, months, numbers = _float_oracle(text)
+        panel = panel_from_csv(text)
+        assert (panel.names, panel.dates) == (tuple(header[1:]), months)
+        np.testing.assert_array_equal(panel.data, numbers)
 
     def test_written_panel_is_read_in_one_pass(self, rng):
         panel = make_panel(rng.normal(size=12), rng.normal(size=(12, 5)))

@@ -19,6 +19,7 @@ from causalfs.errors import (
 from causalfs import numerics
 from causalfs.panel import build_design
 from causalfs.selectors import pcmci as pcmci_module
+from causalfs.selectors.granger import granger_select
 from causalfs.selectors import varlingam as varlingam_module
 from causalfs.selectors.pcmci import _ci_tests, _LagView
 from causalfs.selectors.varlingam import varlingam_fit
@@ -44,7 +45,7 @@ from causalfs.numerics import (
     subset_residuals,
 )
 
-from conftest import near_copy_panel
+from conftest import make_panel, near_copy_panel
 
 # frozen from an independent quadrature of the F(2, 17) density over [1.7, inf)
 F_SF_1P7_2_17 = 0.21230460218830446
@@ -107,6 +108,17 @@ def _lstsq_rss(A, y):
     return float(resid @ resid)
 
 
+def _wide_design():
+    """The lag-1 design of a panel of 120 features sharing one factor:
+    150 rows and 121 columns, well inside the guard's cap."""
+    rng = np.random.default_rng(37)
+    common = rng.normal(size=(151, 1))
+    feats = rng.normal(size=(151, 120)) + 0.8 * common
+    y = np.zeros(151)
+    y[1:] = feats[:-1, :3] @ np.array([0.5, -1.0, 0.3]) + rng.normal(size=150)
+    return build_design(make_panel(y, feats), 1)
+
+
 class TestNestedRss:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("collinear", [False, True], ids=["random", "cond1e6"])
@@ -157,6 +169,31 @@ class TestNestedRss:
     def test_underdetermined(self, rng):
         with pytest.raises(Underdetermined):
             nested_rss(subset_gram(rng.normal(size=(5, 4)), rng.normal(size=5)), [[0]])
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_wide_design_matches_refits_and_the_svd_form(self, monkeypatch, q):
+        # the Wald gaps from the triangular factor, against a refit of every
+        # restricted model and against the SVD Wald form the guard falls
+        # back to (forced by a cap of 1, which no Gram passes)
+        design = _wide_design()
+        X, y = design.X, design.y
+        A = np.column_stack([np.ones(design.n), X])
+        columns = list(range(X.shape[1]))
+        blocks = [columns[i:i + q] for i in range(0, len(columns) - q + 1, q)]
+        assert _ScaledSystems(design.engine.gram[:-1, :-1]).ok
+        rss_full, restricted = nested_rss(design.engine, blocks)
+        assert rss_full == pytest.approx(_lstsq_rss(A, y), rel=1e-10)
+        oracle = [_lstsq_rss(np.delete(A, [1 + c for c in b], axis=1), y) for b in blocks]
+        np.testing.assert_allclose(restricted, oracle, rtol=1e-10)
+        monkeypatch.setattr(numerics, "_GRAM_COND_MAX", 1.0)
+        assert not _ScaledSystems(design.engine.gram[:-1, :-1]).ok
+        svd_full, svd_restricted = nested_rss(design.engine, blocks)
+        assert rss_full == pytest.approx(svd_full, rel=1e-12)
+        np.testing.assert_allclose(restricted, svd_restricted, rtol=1e-12)
+
+    def test_granger_select_does_not_invert(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", mock.Mock(side_effect=AssertionError("inverted")))
+        assert {"X1", "X2"} <= granger_select(_wide_design()).selected
 
 
 def _lstsq_cv_mse(X, y, cols, blocks):
