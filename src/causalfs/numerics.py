@@ -8,9 +8,10 @@ one refit of a subset or fold past it (``_refit_residuals``); past it,
 Granger takes the SVD Wald form, PCMCI ``partial_correlation`` and a
 forecast's fit (``prefix_betas``) ``ols_fit``. k-means and FastICA are
 implemented here because the selectors depend on their exact seeding,
-repair, and convergence behaviour being reproducible. scipy is imported
-inside the functions that call it, so a command that never calls them does
-not load it.
+repair, and convergence behaviour being reproducible. ``lbfgsb`` drives
+scipy's L-BFGS-B routine for DYNOTEARS without ``scipy.optimize.minimize``'s
+per-call wrapping. scipy is imported inside the functions that call it, so a
+command that never calls them does not load it.
 
 ``f_sf`` is the package's one F tail, read by the nested F test, the
 correlation tests (as the F(1, dof) tail of t^2) and seqICP's equal-mean
@@ -202,10 +203,11 @@ def nested_rss(sg: SubsetGram, blocks) -> tuple[float, np.ndarray]:
 # backtest forecasts (prefix_betas) against a per-month SVD by at most
 # 1.9e-14 of their backtest's largest |y_pred| (9.3e-12 relative at a
 # forecast of 3.5e-4) over the 696 backtests of both backtest workloads at
-# seeds 0 and 4099. The guard is decided by a Cholesky certificate: a
-# factor of the scaled G - (2k/cap) I proves the condition below the cap,
-# and only a stack it does not certify is decided by eigvalsh, so the mask
-# is the eigenvalue rule's.
+# seeds 0 and 4099. The guard is decided by a Cholesky certificate: for
+# one system, the inverse factor Granger reads; else, or where that misses,
+# a factor of the scaled G - (2k/cap) I proves the condition below the cap,
+# and only a stack neither certifies is decided by eigvalsh, so the mask is
+# the eigenvalue rule's.
 _GRAM_COND_MAX = 1e6
 # Cap on the float64 entries of one chunk of stacked systems or residuals
 # (2 MB), so a backward step at width 120 does not stack all its
@@ -228,10 +230,13 @@ class _ScaledSystems:
     ``inverse_factor`` gives, for one system that passes, a triangular R
     with G^-1 = R'R: Granger's Wald gaps read it in place of ``inverse``.
 
-    One Cholesky factor of the shifted stack certifies every system at
-    once (the whole guard at k = 122: about 0.14 ms, against 0.65 ms with
-    eigvalsh, on a 2-core VM); only a stack it does not certify pays for
-    its eigenvalues, and the mask is the one they give."""
+    One system (Granger's) is first certified by the factor of its inverse
+    that ``inverse_factor`` returns, so a certified Granger call factors
+    its Gram once. A stack, or a system that certificate misses, is
+    certified by one Cholesky factor of the shifted stack (the whole guard
+    at k = 122: about 0.14 ms, against 0.65 ms with eigvalsh, on a 2-core
+    VM); only a stack neither certifies pays for its eigenvalues, and the
+    mask is the one they give."""
 
     def __init__(self, G: np.ndarray):
         scale = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
@@ -239,14 +244,25 @@ class _ScaledSystems:
         self.scale = scale
         self.G = G / scale[..., :, None] / scale[..., None, :]
         cap, k = _GRAM_COND_MAX, G.shape[-1]
-        try:
-            # lambda_max <= trace = k, so a Cholesky factor of G - (2k/cap) I
-            # proves lambda_min > 2 lambda_max / cap for every system: the
-            # eigenvalue rule passes with a factor 2 to spare for rounding.
-            # A nan factors without LinAlgError, hence the finite check.
-            certified = np.isfinite(np.linalg.cholesky(self.G - 2 * k / cap * np.eye(k))).all()
-        except np.linalg.LinAlgError:
-            certified = False
+        self._unit_factor, certified = None, False
+        if G.ndim == 2:
+            # one system: the factor inverse_factor reads certifies it too,
+            # as lambda_max <= trace = k and 1/lambda_min <= tr G^-1 =
+            # ||R||_F^2, so k ||R||_F^2 <= cap/2 passes the eigenvalue rule
+            # with a factor 2 to spare for rounding (a nan fails the test)
+            try:
+                R = self._unit_factor = _unit_inverse_factor(self.G)
+                certified = k * np.einsum("ij,ij->", R, R) <= cap / 2
+            except np.linalg.LinAlgError:
+                pass
+        if not certified:
+            try:
+                # lambda_max <= trace = k, so a Cholesky factor of G - (2k/cap) I
+                # proves lambda_min > 2 lambda_max / cap for every system.
+                # A nan factors without LinAlgError, hence the finite check.
+                certified = np.isfinite(np.linalg.cholesky(self.G - 2 * k / cap * np.eye(k))).all()
+            except np.linalg.LinAlgError:
+                pass
         if certified:
             self.ok = np.ones(G.shape[:-2], dtype=bool)
         else:
@@ -271,18 +287,25 @@ class _ScaledSystems:
 
     def inverse_factor(self) -> np.ndarray:
         """R with G^-1 = R'R, for one k x k system that is ok: the inverse of
-        the Cholesky factor L of the unit-diagonal G (G = L L'), its columns
-        divided by scale. One factor and one triangular inverse: about
-        0.2 ms at k = 122, against 0.5 ms for ``np.linalg.inv`` (2-core VM,
-        one BLAS thread)."""
-        from scipy.linalg.lapack import dtrtri
+        the Cholesky factor L of the unit-diagonal G (G = L L'), taken once
+        when the guard ran, its columns divided by scale. One factor and one
+        triangular inverse: about 0.2 ms at k = 122, against 0.5 ms for
+        ``np.linalg.inv`` (2-core VM, one BLAS thread)."""
+        if self._unit_factor is None:
+            raise np.linalg.LinAlgError("G has no Cholesky factor")
+        return self._unit_factor / self.scale
 
-        # inverting the upper factor L' gives R' = (L^-1)'; L' is
-        # Fortran-ordered, so LAPACK reads it without a copy
-        R_t, info = dtrtri(np.linalg.cholesky(self.G).T, lower=0)
-        if info:
-            raise np.linalg.LinAlgError(f"dtrtri: info {info}")
-        return R_t.T / self.scale
+
+def _unit_inverse_factor(G: np.ndarray) -> np.ndarray:
+    """L^-1 for G = L L' (G one k x k system); LinAlgError if G does not factor."""
+    from scipy.linalg.lapack import dtrtri
+
+    # inverting the upper factor L' gives R' = (L^-1)'; L' is
+    # Fortran-ordered, so LAPACK reads it without a copy
+    R_t, info = dtrtri(np.linalg.cholesky(G).T, lower=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtri: info {info}")
+    return R_t.T
 
 
 @dataclass(frozen=True)
@@ -761,3 +784,86 @@ def acyclicity(S: np.ndarray) -> tuple[float, np.ndarray]:
     h = float(np.trace(E)) - S.shape[0]
     grad = 2.0 * E.T * S
     return max(h, 0.0), grad
+
+
+# The argument list of scipy's C port of L-BFGS-B (scipy >= 1.15), which
+# ``lbfgsb`` calls as scipy.optimize.minimize does
+_SETULB_SIGNATURE = (
+    "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+)
+
+
+def lbfgsb(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimize ``fun`` over the box ``lower <= x <= upper`` by L-BFGS-B (Zhu
+    et al. 1997); ``fun(x)`` returns the objective and its gradient. Returns
+    the last iterate and the number of iterations.
+
+    The iterates are bit for bit those of ``scipy.optimize.minimize(fun, x0,
+    method="L-BFGS-B", jac=True, bounds=...)`` with its defaults (maxcor 10,
+    ftol 2.22e-9, gtol 1e-5, maxls 20, maxiter and maxfun 15000), and ``fun``
+    runs as often as there (``nfev``): once at the clipped start, then
+    whenever the routine asks for the objective at an x other than the last
+    one evaluated. It calls the same routine with the same arguments, without
+    minimize's per-call setup and per-evaluation wrapping: about 52 ms of a
+    116-148 ms DYNOTEARS fit at d = 12 and 60 rows (20 solves, 649
+    evaluations; 2-core VM). An infinite bound leaves its side free. Unlike
+    minimize, a box that fixes every coordinate is still handed to the
+    routine.
+    """
+    import scipy
+    from scipy.optimize import _lbfgsb
+
+    if _lbfgsb.setulb.__doc__ != _SETULB_SIGNATURE:
+        raise RuntimeError(
+            f"scipy {scipy.__version__}: L-BFGS-B routine is not "
+            f"{_SETULB_SIGNATURE}; causalfs needs scipy >= 1.15"
+        )
+    x0 = np.asarray(x0).ravel()
+    n = len(x0)
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError(f"bounds of shapes {lower.shape}, {upper.shape} for {n} variables")
+    if (lower > upper).any():
+        raise ValueError("a lower bound is greater than its upper bound")
+    x = np.clip(x0, lower, upper).astype(np.float64)
+    # scipy's encoding: 0 free, 1 lower only, 2 both, 3 upper only; an
+    # infinite bound is stored as 0
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    nbd = np.where(has_lower, np.where(has_upper, 2, 1), np.where(has_upper, 3, 0)).astype(np.int32)
+    lower = np.where(has_lower, lower, 0.0)
+    upper = np.where(has_upper, upper, 0.0)
+
+    m, max_iter, max_fun = 10, 15000, 15000
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    pgtol, maxls = 1e-5, 20
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m, np.float64)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29, np.float64)
+
+    x_seen = x.copy()
+    f_seen, g_seen = fun(x.copy())
+    n_fev, n_iter = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    while True:
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, factr, pgtol, wa,
+                       iwa, task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:  # FG: the objective and gradient at x
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = fun(x.copy())
+                n_fev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            n_iter += 1
+            if n_iter >= max_iter:
+                task[:] = 5, 504
+            elif n_fev > max_fun:
+                task[:] = 5, 502
+        else:
+            return x, n_iter

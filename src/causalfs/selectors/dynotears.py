@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from ..errors import NotAcyclic
-from ..numerics import acyclicity, standardize
+from ..numerics import acyclicity, lbfgsb, standardize
 from ..panel import AlignedPanel, stack_lags
 from .base import DynamicGraph, FeatureSet
 
@@ -52,8 +52,6 @@ def dynotears_fit(
     and the diagonal of S is forced to zero. Raises NotAcyclic (carrying the
     best iterate) when the constraint cannot be met before ``RHO_MAX``.
     """
-    import scipy.optimize as sopt  # looked up per call, so a patched minimize is seen
-
     m = len(panel.names)
     T = len(panel)
     if T <= p * m:
@@ -98,22 +96,16 @@ def dynotears_fit(
 
         return func
 
-    # diagonal of S pinned to zero in both split parts
-    bounds = []
-    for _ in range(2):
-        for i in range(m):
-            for j in range(m):
-                bounds.append((0.0, 0.0) if i == j else (0.0, None))
-    bounds.extend([(0.0, None)] * (2 * n_w))
+    # every part is nonnegative; the diagonal of S is pinned to zero in both
+    lower = np.zeros(2 * n_s + 2 * n_w)
+    upper = np.full(lower.shape, np.inf)
+    upper[: 2 * n_s][np.tile(np.eye(m, dtype=bool).ravel(), 2)] = 0.0
 
     vec = np.zeros(2 * n_s + 2 * n_w)
     rho, alpha, h = 1.0, 0.0, np.inf
     for _ in range(MAX_OUTER):
         while True:
-            sol = sopt.minimize(
-                make_func(rho, alpha), vec, method="L-BFGS-B", jac=True, bounds=bounds
-            )
-            vec_new = sol.x
+            vec_new, _ = lbfgsb(make_func(rho, alpha), vec, lower, upper)
             h_new, _ = acyclicity(unpack(vec_new)[0])
             if h_new > 0.25 * h and rho < RHO_MAX:
                 rho *= 10

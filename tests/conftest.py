@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from causalfs.numerics import ols_fit
+from causalfs.numerics import lbfgsb, ols_fit
 from causalfs.panel import AlignedPanel, MonthStamp
 from causalfs.selectors import residual_invariance_p
 
@@ -84,3 +85,56 @@ def per_subset_p_values(design, envs, max_subset_size):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+def _counting(fun):
+    """``fun`` and the list it appends to on every call."""
+    calls = []
+
+    def counted(x):
+        calls.append(None)
+        return fun(x)
+
+    return counted, calls
+
+
+def assert_lbfgsb_matches_minimize(fun, x0, lower, upper, setulb_calls):
+    """``numerics.lbfgsb`` hands scipy's routine the very inputs that
+    ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does, call for
+    call, and ends on the same x bytes, iteration count and number of
+    evaluations. Returns minimize's result."""
+    import scipy.optimize
+
+    bounds = [(lo if np.isfinite(lo) else None, up if np.isfinite(up) else None)
+              for lo, up in zip(lower, upper)]
+    counted, minimize_calls = _counting(fun)
+    sol = scipy.optimize.minimize(counted, x0, method="L-BFGS-B", jac=True, bounds=bounds)
+    minimize_routine_calls = setulb_calls[:]
+    setulb_calls.clear()
+    counted, calls = _counting(fun)
+    x, n_iter = lbfgsb(counted, x0, lower, upper)
+    assert setulb_calls == minimize_routine_calls
+    assert x.tobytes() == sol.x.tobytes()
+    assert (n_iter, len(calls)) == (sol.nit, sol.nfev) == (sol.nit, len(minimize_calls))
+    return sol
+
+
+@pytest.fixture
+def setulb_calls(monkeypatch):
+    """Every call of scipy's L-BFGS-B routine from here on, as the bytes of
+    what it was handed: m, x, l, u, nbd, f, g, factr, pgtol and maxls."""
+    from scipy.optimize import _lbfgsb
+
+    calls = []
+    routine = _lbfgsb.setulb
+
+    @functools.wraps(routine)
+    def record(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task):
+        calls.append(tuple(np.asarray(a).tobytes() for a in (m, x, l, u, nbd, f, g, factr,
+                                                              pgtol, maxls)))
+        return routine(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave,
+                       dsave, maxls, ln_task)
+
+    monkeypatch.setattr(_lbfgsb, "setulb", record)
+    return calls

@@ -45,7 +45,7 @@ from causalfs.numerics import (
     subset_residuals,
 )
 
-from conftest import make_panel, near_copy_panel
+from conftest import assert_lbfgsb_matches_minimize, make_panel, near_copy_panel
 
 # frozen from an independent quadrature of the F(2, 17) density over [1.7, inf)
 F_SF_1P7_2_17 = 0.21230460218830446
@@ -657,6 +657,8 @@ class TestGuardCertificate:
         ok = _ScaledSystems(G).ok
         np.testing.assert_array_equal(ok, _eigvalsh_guard(G))
         assert ok[:2].all() and not ok[-2:].any()
+        # one system at a time, first certified by its inverse factor
+        np.testing.assert_array_equal([_ScaledSystems(g).ok for g in G], ok)
 
     def test_well_conditioned_stack_is_certified_without_eigenvalues(self, rng, monkeypatch):
         G = np.stack([_gram_of_cond(rng, 13, c) for c in np.logspace(0, 5, 55)])
@@ -679,6 +681,33 @@ class TestGuardCertificate:
         G = _gram_of_cond(rng, 7, cond)
         got = _ScaledSystems(G).ok
         assert got.shape == () and bool(got) is ok and got == _eigvalsh_guard(G)
+
+    def test_certified_single_system_factors_once(self, rng, monkeypatch):
+        # the factor that certifies Granger's Gram is the one its Wald gaps
+        # read, bit for bit the inverse of the Cholesky factor of the
+        # unit-diagonal Gram
+        from scipy.linalg.lapack import dtrtri
+
+        G = _gram_of_cond(rng, 13, 1e3)
+        factor = mock.Mock(wraps=np.linalg.cholesky)
+        monkeypatch.setattr(np.linalg, "cholesky", factor)
+        monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
+        systems = _ScaledSystems(G)
+        R = systems.inverse_factor()
+        assert systems.ok and factor.call_count == 1
+        R_t, _ = dtrtri(np.linalg.cholesky(systems.G).T, lower=0)
+        np.testing.assert_array_equal(R, R_t.T / systems.scale)
+        design = _wide_design()
+        factor.reset_mock()
+        nested_rss(design.engine, [[j] for j in range(design.X.shape[1])])
+        assert factor.call_count == 1
+
+    def test_single_system_without_a_factor_fails(self):
+        systems = _ScaledSystems(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        assert not systems.ok
+        with pytest.raises(np.linalg.LinAlgError):
+            systems.inverse_factor()
+
 
 class TestKMeans:
     def test_separated_clouds(self, rng):
@@ -920,6 +949,59 @@ class TestFastIcaMatchesPlainLoopOracle:
         X = np.random.default_rng(23).laplace(size=(61, 9))
         for ordered in (np.ascontiguousarray(X), np.asfortranarray(X)):
             self._assert_matches(ordered, seed=2)
+
+
+class TestLbfgsb:
+    def test_lower_bounds_only(self, rng, setulb_calls):
+        # a convex quadratic over x >= 0 with about half the bounds active
+        n = 40
+        B = rng.normal(size=(n, n))
+        H, b = B @ B.T / n + 0.1 * np.eye(n), rng.normal(size=n)
+
+        def fun(x):
+            Hx = H @ x
+            return 0.5 * float(x @ Hx) - float(b @ x), Hx - b
+
+        sol = assert_lbfgsb_matches_minimize(fun, np.ones(n), np.zeros(n), np.full(n, np.inf),
+                                             setulb_calls)
+        assert 0 < (sol.x == 0.0).sum() < n
+
+    def test_start_outside_a_mixed_box(self, setulb_calls):
+        # a chained Rosenbrock function with free, lower-only, upper-only,
+        # two-sided and fixed coordinates, started outside the box
+        n = 10
+
+        def fun(x):
+            d1, d0 = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
+            g = np.zeros(n)
+            g[:-1] = -400.0 * x[:-1] * d1 - 2.0 * d0
+            g[1:] += 200.0 * d1
+            return float(100.0 * d1 @ d1 + d0 @ d0), g
+
+        inf = np.inf
+        lower = np.array([-inf, 0.5, -inf, -1.0, 0.2, -inf, 0.0, -2.0, -inf, 0.3])
+        upper = np.array([inf, inf, 0.8, 1.0, 0.2, inf, 2.0, -1.5, 0.9, inf])
+        x0 = np.array([3.0, -1.0, 2.0, 5.0, 0.0, -1.2, -3.0, 0.0, 1.0, 0.0])
+        sol = assert_lbfgsb_matches_minimize(fun, x0, lower, upper, setulb_calls)
+        assert sol.nit > 10 and sol.x[4] == 0.2
+
+    def test_rejects_a_routine_it_was_not_written_for(self, monkeypatch):
+        import scipy
+        from scipy.optimize import _lbfgsb
+
+        def setulb(*args):
+            """setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,csave,lsave,isave,dsave,maxls)"""
+            raise AssertionError("called")
+
+        monkeypatch.setattr(_lbfgsb, "setulb", setulb)
+        with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}: .*scipy >= 1.15"):
+            numerics.lbfgsb(lambda x: (0.0, np.zeros(1)), np.zeros(1), np.zeros(1), np.ones(1))
+
+    def test_rejects_bounds_that_do_not_fit(self):
+        with pytest.raises(ValueError, match="shapes"):
+            numerics.lbfgsb(None, np.zeros(3), np.zeros(2), np.ones(3))
+        with pytest.raises(ValueError, match="greater"):
+            numerics.lbfgsb(None, np.zeros(2), np.ones(2), np.zeros(2))
 
 
 class TestAcyclicity:

@@ -1,15 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import causalfs.selectors.dynotears as dynotears_module
-from causalfs.errors import BadName
-from causalfs.numerics import acyclicity, standardize
+from causalfs.errors import BadName, NotAcyclic
+from causalfs.numerics import acyclicity, lbfgsb, standardize
 from causalfs.selectors import DynamicGraph, dynotears_fit, dynotears_select
 from causalfs.panel import stack_lags
 from causalfs.selectors.dynotears import objective_terms
 from causalfs.synthlab import SvarSpec, generate_svar, score_graph_edges
 
-from conftest import make_panel
+from conftest import assert_lbfgsb_matches_minimize, make_panel
 
 
 def test_recovers_known_sparse_graph():
@@ -138,3 +141,117 @@ def test_small_sample_warns(rng):
     panel = make_panel(rng.normal(size=6), rng.normal(size=(6, 6)))
     with pytest.warns(UserWarning, match="small"):
         dynotears_fit(panel, p=1, lambda_s=1.0, lambda_w=1.0)
+
+
+def _minimize_fit(panel, p=1, lambda_w=0.1, lambda_s=0.1, h_tol=1e-8, w_threshold=0.05):
+    """dynotears_fit with every inner problem solved by
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True), over a list of
+    bound pairs: the reference the package's own L-BFGS-B driver must match
+    bit for bit."""
+    m = len(panel.names)
+    X, X_lag = stack_lags(standardize(panel.data), p)
+    n_s, n_w = m * m, p * m * m
+
+    def unpack(vec):
+        s = (vec[:n_s] - vec[n_s : 2 * n_s]).reshape(m, m)
+        w = (vec[2 * n_s : 2 * n_s + n_w] - vec[2 * n_s + n_w :]).reshape(p * m, m)
+        return s, w
+
+    def make_func(rho, alpha):
+        def func(vec):
+            S, W = unpack(vec)
+            loss, g_S, g_W = objective_terms(S, W, X, X_lag)
+            h, g_h = acyclicity(S)
+            obj = (loss + 0.5 * rho * h * h + alpha * h
+                   + lambda_s * vec[: 2 * n_s].sum() + lambda_w * vec[2 * n_s :].sum())
+            g_S_smooth = (g_S + (rho * h + alpha) * g_h).ravel()
+            g_W_smooth = g_W.ravel()
+            return obj, np.concatenate([g_S_smooth + lambda_s, -g_S_smooth + lambda_s,
+                                        g_W_smooth + lambda_w, -g_W_smooth + lambda_w])
+
+        return func
+
+    bounds = []
+    for _ in range(2):
+        for i in range(m):
+            for j in range(m):
+                bounds.append((0.0, 0.0) if i == j else (0.0, None))
+    bounds.extend([(0.0, None)] * (2 * n_w))
+
+    vec = np.zeros(2 * n_s + 2 * n_w)
+    rho, alpha, h = 1.0, 0.0, np.inf
+    for _ in range(dynotears_module.MAX_OUTER):
+        while True:
+            sol = scipy.optimize.minimize(make_func(rho, alpha), vec, method="L-BFGS-B",
+                                          jac=True, bounds=bounds)
+            vec_new = sol.x
+            h_new, _ = acyclicity(unpack(vec_new)[0])
+            if h_new > 0.25 * h and rho < dynotears_module.RHO_MAX:
+                rho *= 10
+                continue
+            break
+        vec, h = vec_new, h_new
+        alpha += rho * h
+        if h <= h_tol or rho >= dynotears_module.RHO_MAX:
+            break
+
+    S_est, W_est = unpack(vec)
+    S_est[np.abs(S_est) < w_threshold] = 0.0
+    np.fill_diagonal(S_est, 0.0)
+    W_est[np.abs(W_est) < w_threshold] = 0.0
+    W_list = tuple(W_est[tau * m : (tau + 1) * m] for tau in range(p))
+    graph = DynamicGraph(S=S_est, W=W_list, variable_names=panel.names)
+    if h > h_tol:
+        raise NotAcyclic(f"h={h:.3e} above tolerance {h_tol:.1e} at rho={rho:.0e}", graph=graph)
+    return graph
+
+
+def _graph_bytes(graph):
+    return graph.S.tobytes(), tuple(w.tobytes() for w in graph.W)
+
+
+@pytest.mark.parametrize("d, p, n", [(4, 1, 120), (4, 2, 120), (8, 1, 100), (8, 2, 150),
+                                     (12, 1, 70), (12, 2, 90)])
+def test_fit_matches_the_minimize_loop_bit_for_bit(d, p, n):
+    panel, _ = generate_svar(SvarSpec(d=d, p=p, n=n, edge_density=0.3, seed=d + p))
+    graph = dynotears_fit(panel, p=p)
+    assert _graph_bytes(graph) == _graph_bytes(_minimize_fit(panel, p=p))
+    assert any(w.any() for w in graph.W)
+
+
+def test_unreachable_constraint_matches_the_minimize_loop(monkeypatch):
+    monkeypatch.setattr(dynotears_module, "RHO_MAX", 10.0)
+    panel, _ = generate_svar(SvarSpec(d=5, p=1, n=200, edge_density=0.4, seed=2))
+    with pytest.raises(NotAcyclic) as got:
+        dynotears_fit(panel, p=1)
+    with pytest.raises(NotAcyclic) as expected:
+        _minimize_fit(panel, p=1)
+    assert str(got.value) == str(expected.value)
+    assert _graph_bytes(got.value.graph) == _graph_bytes(expected.value.graph)
+
+
+def test_every_inner_solve_matches_minimize(monkeypatch, setulb_calls):
+    # the inner problems of one real fit, at the (rho, alpha) of its
+    # schedule, with the diagonal of S fixed at zero in both parts
+    solves = []
+
+    def recording(fun, x0, lower, upper):
+        solves.append((fun, x0.copy(), lower, upper))
+        return lbfgsb(fun, x0, lower, upper)
+
+    monkeypatch.setattr(dynotears_module, "lbfgsb", recording)
+    panel, _ = generate_svar(SvarSpec(d=5, p=2, n=150, edge_density=0.3, seed=4))
+    dynotears_fit(panel, p=2)
+    assert len(solves) > 5
+    diagonal = np.tile(np.eye(5, dtype=bool).ravel(), 2)
+    for fun, x0, lower, upper in solves:
+        assert not lower.any() and not upper[:50][diagonal].any()
+        assert np.isinf(upper[:50][~diagonal]).all() and np.isinf(upper[50:]).all()
+        setulb_calls.clear()
+        assert_lbfgsb_matches_minimize(fun, x0, lower, upper, setulb_calls)
+
+
+def test_fit_never_calls_minimize(monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "minimize", mock.Mock(side_effect=AssertionError))
+    panel, _ = generate_svar(SvarSpec(d=4, p=1, n=120, edge_density=0.3, seed=1))
+    assert acyclicity(dynotears_fit(panel, p=1).S)[0] <= 1e-8
